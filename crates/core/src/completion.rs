@@ -13,6 +13,10 @@
 //! the nonzeros of its slice (the same per-mode grouped views the COO
 //! MTTKRP uses). This is the standard ALS formulation of the tensor
 //! completion literature that the sparse-MTTKRP papers extend to.
+//!
+//! Completion stays outside the one sweep loop of [`crate::cpals`]: its
+//! row-wise solves assemble each row's system from that row's observed
+//! entries, so it has no MTTKRP backend to drive.
 
 use crate::model::CpModel;
 use adatm_linalg::{pinv_sym, Mat, PINV_RCOND};

@@ -1,20 +1,52 @@
-//! The CP-ALS driver.
+//! The CP sweep driver: one loop for every CP method whose sweep is
+//! "compute `M^(n)`, then update `U^(n)`".
 //!
-//! One iteration performs, for each mode `n`:
+//! One iteration performs, for each mode `n` in the backend's order:
 //!
 //! 1. `backend.begin_mode(n)` (memoization invalidation),
 //! 2. `M^(n) <- MTTKRP(X, factors, n)` via the backend,
 //! 3. `H^(n) <- hadamard_{i != n} W^(i)` with `W^(i) = U^(i)^T U^(i)`
 //!    cached and updated incrementally,
-//! 4. `U^(n) <- M^(n) pinv(H^(n))`,
-//! 5. column-normalize `U^(n)` into `lambda` (2-norm on the first
-//!    iteration, max-norm afterwards — the standard practice that keeps
-//!    factors well-scaled without re-shrinking converged columns),
-//! 6. `W^(n) <- U^(n)^T U^(n)`.
+//! 4. the rule's update of `U^(n)` from `M^(n)` and `H^(n)`,
+//! 5. `W^(n) <- U^(n)^T U^(n)`.
+//!
+//! The update is the only rule-specific step, and the entry point fixes
+//! the rule:
+//!
+//! * [`CpAls::new`] — **ALS**: `U^(n) <- M^(n) pinv(H^(n))` with ridge
+//!   fallbacks, then column normalization into `lambda` (2-norm on the
+//!   first iteration, max-norm afterwards — the standard practice that
+//!   keeps factors well-scaled without re-shrinking converged columns);
+//! * [`CpAls::ncp`] — **NCP**: the multiplicative update
+//!   `U^(n) <- U^(n) .* M^(n) ./ (U^(n) H^(n) + eps)`, no normalization,
+//!   `lambda = 1` (see [`mod@crate::ncp`]).
 //!
 //! The fit `1 - ||X - M|| / ||X||` is computed per iteration at
 //! `O(I_N R + R²)` extra cost using the last subiteration's MTTKRP
 //! result — no extra pass over the tensor.
+//!
+//! # Run state and phases
+//!
+//! A run is one `Run` value holding everything the loop carries from one
+//! iteration to the next: factors, cached Grams, `lambda`, the fit
+//! history and best fit, the last-good snapshot, the recovery counters,
+//! the checkpoint context, the pairwise-perturbation controller, the
+//! `R x R` work buffers and the drift accounting. Its phases, in order:
+//!
+//! * **start / resume** — `Run::new` builds fresh state for
+//!   [`CpAls::run_from`]; `Run::restore` overwrites it from a checkpoint
+//!   for [`CpAls::resume_from`];
+//! * **PP decision** — `Run::pp_phase` picks an exact or a perturbative
+//!   MTTKRP phase for the iteration;
+//! * **mode update** — `Run::mode_update`: watchdog, MTTKRP, Hadamard
+//!   system, the rule's solve and normalize, commit;
+//! * **breakdown** — `Run::breakdown`, the one rollback path every
+//!   mode-local detector takes;
+//! * **fit** — `Run::iteration` measures the fit and runs the
+//!   divergence, stall and convergence checks;
+//! * **checkpoint** — `Run::write_checkpoint`, on the configured cadence;
+//! * **finish** — `Run::finish`: final watchdog checkpoint, drift check,
+//!   and the [`CpResult`].
 //!
 //! # Resilience
 //!
@@ -24,9 +56,10 @@
 //! every mode update and repaired by an escalating sequence of recovery
 //! policies:
 //!
-//! 1. **Tikhonov ridge re-solve** when the Gram system is numerically
-//!    singular (condition estimate from the Jacobi eigenvalues the
-//!    pseudoinverse already computed) or the dense solve fails;
+//! 1. **Tikhonov ridge re-solve** (ALS only) when the Gram system is
+//!    numerically singular (condition estimate from the Jacobi
+//!    eigenvalues the pseudoinverse already computed) or the dense solve
+//!    fails;
 //! 2. **rollback** to the last-good factor set plus seeded
 //!    re-randomization of the offending factor, with all memoized
 //!    backend intermediates invalidated (a NaN that reached a
@@ -51,6 +84,7 @@ use crate::diagnostics::{
 use crate::error::CpAlsError;
 use crate::init::{init_factors, InitStrategy};
 use crate::model::CpModel;
+use crate::ncp;
 use adatm_dtree::PpState;
 use adatm_linalg::{pinv::ridge_solve_gram, pinv::try_solve_gram, Mat};
 use adatm_tensor::SparseTensor;
@@ -157,7 +191,8 @@ impl Default for PpConfig {
     }
 }
 
-/// Options for a CP-ALS run.
+/// Options for a CP run. The same options drive ALS ([`CpAls::new`]) and
+/// NCP ([`CpAls::ncp`]); the entry point, not an option, fixes the rule.
 #[derive(Clone, Debug)]
 pub struct CpAlsOptions {
     /// Decomposition rank `R`.
@@ -297,7 +332,7 @@ impl PhaseTimings {
     }
 }
 
-/// Result of a CP-ALS run.
+/// Result of a CP run (ALS or NCP).
 #[derive(Clone, Debug)]
 pub struct CpResult {
     /// The decomposition.
@@ -356,41 +391,153 @@ impl CpResult {
     }
 }
 
-/// Watchdog check shared by every stage boundary: when the budget has
-/// expired, records the diagnostic (with the stage that detected it),
-/// sets the stop reason, and tells the caller to break the run. Checking
-/// after MTTKRP and after the dense phase — not just at the top of each
-/// mode — bounds the overrun by a single stage rather than a whole
-/// mode's worth of kernel work.
-fn watchdog_expired(
-    start: Instant,
-    budget: Option<Duration>,
+/// The per-mode update rule: the one step of a sweep that differs
+/// between the CP methods this driver runs. Everything rule-specific —
+/// initialization, input check, update — sits behind it, so the loop
+/// never matches on it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Rule {
+    /// Normal-equation solve with ridge fallbacks, then column
+    /// normalization into `lambda`.
+    Als,
+    /// Multiplicative update; factors stay unnormalized and `lambda = 1`.
+    Ncp,
+}
+
+impl Rule {
+    /// The rule's name in traces (the `rule` field of `cpals.run`).
+    fn name(self) -> &'static str {
+        match self {
+            Rule::Als => "als",
+            Rule::Ncp => "ncp",
+        }
+    }
+
+    /// Initial factors for [`CpAls::run`]. NCP keeps its own nonnegative
+    /// seeds for the random init; any other strategy is shared (and may
+    /// produce signed factors, which NCP's input check then rejects).
+    fn init(self, tensor: &SparseTensor, opts: &CpAlsOptions) -> Vec<Mat> {
+        match (self, opts.init) {
+            (Rule::Ncp, InitStrategy::Random) => ncp::init_factors(tensor, opts.rank, opts.seed),
+            _ => init_factors(tensor, opts.rank, opts.seed, opts.init),
+        }
+    }
+
+    /// The rule's own input requirements, checked after the shared ones.
+    fn check_input(self, tensor: &SparseTensor, factors: &[Mat]) -> Result<(), CpAlsError> {
+        match self {
+            Rule::Als => Ok(()),
+            Rule::Ncp => ncp::check_input(tensor, factors),
+        }
+    }
+
+    /// The new factor for `mode` from the current one `cur`, its MTTKRP
+    /// `m`, and the Hadamard-of-Grams system `h`. `Err` names a
+    /// breakdown the rule could not repair in place.
+    fn solve(
+        self,
+        cur: &Mat,
+        m: &Mat,
+        h: &Mat,
+        iter: usize,
+        mode: usize,
+        diag: &mut RunDiagnostics,
+    ) -> Result<Mat, BreakdownKind> {
+        match self {
+            Rule::Als => als_solve(m, h, iter, mode, diag),
+            Rule::Ncp => Ok(ncp::update(cur, m, h)),
+        }
+    }
+
+    /// Rescales a freshly solved factor. ALS moves its column norms into
+    /// `lambda` (2-norm on the first iteration, max-norm afterwards) and
+    /// re-seeds collapsed columns; NCP keeps the scale in the factor and
+    /// leaves `lambda` at one.
+    fn normalize(
+        self,
+        u: &mut Mat,
+        lambda: &mut Vec<f64>,
+        iter: usize,
+        mode: usize,
+        seed: u64,
+        diag: &mut RunDiagnostics,
+    ) {
+        if self == Rule::Ncp {
+            return;
+        }
+        *lambda = if iter == 0 { u.normalize_cols() } else { u.normalize_cols_max() };
+        // Guard: a zero column (rank deficiency) would poison the model;
+        // re-seed it with noise so ALS can recover.
+        let mut reseeded = 0;
+        for (r, &l) in lambda.iter().enumerate() {
+            if l == 0.0 {
+                let noise = Mat::random(u.nrows(), 1, seed ^ 0xdead ^ r as u64);
+                for i in 0..u.nrows() {
+                    u.set(i, r, noise.get(i, 0));
+                }
+                reseeded += 1;
+            }
+        }
+        if reseeded > 0 {
+            diag.record(BreakdownEvent {
+                iter,
+                mode: Some(mode),
+                kind: BreakdownKind::ZeroColumns,
+                recovery: RecoveryAction::ReseedColumns { reseeded_cols: reseeded },
+                recovery_time: Duration::ZERO,
+            });
+        }
+    }
+}
+
+/// ALS solve `U = M pinv(H)`, with a Tikhonov ridge re-solve when the
+/// system is degenerate or the solve fails. `Err` only when even the
+/// ridge re-solve fails.
+fn als_solve(
+    m: &Mat,
+    h: &Mat,
     iter: usize,
     mode: usize,
-    stage: &'static str,
     diag: &mut RunDiagnostics,
-) -> bool {
-    let Some(budget) = budget else { return false };
-    if start.elapsed() < budget {
-        return false;
+) -> Result<Mat, BreakdownKind> {
+    match try_solve_gram(m, h) {
+        Ok((u, info)) if info.rank_deficient() || info.cond() > COND_LIMIT => {
+            // Detector: degenerate Gram system, condition estimate read
+            // straight off the Jacobi eigenvalues the pseudoinverse
+            // computed. Recovery: Tikhonov ridge re-solve.
+            let rt = Instant::now();
+            let ridge = (info.max_abs_eig * RIDGE_REL).max(RIDGE_FLOOR);
+            let repaired = ridge_solve_gram(m, h, ridge).ok();
+            diag.record(BreakdownEvent {
+                iter,
+                mode: Some(mode),
+                kind: BreakdownKind::SingularGram,
+                recovery: match repaired {
+                    Some(_) => RecoveryAction::RidgeResolve { ridge },
+                    None => RecoveryAction::None,
+                },
+                recovery_time: rt.elapsed(),
+            });
+            Ok(repaired.unwrap_or(u))
+        }
+        Ok((u, _)) => Ok(u),
+        Err(_) => {
+            // Detector: the dense solve itself failed. Recovery: ridge
+            // re-solve; if even that fails, the caller rolls back.
+            let rt = Instant::now();
+            let scale = (0..h.nrows()).map(|r| h.get(r, r).abs()).fold(0.0_f64, f64::max);
+            let ridge = (scale * RIDGE_REL).max(RIDGE_FLOOR);
+            let u = ridge_solve_gram(m, h, ridge).map_err(|_| BreakdownKind::SolveFailed)?;
+            diag.record(BreakdownEvent {
+                iter,
+                mode: Some(mode),
+                kind: BreakdownKind::SolveFailed,
+                recovery: RecoveryAction::RidgeResolve { ridge },
+                recovery_time: rt.elapsed(),
+            });
+            Ok(u)
+        }
     }
-    adatm_trace::event!(
-        "watchdog.expired",
-        iter: iter as u64,
-        mode: mode as u64,
-        stage: stage,
-        budget_ns: budget.as_nanos() as u64,
-        elapsed_ns: start.elapsed().as_nanos() as u64
-    );
-    diag.record(BreakdownEvent {
-        iter,
-        mode: Some(mode),
-        kind: BreakdownKind::TimeBudgetExpired,
-        recovery: RecoveryAction::None,
-        recovery_time: Duration::ZERO,
-    });
-    diag.stop = StopReason::TimeBudget;
-    true
 }
 
 /// Last-known-good solver state for rollback recoveries.
@@ -398,22 +545,6 @@ struct Snapshot {
     factors: Vec<Mat>,
     grams: Vec<Mat>,
     lambda: Vec<f64>,
-}
-
-/// Loop state restored from a checkpoint by [`CpAls::resume_from`].
-/// Everything the iteration loop reads that is not recomputed from the
-/// factors (grams are) must pass through here, or a resumed trajectory
-/// diverges from the uninterrupted one.
-struct ResumeState {
-    start_iter: usize,
-    lambda: Vec<f64>,
-    fit_history: Vec<f64>,
-    best_fit: f64,
-    last_good: Option<Snapshot>,
-    rollbacks_left: usize,
-    recoveries: usize,
-    stall_recorded: bool,
-    elapsed_base_ns: u64,
 }
 
 /// Live checkpointing state for one run: the open store plus cadence
@@ -448,54 +579,6 @@ impl CkptCtx {
     }
 }
 
-/// Writes one checkpoint generation from live solver state. Write
-/// failures are non-fatal: durability degrades (earlier generations
-/// stay intact), correctness does not, so the run records a
-/// [`BreakdownKind::CheckpointWriteFailed`] diagnostic and keeps
-/// iterating.
-#[allow(clippy::too_many_arguments)]
-fn write_checkpoint(
-    ck: &mut CkptCtx,
-    seed: u64,
-    next_iter: usize,
-    lambda: &[f64],
-    factors: &[Mat],
-    fit_history: &[f64],
-    best_fit: f64,
-    rollbacks_left: usize,
-    stall_recorded: bool,
-    last_good: &Option<Snapshot>,
-    elapsed_ns: u64,
-    diag: &mut RunDiagnostics,
-    timings: &mut PhaseTimings,
-) {
-    let t0 = Instant::now();
-    let view = CheckpointView {
-        seed,
-        next_iter,
-        lambda,
-        factors,
-        fit_history,
-        best_fit,
-        recoveries: diag.recoveries,
-        rollbacks_left,
-        stall_recorded,
-        elapsed_ns,
-        last_good: last_good.as_ref().map(|s| (s.lambda.as_slice(), s.factors.as_slice())),
-    };
-    if ck.store.write(&view).is_err() {
-        diag.record(BreakdownEvent {
-            iter: next_iter.saturating_sub(1),
-            mode: None,
-            kind: BreakdownKind::CheckpointWriteFailed,
-            recovery: RecoveryAction::None,
-            recovery_time: t0.elapsed(),
-        });
-    }
-    ck.last_write = Instant::now();
-    timings.checkpoint += t0.elapsed();
-}
-
 /// Relative factor movement between two factor sets:
 /// `sqrt(sum_n ||cur^(n) - prev^(n)||^2 / sum_n ||cur^(n)||^2)`.
 fn rel_factor_delta(prev: &[Mat], cur: &[Mat]) -> f64 {
@@ -518,6 +601,7 @@ fn rel_factor_delta(prev: &[Mat], cur: &[Mat]) -> f64 {
 /// Pairwise-perturbation controller state for one run. The numeric
 /// machinery lives in [`adatm_dtree::PpState`]; this owns the policy:
 /// when to trust the memoized baseline and when to force exact sweeps.
+#[derive(Default)]
 struct PpCtl {
     cfg: PpConfig,
     /// Built lazily at the first entry (the symbolic pair analysis and
@@ -548,21 +632,7 @@ struct PpCtl {
 
 impl PpCtl {
     fn new(cfg: PpConfig) -> Self {
-        PpCtl {
-            cfg,
-            state: None,
-            prev: Vec::new(),
-            have_prev: false,
-            armed: false,
-            baseline_events: 0,
-            last_sweep_pp: false,
-            outs: Vec::new(),
-            exact_ns: 0,
-            exact_sweeps: 0,
-            pp_ns: 0,
-            pp_sweeps: 0,
-            refreshes: 0,
-        }
+        PpCtl { cfg, ..PpCtl::default() }
     }
 
     /// Leaves approximate mode (no-op when not armed): the baseline is
@@ -577,49 +647,103 @@ impl PpCtl {
         }
         adatm_trace::event!("pp.exit", iter: iter as u64, reason: reason);
     }
+
+    /// Copies the sweep counters and per-sweep averages into `diag`.
+    fn report(&self, diag: &mut RunDiagnostics) {
+        diag.pp_sweeps = self.pp_sweeps;
+        diag.pp_refreshes = self.refreshes;
+        if self.pp_sweeps > 0 {
+            diag.pp_sweep_ns = Some(self.pp_ns as f64 / self.pp_sweeps as f64);
+        }
+        if self.exact_sweeps > 0 {
+            diag.exact_sweep_ns = Some(self.exact_ns as f64 / self.exact_sweeps as f64);
+        }
+    }
 }
 
-/// The CP-ALS solver.
+/// The CP sweep solver: CP-ALS ([`CpAls::new`]) or nonnegative CP
+/// ([`CpAls::ncp`]) over any MTTKRP backend.
 #[derive(Clone, Debug)]
 pub struct CpAls {
     opts: CpAlsOptions,
+    rule: Rule,
 }
 
 impl CpAls {
-    /// Creates a solver with the given options.
+    /// Creates a CP-ALS solver with the given options.
     pub fn new(opts: CpAlsOptions) -> Self {
-        CpAls { opts }
+        CpAls { opts, rule: Rule::Als }
     }
 
-    /// Runs CP-ALS on `tensor` with `backend`, starting from a seeded
+    /// Creates a nonnegative-CP solver (multiplicative updates, see
+    /// [`mod@crate::ncp`]) with the given options. The tensor must be
+    /// nonnegative, and so must the initial factors; the default random
+    /// init is.
+    pub fn ncp(opts: CpAlsOptions) -> Self {
+        CpAls { opts, rule: Rule::Ncp }
+    }
+
+    /// Runs the solver on `tensor` with `backend`, starting from a seeded
     /// random initialization.
     ///
     /// Returns [`CpAlsError`] for malformed input (zero rank, too few
-    /// modes, non-finite tensor values); numeric breakdowns during the
-    /// run are recovered or degrade gracefully and are reported in
-    /// [`CpResult::diagnostics`] instead.
+    /// modes, non-finite tensor values, negative input under NCP);
+    /// numeric breakdowns during the run are recovered or degrade
+    /// gracefully and are reported in [`CpResult::diagnostics`] instead.
     pub fn run<B: MttkrpBackend + ?Sized>(
         &self,
         tensor: &SparseTensor,
         backend: &mut B,
     ) -> Result<CpResult, CpAlsError> {
-        let factors = init_factors(tensor, self.opts.rank, self.opts.seed, self.opts.init);
+        let factors = self.rule.init(tensor, &self.opts);
         self.run_from(tensor, backend, factors)
     }
 
-    /// Runs CP-ALS from explicit initial factors (each `I_n x R`).
+    /// Runs the solver from explicit initial factors (each `I_n x R`).
     ///
-    /// Factor-shape mismatches and non-finite initial factors are
-    /// rejected with a typed error; this entry point never panics on
-    /// caller input.
+    /// Factor-shape mismatches and non-finite initial factors (and, under
+    /// NCP, signed ones) are rejected with a typed error; this entry
+    /// point never panics on caller input.
     pub fn run_from<B: MttkrpBackend + ?Sized>(
         &self,
         tensor: &SparseTensor,
         backend: &mut B,
         factors: Vec<Mat>,
     ) -> Result<CpResult, CpAlsError> {
-        let n = tensor.ndim();
-        let rank = self.opts.rank;
+        self.check_input(tensor, &factors)?;
+        Ok(Run::new(self, tensor, backend, factors)?.drive())
+    }
+
+    /// Resumes a run from a durable checkpoint (see
+    /// [`CheckpointStore::load_latest`]), continuing **bitwise-identically**
+    /// to an uninterrupted run with the same options and rule: the
+    /// restored fit history keeps the stall/divergence detectors from
+    /// mistriggering, and the restored recovery counters keep every
+    /// reseed RNG stream aligned. Gram matrices are recomputed from the
+    /// restored factors (they are bitwise-pure functions of them).
+    ///
+    /// The checkpoint must match `tensor` (mode dimensions), the
+    /// configured rank, and the configured seed; disagreements return a
+    /// typed [`CpAlsError::Checkpoint`] with
+    /// [`CheckpointError::Mismatch`] inside.
+    pub fn resume_from<B: MttkrpBackend + ?Sized>(
+        &self,
+        tensor: &SparseTensor,
+        backend: &mut B,
+        mut ckpt: CpCheckpoint,
+    ) -> Result<CpResult, CpAlsError> {
+        self.check_checkpoint(tensor, &ckpt)?;
+        self.check_input(tensor, &ckpt.factors)?;
+        let mut run = Run::new(self, tensor, backend, std::mem::take(&mut ckpt.factors))?;
+        run.restore(ckpt);
+        Ok(run.drive())
+    }
+
+    /// Caller-input validation shared by every entry point: rank, mode
+    /// count, factor count, shapes and finiteness, tensor finiteness,
+    /// then the rule's own requirements.
+    fn check_input(&self, tensor: &SparseTensor, factors: &[Mat]) -> Result<(), CpAlsError> {
+        let (n, rank) = (tensor.ndim(), self.opts.rank);
         if rank == 0 {
             return Err(CpAlsError::ZeroRank);
         }
@@ -644,1035 +768,868 @@ impl CpAls {
         if !tensor.vals().iter().all(|v| v.is_finite()) {
             return Err(CpAlsError::NonFiniteTensor);
         }
+        self.rule.check_input(tensor, factors)?;
         #[cfg(feature = "audit")]
         audit_stage("cp-als input tensor", tensor);
-        self.run_inner(tensor, backend, factors, None)
+        Ok(())
     }
 
-    /// Resumes a run from a durable checkpoint (see
-    /// [`CheckpointStore::load_latest`]), continuing **bitwise-identically**
-    /// to an uninterrupted run with the same options: the restored fit
-    /// history keeps the stall/divergence detectors from mistriggering,
-    /// and the restored recovery counters keep every reseed RNG stream
-    /// aligned. Gram matrices are recomputed from the restored factors
-    /// (they are bitwise-pure functions of them).
-    ///
-    /// The checkpoint must match `tensor` (mode dimensions), the
-    /// configured rank, and the configured seed; disagreements return a
-    /// typed [`CpAlsError::Checkpoint`] with
-    /// [`CheckpointError::Mismatch`] inside.
-    pub fn resume_from<B: MttkrpBackend + ?Sized>(
-        &self,
-        tensor: &SparseTensor,
-        backend: &mut B,
-        ckpt: CpCheckpoint,
-    ) -> Result<CpResult, CpAlsError> {
-        let n = tensor.ndim();
-        let rank = self.opts.rank;
-        if rank == 0 {
-            return Err(CpAlsError::ZeroRank);
+    /// Checks that `ck` belongs to this run — rank, mode shapes, seed —
+    /// and is internally consistent. Disagreements are typed
+    /// [`CheckpointError::Mismatch`]es.
+    fn check_checkpoint(&self, tensor: &SparseTensor, ck: &CpCheckpoint) -> Result<(), CpAlsError> {
+        let (n, rank) = (tensor.ndim(), self.opts.rank);
+        let mismatch =
+            |what: String| Err(CpAlsError::Checkpoint(CheckpointError::Mismatch { what }));
+        if ck.rank() != rank {
+            return mismatch(format!("checkpoint rank {} vs requested rank {rank}", ck.rank()));
         }
-        if n < 2 {
-            return Err(CpAlsError::TooFewModes { ndim: n });
+        if ck.factors.len() != n {
+            return mismatch(format!("checkpoint has {} modes, tensor has {n}", ck.factors.len()));
         }
-        let mismatch = |what: String| CpAlsError::Checkpoint(CheckpointError::Mismatch { what });
-        if ckpt.rank() != rank {
-            return Err(mismatch(format!(
-                "checkpoint rank {} vs requested rank {rank}",
-                ckpt.rank()
-            )));
-        }
-        if ckpt.factors.len() != n {
-            return Err(mismatch(format!(
-                "checkpoint has {} modes, tensor has {n}",
-                ckpt.factors.len()
-            )));
-        }
-        for (d, f) in ckpt.factors.iter().enumerate() {
+        for (d, f) in ck.factors.iter().enumerate() {
             if f.nrows() != tensor.dims()[d] || f.ncols() != rank {
-                return Err(mismatch(format!(
+                return mismatch(format!(
                     "factor {d} is {} x {}, tensor/rank require {} x {rank}",
                     f.nrows(),
                     f.ncols(),
                     tensor.dims()[d]
-                )));
-            }
-            if !f.is_finite() {
-                return Err(CpAlsError::NonFiniteInit { mode: d });
+                ));
             }
         }
-        if ckpt.seed != self.opts.seed {
-            return Err(mismatch(format!(
+        if ck.seed != self.opts.seed {
+            return mismatch(format!(
                 "checkpoint seed {} vs options seed {} — resume with the original seed \
                  for a bitwise-identical trajectory",
-                ckpt.seed, self.opts.seed
-            )));
+                ck.seed, self.opts.seed
+            ));
         }
         // Rolled-back iterations consume an iteration index without
         // recording a fit, so the history may be shorter than the
         // counter — but never longer.
-        if ckpt.fit_history.len() > ckpt.next_iter {
-            return Err(mismatch(format!(
+        if ck.fit_history.len() > ck.next_iter {
+            return mismatch(format!(
                 "fit history has {} entries but the iteration counter is only {}",
-                ckpt.fit_history.len(),
-                ckpt.next_iter
-            )));
+                ck.fit_history.len(),
+                ck.next_iter
+            ));
         }
-        if let Some((l, fs)) = &ckpt.last_good {
+        if let Some((l, fs)) = &ck.last_good {
             let shape_ok = l.len() == rank
                 && fs.len() == n
                 && fs.iter().zip(tensor.dims()).all(|(m, &d)| m.nrows() == d && m.ncols() == rank);
             if !shape_ok {
-                return Err(mismatch("last-good snapshot shape mismatch".to_string()));
+                return mismatch("last-good snapshot shape mismatch".to_string());
             }
             if !fs.iter().all(Mat::is_finite) || !l.iter().all(|v| v.is_finite()) {
-                return Err(mismatch("last-good snapshot is non-finite".to_string()));
+                return mismatch("last-good snapshot is non-finite".to_string());
             }
         }
-        if !tensor.vals().iter().all(|v| v.is_finite()) {
-            return Err(CpAlsError::NonFiniteTensor);
-        }
-        #[cfg(feature = "audit")]
-        audit_stage("cp-als input tensor", tensor);
-        let CpCheckpoint {
-            next_iter,
-            lambda,
+        Ok(())
+    }
+}
+
+/// What a phase tells the loop to do next.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Flow {
+    /// Carry on with the next mode or iteration.
+    Next,
+    /// A recovery consumed this iteration slot: restart the sweep from
+    /// the repaired state at the next iteration.
+    Retry,
+    /// Stop the run (watchdog, degradation, divergence, convergence).
+    Stop,
+}
+
+/// The state of one run: everything the loop carries from one iteration
+/// to the next, advanced by the phase methods below (see the module
+/// docs for their order).
+struct Run<'a, B: MttkrpBackend + ?Sized> {
+    opts: &'a CpAlsOptions,
+    rule: Rule,
+    tensor: &'a SparseTensor,
+    backend: &'a mut B,
+    factors: Vec<Mat>,
+    /// Cached Gram matrices `W^(d) = U^(d)^T U^(d)`.
+    grams: Vec<Mat>,
+    lambda: Vec<f64>,
+    /// Completed iterations: the absolute index of the last completed
+    /// iteration plus one (rolled-back iterations do not count).
+    iters: usize,
+    fit_history: Vec<f64>,
+    best_fit: f64,
+    last_good: Option<Snapshot>,
+    rollbacks_left: usize,
+    stall_recorded: bool,
+    converged: bool,
+    diag: RunDiagnostics,
+    timings: PhaseTimings,
+    start: Instant,
+    /// Wall-clock spent before a resume (carried into checkpoints).
+    elapsed_base_ns: u64,
+    // Checkpointing is pure observation of the loop state: enabling it
+    // must not perturb the trajectory (the kill-and-resume tests assert
+    // bitwise identity against checkpoint-free runs). The one sanctioned
+    // interaction is with the PP controller: a checkpoint write disarms
+    // it, keyed on the absolute iteration number, so a resumed run
+    // (which restores exact state and must rebuild any memo baseline)
+    // makes the same arm/sweep decisions at the same iterations as the
+    // uninterrupted one.
+    ckpt: Option<CkptCtx>,
+    pp: Option<PpCtl>,
+    xnorm2: f64,
+    /// Reusable MTTKRP output buffer.
+    m_buf: Mat,
+    // Reusable R x R work matrices: the Hadamard-of-Grams system and the
+    // fit Gram. Allocated once; steady-state iterations perform no
+    // dense-phase allocations beyond the factor update itself.
+    h_buf: Mat,
+    g_buf: Mat,
+    // Drift accounting: only iterations that completed without any
+    // detector firing — and whose MTTKRP phase was an exact sweep —
+    // measure what the cost model priced.
+    clean_kernel_ns: u128,
+    clean_iters: u64,
+}
+
+impl<'a, B: MttkrpBackend + ?Sized> Run<'a, B> {
+    /// Start: fresh state around validated initial factors, with the
+    /// backend reset and the checkpoint store (if any) opened.
+    fn new(
+        solver: &'a CpAls,
+        tensor: &'a SparseTensor,
+        backend: &'a mut B,
+        factors: Vec<Mat>,
+    ) -> Result<Self, CpAlsError> {
+        let opts = &solver.opts;
+        let rank = opts.rank;
+        backend.reset();
+        let start = Instant::now();
+        let ckpt = opts.checkpoint.as_ref().map(CkptCtx::open).transpose()?;
+        Ok(Run {
+            opts,
+            rule: solver.rule,
+            tensor,
+            backend,
+            grams: factors.iter().map(Mat::gram).collect(),
             factors,
-            fit_history,
-            best_fit,
-            recoveries,
-            rollbacks_left,
-            stall_recorded,
-            elapsed_ns,
-            last_good,
-            ..
-        } = ckpt;
-        let last_good = last_good.map(|(lambda, factors)| Snapshot {
+            lambda: vec![1.0; rank],
+            iters: 0,
+            fit_history: Vec::new(),
+            best_fit: f64::NEG_INFINITY,
+            last_good: None,
+            rollbacks_left: opts.recovery_budget,
+            stall_recorded: false,
+            converged: false,
+            diag: RunDiagnostics::default(),
+            timings: PhaseTimings::default(),
+            start,
+            elapsed_base_ns: 0,
+            ckpt,
+            pp: opts.pp.clone().map(PpCtl::new),
+            xnorm2: tensor.fro_norm_sq(),
+            m_buf: Mat::zeros(0, 0),
+            h_buf: Mat::zeros(rank, rank),
+            g_buf: Mat::zeros(rank, rank),
+            clean_kernel_ns: 0,
+            clean_iters: 0,
+        })
+    }
+
+    /// Resume: everything the loop reads that is not recomputed from the
+    /// factors (Grams are) comes back from the checkpoint, or a resumed
+    /// trajectory diverges from the uninterrupted one.
+    fn restore(&mut self, ck: CpCheckpoint) {
+        self.iters = ck.next_iter;
+        self.lambda = ck.lambda;
+        self.fit_history = ck.fit_history;
+        self.best_fit = ck.best_fit;
+        self.last_good = ck.last_good.map(|(lambda, factors)| Snapshot {
             grams: factors.iter().map(Mat::gram).collect(),
             factors,
             lambda,
         });
-        self.run_inner(
-            tensor,
-            backend,
-            factors,
-            Some(ResumeState {
-                start_iter: next_iter,
-                lambda,
-                fit_history,
-                best_fit,
-                last_good,
-                rollbacks_left,
-                recoveries,
-                stall_recorded,
-                elapsed_base_ns: elapsed_ns,
-            }),
-        )
+        self.rollbacks_left = ck.rollbacks_left;
+        // Restoring the recovery count keeps the rollback `attempt`
+        // counters — and so every reseed stream — aligned with the
+        // uninterrupted trajectory.
+        self.diag.recoveries = ck.recoveries;
+        self.stall_recorded = ck.stall_recorded;
+        self.elapsed_base_ns = ck.elapsed_ns;
+        if let Some(ctl) = self.pp.as_mut().filter(|_| ck.next_iter > 0) {
+            // Checkpoints are only written right after PP disarms (or
+            // while it never armed), so the restored factors are the
+            // movement reference an uninterrupted run would carry here —
+            // and PP starts disarmed, exactly like the uninterrupted
+            // trajectory at this boundary.
+            ctl.prev.clone_from(&self.factors);
+            ctl.have_prev = true;
+        }
     }
 
-    /// The shared iteration loop behind [`CpAls::run_from`] (fresh state)
-    /// and [`CpAls::resume_from`] (state restored from a checkpoint).
-    /// Input validation has already happened in the callers.
-    fn run_inner<B: MttkrpBackend + ?Sized>(
-        &self,
-        tensor: &SparseTensor,
-        backend: &mut B,
-        mut factors: Vec<Mat>,
-        resume: Option<ResumeState>,
-    ) -> Result<CpResult, CpAlsError> {
-        let n = tensor.ndim();
-        let rank = self.opts.rank;
-        backend.reset();
-        let start = Instant::now();
-        let mut timings = PhaseTimings::default();
-        let mut diag = RunDiagnostics::default();
-        let xnorm2 = tensor.fro_norm_sq();
-        let (
-            start_iter,
-            mut lambda,
-            mut fit_history,
-            mut best_fit,
-            mut last_good,
-            mut rollbacks_left,
-            mut stall_recorded,
-            elapsed_base_ns,
-        ) = match resume {
-            Some(rs) => {
-                // Restoring the recovery count keeps the rollback
-                // `attempt` counters — and so every reseed stream —
-                // aligned with the uninterrupted trajectory.
-                diag.recoveries = rs.recoveries;
-                (
-                    rs.start_iter,
-                    rs.lambda,
-                    rs.fit_history,
-                    rs.best_fit,
-                    rs.last_good,
-                    rs.rollbacks_left,
-                    rs.stall_recorded,
-                    rs.elapsed_base_ns,
-                )
-            }
-            None => (
-                0,
-                vec![1.0; rank],
-                Vec::new(),
-                f64::NEG_INFINITY,
-                None,
-                self.opts.recovery_budget,
-                false,
-                0,
-            ),
-        };
-        // Cached Gram matrices W^(d) = U^(d)^T U^(d).
-        let mut grams: Vec<Mat> = factors.iter().map(Mat::gram).collect();
-        let mut m_buf = Mat::zeros(0, 0);
-        // Reusable R x R work matrices: the Hadamard-of-Grams system and
-        // the fit Gram. Allocated once; steady-state iterations perform
-        // no dense-phase allocations beyond the factor solve itself.
-        let mut h_buf = Mat::zeros(rank, rank);
-        let mut g_buf = Mat::zeros(rank, rank);
-        let mut converged = false;
-        let mut iters = start_iter;
-        // Checkpointing is pure observation of the loop state: enabling
-        // it must not perturb the trajectory (the kill-and-resume tests
-        // assert bitwise identity against checkpoint-free runs). The one
-        // sanctioned interaction is with the PP controller: a checkpoint
-        // write disarms it, keyed on the absolute iteration number, so a
-        // resumed run (which restores exact state and must rebuild any
-        // memo baseline) makes the same arm/sweep decisions at the same
-        // iterations as the uninterrupted one.
-        let mut ckpt = match &self.opts.checkpoint {
-            Some(cfg) => Some(CkptCtx::open(cfg)?),
-            None => None,
-        };
-        let mut ppctl = self.opts.pp.clone().map(PpCtl::new);
-        if let Some(ctl) = ppctl.as_mut() {
-            if start_iter > 0 {
-                // Resumed run: checkpoints are only written right after
-                // PP disarms (or while it never armed), so the restored
-                // factors are the movement reference an uninterrupted
-                // run would carry here — and PP starts disarmed, exactly
-                // like the uninterrupted trajectory at this boundary.
-                ctl.prev.clone_from(&factors);
-                ctl.have_prev = true;
-            }
-        }
-        // Bug-fix accounting for the drift detector: only iterations that
-        // completed without any detector firing — and whose MTTKRP phase
-        // was an exact sweep — measure what the cost model priced.
-        let mut clean_kernel_ns: u128 = 0;
-        let mut clean_iters: u64 = 0;
+    /// Iterates until a stop condition or `max_iters`, then finishes.
+    fn drive(mut self) -> CpResult {
+        let n = self.tensor.ndim();
         // Visit modes in the backend's preferred order (for memoizing
         // backends: the tree's leaf order, so every intermediate is
         // computed exactly once per iteration). Any per-iteration
-        // permutation is a valid ALS sweep.
-        let order = backend.mode_order(n);
+        // permutation is a valid sweep.
+        let order = self.backend.mode_order(n);
         debug_assert!({
             let mut o = order.clone();
             o.sort_unstable();
             o == (0..n).collect::<Vec<_>>()
         });
-        let last = order[order.len() - 1];
         let _run_span = adatm_trace::span_guard!(
             "cpals.run",
-            backend: backend.name(),
-            rank: rank as u64,
+            rule: self.rule.name(),
+            backend: self.backend.name(),
+            rank: self.opts.rank as u64,
             max_iters: self.opts.max_iters as u64,
             ndim: n as u64,
-            nnz: tensor.nnz() as u64
+            nnz: self.tensor.nnz() as u64
         );
-
-        'run: for iter in start_iter..self.opts.max_iters {
+        for iter in self.iters..self.opts.max_iters {
             let _iter_span = adatm_trace::span_guard!("cpals.iter", iter: iter as u64);
-            let mut iteration_aborted = false;
-            let events_at_iter_start = diag.events.len();
-            let iter_mttkrp0 = timings.mttkrp;
-            let iter_dense0 = timings.dense;
-            // Pairwise-perturbation decision for this iteration's MTTKRP
-            // phase. Exact sweeps are forced on the configured cadence
-            // (absolute iteration index, so resumed runs agree) and
-            // whenever any detector fired since the baseline was
-            // captured.
-            let pp_iter = match ppctl.as_mut() {
-                Some(ctl) => {
-                    if ctl.armed && diag.events.len() != ctl.baseline_events {
-                        // A recovery restored state the memoized
-                        // baseline no longer describes.
-                        ctl.disarm(iter, "recovery");
-                    }
-                    let cadence_exact = ctl.cfg.every > 0 && iter % ctl.cfg.every == 0;
-                    let mut pp = ctl.armed
-                        && !cadence_exact
-                        && ctl.state.as_ref().is_some_and(PpState::is_fresh);
-                    // Validity guard: the perturbative expansion is only
-                    // second-order-accurate while the factors stay
-                    // within the entry threshold of the memoized
-                    // baseline. Past it, force an exact sweep — the
-                    // end-of-iteration bookkeeping then re-captures the
-                    // baseline, so drift is bounded by `tol` for every
-                    // approximate sweep regardless of the cadence.
-                    if pp {
-                        let st = ctl.state.as_mut().expect("armed implies a built state");
-                        if st.baseline_drift(&factors) > ctl.cfg.tol {
-                            pp = false;
-                        }
-                    }
-                    if !pp && ctl.last_sweep_pp {
-                        // Back to exact sweeps: the backend's memoized
-                        // intermediates predate the PP factor updates.
-                        backend.reset();
-                    }
-                    ctl.last_sweep_pp = pp;
-                    pp
-                }
-                None => false,
-            };
-            if pp_iter {
-                let ctl = ppctl.as_mut().expect("pp_iter implies a controller");
-                let t0 = Instant::now();
-                let st = ctl.state.as_mut().expect("armed implies a built state");
-                st.reset_sweep_stats();
-                st.pp_sweep_into(&factors, &mut ctl.outs);
-                let d = t0.elapsed();
-                timings.mttkrp += d;
-                ctl.pp_ns += d.as_nanos();
-                ctl.pp_sweeps += 1;
-                let stats = st.sweep_stats();
-                adatm_trace::event!(
-                    "pp.sweep",
-                    iter: iter as u64,
-                    sweep_ns: d.as_nanos() as u64,
-                    blocks_applied: stats.applied,
-                    blocks_skipped: stats.skipped
-                );
-            }
-            for &mode in &order {
-                let _mode_span =
-                    adatm_trace::span_guard!("cpals.mode", iter: iter as u64, mode: mode as u64);
-                // Watchdog: callers serving traffic get best-so-far
-                // results instead of unbounded runs. Checked at the top
-                // of the mode and again after each kernel stage below, so
-                // an overrun is bounded by one stage.
-                if watchdog_expired(
-                    start,
-                    self.opts.time_budget,
-                    iter,
-                    mode,
-                    "pre-mttkrp",
-                    &mut diag,
-                ) {
-                    break 'run;
-                }
-                let t0 = Instant::now();
-                if !pp_iter {
-                    backend.begin_mode(mode);
-                    if m_buf.nrows() != tensor.dims()[mode] || m_buf.ncols() != rank {
-                        m_buf = Mat::zeros(tensor.dims()[mode], rank);
-                    }
-                    backend.mttkrp_into(tensor, &factors, mode, &mut m_buf);
-                }
-                let d_mttkrp = t0.elapsed();
-                timings.mttkrp += d_mttkrp;
-                adatm_trace::event!(
-                    "stage",
-                    iter: iter as u64,
-                    mode: mode as u64,
-                    stage: "mttkrp",
-                    elapsed_ns: d_mttkrp.as_nanos() as u64
-                );
-                // Re-check: a stalled or mispredicted MTTKRP must not let
-                // the overrun grow past this one stage.
-                if watchdog_expired(
-                    start,
-                    self.opts.time_budget,
-                    iter,
-                    mode,
-                    "post-mttkrp",
-                    &mut diag,
-                ) {
-                    break 'run;
-                }
-
-                // On PP iterations the mode's MTTKRP was reconstructed
-                // perturbatively at the top of the iteration; everything
-                // downstream (solve, normalize, detectors) is identical.
-                let m: &Mat = match (pp_iter, ppctl.as_ref()) {
-                    (true, Some(ctl)) => &ctl.outs[mode],
-                    _ => &m_buf,
-                };
-                // Detector: a poisoned MTTKRP output. Nothing downstream
-                // of a NaN here is salvageable for this mode — roll back.
-                // (Runs before the audit hook: a non-finite output is a
-                // recoverable breakdown here, not an invariant violation.)
-                if !m.is_finite() {
-                    match self.rollback(
-                        BreakdownKind::NonFiniteMttkrp,
-                        iter,
-                        mode,
-                        tensor,
-                        backend,
-                        &mut factors,
-                        &mut grams,
-                        &mut lambda,
-                        &mut last_good,
-                        &mut rollbacks_left,
-                        &mut diag,
-                    ) {
-                        true => {
-                            iteration_aborted = true;
-                            break;
-                        }
-                        false => break 'run,
-                    }
-                }
-                #[cfg(feature = "audit")]
-                audit_stage("mttkrp output", m);
-
-                let t1 = Instant::now();
-                h_buf.as_mut_slice().fill(1.0);
-                for (d, w) in grams.iter().enumerate() {
-                    if d != mode {
-                        h_buf.hadamard_assign(w);
-                    }
-                }
-                adatm_trace::event!(
-                    "stage",
-                    iter: iter as u64,
-                    mode: mode as u64,
-                    stage: "gram",
-                    elapsed_ns: t1.elapsed().as_nanos() as u64
-                );
-                let h = &h_buf;
-                // Detector: a poisoned Gram system (possible only if a
-                // non-finite factor slipped past an earlier detector or
-                // the Hadamard product overflowed).
-                if !h.is_finite() {
-                    let d_dense = t1.elapsed();
-                    timings.dense += d_dense;
-                    adatm_trace::event!(
-                        "stage",
-                        iter: iter as u64,
-                        mode: mode as u64,
-                        stage: "dense",
-                        elapsed_ns: d_dense.as_nanos() as u64
-                    );
-                    match self.rollback(
-                        BreakdownKind::NonFiniteGram,
-                        iter,
-                        mode,
-                        tensor,
-                        backend,
-                        &mut factors,
-                        &mut grams,
-                        &mut lambda,
-                        &mut last_good,
-                        &mut rollbacks_left,
-                        &mut diag,
-                    ) {
-                        true => {
-                            iteration_aborted = true;
-                            break;
-                        }
-                        false => break 'run,
-                    }
-                }
-
-                let t_solve = Instant::now();
-                let mut u = match try_solve_gram(m, h) {
-                    Ok((u, info)) => {
-                        if info.rank_deficient() || info.cond() > COND_LIMIT {
-                            // Detector: degenerate Gram system, condition
-                            // estimate read straight off the Jacobi
-                            // eigenvalues the pseudoinverse computed.
-                            // Recovery: Tikhonov ridge re-solve.
-                            let rt = Instant::now();
-                            let ridge = (info.max_abs_eig * RIDGE_REL).max(RIDGE_FLOOR);
-                            let repaired = ridge_solve_gram(m, h, ridge).ok();
-                            let recovered = repaired.is_some();
-                            diag.record(BreakdownEvent {
-                                iter,
-                                mode: Some(mode),
-                                kind: BreakdownKind::SingularGram,
-                                recovery: if recovered {
-                                    RecoveryAction::RidgeResolve { ridge }
-                                } else {
-                                    RecoveryAction::None
-                                },
-                                recovery_time: rt.elapsed(),
-                            });
-                            repaired.unwrap_or(u)
-                        } else {
-                            u
-                        }
-                    }
-                    Err(_) => {
-                        // Detector: the dense solve itself failed.
-                        // Recovery: ridge re-solve; if even that fails,
-                        // roll back.
-                        let rt = Instant::now();
-                        let scale = (0..rank).map(|r| h.get(r, r).abs()).fold(0.0_f64, f64::max);
-                        let ridge = (scale * RIDGE_REL).max(RIDGE_FLOOR);
-                        match ridge_solve_gram(m, h, ridge) {
-                            Ok(u) => {
-                                diag.record(BreakdownEvent {
-                                    iter,
-                                    mode: Some(mode),
-                                    kind: BreakdownKind::SolveFailed,
-                                    recovery: RecoveryAction::RidgeResolve { ridge },
-                                    recovery_time: rt.elapsed(),
-                                });
-                                u
-                            }
-                            Err(_) => {
-                                let d_dense = t1.elapsed();
-                                timings.dense += d_dense;
-                                adatm_trace::event!(
-                                    "stage",
-                                    iter: iter as u64,
-                                    mode: mode as u64,
-                                    stage: "dense",
-                                    elapsed_ns: d_dense.as_nanos() as u64
-                                );
-                                match self.rollback(
-                                    BreakdownKind::SolveFailed,
-                                    iter,
-                                    mode,
-                                    tensor,
-                                    backend,
-                                    &mut factors,
-                                    &mut grams,
-                                    &mut lambda,
-                                    &mut last_good,
-                                    &mut rollbacks_left,
-                                    &mut diag,
-                                ) {
-                                    true => {
-                                        iteration_aborted = true;
-                                        break;
-                                    }
-                                    false => break 'run,
-                                }
-                            }
-                        }
-                    }
-                };
-                adatm_trace::event!(
-                    "stage",
-                    iter: iter as u64,
-                    mode: mode as u64,
-                    stage: "solve",
-                    elapsed_ns: t_solve.elapsed().as_nanos() as u64
-                );
-                let t_norm = Instant::now();
-                lambda = if iter == 0 { u.normalize_cols() } else { u.normalize_cols_max() };
-                // Guard: a zero column (rank deficiency) would poison the
-                // model; re-seed it with noise so ALS can recover.
-                let mut reseeded = 0;
-                for (r, &l) in lambda.iter().enumerate() {
-                    if l == 0.0 {
-                        let noise = Mat::random(u.nrows(), 1, self.opts.seed ^ 0xdead ^ r as u64);
-                        for i in 0..u.nrows() {
-                            u.set(i, r, noise.get(i, 0));
-                        }
-                        reseeded += 1;
-                    }
-                }
-                if reseeded > 0 {
-                    diag.record(BreakdownEvent {
-                        iter,
-                        mode: Some(mode),
-                        kind: BreakdownKind::ZeroColumns,
-                        recovery: RecoveryAction::ReseedColumns { reseeded_cols: reseeded },
-                        recovery_time: Duration::ZERO,
-                    });
-                }
-                // Detector: the updated factor or its scales went
-                // non-finite despite a finite system (overflow).
-                if !u.is_finite() || !lambda.iter().all(|l| l.is_finite()) {
-                    let d_dense = t1.elapsed();
-                    timings.dense += d_dense;
-                    adatm_trace::event!(
-                        "stage",
-                        iter: iter as u64,
-                        mode: mode as u64,
-                        stage: "dense",
-                        elapsed_ns: d_dense.as_nanos() as u64
-                    );
-                    match self.rollback(
-                        BreakdownKind::NonFiniteFactor,
-                        iter,
-                        mode,
-                        tensor,
-                        backend,
-                        &mut factors,
-                        &mut grams,
-                        &mut lambda,
-                        &mut last_good,
-                        &mut rollbacks_left,
-                        &mut diag,
-                    ) {
-                        true => {
-                            iteration_aborted = true;
-                            break;
-                        }
-                        false => break 'run,
-                    }
-                }
-                grams[mode] = u.gram();
-                factors[mode] = u;
-                if let Some(st) = ppctl.as_mut().and_then(|c| c.state.as_mut()) {
-                    st.note_factor_updated(mode);
-                }
-                adatm_trace::event!(
-                    "stage",
-                    iter: iter as u64,
-                    mode: mode as u64,
-                    stage: "normalize",
-                    elapsed_ns: t_norm.elapsed().as_nanos() as u64
-                );
-                let d_dense = t1.elapsed();
-                timings.dense += d_dense;
-                adatm_trace::event!(
-                    "stage",
-                    iter: iter as u64,
-                    mode: mode as u64,
-                    stage: "dense",
-                    elapsed_ns: d_dense.as_nanos() as u64
-                );
-                #[cfg(feature = "audit")]
-                audit_stage("updated factor", &factors[mode]);
-                // Re-check: bound a dense-phase overrun by this stage too.
-                if watchdog_expired(
-                    start,
-                    self.opts.time_budget,
-                    iter,
-                    mode,
-                    "post-dense",
-                    &mut diag,
-                ) {
-                    break 'run;
-                }
-            }
-            if iteration_aborted {
-                // The recovery consumed this iteration slot; restart the
-                // sweep from the repaired state.
-                continue;
-            }
-
-            // Efficient fit from the last subiteration: with every factor
-            // now normalized and lambda holding the last-updated mode's
-            // scales, <X, model> = sum_r lambda_r <M(:, r), U(:, r)> for
-            // that mode. The identity needs the EXACT last-mode MTTKRP:
-            // evaluated with the perturbative reconstruction, the
-            // `xnorm2 - 2*inner + mnorm2` cancellation amplifies the
-            // approximation error catastrophically near convergence. So
-            // approximate sweeps carry the last exactly-measured fit
-            // forward and the next forced exact sweep re-measures; the
-            // fit-driven detectors below treat carried entries
-            // accordingly.
-            let t2 = Instant::now();
-            let fit = if pp_iter {
-                fit_history.last().copied().unwrap_or(0.0)
-            } else {
-                let mut inner = 0.0;
-                for (r, &l) in lambda.iter().enumerate() {
-                    inner += l * m_buf.col_dot(&factors[last], r);
-                }
-                g_buf.as_mut_slice().fill(1.0);
-                for w in &grams {
-                    g_buf.hadamard_assign(w);
-                }
-                let mnorm2 = g_buf.weighted_quad(&lambda, &lambda).max(0.0);
-                let resid2 = (xnorm2 - 2.0 * inner + mnorm2).max(0.0);
-                if xnorm2 > 0.0 {
-                    1.0 - (resid2 / xnorm2).sqrt()
-                } else {
-                    0.0
-                }
-            };
-            let d_fit = t2.elapsed();
-            timings.fit += d_fit;
-            adatm_trace::event!(
-                "stage",
-                iter: iter as u64,
-                stage: "fit",
-                elapsed_ns: d_fit.as_nanos() as u64,
-                fit: fit
-            );
-
-            let prev = fit_history.last().copied();
-            // Detector: fit divergence. Healthy sweeps are monotone to
-            // rounding; a sharp drop or a non-finite fit means the state
-            // is corrupted beyond local repair. Restore the best earlier
-            // state and stop. Carried (PP) fit entries can never trigger
-            // this — a PP-broken trajectory surfaces at the next forced
-            // exact sweep, while the controller is still armed.
-            let pp_induced = pp_iter || ppctl.as_ref().is_some_and(|c| c.armed);
-            let diverged =
-                !fit.is_finite() || prev.map(|p| fit < p - DIVERGENCE_DROP).unwrap_or(false);
-            if diverged {
-                let rt = Instant::now();
-                if let Some(snap) = &last_good {
-                    // Restore the FULL snapshot. Leaving the cached Grams
-                    // at their diverged values while the factors roll
-                    // back would hand any consumer of this state —
-                    // including the PP baseline capture below — a
-                    // factor/Gram pair that never coexisted.
-                    factors.clone_from(&snap.factors);
-                    grams.clone_from(&snap.grams);
-                    lambda.clone_from(&snap.lambda);
-                }
-                if pp_induced {
-                    // The approximation itself broke the trajectory:
-                    // discard the approximate sweeps since the last good
-                    // state, drop back to exact sweeps (recorded as
-                    // detection-only — the restore above is the repair),
-                    // and keep running.
-                    diag.record(BreakdownEvent {
-                        iter,
-                        mode: None,
-                        kind: BreakdownKind::FitDivergence,
-                        recovery: RecoveryAction::None,
-                        recovery_time: rt.elapsed(),
-                    });
-                    if let Some(ctl) = ppctl.as_mut() {
-                        ctl.disarm(iter, "divergence");
-                        ctl.prev.clone_from(&factors);
-                    }
-                    continue;
-                }
-                diag.record(BreakdownEvent {
-                    iter,
-                    mode: None,
-                    kind: BreakdownKind::FitDivergence,
-                    recovery: RecoveryAction::Degrade,
-                    recovery_time: rt.elapsed(),
-                });
-                diag.stop = StopReason::Diverged;
-                diag.degraded = true;
+            if self.iteration(iter, &order) == Flow::Stop {
                 break;
             }
+        }
+        self.finish()
+    }
 
-            iters = iter + 1;
-            fit_history.push(fit);
-            // Detector: a stalled run with early stopping disabled.
-            // Detection only — the caller asked for every iteration.
-            // Suppressed while PP is active: carried fit entries make
-            // the window artificially flat.
-            if !stall_recorded
-                && !pp_induced
-                && self.opts.tol == 0.0
-                && fit_history.len() >= STALL_WINDOW
-            {
-                let win = &fit_history[fit_history.len() - STALL_WINDOW..];
-                let spread = win.iter().fold(f64::NEG_INFINITY, |m, &f| m.max(f))
-                    - win.iter().fold(f64::INFINITY, |m, &f| m.min(f));
-                if spread < STALL_EPS {
-                    stall_recorded = true;
-                    diag.record(BreakdownEvent {
-                        iter,
-                        mode: None,
-                        kind: BreakdownKind::FitStall,
-                        recovery: RecoveryAction::None,
-                        recovery_time: Duration::ZERO,
-                    });
-                }
+    /// One outer iteration: the PP decision, every mode update, then the
+    /// fit with its divergence, stall and convergence checks, the
+    /// last-good snapshot, the checkpoint, and the end-of-iteration
+    /// accounting.
+    fn iteration(&mut self, iter: usize, order: &[usize]) -> Flow {
+        let events0 = self.diag.events.len();
+        let (mttkrp0, dense0) = (self.timings.mttkrp, self.timings.dense);
+        let pp_iter = self.pp_phase(iter);
+        for &mode in order {
+            let flow = self.mode_update(iter, mode, pp_iter);
+            if flow != Flow::Next {
+                return flow;
             }
-            // Never snapshot on an approximate sweep: the carried fit
-            // says nothing about the post-sweep factors, and last_good
-            // is the state a divergence recovery falls back to — it must
-            // only ever hold exactly-measured iterates.
-            if !pp_iter && fit >= best_fit {
-                best_fit = fit;
-                last_good = Some(Snapshot {
-                    factors: factors.clone(),
-                    grams: grams.clone(),
-                    lambda: lambda.clone(),
+        }
+        let fit = self.fit(iter, pp_iter, order[order.len() - 1]);
+        let prev = self.fit_history.last().copied();
+        // Detector: fit divergence. Healthy sweeps are monotone to
+        // rounding; a sharp drop or a non-finite fit means the state is
+        // corrupted beyond local repair. Carried (PP) fit entries can
+        // never trigger this — a PP-broken trajectory surfaces at the
+        // next forced exact sweep, while the controller is still armed.
+        let pp_induced = pp_iter || self.pp.as_ref().is_some_and(|c| c.armed);
+        if !fit.is_finite() || prev.is_some_and(|p| fit < p - DIVERGENCE_DROP) {
+            return self.diverged(iter, pp_induced);
+        }
+        self.iters = iter + 1;
+        self.fit_history.push(fit);
+        self.stall_check(iter, pp_induced);
+        // Never snapshot on an approximate sweep: the carried fit says
+        // nothing about the post-sweep factors, and last_good is the
+        // state a divergence recovery falls back to — it must only ever
+        // hold exactly-measured iterates.
+        if !pp_iter && fit >= self.best_fit {
+            self.best_fit = fit;
+            self.last_good = Some(Snapshot {
+                factors: self.factors.clone(),
+                grams: self.grams.clone(),
+                lambda: self.lambda.clone(),
+            });
+        }
+        // Iteration-boundary checkpoint. Cadence is keyed on the absolute
+        // iteration number, so a resumed run writes at the same
+        // boundaries as the uninterrupted one; aborted (rolled-back)
+        // iterations never reach this point in either.
+        let wrote_ckpt = self.ckpt.as_ref().is_some_and(|ck| ck.due(iter));
+        if wrote_ckpt {
+            self.write_checkpoint(iter + 1);
+        }
+        // Clean-iteration kernel accounting for the drift detector:
+        // recoveries re-do work the model never priced, and PP sweeps run
+        // a kernel class the exact prediction does not cover — both would
+        // make an honest prediction look drifted.
+        let clean = self.diag.events.len() == events0;
+        let sweep_ns = (self.timings.mttkrp - mttkrp0).as_nanos();
+        if clean && !pp_iter {
+            self.clean_kernel_ns += sweep_ns + (self.timings.dense - dense0).as_nanos();
+            self.clean_iters += 1;
+        }
+        self.pp_bookkeeping(iter, pp_iter, clean, sweep_ns, wrote_ckpt);
+        // Convergence is only ever declared from an exactly-measured fit:
+        // on approximate sweeps `fit` is the carried previous entry and
+        // the difference would be spuriously zero.
+        if !pp_iter && self.opts.tol > 0.0 && prev.is_some_and(|p| (fit - p).abs() < self.opts.tol)
+        {
+            self.converged = true;
+            self.diag.stop = StopReason::Converged;
+            return Flow::Stop;
+        }
+        Flow::Next
+    }
+
+    /// Pairwise-perturbation decision for this iteration's MTTKRP phase,
+    /// running the perturbative sweep when it is taken. Exact sweeps are
+    /// forced on the configured cadence (absolute iteration index, so
+    /// resumed runs agree) and whenever any detector fired since the
+    /// baseline was captured.
+    fn pp_phase(&mut self, iter: usize) -> bool {
+        let Some(ctl) = self.pp.as_mut() else { return false };
+        if ctl.armed && self.diag.events.len() != ctl.baseline_events {
+            // A recovery restored state the memoized baseline no longer
+            // describes.
+            ctl.disarm(iter, "recovery");
+        }
+        let cadence_exact = ctl.cfg.every > 0 && iter.is_multiple_of(ctl.cfg.every);
+        let mut pp =
+            ctl.armed && !cadence_exact && ctl.state.as_ref().is_some_and(PpState::is_fresh);
+        // Validity guard: the perturbative expansion is only
+        // second-order-accurate while the factors stay within the entry
+        // threshold of the memoized baseline. Past it, force an exact
+        // sweep — the end-of-iteration bookkeeping then re-captures the
+        // baseline, so drift is bounded by `tol` for every approximate
+        // sweep regardless of the cadence.
+        if pp {
+            let st = ctl.state.as_mut().expect("armed implies a built state");
+            if st.baseline_drift(&self.factors) > ctl.cfg.tol {
+                pp = false;
+            }
+        }
+        if !pp && ctl.last_sweep_pp {
+            // Back to exact sweeps: the backend's memoized intermediates
+            // predate the PP factor updates.
+            self.backend.reset();
+        }
+        ctl.last_sweep_pp = pp;
+        if pp {
+            let t0 = Instant::now();
+            let st = ctl.state.as_mut().expect("armed implies a built state");
+            st.reset_sweep_stats();
+            st.pp_sweep_into(&self.factors, &mut ctl.outs);
+            let d = t0.elapsed();
+            self.timings.mttkrp += d;
+            ctl.pp_ns += d.as_nanos();
+            ctl.pp_sweeps += 1;
+            let stats = st.sweep_stats();
+            adatm_trace::event!(
+                "pp.sweep",
+                iter: iter as u64,
+                sweep_ns: d.as_nanos() as u64,
+                blocks_applied: stats.applied,
+                blocks_skipped: stats.skipped
+            );
+        }
+        pp
+    }
+
+    /// One mode update: MTTKRP (unless the PP sweep already produced it),
+    /// the Hadamard-of-Grams system, the rule's solve and normalize, and
+    /// the commit — with the watchdog and the mode-local detectors at
+    /// every stage boundary.
+    fn mode_update(&mut self, iter: usize, mode: usize, pp_iter: bool) -> Flow {
+        let _mode_span =
+            adatm_trace::span_guard!("cpals.mode", iter: iter as u64, mode: mode as u64);
+        // Watchdog: callers serving traffic get best-so-far results
+        // instead of unbounded runs. Checked at the top of the mode and
+        // again after each kernel stage below, so an overrun is bounded
+        // by one stage.
+        if self.watchdog(iter, mode, "pre-mttkrp") {
+            return Flow::Stop;
+        }
+        let t0 = Instant::now();
+        if !pp_iter {
+            let (rows, rank) = (self.tensor.dims()[mode], self.opts.rank);
+            self.backend.begin_mode(mode);
+            if self.m_buf.nrows() != rows || self.m_buf.ncols() != rank {
+                self.m_buf = Mat::zeros(rows, rank);
+            }
+            self.backend.mttkrp_into(self.tensor, &self.factors, mode, &mut self.m_buf);
+        }
+        let d_mttkrp = t0.elapsed();
+        self.timings.mttkrp += d_mttkrp;
+        adatm_trace::event!(
+            "stage",
+            iter: iter as u64,
+            mode: mode as u64,
+            stage: "mttkrp",
+            elapsed_ns: d_mttkrp.as_nanos() as u64
+        );
+        // Re-check: a stalled or mispredicted MTTKRP must not let the
+        // overrun grow past this one stage.
+        if self.watchdog(iter, mode, "post-mttkrp") {
+            return Flow::Stop;
+        }
+        // On PP iterations the mode's MTTKRP was reconstructed
+        // perturbatively at the top of the iteration; everything
+        // downstream (update, detectors) is identical.
+        let m = match (pp_iter, &self.pp) {
+            (true, Some(ctl)) => &ctl.outs[mode],
+            _ => &self.m_buf,
+        };
+        // Detector: a poisoned MTTKRP output. Nothing downstream of a NaN
+        // here is salvageable for this mode — roll back. (Runs before the
+        // audit hook: a non-finite output is a recoverable breakdown
+        // here, not an invariant violation.)
+        if !m.is_finite() {
+            return self.breakdown(BreakdownKind::NonFiniteMttkrp, iter, mode, None);
+        }
+        #[cfg(feature = "audit")]
+        audit_stage("mttkrp output", m);
+
+        let t1 = Instant::now();
+        self.h_buf.as_mut_slice().fill(1.0);
+        for (d, w) in self.grams.iter().enumerate() {
+            if d != mode {
+                self.h_buf.hadamard_assign(w);
+            }
+        }
+        adatm_trace::event!(
+            "stage",
+            iter: iter as u64,
+            mode: mode as u64,
+            stage: "gram",
+            elapsed_ns: t1.elapsed().as_nanos() as u64
+        );
+        // Detector: a poisoned Gram system (possible only if a non-finite
+        // factor slipped past an earlier detector or the Hadamard product
+        // overflowed).
+        if !self.h_buf.is_finite() {
+            return self.breakdown(BreakdownKind::NonFiniteGram, iter, mode, Some(t1));
+        }
+
+        let t_solve = Instant::now();
+        let m = match (pp_iter, &self.pp) {
+            (true, Some(ctl)) => &ctl.outs[mode],
+            _ => &self.m_buf,
+        };
+        let solved =
+            self.rule.solve(&self.factors[mode], m, &self.h_buf, iter, mode, &mut self.diag);
+        let mut u = match solved {
+            Ok(u) => u,
+            Err(kind) => return self.breakdown(kind, iter, mode, Some(t1)),
+        };
+        adatm_trace::event!(
+            "stage",
+            iter: iter as u64,
+            mode: mode as u64,
+            stage: "solve",
+            elapsed_ns: t_solve.elapsed().as_nanos() as u64
+        );
+        let t_norm = Instant::now();
+        self.rule.normalize(&mut u, &mut self.lambda, iter, mode, self.opts.seed, &mut self.diag);
+        // Detector: the updated factor or its scales went non-finite
+        // despite a finite system (overflow).
+        if !u.is_finite() || !self.lambda.iter().all(|l| l.is_finite()) {
+            return self.breakdown(BreakdownKind::NonFiniteFactor, iter, mode, Some(t1));
+        }
+        self.grams[mode] = u.gram();
+        self.factors[mode] = u;
+        if let Some(st) = self.pp.as_mut().and_then(|c| c.state.as_mut()) {
+            st.note_factor_updated(mode);
+        }
+        adatm_trace::event!(
+            "stage",
+            iter: iter as u64,
+            mode: mode as u64,
+            stage: "normalize",
+            elapsed_ns: t_norm.elapsed().as_nanos() as u64
+        );
+        self.add_dense(iter, mode, t1);
+        #[cfg(feature = "audit")]
+        audit_stage("updated factor", &self.factors[mode]);
+        // Re-check: bound a dense-phase overrun by this stage too.
+        if self.watchdog(iter, mode, "post-dense") {
+            return Flow::Stop;
+        }
+        Flow::Next
+    }
+
+    /// Closes the dense stage opened at `t1`: the same duration goes into
+    /// `timings.dense` and into one `dense` stage event, so the traced
+    /// stages sum to the timing exactly.
+    fn add_dense(&mut self, iter: usize, mode: usize, t1: Instant) {
+        let d_dense = t1.elapsed();
+        self.timings.dense += d_dense;
+        adatm_trace::event!(
+            "stage",
+            iter: iter as u64,
+            mode: mode as u64,
+            stage: "dense",
+            elapsed_ns: d_dense.as_nanos() as u64
+        );
+    }
+
+    /// Watchdog check shared by every stage boundary: when the budget has
+    /// expired, records the diagnostic (with the stage that detected it),
+    /// sets the stop reason, and tells the caller to stop the run.
+    /// Checking after MTTKRP and after the dense phase — not just at the
+    /// top of each mode — bounds the overrun by a single stage rather
+    /// than a whole mode's worth of kernel work.
+    fn watchdog(&mut self, iter: usize, mode: usize, stage: &'static str) -> bool {
+        let Some(budget) = self.opts.time_budget else { return false };
+        if self.start.elapsed() < budget {
+            return false;
+        }
+        adatm_trace::event!(
+            "watchdog.expired",
+            iter: iter as u64,
+            mode: mode as u64,
+            stage: stage,
+            budget_ns: budget.as_nanos() as u64,
+            elapsed_ns: self.start.elapsed().as_nanos() as u64
+        );
+        self.diag.record(BreakdownEvent {
+            iter,
+            mode: Some(mode),
+            kind: BreakdownKind::TimeBudgetExpired,
+            recovery: RecoveryAction::None,
+            recovery_time: Duration::ZERO,
+        });
+        self.diag.stop = StopReason::TimeBudget;
+        true
+    }
+
+    /// The one breakdown path of a mode update. Closes the dense stage
+    /// when one is open (`dense_t0`), then rolls back: restores the
+    /// last-good state (or reseeds everything if no good state exists
+    /// yet), re-randomizes the offending mode, and invalidates all
+    /// memoized backend state. Returns [`Flow::Retry`] to continue from
+    /// the repaired state, or [`Flow::Stop`] once the rollback budget is
+    /// exhausted — the state is then the best-so-far model and the run
+    /// degrades gracefully.
+    fn breakdown(
+        &mut self,
+        kind: BreakdownKind,
+        iter: usize,
+        mode: usize,
+        dense_t0: Option<Instant>,
+    ) -> Flow {
+        if let Some(t1) = dense_t0 {
+            self.add_dense(iter, mode, t1);
+        }
+        let rt = Instant::now();
+        let (dims, rank) = (self.tensor.dims(), self.opts.rank);
+        let attempt = self.diag.recoveries as u64;
+        if !self.restore_last_good() {
+            // No good state yet: reseed every factor from a
+            // recovery-derived seed so the restart is deterministic but
+            // different from the poisoned trajectory.
+            let seed = self.opts.seed ^ 0x5eed_0000 ^ (attempt + 1);
+            for (d, f) in self.factors.iter_mut().enumerate() {
+                *f = Mat::random(dims[d], rank, seed ^ ((d as u64) << 16));
+            }
+            self.grams = self.factors.iter().map(Mat::gram).collect();
+            self.lambda = vec![1.0; rank];
+        }
+        let (recovery, flow) = if self.rollbacks_left == 0 {
+            self.diag.stop = StopReason::Degraded;
+            self.diag.degraded = true;
+            (RecoveryAction::Degrade, Flow::Stop)
+        } else {
+            self.rollbacks_left -= 1;
+            // Re-randomize the offending mode so the deterministic
+            // re-sweep does not just reproduce the breakdown.
+            let reseed = self.opts.seed
+                ^ 0xbad0_0000
+                ^ ((iter as u64) << 24)
+                ^ ((mode as u64) << 8)
+                ^ attempt;
+            self.factors[mode] = Mat::random(dims[mode], rank, reseed);
+            self.grams[mode] = self.factors[mode].gram();
+            (RecoveryAction::Rollback { reseeded_cols: rank }, Flow::Retry)
+        };
+        // Memoized intermediates may hold the poisoned values; flush
+        // everything.
+        self.backend.reset();
+        self.diag.record(BreakdownEvent {
+            iter,
+            mode: Some(mode),
+            kind,
+            recovery,
+            recovery_time: rt.elapsed(),
+        });
+        flow
+    }
+
+    /// Restores the FULL last-good snapshot — factors, Grams and
+    /// `lambda` together, so no consumer of this state (the PP baseline
+    /// capture included) sees a factor/Gram pair that never coexisted.
+    /// `false` when no snapshot exists yet.
+    fn restore_last_good(&mut self) -> bool {
+        let Some(snap) = &self.last_good else { return false };
+        self.factors.clone_from(&snap.factors);
+        self.grams.clone_from(&snap.grams);
+        self.lambda.clone_from(&snap.lambda);
+        true
+    }
+
+    /// Efficient fit from the last subiteration: with `lambda` holding
+    /// the last-updated mode's scales (all ones under NCP),
+    /// `<X, model> = sum_r lambda_r <M(:, r), U(:, r)>` for that mode.
+    /// The identity needs the EXACT last-mode MTTKRP: evaluated with the
+    /// perturbative reconstruction, the `xnorm2 - 2*inner + mnorm2`
+    /// cancellation amplifies the approximation error catastrophically
+    /// near convergence. So approximate sweeps carry the last
+    /// exactly-measured fit forward and the next forced exact sweep
+    /// re-measures; the fit-driven detectors treat carried entries
+    /// accordingly.
+    fn fit(&mut self, iter: usize, pp_iter: bool, last: usize) -> f64 {
+        let t2 = Instant::now();
+        let fit = if pp_iter {
+            self.fit_history.last().copied().unwrap_or(0.0)
+        } else {
+            let mut inner = 0.0;
+            for (r, &l) in self.lambda.iter().enumerate() {
+                inner += l * self.m_buf.col_dot(&self.factors[last], r);
+            }
+            self.g_buf.as_mut_slice().fill(1.0);
+            for w in &self.grams {
+                self.g_buf.hadamard_assign(w);
+            }
+            let mnorm2 = self.g_buf.weighted_quad(&self.lambda, &self.lambda).max(0.0);
+            let resid2 = (self.xnorm2 - 2.0 * inner + mnorm2).max(0.0);
+            if self.xnorm2 > 0.0 {
+                1.0 - (resid2 / self.xnorm2).sqrt()
+            } else {
+                0.0
+            }
+        };
+        let d_fit = t2.elapsed();
+        self.timings.fit += d_fit;
+        adatm_trace::event!(
+            "stage",
+            iter: iter as u64,
+            stage: "fit",
+            elapsed_ns: d_fit.as_nanos() as u64,
+            fit: fit
+        );
+        fit
+    }
+
+    /// Fit divergence: restore the best earlier state. When the
+    /// approximation itself broke the trajectory (`pp_induced`), discard
+    /// the approximate sweeps since the last good state, drop back to
+    /// exact sweeps (recorded as detection-only — the restore is the
+    /// repair), and keep running; otherwise stop degraded.
+    fn diverged(&mut self, iter: usize, pp_induced: bool) -> Flow {
+        let rt = Instant::now();
+        self.restore_last_good();
+        self.diag.record(BreakdownEvent {
+            iter,
+            mode: None,
+            kind: BreakdownKind::FitDivergence,
+            recovery: if pp_induced { RecoveryAction::None } else { RecoveryAction::Degrade },
+            recovery_time: rt.elapsed(),
+        });
+        if pp_induced {
+            if let Some(ctl) = self.pp.as_mut() {
+                ctl.disarm(iter, "divergence");
+                ctl.prev.clone_from(&self.factors);
+            }
+            return Flow::Retry;
+        }
+        self.diag.stop = StopReason::Diverged;
+        self.diag.degraded = true;
+        Flow::Stop
+    }
+
+    /// Detector: a stalled run with early stopping disabled. Detection
+    /// only — the caller asked for every iteration. Suppressed while PP
+    /// is active: carried fit entries make the window artificially flat.
+    fn stall_check(&mut self, iter: usize, pp_induced: bool) {
+        let h = &self.fit_history;
+        if !self.stall_recorded && !pp_induced && self.opts.tol == 0.0 && h.len() >= STALL_WINDOW {
+            let win = &h[h.len() - STALL_WINDOW..];
+            let spread = win.iter().fold(f64::NEG_INFINITY, |m, &f| m.max(f))
+                - win.iter().fold(f64::INFINITY, |m, &f| m.min(f));
+            if spread < STALL_EPS {
+                self.stall_recorded = true;
+                self.diag.record(BreakdownEvent {
+                    iter,
+                    mode: None,
+                    kind: BreakdownKind::FitStall,
+                    recovery: RecoveryAction::None,
+                    recovery_time: Duration::ZERO,
                 });
             }
-            // Iteration-boundary checkpoint. Cadence is keyed on the
-            // absolute iteration number, so a resumed run writes at the
-            // same boundaries as the uninterrupted one; aborted
-            // (rolled-back) iterations never reach this point in either.
-            let mut wrote_ckpt = false;
-            if let Some(ck) = ckpt.as_mut() {
-                if ck.due(iter) {
-                    write_checkpoint(
-                        ck,
-                        self.opts.seed,
-                        iter + 1,
-                        &lambda,
-                        &factors,
-                        &fit_history,
-                        best_fit,
-                        rollbacks_left,
-                        stall_recorded,
-                        &last_good,
-                        elapsed_base_ns + start.elapsed().as_nanos() as u64,
-                        &mut diag,
-                        &mut timings,
-                    );
-                    wrote_ckpt = true;
-                }
-            }
-            // Clean-iteration kernel accounting for the drift detector:
-            // recoveries re-do work the model never priced, and PP
-            // sweeps run a kernel class the exact prediction does not
-            // cover — both would make an honest prediction look
-            // drifted.
-            let iter_clean = diag.events.len() == events_at_iter_start;
-            let iter_sweep_ns = (timings.mttkrp - iter_mttkrp0).as_nanos();
-            if iter_clean && !pp_iter {
-                clean_kernel_ns += iter_sweep_ns + (timings.dense - iter_dense0).as_nanos();
-                clean_iters += 1;
-            }
-            // Pairwise-perturbation bookkeeping at the iteration
-            // boundary: movement tracking, sweep-phase timing split, and
-            // the arm/re-baseline decisions.
-            if let Some(ctl) = ppctl.as_mut() {
-                if iter_clean && !pp_iter {
-                    ctl.exact_ns += iter_sweep_ns;
-                    ctl.exact_sweeps += 1;
-                }
-                let rel = if ctl.have_prev {
-                    rel_factor_delta(&ctl.prev, &factors)
-                } else {
-                    f64::INFINITY
-                };
-                if wrote_ckpt {
-                    // A durable checkpoint was just written; a run
-                    // resumed from it starts with exact intermediates
-                    // and a disarmed controller, so the uninterrupted
-                    // trajectory must disarm here too to stay
-                    // bitwise-identical.
-                    ctl.disarm(iter, "checkpoint");
-                } else if iter_clean && !pp_iter {
-                    if !ctl.armed {
-                        if ctl.cfg.every != 1 && rel <= ctl.cfg.tol {
-                            // Enter approximate mode: capture the
-                            // baseline at exactly the factors this exact
-                            // sweep produced.
-                            let t0 = Instant::now();
-                            let st = ctl.state.get_or_insert_with(|| PpState::new(tensor, rank));
-                            st.set_skip_tol(ctl.cfg.skip_tol);
-                            st.refresh(tensor, &factors);
-                            if ctl.outs.len() != n {
-                                ctl.outs =
-                                    tensor.dims().iter().map(|&d| Mat::zeros(d, rank)).collect();
-                            }
-                            timings.mttkrp += t0.elapsed();
-                            ctl.refreshes += 1;
-                            ctl.armed = true;
-                            ctl.baseline_events = diag.events.len();
-                            adatm_trace::event!(
-                                "pp.enter",
-                                iter: iter as u64,
-                                rel_delta: rel,
-                                memo_bytes: ctl.state.as_ref().map_or(0, |s| s.memory_bytes()) as u64
-                            );
-                        }
-                    } else {
-                        // Forced exact sweep while armed (cadence or
-                        // drift guard): re-capture the baseline only
-                        // once the factors have drifted past the entry
-                        // threshold.
-                        let st = ctl.state.as_mut().expect("armed implies a built state");
-                        if st.baseline_drift(&factors) > ctl.cfg.tol {
-                            let t0 = Instant::now();
-                            st.refresh(tensor, &factors);
-                            timings.mttkrp += t0.elapsed();
-                            ctl.refreshes += 1;
-                            ctl.baseline_events = diag.events.len();
-                        }
+        }
+    }
+
+    /// Pairwise-perturbation bookkeeping at the iteration boundary:
+    /// movement tracking, sweep-phase timing split, and the
+    /// arm/re-baseline decisions.
+    fn pp_bookkeeping(
+        &mut self,
+        iter: usize,
+        pp_iter: bool,
+        clean: bool,
+        sweep_ns: u128,
+        wrote_ckpt: bool,
+    ) {
+        let Some(ctl) = self.pp.as_mut() else { return };
+        let (tensor, rank) = (self.tensor, self.opts.rank);
+        if clean && !pp_iter {
+            ctl.exact_ns += sweep_ns;
+            ctl.exact_sweeps += 1;
+        }
+        let rel =
+            if ctl.have_prev { rel_factor_delta(&ctl.prev, &self.factors) } else { f64::INFINITY };
+        if wrote_ckpt {
+            // A durable checkpoint was just written; a run resumed from
+            // it starts with exact intermediates and a disarmed
+            // controller, so the uninterrupted trajectory must disarm
+            // here too to stay bitwise-identical.
+            ctl.disarm(iter, "checkpoint");
+        } else if clean && !pp_iter {
+            if !ctl.armed {
+                if ctl.cfg.every != 1 && rel <= ctl.cfg.tol {
+                    // Enter approximate mode: capture the baseline at
+                    // exactly the factors this exact sweep produced.
+                    let t0 = Instant::now();
+                    let st = ctl.state.get_or_insert_with(|| PpState::new(tensor, rank));
+                    st.set_skip_tol(ctl.cfg.skip_tol);
+                    st.refresh(tensor, &self.factors);
+                    if ctl.outs.len() != tensor.ndim() {
+                        ctl.outs = tensor.dims().iter().map(|&d| Mat::zeros(d, rank)).collect();
                     }
+                    self.timings.mttkrp += t0.elapsed();
+                    ctl.refreshes += 1;
+                    ctl.armed = true;
+                    ctl.baseline_events = self.diag.events.len();
+                    adatm_trace::event!(
+                        "pp.enter",
+                        iter: iter as u64,
+                        rel_delta: rel,
+                        memo_bytes: ctl.state.as_ref().map_or(0, |s| s.memory_bytes()) as u64
+                    );
                 }
-                ctl.prev.clone_from(&factors);
-                ctl.have_prev = true;
-            }
-            // Convergence is only ever declared from an exactly-measured
-            // fit: on approximate sweeps `fit` is the carried previous
-            // entry and the difference would be spuriously zero.
-            if let Some(p) = prev {
-                if !pp_iter && self.opts.tol > 0.0 && (fit - p).abs() < self.opts.tol {
-                    converged = true;
-                    diag.stop = StopReason::Converged;
-                    break;
+            } else {
+                // Forced exact sweep while armed (cadence or drift
+                // guard): re-capture the baseline only once the factors
+                // have drifted past the entry threshold.
+                let st = ctl.state.as_mut().expect("armed implies a built state");
+                if st.baseline_drift(&self.factors) > ctl.cfg.tol {
+                    let t0 = Instant::now();
+                    st.refresh(tensor, &self.factors);
+                    self.timings.mttkrp += t0.elapsed();
+                    ctl.refreshes += 1;
+                    ctl.baseline_events = self.diag.events.len();
                 }
             }
         }
+        ctl.prev.clone_from(&self.factors);
+        ctl.have_prev = true;
+    }
 
-        // Durability on watchdog expiry: the loop above only checkpoints
-        // at iteration boundaries it completed, so a time-budget stop
+    /// Writes one checkpoint generation from the live state (no-op
+    /// without a store). Write failures are non-fatal: durability
+    /// degrades (earlier generations stay intact), correctness does not,
+    /// so the run records a [`BreakdownKind::CheckpointWriteFailed`]
+    /// diagnostic and keeps iterating.
+    fn write_checkpoint(&mut self, next_iter: usize) {
+        let Some(ck) = self.ckpt.as_mut() else { return };
+        let t0 = Instant::now();
+        let view = CheckpointView {
+            seed: self.opts.seed,
+            next_iter,
+            lambda: &self.lambda,
+            factors: &self.factors,
+            fit_history: &self.fit_history,
+            best_fit: self.best_fit,
+            recoveries: self.diag.recoveries,
+            rollbacks_left: self.rollbacks_left,
+            stall_recorded: self.stall_recorded,
+            elapsed_ns: self.elapsed_base_ns + self.start.elapsed().as_nanos() as u64,
+            last_good: self.last_good.as_ref().map(|s| (s.lambda.as_slice(), s.factors.as_slice())),
+        };
+        if ck.store.write(&view).is_err() {
+            self.diag.record(BreakdownEvent {
+                iter: next_iter.saturating_sub(1),
+                mode: None,
+                kind: BreakdownKind::CheckpointWriteFailed,
+                recovery: RecoveryAction::None,
+                recovery_time: t0.elapsed(),
+            });
+        }
+        ck.last_write = Instant::now();
+        self.timings.checkpoint += t0.elapsed();
+    }
+
+    /// Finish: the final watchdog checkpoint, the drift check, and the
+    /// result.
+    fn finish(mut self) -> CpResult {
+        // Durability on watchdog expiry: the loop only checkpoints at
+        // iteration boundaries it completed, so a time-budget stop
         // mid-iteration would otherwise lose everything since the last
         // cadence hit. Persist the best-so-far state before returning.
-        if diag.stop == StopReason::TimeBudget {
-            if let Some(ck) = ckpt.as_mut() {
-                write_checkpoint(
-                    ck,
-                    self.opts.seed,
-                    iters,
-                    &lambda,
-                    &factors,
-                    &fit_history,
-                    best_fit,
-                    rollbacks_left,
-                    stall_recorded,
-                    &last_good,
-                    elapsed_base_ns + start.elapsed().as_nanos() as u64,
-                    &mut diag,
-                    &mut timings,
-                );
-            }
+        if self.diag.stop == StopReason::TimeBudget {
+            self.write_checkpoint(self.iters);
         }
-
         // A degraded run may still hold non-finite working state if no
         // last-good snapshot existed; the rollback path guarantees the
         // factors it leaves behind are finite, so this is belt and
         // braces for the model we hand back.
-        debug_assert!(factors.iter().all(Mat::is_finite));
-        diag.elapsed = start.elapsed();
-        // Drift detector: with a calibrated backend, compare its
-        // per-iteration prediction against the measured kernel time
-        // (MTTKRP + dense, the phases the model prices) averaged over
-        // clean exact iterations only. Iterations that ran recoveries
-        // (ridge re-solves, rollback re-dos) or approximate PP sweeps
-        // spend time the model never priced and would fake a drift. A
-        // large excess on clean iterations means the profile is stale or
-        // the model mispriced this tensor.
-        diag.predicted_iter_ns = backend.predicted_iter_ns();
-        if let Some(ctl) = ppctl.as_ref() {
-            diag.pp_sweeps = ctl.pp_sweeps;
-            diag.pp_refreshes = ctl.refreshes;
-            if ctl.pp_sweeps > 0 {
-                diag.pp_sweep_ns = Some(ctl.pp_ns as f64 / ctl.pp_sweeps as f64);
-            }
-            if ctl.exact_sweeps > 0 {
-                diag.exact_sweep_ns = Some(ctl.exact_ns as f64 / ctl.exact_sweeps as f64);
-            }
-        }
-        if clean_iters > 0 {
-            let measured = clean_kernel_ns as f64 / clean_iters as f64;
-            diag.measured_iter_ns = Some(measured);
-            if let Some(predicted) = diag.predicted_iter_ns {
-                adatm_trace::event!(
-                    "drift.check",
-                    predicted_ns: predicted,
-                    measured_ns: measured,
-                    factor: self.opts.drift_factor
-                );
-                if self.opts.drift_factor > 0.0
-                    && predicted > 0.0
-                    && measured > predicted * self.opts.drift_factor
-                {
-                    adatm_trace::event!(
-                        "drift.warning",
-                        predicted_ns: predicted,
-                        measured_ns: measured,
-                        ratio: measured / predicted,
-                        factor: self.opts.drift_factor
-                    );
-                    diag.record(BreakdownEvent {
-                        iter: iters - 1,
-                        mode: None,
-                        kind: BreakdownKind::PredictionDrift,
-                        recovery: RecoveryAction::None,
-                        recovery_time: Duration::ZERO,
-                    });
-                }
-            }
+        debug_assert!(self.factors.iter().all(Mat::is_finite));
+        self.diag.elapsed = self.start.elapsed();
+        self.drift_check();
+        if let Some(ctl) = &self.pp {
+            ctl.report(&mut self.diag);
         }
         #[cfg(feature = "audit")]
-        adatm_audit::validate_factors(&factors, tensor.dims(), rank)
+        adatm_audit::validate_factors(&self.factors, self.tensor.dims(), self.opts.rank)
             .unwrap_or_else(|e| panic!("audit: final factor set: {e}"));
-        Ok(CpResult {
-            model: CpModel { lambda, factors },
-            iters,
-            fit_history,
-            converged,
-            timings,
-            diagnostics: diag,
+        CpResult {
+            model: CpModel { lambda: self.lambda, factors: self.factors },
+            iters: self.iters,
+            fit_history: self.fit_history,
+            converged: self.converged,
+            timings: self.timings,
+            diagnostics: self.diag,
             #[cfg(feature = "fault-inject")]
-            grams,
-        })
+            grams: self.grams,
+        }
     }
 
-    /// Rollback recovery: restore the last-good factor set (or reseed
-    /// everything if no good state exists yet), re-randomize the
-    /// offending mode, and invalidate all memoized backend state.
-    ///
-    /// Returns `true` if the run should continue with the repaired state
-    /// and `false` when the rollback budget is exhausted — in which case
-    /// the state has been restored to the best-so-far model and the run
-    /// must degrade gracefully.
-    #[allow(clippy::too_many_arguments)]
-    fn rollback<B: MttkrpBackend + ?Sized>(
-        &self,
-        kind: BreakdownKind,
-        iter: usize,
-        mode: usize,
-        tensor: &SparseTensor,
-        backend: &mut B,
-        factors: &mut Vec<Mat>,
-        grams: &mut Vec<Mat>,
-        lambda: &mut Vec<f64>,
-        last_good: &mut Option<Snapshot>,
-        rollbacks_left: &mut usize,
-        diag: &mut RunDiagnostics,
-    ) -> bool {
-        let rt = Instant::now();
-        let rank = self.opts.rank;
-        let attempt = diag.recoveries as u64;
-        let restore = |factors: &mut Vec<Mat>, grams: &mut Vec<Mat>, lambda: &mut Vec<f64>| {
-            if let Some(snap) = last_good.as_ref() {
-                factors.clone_from(&snap.factors);
-                grams.clone_from(&snap.grams);
-                lambda.clone_from(&snap.lambda);
-            } else {
-                // No good state yet: reseed every factor from a
-                // recovery-derived seed so the restart is deterministic
-                // but different from the poisoned trajectory.
-                let seed = self.opts.seed ^ 0x5eed_0000 ^ (attempt + 1);
-                for (d, f) in factors.iter_mut().enumerate() {
-                    *f = Mat::random(tensor.dims()[d], rank, seed ^ ((d as u64) << 16));
-                }
-                *grams = factors.iter().map(Mat::gram).collect();
-                *lambda = vec![1.0; rank];
-            }
-        };
-        if *rollbacks_left == 0 {
-            restore(factors, grams, lambda);
-            diag.record(BreakdownEvent {
-                iter,
-                mode: Some(mode),
-                kind,
-                recovery: RecoveryAction::Degrade,
-                recovery_time: rt.elapsed(),
-            });
-            diag.stop = StopReason::Degraded;
-            diag.degraded = true;
-            backend.reset();
-            return false;
+    /// Drift detector: with a calibrated backend, compare its
+    /// per-iteration prediction against the measured kernel time (MTTKRP
+    /// plus dense, the phases the model prices) averaged over clean exact
+    /// iterations only. Iterations that ran recoveries (ridge re-solves,
+    /// rollback re-dos) or approximate PP sweeps spend time the model
+    /// never priced and would fake a drift. A large excess on clean
+    /// iterations means the profile is stale or the model mispriced this
+    /// tensor.
+    fn drift_check(&mut self) {
+        self.diag.predicted_iter_ns = self.backend.predicted_iter_ns();
+        if self.clean_iters == 0 {
+            return;
         }
-        *rollbacks_left -= 1;
-        restore(factors, grams, lambda);
-        // Re-randomize the offending mode so the deterministic re-sweep
-        // does not just reproduce the breakdown.
-        let reseed =
-            self.opts.seed ^ 0xbad0_0000 ^ ((iter as u64) << 24) ^ ((mode as u64) << 8) ^ attempt;
-        factors[mode] = Mat::random(tensor.dims()[mode], rank, reseed);
-        grams[mode] = factors[mode].gram();
-        // Memoized intermediates may hold the poisoned values; flush
-        // everything.
-        backend.reset();
-        diag.record(BreakdownEvent {
-            iter,
-            mode: Some(mode),
-            kind,
-            recovery: RecoveryAction::Rollback { reseeded_cols: rank },
-            recovery_time: rt.elapsed(),
-        });
-        true
+        let measured = self.clean_kernel_ns as f64 / self.clean_iters as f64;
+        self.diag.measured_iter_ns = Some(measured);
+        let Some(predicted) = self.diag.predicted_iter_ns else { return };
+        let factor = self.opts.drift_factor;
+        adatm_trace::event!(
+            "drift.check",
+            predicted_ns: predicted,
+            measured_ns: measured,
+            factor: factor
+        );
+        if factor > 0.0 && predicted > 0.0 && measured > predicted * factor {
+            adatm_trace::event!(
+                "drift.warning",
+                predicted_ns: predicted,
+                measured_ns: measured,
+                ratio: measured / predicted,
+                factor: factor
+            );
+            self.diag.record(BreakdownEvent {
+                iter: self.iters - 1,
+                mode: None,
+                kind: BreakdownKind::PredictionDrift,
+                recovery: RecoveryAction::None,
+                recovery_time: Duration::ZERO,
+            });
+        }
     }
 }
 

@@ -12,6 +12,11 @@
 //! factor changes between the `N` MTTKRPs of one gradient evaluation, a
 //! dimension-tree backend computes every internal node **once** and
 //! reuses it for every mode, with no invalidation at all between modes.
+//!
+//! CP-OPT stays outside the one sweep loop of [`crate::cpals`]: it runs
+//! an Armijo line search over all modes at fixed factors and never calls
+//! `begin_mode`, so it has no per-mode "compute `M^(n)`, then update
+//! `U^(n)`" step for an update rule to plug into.
 
 use crate::backend::MttkrpBackend;
 use crate::init::{init_factors, InitStrategy};

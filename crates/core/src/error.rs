@@ -1,8 +1,10 @@
-//! The typed failure surface of the CP-ALS driver.
+//! The typed failure surface of the CP sweep driver (ALS and NCP).
 //!
-//! [`CpAls::run`](crate::CpAls::run) and
-//! [`CpAls::run_from`](crate::CpAls::run_from) return [`CpAlsError`] for
-//! malformed caller input instead of panicking, so a service embedding the
+//! [`CpAls::run`](crate::CpAls::run),
+//! [`CpAls::run_from`](crate::CpAls::run_from),
+//! [`CpAls::resume_from`](crate::CpAls::resume_from) and
+//! [`ncp`](crate::ncp()) return [`CpAlsError`] for malformed caller input
+//! instead of panicking, so a service embedding the
 //! solver can translate every failure into a response instead of crashing
 //! a worker. Numeric breakdowns *during* a run are not errors: the solver
 //! recovers or degrades gracefully and reports what happened in
@@ -45,6 +47,14 @@ pub enum CpAlsError {
         /// Which mode's factor is non-finite.
         mode: usize,
     },
+    /// Nonnegative CP was given a tensor with a negative value (`mode:
+    /// None`) or an initial factor with a negative entry (`mode:
+    /// Some(d)`) — e.g. from
+    /// [`InitStrategy::RandomizedRange`](crate::InitStrategy::RandomizedRange).
+    NegativeInput {
+        /// Which mode's initial factor is signed; `None` for the tensor.
+        mode: Option<usize>,
+    },
     /// A dense kernel failed in a way no recovery policy could absorb.
     Linalg(LinalgError),
     /// The checkpoint store could not be opened, or a checkpoint being
@@ -61,7 +71,7 @@ impl std::fmt::Display for CpAlsError {
         match self {
             CpAlsError::ZeroRank => write!(f, "decomposition rank must be at least 1"),
             CpAlsError::TooFewModes { ndim } => {
-                write!(f, "CP-ALS needs a tensor with at least 2 modes, got {ndim}")
+                write!(f, "CP decomposition needs a tensor with at least 2 modes, got {ndim}")
             }
             CpAlsError::FactorCountMismatch { expected, found } => {
                 write!(f, "expected {expected} initial factors (one per mode), found {found}")
@@ -77,6 +87,14 @@ impl std::fmt::Display for CpAlsError {
             CpAlsError::NonFiniteInit { mode } => {
                 write!(f, "initial factor for mode {mode} contains non-finite (NaN/Inf) values")
             }
+            CpAlsError::NegativeInput { mode: None } => {
+                write!(f, "nonnegative CP requires a nonnegative tensor, found a negative value")
+            }
+            CpAlsError::NegativeInput { mode: Some(d) } => write!(
+                f,
+                "initial factor for mode {d} has negative entries; nonnegative CP needs a \
+                 nonnegative start (use the random init)"
+            ),
             CpAlsError::Linalg(e) => write!(f, "unrecoverable dense-kernel failure: {e}"),
             CpAlsError::Checkpoint(e) => write!(f, "checkpoint failure: {e}"),
         }

@@ -9,8 +9,11 @@
 //!   its implementations: element-wise COO (Tensor-Toolbox class),
 //!   SPLATT-style CSF, dimension-tree memoization (any shape), and the
 //!   model-driven adaptive backend;
-//! * [`cpals`] — the CP-ALS loop: MTTKRP, Hadamard-of-Grams normal
-//!   equations, pseudoinverse solve, column normalization, efficient fit;
+//! * [`cpals`] — the one CP sweep loop: MTTKRP, Hadamard-of-Grams
+//!   system, the rule's factor update (ALS normal-equation solve with
+//!   column normalization, or the NCP multiplicative update), efficient
+//!   fit, with detectors, checkpoints and pairwise-perturbation sweeps;
+//! * [`ncp`](mod@ncp) — the nonnegative-CP rule and its one-call [`ncp()`];
 //! * [`model`] — the decomposition result type [`model::CpModel`];
 //! * [`decompose`] / [`decompose_with`] — one-call conveniences.
 //!
@@ -63,7 +66,7 @@ pub use fault::{
 };
 pub use init::InitStrategy;
 pub use model::{factor_match_score, CpModel};
-pub use ncp::{ncp, NcpOptions, NcpResult};
+pub use ncp::ncp;
 pub use tucker::{hooi, TuckerModel, TuckerOptions, TuckerResult};
 
 use adatm_tensor::SparseTensor;

@@ -4,184 +4,74 @@
 //! inner loop is "compute `M^(n)` for each mode in turn, then update
 //! `U^(n)`" plugs into the same backends and the same invalidation
 //! protocol. Nonnegative CP (NCP) with Lee–Seung-style multiplicative
-//! updates is the canonical second client:
+//! updates is the canonical second rule:
 //!
 //! `U^(n) <- U^(n) .* M^(n) ./ (U^(n) H^(n) + eps)`
 //!
 //! with `M^(n)` the MTTKRP and `H^(n)` the Hadamard product of the other
-//! Gram matrices — exactly the quantities CP-ALS computes. Nonnegativity
-//! of the input tensor and the initialization is preserved by the update.
+//! Gram matrices — exactly the quantities CP-ALS computes. NCP therefore
+//! runs through the one sweep loop of [`crate::cpals`] (entered with
+//! [`CpAls::ncp`], or the one-call [`ncp`]) and inherits its typed
+//! errors, breakdown detectors, time budget, checkpoints and resume,
+//! pairwise-perturbation sweeps, and tracing. This module holds only the
+//! rule's own parts: its initialization, its input check, and the
+//! update. The update preserves nonnegativity of the input tensor and
+//! the initialization; factors stay unnormalized and `lambda` stays all
+//! ones.
 
 use crate::backend::MttkrpBackend;
-use crate::cpals::PhaseTimings;
-use crate::model::CpModel;
+use crate::cpals::{CpAls, CpAlsOptions, CpResult};
+use crate::error::CpAlsError;
 use adatm_linalg::Mat;
 use adatm_tensor::SparseTensor;
-use std::time::Instant;
 
 /// Division guard keeping the multiplicative update finite.
 const MU_EPS: f64 = 1e-12;
 
-/// Options for a nonnegative CP run.
-#[derive(Clone, Debug)]
-pub struct NcpOptions {
-    /// Decomposition rank.
-    pub rank: usize,
-    /// Maximum outer iterations.
-    pub max_iters: usize,
-    /// Convergence tolerance on the change in fit.
-    pub tol: f64,
-    /// Seed for the (nonnegative) random initialization.
-    pub seed: u64,
-}
-
-impl NcpOptions {
-    /// Defaults: 100 iterations, tolerance `1e-5`, seed 0.
-    pub fn new(rank: usize) -> Self {
-        assert!(rank > 0, "rank must be positive");
-        NcpOptions { rank, max_iters: 100, tol: 1e-5, seed: 0 }
-    }
-
-    /// Sets the iteration cap.
-    pub fn max_iters(mut self, iters: usize) -> Self {
-        self.max_iters = iters;
-        self
-    }
-
-    /// Sets the fit-change tolerance (0 disables early stop).
-    pub fn tol(mut self, tol: f64) -> Self {
-        self.tol = tol;
-        self
-    }
-
-    /// Sets the initialization seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-}
-
-/// Result of a nonnegative CP run.
-#[derive(Clone, Debug)]
-pub struct NcpResult {
-    /// The decomposition. `lambda` is all ones: NCP keeps scale inside
-    /// the (nonnegative, unnormalized) factors.
-    pub model: CpModel,
-    /// Completed iterations.
-    pub iters: usize,
-    /// Fit after each iteration.
-    pub fit_history: Vec<f64>,
-    /// Whether the tolerance stop fired.
-    pub converged: bool,
-    /// Phase timings.
-    pub timings: PhaseTimings,
-}
-
-impl NcpResult {
-    /// Fit after the final iteration.
-    pub fn final_fit(&self) -> f64 {
-        self.fit_history.last().copied().unwrap_or(0.0)
-    }
-}
-
 /// Runs nonnegative CP with multiplicative updates over any MTTKRP
-/// backend.
+/// backend: the one-call form of [`CpAls::ncp`].
 ///
-/// # Panics
-/// Panics if the tensor contains negative values (the update rule
-/// requires `X >= 0`).
+/// A tensor with negative values, or a signed initial factor (e.g. from
+/// [`InitStrategy::RandomizedRange`](crate::InitStrategy::RandomizedRange)),
+/// is rejected with [`CpAlsError::NegativeInput`]; every other input
+/// error is the one [`CpAls::run`] returns.
 pub fn ncp<B: MttkrpBackend + ?Sized>(
     tensor: &SparseTensor,
     backend: &mut B,
-    opts: &NcpOptions,
-) -> NcpResult {
-    assert!(
-        tensor.vals().iter().all(|&v| v >= 0.0),
-        "nonnegative CP requires a nonnegative tensor"
-    );
-    let n = tensor.ndim();
-    let rank = opts.rank;
-    backend.reset();
-    let mut factors: Vec<Mat> = tensor
+    opts: &CpAlsOptions,
+) -> Result<CpResult, CpAlsError> {
+    CpAls::ncp(opts.clone()).run(tensor, backend)
+}
+
+/// NCP's random initialization: i.i.d. uniform entries in `(0, 1)`, one
+/// seed per mode.
+pub(crate) fn init_factors(tensor: &SparseTensor, rank: usize, seed: u64) -> Vec<Mat> {
+    tensor
         .dims()
         .iter()
         .enumerate()
-        .map(|(d, &rows)| Mat::random(rows, rank, opts.seed ^ (0xabc + d as u64)))
-        .collect();
-    let mut grams: Vec<Mat> = factors.iter().map(Mat::gram).collect();
-    let xnorm2 = tensor.fro_norm_sq();
-    let mut timings = PhaseTimings::default();
-    let mut m_buf = Mat::zeros(0, 0);
-    let mut fit_history = Vec::new();
-    let mut converged = false;
-    let mut iters = 0;
-    let order = backend.mode_order(n);
-    let last = *order.last().expect("at least one mode");
+        .map(|(d, &rows)| Mat::random(rows, rank, seed ^ (0xabc + d as u64)))
+        .collect()
+}
 
-    for _iter in 0..opts.max_iters {
-        for &mode in &order {
-            let t0 = Instant::now();
-            backend.begin_mode(mode);
-            if m_buf.nrows() != tensor.dims()[mode] || m_buf.ncols() != rank {
-                m_buf = Mat::zeros(tensor.dims()[mode], rank);
-            }
-            backend.mttkrp_into(tensor, &factors, mode, &mut m_buf);
-            timings.mttkrp += t0.elapsed();
-
-            let t1 = Instant::now();
-            let mut h = Mat::from_vec(rank, rank, vec![1.0; rank * rank]);
-            for (d, w) in grams.iter().enumerate() {
-                if d != mode {
-                    h.hadamard_assign(w);
-                }
-            }
-            // U <- U .* M ./ (U H + eps), row by row.
-            let denom = factors[mode].matmul(&h);
-            let u = &mut factors[mode];
-            for i in 0..u.nrows() {
-                let mrow = m_buf.row(i);
-                let drow = denom.row(i);
-                let urow = u.row_mut(i);
-                for ((x, &m), &d) in urow.iter_mut().zip(mrow.iter()).zip(drow.iter()) {
-                    *x *= m.max(0.0) / (d + MU_EPS);
-                }
-            }
-            grams[mode] = u.gram();
-            timings.dense += t1.elapsed();
-        }
-
-        // Fit via the last-updated mode's MTTKRP (same identity as
-        // CP-ALS, with lambda = 1 and unnormalized factors).
-        let t2 = Instant::now();
-        let inner: f64 = (0..rank).map(|r| m_buf.col_dot(&factors[last], r)).sum();
-        let mut g = Mat::from_vec(rank, rank, vec![1.0; rank * rank]);
-        for w in &grams {
-            g.hadamard_assign(w);
-        }
-        let ones = vec![1.0; rank];
-        let mnorm2 = g.weighted_quad(&ones, &ones).max(0.0);
-        let resid2 = (xnorm2 - 2.0 * inner + mnorm2).max(0.0);
-        let fit = if xnorm2 > 0.0 { 1.0 - (resid2 / xnorm2).sqrt() } else { 0.0 };
-        timings.fit += t2.elapsed();
-
-        iters += 1;
-        let prev = fit_history.last().copied();
-        fit_history.push(fit);
-        if let Some(p) = prev {
-            if opts.tol > 0.0 && (fit - p).abs() < opts.tol {
-                converged = true;
-                break;
-            }
-        }
+/// The update needs `X >= 0` and a nonnegative start.
+pub(crate) fn check_input(tensor: &SparseTensor, factors: &[Mat]) -> Result<(), CpAlsError> {
+    if tensor.vals().iter().any(|&v| v < 0.0) {
+        return Err(CpAlsError::NegativeInput { mode: None });
     }
-
-    NcpResult {
-        model: CpModel { lambda: vec![1.0; rank], factors },
-        iters,
-        fit_history,
-        converged,
-        timings,
+    match factors.iter().position(|f| f.as_slice().iter().any(|&x| x < 0.0)) {
+        Some(d) => Err(CpAlsError::NegativeInput { mode: Some(d) }),
+        None => Ok(()),
     }
+}
+
+/// `U .* M ./ (U H + eps)`, elementwise, written over the denominator.
+pub(crate) fn update(u: &Mat, m: &Mat, h: &Mat) -> Mat {
+    let mut out = u.matmul(h);
+    for ((o, &x), &mv) in out.as_mut_slice().iter_mut().zip(u.as_slice()).zip(m.as_slice()) {
+        *o = x * (mv.max(0.0) / (*o + MU_EPS));
+    }
+    out
 }
 
 #[cfg(test)]
@@ -224,7 +114,8 @@ mod tests {
     fn ncp_fits_nonnegative_low_rank_data() {
         let t = nonneg_low_rank(&[10, 12, 8], 3, 5);
         let mut backend = CooBackend::new(&t);
-        let res = ncp(&t, &mut backend, &NcpOptions::new(3).max_iters(300).tol(0.0).seed(2));
+        let res =
+            ncp(&t, &mut backend, &CpAlsOptions::new(3).max_iters(300).tol(0.0).seed(2)).unwrap();
         assert!(res.final_fit() > 0.95, "fit {}", res.final_fit());
     }
 
@@ -232,7 +123,8 @@ mod tests {
     fn factors_stay_nonnegative() {
         let t = zipf_tensor(&[15, 18, 12, 10], 400, &[0.5; 4], 7);
         let mut backend = DtreeBackend::balanced_binary(&t, 4);
-        let res = ncp(&t, &mut backend, &NcpOptions::new(4).max_iters(10).tol(0.0).seed(1));
+        let res =
+            ncp(&t, &mut backend, &CpAlsOptions::new(4).max_iters(10).tol(0.0).seed(1)).unwrap();
         for (d, f) in res.model.factors.iter().enumerate() {
             assert!(
                 f.as_slice().iter().all(|&x| x >= 0.0 && x.is_finite()),
@@ -247,7 +139,8 @@ mod tests {
         // nonnegative data.
         let t = nonneg_low_rank(&[8, 9, 7], 2, 3);
         let mut backend = CooBackend::new(&t);
-        let res = ncp(&t, &mut backend, &NcpOptions::new(2).max_iters(40).tol(0.0).seed(4));
+        let res =
+            ncp(&t, &mut backend, &CpAlsOptions::new(2).max_iters(40).tol(0.0).seed(4)).unwrap();
         for w in res.fit_history.windows(2) {
             assert!(w[1] >= w[0] - 1e-8, "fit regressed: {} -> {}", w[0], w[1]);
         }
@@ -256,21 +149,32 @@ mod tests {
     #[test]
     fn backends_agree_on_ncp_trajectory() {
         let t = zipf_tensor(&[12, 14, 10, 8], 300, &[0.6; 4], 9);
-        let opts = NcpOptions::new(3).max_iters(8).tol(0.0).seed(11);
+        let opts = CpAlsOptions::new(3).max_iters(8).tol(0.0).seed(11);
         let mut coo = CooBackend::new(&t);
         let mut bdt = DtreeBackend::balanced_binary(&t, 3);
-        let a = ncp(&t, &mut coo, &opts);
-        let b = ncp(&t, &mut bdt, &opts);
+        let a = ncp(&t, &mut coo, &opts).unwrap();
+        let b = ncp(&t, &mut bdt, &opts).unwrap();
         for (x, y) in a.fit_history.iter().zip(b.fit_history.iter()) {
             assert!((x - y).abs() < 1e-8);
         }
     }
 
     #[test]
-    #[should_panic(expected = "nonnegative")]
     fn ncp_rejects_negative_values() {
         let t = SparseTensor::from_entries(vec![3, 3], &[(vec![0, 0], -1.0)]);
         let mut backend = CooBackend::new(&t);
-        let _ = ncp(&t, &mut backend, &NcpOptions::new(2));
+        let err = ncp(&t, &mut backend, &CpAlsOptions::new(2)).unwrap_err();
+        assert_eq!(err, CpAlsError::NegativeInput { mode: None });
+        // Signed initial factors: explicit ones, and the orthonormal bases
+        // of the randomized range finder.
+        let t = zipf_tensor(&[10, 12, 9], 200, &[0.4; 3], 3);
+        let mut backend = CooBackend::new(&t);
+        let mut signed = init_factors(&t, 2, 1);
+        signed[1].set(4, 0, -0.5);
+        let err = CpAls::ncp(CpAlsOptions::new(2)).run_from(&t, &mut backend, signed).unwrap_err();
+        assert_eq!(err, CpAlsError::NegativeInput { mode: Some(1) });
+        let opts = CpAlsOptions::new(3).init(crate::InitStrategy::RandomizedRange);
+        let err = ncp(&t, &mut backend, &opts).unwrap_err();
+        assert!(matches!(err, CpAlsError::NegativeInput { mode: Some(_) }), "got {err:?}");
     }
 }

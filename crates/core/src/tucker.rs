@@ -9,6 +9,10 @@
 //! left singular vectors of its mode-`n` matricization via the small
 //! `K x K` Gram eigenproblem (`K = prod R_d`, so the cost stays
 //! `O(I_n K)` even for huge mode sizes).
+//!
+//! HOOI stays outside the one CP sweep loop of [`crate::cpals`]: it runs
+//! on TTM chains and an eigensolver, not on MTTKRP outputs and a CP
+//! factor update.
 
 use adatm_linalg::{jacobi_eigh, thin_qr, Mat};
 use adatm_tensor::semisparse::ttm_chain_all_but;

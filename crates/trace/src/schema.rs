@@ -257,8 +257,9 @@ pub const SPANS: &[SpanSchema] = &[
     },
     SpanSchema {
         name: "cpals.run",
-        emitted_by: "the whole CP-ALS run",
+        emitted_by: "the whole CP sweep run (`rule`: `als` or `ncp`)",
         fields: &[
+            req("rule", Str),
             req("backend", Str),
             req("rank", U64),
             req("max_iters", U64),

@@ -17,10 +17,10 @@ use adatm::tensor::io::{
 };
 use adatm::tensor::stats::TensorStats;
 use adatm::{
-    complete, cp_opt, decompose_with, hooi, ncp, AdaptiveBackend, AdmissionError, CheckpointConfig,
-    CheckpointStore, CompletionOptions, CooBackend, CpAls, CpAlsError, CpAlsOptions, CpOptOptions,
-    CsfBackend, DtreeBackend, EnvProfile, KernelProfile, MttkrpBackend, NcpOptions, Planner,
-    PpConfig, SparseTensor, TreeShape, TuckerOptions,
+    complete, cp_opt, hooi, AdaptiveBackend, AdmissionError, CheckpointConfig, CheckpointStore,
+    CompletionOptions, CooBackend, CpAls, CpAlsError, CpAlsOptions, CpOptOptions, CsfBackend,
+    DtreeBackend, EnvProfile, KernelProfile, MttkrpBackend, Planner, PpConfig, SparseTensor,
+    TreeShape, TuckerOptions,
 };
 use std::collections::HashMap;
 use std::path::Path;
@@ -170,26 +170,31 @@ fn print_usage() {
          Tensor files: FROSTT text (.tns) or adatm binary (.adtm), chosen by extension.\n\n\
          --trace FILE writes a structured NDJSON event log (planner decisions,\n\
          per-stage timings, recoveries); validate it with `cargo xtask trace-check`.\n\n\
-         PAIRWISE PERTURBATION (--algo als only):\n  \
+         CP SWEEP (--algo als|ncp): ALS and nonnegative CP run the same loop, so both\n\
+         take the flags below; with --algo cpopt|complete|tucker they are a usage error.\n  \
+         --drift-factor F        warn when measured kernel time per iteration exceeds\n                          \
+         F x the calibrated prediction (default 2; 0 disables)\n\n\
+         PAIRWISE PERTURBATION (--algo als|ncp):\n  \
          --pp-tol T              enable approximate (pairwise-perturbation) sweeps once\n                          \
          the relative factor change per iteration drops below T\n                          \
          (suggested 0.02); exact sweeps resume on any recovery\n  \
          --pp-every K            force an exact sweep every K iterations while PP is\n                          \
          active (default 5; re-baselines the memoized intermediates)\n\n\
-         DURABILITY (--algo als only):\n  \
+         DURABILITY (--algo als|ncp):\n  \
          --checkpoint-dir DIR    write rotated, checksummed checkpoints under DIR\n  \
          --checkpoint-every N    write every N completed iterations (default 1)\n  \
          --resume                restart from the newest readable checkpoint in DIR,\n                          \
-         continuing bitwise-identically to the uninterrupted run\n  \
-         --mem-budget MIB        admission control: reject or degrade any plan whose\n                          \
-         predicted resident memory exceeds the budget\n\n\
+         continuing bitwise-identically to the uninterrupted run\n\n\
+         ADMISSION CONTROL (adaptive backend):\n  \
+         --mem-budget MIB        reject or degrade any plan whose predicted resident\n                          \
+         memory exceeds the budget\n\n\
          EXIT CODES:\n  \
          0  success\n  \
          2  usage error (bad flag, missing argument, unknown subcommand)\n  \
          3  file i/o error\n  \
          4  malformed tensor file\n  \
          5  tensor file contains non-finite values\n  \
-         6  solver rejected its input (rank/shape/finiteness validation)\n  \
+         6  solver rejected its input (rank/shape/finiteness validation, or a\n     negative value or factor entry under --algo ncp)\n  \
          7  unrecoverable numerical failure during the solve\n  \
          8  checkpoint failure (store unusable, or --resume found nothing readable)\n  \
          9  admission control rejected the run (nothing fits --mem-budget)"
@@ -447,28 +452,79 @@ fn make_backend(
     })
 }
 
+/// Writes `rows` as space-separated text lines through one buffered
+/// writer; any I/O failure, the final flush included, is [`EXIT_IO`].
+fn write_rows<'a>(path: &str, rows: impl Iterator<Item = &'a [f64]>) -> Result<(), CliError> {
+    use std::io::Write;
+    let mut w = std::io::BufWriter::new(std::fs::File::create(path).map_err(fs_err)?);
+    for row in rows {
+        for (j, x) in row.iter().enumerate() {
+            if j > 0 {
+                w.write_all(b" ").map_err(fs_err)?;
+            }
+            write!(w, "{x}").map_err(fs_err)?;
+        }
+        w.write_all(b"\n").map_err(fs_err)?;
+    }
+    w.flush().map_err(fs_err)
+}
+
 fn write_factors(dir: &str, model: &adatm::CpModel) -> Result<(), CliError> {
     std::fs::create_dir_all(dir).map_err(fs_err)?;
-    use std::io::Write;
-    let lpath = format!("{dir}/lambda.txt");
-    let mut lf = std::fs::File::create(&lpath).map_err(fs_err)?;
-    for l in &model.lambda {
-        writeln!(lf, "{l}").map_err(fs_err)?;
-    }
+    write_rows(&format!("{dir}/lambda.txt"), model.lambda.chunks(1))?;
     for (d, f) in model.factors.iter().enumerate() {
-        let path = format!("{dir}/factor_{d}.txt");
-        let mut file = std::fs::File::create(&path).map_err(fs_err)?;
-        for i in 0..f.nrows() {
-            let row: Vec<String> = f.row(i).iter().map(|x| format!("{x}")).collect();
-            writeln!(file, "{}", row.join(" ")).map_err(fs_err)?;
-        }
+        write_rows(&format!("{dir}/factor_{d}.txt"), (0..f.nrows()).map(|i| f.row(i)))?;
     }
     println!("wrote lambda + {} factors under {dir}/", model.factors.len());
     Ok(())
 }
 
+/// Flags that configure the CP sweep loop, which only `--algo als|ncp`
+/// run; any other algorithm rejects them instead of ignoring them.
+const SWEEP_FLAGS: [&str; 6] =
+    ["checkpoint-dir", "checkpoint-every", "resume", "pp-tol", "pp-every", "drift-factor"];
+
+/// Adds the sweep-loop flags — drift threshold, pairwise perturbation,
+/// checkpointing — to `o`.
+fn sweep_options(
+    opts: &HashMap<String, String>,
+    mut o: CpAlsOptions,
+) -> Result<CpAlsOptions, CliError> {
+    o = o.drift_factor(opt_parse(opts, "drift-factor", 2.0f64)?);
+    if opts.contains_key("pp-tol") || opts.contains_key("pp-every") {
+        let pp_tol = opt_parse(opts, "pp-tol", 0.02f64)?;
+        let pp_every = opt_parse(opts, "pp-every", 5usize)?;
+        if !pp_tol.is_finite() || pp_tol <= 0.0 {
+            return Err("--pp-tol must be positive".into());
+        }
+        o = o.pp(PpConfig::new().tol(pp_tol).every(pp_every));
+    }
+    let ckpt_dir = opts.get("checkpoint-dir");
+    if (opts.contains_key("resume") || opts.contains_key("checkpoint-every")) && ckpt_dir.is_none()
+    {
+        return Err("--resume/--checkpoint-every need --checkpoint-dir".into());
+    }
+    if let Some(dir) = ckpt_dir {
+        if dir.is_empty() {
+            return Err("--checkpoint-dir requires a path".into());
+        }
+        let every = opt_parse(opts, "checkpoint-every", 1usize)?;
+        o = o.checkpoint(CheckpointConfig::new(dir).every_iters(every));
+    }
+    Ok(o)
+}
+
 fn cmd_decompose(args: &[String]) -> Result<(), CliError> {
     let (pos, opts) = parse_args(args)?;
+    let algo = opts.get("algo").map_or("als", String::as_str);
+    if !matches!(algo, "als" | "ncp" | "cpopt" | "complete" | "tucker") {
+        return Err(format!("unknown algorithm '{algo}'").into());
+    }
+    if !matches!(algo, "als" | "ncp") {
+        if let Some(flag) = SWEEP_FLAGS.iter().find(|f| opts.contains_key(**f)) {
+            return Err(format!("--{flag} applies to --algo als|ncp only, not {algo}").into());
+        }
+    }
     install_trace(&opts)?;
     let path = pos.first().ok_or("decompose requires a tensor file")?;
     let t = load(path)?;
@@ -476,7 +532,7 @@ fn cmd_decompose(args: &[String]) -> Result<(), CliError> {
     let iters = opt_parse(&opts, "iters", 50usize)?;
     let tol = opt_parse(&opts, "tol", 1e-5f64)?;
     let seed = opt_parse(&opts, "seed", 0u64)?;
-    if opts.get("algo").map(String::as_str) == Some("tucker") {
+    if algo == "tucker" {
         // Tucker runs on TTM chains directly, not an MTTKRP backend.
         let ranks: Vec<usize> = match opts.get("ranks") {
             Some(s) => s
@@ -510,58 +566,42 @@ fn cmd_decompose(args: &[String]) -> Result<(), CliError> {
     }
     let mut backend = make_backend(&t, rank, &opts, profile, mem_budget)?;
     println!("backend: {}", backend.name());
-    match opts.get("algo").map(String::as_str) {
-        None | Some("als") => {
-            let drift = opt_parse(&opts, "drift-factor", 2.0f64)?;
-            let mut o =
-                CpAlsOptions::new(rank).max_iters(iters).tol(tol).seed(seed).drift_factor(drift);
-            if opts.contains_key("pp-tol") || opts.contains_key("pp-every") {
-                let pp_tol = opt_parse(&opts, "pp-tol", 0.02f64)?;
-                let pp_every = opt_parse(&opts, "pp-every", 5usize)?;
-                if !pp_tol.is_finite() || pp_tol <= 0.0 {
-                    return Err("--pp-tol must be positive".into());
-                }
-                o = o.pp(PpConfig::new().tol(pp_tol).every(pp_every));
-            }
-            let ckpt_dir = opts.get("checkpoint-dir");
-            let resume = opts.contains_key("resume");
-            if (resume || opts.contains_key("checkpoint-every")) && ckpt_dir.is_none() {
-                return Err("--resume/--checkpoint-every need --checkpoint-dir".into());
-            }
-            if let Some(dir) = ckpt_dir {
-                if dir.is_empty() {
-                    return Err("--checkpoint-dir requires a path".into());
-                }
-                let every = opt_parse(&opts, "checkpoint-every", 1usize)?;
-                o = o.checkpoint(CheckpointConfig::new(dir).every_iters(every));
-            }
-            let res = if resume {
-                let dir = ckpt_dir.expect("checked above");
-                let outcome = CheckpointStore::load_latest(Path::new(dir))
-                    .map_err(|e| CliError { code: EXIT_CHECKPOINT, msg: e.to_string() })?;
-                // The run continues the checkpoint's trajectory, so its
-                // seed wins over --seed (a mismatch would be a typed
-                // resume error, not a silently different model).
-                if outcome.checkpoint.seed != seed && opts.contains_key("seed") {
+    match algo {
+        "als" | "ncp" => {
+            let o =
+                sweep_options(&opts, CpAlsOptions::new(rank).max_iters(iters).tol(tol).seed(seed))?;
+            let solver = |o| if algo == "ncp" { CpAls::ncp(o) } else { CpAls::new(o) };
+            let res = match opts.get("checkpoint-dir").filter(|_| opts.contains_key("resume")) {
+                Some(dir) => {
+                    let outcome = CheckpointStore::load_latest(Path::new(dir))
+                        .map_err(|e| CliError { code: EXIT_CHECKPOINT, msg: e.to_string() })?;
+                    // The run continues the checkpoint's trajectory, so
+                    // its seed wins over --seed (a mismatch would be a
+                    // typed resume error, not a silently different
+                    // model).
+                    if outcome.checkpoint.seed != seed && opts.contains_key("seed") {
+                        println!(
+                            "note: --seed {seed} ignored; resuming with checkpoint seed {}",
+                            outcome.checkpoint.seed
+                        );
+                    }
                     println!(
-                        "note: --seed {seed} ignored; resuming with checkpoint seed {}",
-                        outcome.checkpoint.seed
+                        "resume: {} (generation {}, iteration {}, {} corrupt generation(s) skipped)",
+                        outcome.path.display(),
+                        outcome.generation,
+                        outcome.checkpoint.next_iter,
+                        outcome.fallbacks.len()
                     );
+                    solver(o.seed(outcome.checkpoint.seed)).resume_from(
+                        &t,
+                        backend.as_mut(),
+                        outcome.checkpoint,
+                    )?
                 }
-                println!(
-                    "resume: {} (generation {}, iteration {}, {} corrupt generation(s) skipped)",
-                    outcome.path.display(),
-                    outcome.generation,
-                    outcome.checkpoint.next_iter,
-                    outcome.fallbacks.len()
-                );
-                o = o.seed(outcome.checkpoint.seed);
-                CpAls::new(o).resume_from(&t, backend.as_mut(), outcome.checkpoint)?
-            } else {
-                decompose_with(&t, &o, &mut backend)?
+                None => solver(o).run(&t, backend.as_mut())?,
             };
             println!(
-                "als: {} iters, fit {:.5}, converged {}, mttkrp {:.3}s dense {:.3}s fit {:.3}s",
+                "{algo}: {} iters, fit {:.5}, converged {}, mttkrp {:.3}s dense {:.3}s fit {:.3}s",
                 res.iters,
                 res.final_fit(),
                 res.converged,
@@ -593,20 +633,7 @@ fn cmd_decompose(args: &[String]) -> Result<(), CliError> {
                 write_factors(dir, &res.model)?;
             }
         }
-        Some("ncp") => {
-            let o = NcpOptions::new(rank).max_iters(iters).tol(tol).seed(seed);
-            let res = ncp(&t, &mut backend, &o);
-            println!(
-                "ncp: {} iters, fit {:.5}, converged {}",
-                res.iters,
-                res.final_fit(),
-                res.converged
-            );
-            if let Some(dir) = opts.get("out") {
-                write_factors(dir, &res.model)?;
-            }
-        }
-        Some("complete") => {
+        "complete" => {
             let reg = opt_parse(&opts, "reg", 0.1f64)?;
             let o = CompletionOptions::new(rank).max_iters(iters).tol(tol).reg(reg).seed(seed);
             let res = complete(&t, &o);
@@ -620,7 +647,7 @@ fn cmd_decompose(args: &[String]) -> Result<(), CliError> {
                 write_factors(dir, &res.model)?;
             }
         }
-        Some("cpopt") => {
+        _ => {
             let o = CpOptOptions::new(rank).max_iters(iters).tol(tol).seed(seed);
             let res = cp_opt(&t, &mut backend, &o);
             println!(
@@ -633,7 +660,6 @@ fn cmd_decompose(args: &[String]) -> Result<(), CliError> {
                 write_factors(dir, &res.model)?;
             }
         }
-        Some(other) => return Err(format!("unknown algorithm '{other}'").into()),
     }
     Ok(())
 }

@@ -20,9 +20,8 @@ pub use adatm_core::{
     BreakdownEvent, BreakdownKind, CheckpointConfig, CheckpointError, CheckpointMedium,
     CheckpointStore, CompletionOptions, CompletionResult, CooBackend, CpAls, CpAlsError,
     CpAlsOptions, CpCheckpoint, CpModel, CpOptOptions, CpOptResult, CpResult, CsfBackend,
-    DtreeBackend, InitStrategy, MttkrpBackend, NcpOptions, NcpResult, PhaseTimings, PpConfig,
-    RecoveryAction, ResumeOutcome, RunDiagnostics, StopReason, TuckerModel, TuckerOptions,
-    TuckerResult,
+    DtreeBackend, InitStrategy, MttkrpBackend, PhaseTimings, PpConfig, RecoveryAction,
+    ResumeOutcome, RunDiagnostics, StopReason, TuckerModel, TuckerOptions, TuckerResult,
 };
 #[cfg(feature = "fault-inject")]
 pub use adatm_core::{

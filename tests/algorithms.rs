@@ -4,17 +4,16 @@
 use adatm::tensor::gen::zipf_tensor;
 use adatm::{
     all_backends, cp_opt, ncp, CpAlsOptions, CpOptOptions, CsfBackend, DtreeBackend, InitStrategy,
-    NcpOptions,
 };
 
 #[test]
 fn ncp_runs_on_every_backend_with_identical_trajectories() {
     let t = zipf_tensor(&[20, 25, 15, 18], 1_200, &[0.7; 4], 42);
-    let opts = NcpOptions::new(4).max_iters(6).tol(0.0).seed(8);
+    let opts = CpAlsOptions::new(4).max_iters(6).tol(0.0).seed(8);
     let natural: Vec<usize> = (0..4).collect();
     let mut reference: Option<Vec<f64>> = None;
     for mut b in all_backends(&t, 4) {
-        let res = ncp(&t, &mut b, &opts);
+        let res = ncp(&t, &mut b, &opts).unwrap();
         if b.mode_order(4) != natural {
             assert!(res.final_fit().is_finite());
             continue;
@@ -34,7 +33,7 @@ fn ncp_runs_on_every_backend_with_identical_trajectories() {
 fn ncp_improves_over_its_first_iteration() {
     let t = zipf_tensor(&[30, 25, 20], 2_000, &[0.8; 3], 4);
     let mut b = CsfBackend::new(&t);
-    let res = ncp(&t, &mut b, &NcpOptions::new(6).max_iters(30).tol(0.0).seed(5));
+    let res = ncp(&t, &mut b, &CpAlsOptions::new(6).max_iters(30).tol(0.0).seed(5)).unwrap();
     assert!(res.final_fit() > res.fit_history[0], "no progress");
 }
 
@@ -78,7 +77,7 @@ fn three_algorithms_reduce_residual_on_same_data() {
     assert!(als.final_fit() > 0.1, "als fit {}", als.final_fit());
 
     let mut b2 = adatm::CooBackend::new(&t);
-    let n = ncp(&t, &mut b2, &NcpOptions::new(4).max_iters(40).tol(0.0).seed(1));
+    let n = ncp(&t, &mut b2, &CpAlsOptions::new(4).max_iters(40).tol(0.0).seed(1)).unwrap();
     assert!(n.final_fit() > 0.05, "ncp fit {}", n.final_fit());
 
     let mut b3 = adatm::CooBackend::new(&t);

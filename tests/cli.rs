@@ -69,13 +69,15 @@ fn zero_rank_decompose_exits_with_solver_input_code() {
         .arg(&tns)
         .status()
         .unwrap();
-    let out = adatm()
-        .arg("decompose")
-        .arg(&tns)
-        .args(["--rank", "0", "--iters", "2", "--backend", "coo"])
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(6), "{}", String::from_utf8_lossy(&out.stderr));
+    for algo in ["als", "ncp"] {
+        let out = adatm()
+            .arg("decompose")
+            .arg(&tns)
+            .args(["--rank", "0", "--iters", "2", "--backend", "coo", "--algo", algo])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(6), "{}", String::from_utf8_lossy(&out.stderr));
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -237,5 +239,96 @@ fn bad_shape_is_rejected() {
         .output()
         .unwrap();
     assert!(!out.status.success());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn sweep_flags_are_a_usage_error_outside_als_and_ncp() {
+    let dir = tmpdir("sweepflags");
+    let tns = dir.join("t.tns");
+    adatm()
+        .args(["generate", "--dims", "12x15x10", "--nnz", "500", "-o"])
+        .arg(&tns)
+        .status()
+        .unwrap();
+    let ckpt = dir.join("ckpt");
+    for (algo, flag, value) in [
+        ("cpopt", "--checkpoint-dir", ckpt.to_str().unwrap()),
+        ("complete", "--pp-tol", "0.02"),
+        ("tucker", "--drift-factor", "3"),
+    ] {
+        let out = adatm()
+            .arg("decompose")
+            .arg(&tns)
+            .args(["--rank", "3", "--iters", "2", "--backend", "coo", "--algo", algo, flag, value])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{algo} {flag}: flag must not be ignored");
+        assert!(String::from_utf8_lossy(&out.stderr).contains(flag), "{algo}: names the flag");
+    }
+    assert!(!ckpt.exists(), "a rejected run must not create the checkpoint store");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn decompose_ncp_checkpoints_with_pp_and_resumes() {
+    let dir = tmpdir("ncpckpt");
+    let tns = dir.join("t.tns");
+    adatm()
+        .args(["generate", "--dims", "12x15x10", "--nnz", "500", "--skew", "0.5", "-o"])
+        .arg(&tns)
+        .status()
+        .unwrap();
+    let ckpt = dir.join("ckpt");
+    let run = |iters: &str, resume: bool| {
+        let mut cmd = adatm();
+        cmd.arg("decompose").arg(&tns).args([
+            "--rank",
+            "3",
+            "--iters",
+            iters,
+            "--tol",
+            "0",
+            "--algo",
+            "ncp",
+            "--backend",
+            "coo",
+            "--pp-tol",
+            "0.02",
+            "--checkpoint-every",
+            "2",
+            "--checkpoint-dir",
+        ]);
+        cmd.arg(&ckpt);
+        if resume {
+            cmd.arg("--resume");
+        }
+        cmd.output().unwrap()
+    };
+    let out = run("4", false);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("ncp: 4 iters"));
+    assert!(std::fs::read_dir(&ckpt).unwrap().count() > 0, "ncp must write checkpoints");
+    let out = run("6", true);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("resume:") && stdout.contains("iteration 4"), "{stdout}");
+    assert!(stdout.contains("ncp: 6 iters"), "{stdout}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn ncp_negative_value_exits_with_solver_input_code() {
+    let dir = tmpdir("ncpneg");
+    let tns = dir.join("neg.tns");
+    std::fs::write(&tns, "1 1 1 2.0\n2 2 2 -1.0\n3 1 2 0.5\n").unwrap();
+    let out = adatm()
+        .arg("decompose")
+        .arg(&tns)
+        .args(["--rank", "2", "--iters", "2", "--algo", "ncp", "--backend", "coo"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(6), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("nonnegative"));
     let _ = std::fs::remove_dir_all(&dir);
 }

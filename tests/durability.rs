@@ -62,27 +62,33 @@ fn assert_bitwise_identical(a: &CpResult, b: &CpResult) {
 #[test]
 fn kill_and_resume_is_bitwise_identical_to_uninterrupted_run() {
     let t = ground_truth();
-    let dir = tmp_dir("kill-resume");
+    // ALS and NCP run the same loop, so both update rules must resume
+    // bitwise-identically.
+    for rule in ["als", "ncp"] {
+        let solver = |o| if rule == "ncp" { CpAls::ncp(o) } else { CpAls::new(o) };
+        let dir = tmp_dir(&format!("kill-resume-{rule}"));
 
-    // Reference: one uninterrupted 20-iteration run, no checkpointing.
-    let reference = CpAls::new(opts(20)).run(&t, &mut backend(&t)).unwrap();
+        // Reference: one uninterrupted 20-iteration run, no checkpointing.
+        let reference = solver(opts(20)).run(&t, &mut backend(&t)).unwrap();
 
-    // "Killed" run: checkpoint every iteration, stop after 7 — the state
-    // on disk is exactly what a kill after iteration 7's write leaves.
-    let cfg = CheckpointConfig::new(&dir).every_iters(1);
-    let killed = CpAls::new(opts(7).checkpoint(cfg.clone())).run(&t, &mut backend(&t)).unwrap();
-    assert_eq!(killed.iters, 7);
+        // "Killed" run: checkpoint every iteration, stop after 7 — the
+        // state on disk is exactly what a kill after iteration 7's write
+        // leaves.
+        let cfg = CheckpointConfig::new(&dir).every_iters(1);
+        let killed = solver(opts(7).checkpoint(cfg.clone())).run(&t, &mut backend(&t)).unwrap();
+        assert_eq!(killed.iters, 7);
 
-    // Resume from the newest generation and finish the remaining 13.
-    let outcome = CheckpointStore::load_latest(&dir).unwrap();
-    assert_eq!(outcome.checkpoint.next_iter, 7);
-    assert!(outcome.fallbacks.is_empty());
-    let resumed = CpAls::new(opts(20).checkpoint(cfg))
-        .resume_from(&t, &mut backend(&t), outcome.checkpoint)
-        .unwrap();
+        // Resume from the newest generation and finish the remaining 13.
+        let outcome = CheckpointStore::load_latest(&dir).unwrap();
+        assert_eq!(outcome.checkpoint.next_iter, 7);
+        assert!(outcome.fallbacks.is_empty());
+        let resumed = solver(opts(20).checkpoint(cfg))
+            .resume_from(&t, &mut backend(&t), outcome.checkpoint)
+            .unwrap();
 
-    assert_bitwise_identical(&reference, &resumed);
-    let _ = std::fs::remove_dir_all(&dir);
+        assert_bitwise_identical(&reference, &resumed);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 #[test]

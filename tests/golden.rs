@@ -1,0 +1,81 @@
+//! Golden trajectories of the CP sweep loop: fit histories pinned bit for
+//! bit, so any change to the loop's floating-point operations — for ALS
+//! with pairwise perturbation and checkpoints, and for the NCP rule —
+//! shows up here. The expected bit patterns were recorded from the
+//! pre-unification drivers (one loop per method) on a sequential COO
+//! backend, whose reduction order is fixed.
+
+use adatm::tensor::gen::{dense_low_rank, zipf_tensor};
+use adatm::{ncp, CheckpointConfig, CooBackend, CpAls, CpAlsOptions, CpResult, PpConfig};
+
+fn assert_fit_bits(what: &str, res: &CpResult, expected: &[u64]) {
+    let got: Vec<u64> = res.fit_history.iter().map(|f| f.to_bits()).collect();
+    assert_eq!(got, expected, "{what}: fit history diverged from the recorded trajectory");
+}
+
+#[test]
+fn sweep_loop_reproduces_recorded_fit_histories_bitwise() {
+    // NCP on the tensor of the cross-backend NCP trajectory test.
+    let t = zipf_tensor(&[20, 25, 15, 18], 1_200, &[0.7; 4], 42);
+    let opts = CpAlsOptions::new(4).max_iters(6).tol(0.0).seed(8);
+    let res = ncp(&t, &mut CooBackend::with_parallel(&t, false), &opts).unwrap();
+    assert_fit_bits(
+        "ncp",
+        &res,
+        &[
+            0x3f9393a51cd66a80,
+            0x3f9a2fcdb1389b00,
+            0x3f9cea35cbd900a0,
+            0x3f9ef99009a2d660,
+            0x3fa0665b1783b270,
+            0x3fa10277f19c2860,
+        ],
+    );
+
+    // ALS with pairwise perturbation and a checkpoint every 3 iterations
+    // on a small noiseless 3-mode tensor: PP arms, sweeps, and is
+    // disarmed by checkpoint writes and the forced-exact cadence.
+    let t = dense_low_rank(&[12, 10, 11], 3, 0.0, 13).tensor;
+    let dir = std::env::temp_dir().join(format!("adatm-golden-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let opts = CpAlsOptions::new(3)
+        .max_iters(24)
+        .tol(0.0)
+        .seed(7)
+        .pp(PpConfig::new().tol(0.02))
+        .checkpoint(CheckpointConfig::new(&dir).every_iters(3));
+    let res = CpAls::new(opts).run(&t, &mut CooBackend::with_parallel(&t, false)).unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!((res.diagnostics.pp_sweeps, res.diagnostics.pp_refreshes), (11, 7));
+    assert!(res.diagnostics.clean(), "{:?}", res.diagnostics.events);
+    assert_fit_bits(
+        "als+pp+checkpoint",
+        &res,
+        &[
+            0x3fea1eabda65d380,
+            0x3fee3ce7c7c76b29,
+            0x3fef0f0d0855a786,
+            0x3fef384e908b04d7,
+            0x3fef384e908b04d7,
+            0x3fef53fba71dc0ea,
+            0x3fef652ff9a7b3c5,
+            0x3fef652ff9a7b3c5,
+            0x3fef652ff9a7b3c5,
+            0x3fef704883a494a1,
+            0x3fef7d25e39fd352,
+            0x3fef7d25e39fd352,
+            0x3fef876e713177f9,
+            0x3fef876e713177f9,
+            0x3fef876e713177f9,
+            0x3fef866a3c873164,
+            0x3fef866a3c873164,
+            0x3fef866a3c873164,
+            0x3fef96915e0035d2,
+            0x3fef96915e0035d2,
+            0x3fef92bcd0ee3b39,
+            0x3fefa8ab41f55899,
+            0x3fefa8ab41f55899,
+            0x3fefa8ab41f55899,
+        ],
+    );
+}

@@ -304,15 +304,16 @@ mod tests {
     fn run_open(seq: u64) -> String {
         format!(
             "{{\"ev\": \"span_open\", \"seq\": {seq}, \"span\": \"cpals.run\", \
-             \"backend\": \"coo\", \"rank\": 4, \"max_iters\": 10, \"ndim\": 3, \"nnz\": 500}}"
+             \"rule\": \"als\", \"backend\": \"coo\", \"rank\": 4, \"max_iters\": 10, \"ndim\": 3, \
+             \"nnz\": 500}}"
         )
     }
 
     fn run_close(seq: u64) -> String {
         format!(
             "{{\"ev\": \"span_close\", \"seq\": {seq}, \"span\": \"cpals.run\", \
-             \"backend\": \"coo\", \"rank\": 4, \"max_iters\": 10, \"ndim\": 3, \"nnz\": 500, \
-             \"elapsed_ns\": 99}}"
+             \"rule\": \"als\", \"backend\": \"coo\", \"rank\": 4, \"max_iters\": 10, \"ndim\": 3, \
+             \"nnz\": 500, \"elapsed_ns\": 99}}"
         )
     }
 
