@@ -1,18 +1,26 @@
-//! Zero-allocation gates for the scheduled MTTKRP kernels.
+//! Zero-allocation gates for the scheduled MTTKRP kernels and the CP
+//! sweep loop.
 //!
 //! The perf contract of the scheduling work: once a backend has built its
 //! sorted views / CSF trees, its per-(tensor, mode) `ModeSchedule`, and
 //! warmed its `Workspace`, a steady-state kernel call performs **zero**
 //! heap allocations on the sequential path, and the dimension-tree
-//! engine's scatter stays within its pooled buffers. Asserted with a
-//! counting global allocator, which is why this lives in its own test
-//! binary.
+//! engine's scatter stays within its pooled buffers. The sweep loop's
+//! contract: after warm-up, an iteration allocates nothing of factor
+//! size — factors, Grams and snapshots are updated in place. Asserted
+//! with a counting global allocator, which is why this lives in its own
+//! test binary. The exact gates count the calling thread's allocations,
+//! so the test harness's own threads never show up in them; the
+//! parallel-path bound counts every thread, since its kernel allocates on
+//! worker threads. Every test holds one lock, so no other test allocates
+//! while that process-wide count is read.
 
 // A `GlobalAlloc` impl is unavoidably `unsafe impl`; this file is one of
 // the two sanctioned exceptions to the workspace-wide `deny(unsafe_code)`
 // (the other is the bench driver's identical shim).
 #![allow(unsafe_code)]
 
+use adatm_core::{CooBackend, CpAls, CpAlsOptions, MttkrpBackend};
 use adatm_dtree::{DtreeEngine, TreeShape};
 use adatm_linalg::Mat;
 use adatm_tensor::csf::CsfTensor;
@@ -21,25 +29,57 @@ use adatm_tensor::mttkrp::{mttkrp_par_into, schedule_for_view};
 use adatm_tensor::schedule::Workspace;
 use adatm_tensor::{SortedModeView, SparseTensor};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 struct CountingAlloc;
 
-static ALLOC_EVENTS: AtomicU64 = AtomicU64::new(0);
+/// Requests of at least this many bytes count as large: a factor of the
+/// sweep-loop test (4096+ rows at rank 16) is 512 KiB, while `R x R`
+/// work (2 KiB at rank 16) stays far below.
+const LARGE: usize = 64 * 1024;
+
+/// Allocation events on every thread.
+static ALL_ALLOC_EVENTS: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    // Const-initialized with no destructor, so the allocator can touch
+    // them without allocating; `try_with` covers thread teardown.
+    static ALLOC_EVENTS: Cell<u64> = const { Cell::new(0) };
+    static LARGE_ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Taken by every test in this binary, so that one test body runs at a
+/// time.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    // A failing test poisons the lock; the others still run.
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn count(size: usize) {
+    ALL_ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
+    let _ = ALLOC_EVENTS.try_with(|c| c.set(c.get() + 1));
+    if size >= LARGE {
+        let _ = LARGE_ALLOCS.try_with(|c| c.set(c.get() + 1));
+    }
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
+        count(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
+        count(layout.size());
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
+        count(new_size);
         System.realloc(ptr, layout, new_size)
     }
 
@@ -51,12 +91,20 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Allocation events during one call of `f`, after the caller has warmed
-/// every cache the call touches.
+/// This thread's allocation events during one call of `f`, after the
+/// caller has warmed every cache the call touches.
 fn allocs_during(f: impl FnOnce()) -> u64 {
-    let before = ALLOC_EVENTS.load(Ordering::Relaxed);
+    let before = ALLOC_EVENTS.with(Cell::get);
     f();
-    ALLOC_EVENTS.load(Ordering::Relaxed) - before
+    ALLOC_EVENTS.with(Cell::get) - before
+}
+
+/// Allocation events on all threads during one call of `f`; the caller
+/// holds [`serial`].
+fn all_allocs_during(f: impl FnOnce()) -> u64 {
+    let before = ALL_ALLOC_EVENTS.load(Ordering::Relaxed);
+    f();
+    ALL_ALLOC_EVENTS.load(Ordering::Relaxed) - before
 }
 
 fn test_tensor() -> SparseTensor {
@@ -79,6 +127,7 @@ fn factors_for(t: &SparseTensor, rank: usize) -> Vec<Mat> {
 
 #[test]
 fn coo_scheduled_kernel_is_alloc_free_after_warmup() {
+    let _serial = serial();
     let t = test_tensor();
     let factors = factors_for(&t, 8);
     for mode in 0..t.ndim() {
@@ -97,6 +146,7 @@ fn coo_scheduled_kernel_is_alloc_free_after_warmup() {
 
 #[test]
 fn csf_scheduled_kernel_is_alloc_free_after_warmup() {
+    let _serial = serial();
     let t = test_tensor();
     let factors = factors_for(&t, 8);
     for mode in 0..t.ndim() {
@@ -114,25 +164,31 @@ fn csf_scheduled_kernel_is_alloc_free_after_warmup() {
 
 #[test]
 fn parallel_path_allocations_stay_bounded() {
+    let _serial = serial();
     // The parallel path allocates O(tasks) bookkeeping (the task-context
     // vector plus the thread shim's dispatch) but must never regress to
-    // the legacy kernel's O(groups) per-row collections.
-    let t = test_tensor();
+    // the legacy kernel's O(groups) per-row collections. Its task bodies
+    // run on worker threads, so this counts every thread. Mode 1 has far
+    // more groups than the bound, so even one allocation per group fails.
+    let t = zipf_tensor(&[60, 3000, 50], 12_000, &[0.3, 0.2, 0.6], 7);
     let factors = factors_for(&t, 8);
     let mode = 1;
     let view = SortedModeView::build(&t, mode);
     let sched = schedule_for_view(&view, 8);
+    let bound = 16 * sched.num_tasks() as u64 + 64;
+    assert!(view.num_groups() as u64 > 2 * bound, "{} groups", view.num_groups());
     let mut ws = Workspace::new();
     let mut out = Mat::zeros(t.dims()[mode], 8);
     mttkrp_par_into(&t, &factors, mode, &view, &sched, &mut ws, &mut out);
-    let n = allocs_during(|| {
+    let n = all_allocs_during(|| {
         mttkrp_par_into(&t, &factors, mode, &view, &sched, &mut ws, &mut out);
     });
-    assert!(n <= 16 * sched.num_tasks() as u64 + 64, "parallel path made {n} allocations");
+    assert!(n <= bound, "parallel path made {n} allocations");
 }
 
 #[test]
 fn dtree_scatter_reuses_pooled_buffers() {
+    let _serial = serial();
     // The dimension-tree engine recycles node buffers through its pool;
     // a steady-state recompute+scatter must stay within a small constant
     // of bookkeeping allocations rather than reallocating intermediates.
@@ -151,4 +207,66 @@ fn dtree_scatter_reuses_pooled_buffers() {
         engine.mttkrp_into(&t, &factors, 1, &mut out);
     });
     assert!(n <= 256, "dtree steady-state recompute made {n} allocations");
+}
+
+/// A sequential COO backend that marks each iteration: at `begin_mode`
+/// of mode 0, the first of its (natural) sweep order, it records this
+/// thread's count of large allocations so far.
+struct MarkingBackend {
+    inner: CooBackend,
+    marks: Vec<u64>,
+}
+
+impl MttkrpBackend for MarkingBackend {
+    fn begin_mode(&mut self, mode: usize) {
+        if mode == 0 {
+            self.marks.push(LARGE_ALLOCS.with(Cell::get));
+        }
+        self.inner.begin_mode(mode);
+    }
+
+    fn mttkrp_into(&mut self, tensor: &SparseTensor, factors: &[Mat], mode: usize, out: &mut Mat) {
+        self.inner.mttkrp_into(tensor, factors, mode, out);
+    }
+
+    fn reset(&mut self) {
+        self.inner.reset();
+    }
+
+    fn name(&self) -> &'static str {
+        "marking-coo"
+    }
+}
+
+#[test]
+fn sweep_loop_allocates_nothing_factor_sized_after_warmup() {
+    let _serial = serial();
+    // Every mode at least 4096 rows, so every factor is >= 512 KiB.
+    let t = zipf_tensor(&[4096, 5000, 4500], 20_000, &[0.5, 0.4, 0.6], 3);
+    let iters = 6;
+    let opts = CpAlsOptions::new(16).max_iters(iters).tol(0.0).seed(2);
+    let pool = rayon::ThreadPoolBuilder::new().num_threads(1).build().unwrap();
+    for (rule, solver) in [("als", CpAls::new(opts.clone())), ("ncp", CpAls::ncp(opts))] {
+        let mut backend = MarkingBackend {
+            inner: CooBackend::with_parallel(&t, false),
+            // Room for every mark up front: the marks must not allocate.
+            marks: Vec::with_capacity(iters + 1),
+        };
+        let res = pool.install(|| solver.run(&t, &mut backend)).unwrap();
+        let end = LARGE_ALLOCS.with(Cell::get);
+        assert_eq!(res.iters, iters, "{rule}");
+        assert!(res.diagnostics.clean(), "{rule}: {:?}", res.diagnostics.events);
+        let mut marks = backend.marks;
+        assert_eq!(marks.len(), iters, "{rule}: one mark per iteration");
+        marks.push(end);
+        // Iterations 0 and 1 warm up (the first last-good snapshot).
+        for (iter, w) in marks.windows(2).enumerate().skip(2) {
+            assert_eq!(
+                w[1] - w[0],
+                0,
+                "{rule}: iteration {iter} made {} allocation(s) of {LARGE}+ bytes",
+                w[1] - w[0]
+            );
+        }
+    }
 }

@@ -7,8 +7,8 @@
 //! 2. `M^(n) <- MTTKRP(X, factors, n)` via the backend,
 //! 3. `H^(n) <- hadamard_{i != n} W^(i)` with `W^(i) = U^(i)^T U^(i)`
 //!    cached and updated incrementally,
-//! 4. the rule's update of `U^(n)` from `M^(n)` and `H^(n)`,
-//! 5. `W^(n) <- U^(n)^T U^(n)`.
+//! 4. the rule's update of `U^(n)` from `M^(n)` and `H^(n)`, in place,
+//! 5. `W^(n) <- U^(n)^T U^(n)`, accumulated in the update's last pass.
 //!
 //! The update is the only rule-specific step, and the entry point fixes
 //! the rule:
@@ -38,12 +38,21 @@
 //!   for [`CpAls::resume_from`];
 //! * **PP decision** — `Run::pp_phase` picks an exact or a perturbative
 //!   MTTKRP phase for the iteration;
-//! * **mode update** — `Run::mode_update`: watchdog, MTTKRP, Hadamard
-//!   system, the rule's solve and normalize, commit;
+//! * **mode update** — `Run::mode_update`: watchdog, MTTKRP into the one
+//!   reusable buffer (sized for the tallest mode), the finiteness scan of
+//!   `M^(n)`, the Hadamard system, then the rule's solve and normalize.
+//!   Those run the fused kernels of [`adatm_linalg::update`], which write
+//!   `U^(n)`, `W^(n)` and `lambda` in place in at most two row passes —
+//!   no factor-sized allocation, bit-for-bit the result of the chained
+//!   `matmul` / `normalize_cols` / `gram` kernels. A detector firing after
+//!   the write goes through `Run::breakdown`, which restores or reseeds
+//!   every factor and Gram, so the half-written state never survives;
 //! * **breakdown** — `Run::breakdown`, the one rollback path every
 //!   mode-local detector takes;
-//! * **fit** — `Run::iteration` measures the fit and runs the
-//!   divergence, stall and convergence checks;
+//! * **fit** — `Run::iteration` measures the fit (one row pass for the
+//!   `R` inner products) and runs the divergence, stall and convergence
+//!   checks; a new best fit refreshes the last-good snapshot by copying
+//!   into its buffers;
 //! * **checkpoint** — `Run::write_checkpoint`, on the configured cadence;
 //! * **finish** — `Run::finish`: final watchdog checkpoint, drift check,
 //!   and the [`CpResult`].
@@ -86,7 +95,9 @@ use crate::init::{init_factors, InitStrategy};
 use crate::model::CpModel;
 use crate::ncp;
 use adatm_dtree::PpState;
-use adatm_linalg::{pinv::ridge_solve_gram, pinv::try_solve_gram, Mat};
+use adatm_linalg::pinv::{ridge_inv_gram, try_pinv_gram};
+use adatm_linalg::update::{self, ColNorm};
+use adatm_linalg::Mat;
 use adatm_tensor::SparseTensor;
 use std::time::{Duration, Instant};
 
@@ -431,45 +442,49 @@ impl Rule {
         }
     }
 
-    /// The new factor for `mode` from the current one `cur`, its MTTKRP
-    /// `m`, and the Hadamard-of-Grams system `h`. `Err` names a
-    /// breakdown the rule could not repair in place.
+    /// Writes the new factor for `mode` over `out.u` in place, from its
+    /// MTTKRP `m` and the Hadamard-of-Grams system `h`. ALS leaves it
+    /// unnormalized with its column norms in `out.lambda`; NCP finishes
+    /// the update and its Gram. Returns whether every entry the rule
+    /// finished is finite; `Err` names a breakdown the rule could not
+    /// repair in place.
     fn solve(
         self,
-        cur: &Mat,
         m: &Mat,
         h: &Mat,
+        out: &mut ModeOut<'_>,
         iter: usize,
         mode: usize,
         diag: &mut RunDiagnostics,
-    ) -> Result<Mat, BreakdownKind> {
+    ) -> Result<bool, BreakdownKind> {
         match self {
-            Rule::Als => als_solve(m, h, iter, mode, diag),
-            Rule::Ncp => Ok(ncp::update(cur, m, h)),
+            Rule::Als => als_solve(m, h, out, iter, mode, diag).map(|()| true),
+            Rule::Ncp => Ok(update::ncp_into(out.u, m, h, ncp::MU_EPS, out.gram)),
         }
     }
 
-    /// Rescales a freshly solved factor. ALS moves its column norms into
-    /// `lambda` (2-norm on the first iteration, max-norm afterwards) and
-    /// re-seeds collapsed columns; NCP keeps the scale in the factor and
-    /// leaves `lambda` at one.
+    /// Finishes a solved factor and its Gram. ALS moves its column norms
+    /// into `lambda` (2-norm on the first iteration, max-norm afterwards)
+    /// and re-seeds collapsed columns; NCP keeps the scale in the factor
+    /// and leaves `lambda` at one. Returns whether every entry it wrote is
+    /// finite.
     fn normalize(
         self,
-        u: &mut Mat,
-        lambda: &mut Vec<f64>,
+        out: &mut ModeOut<'_>,
         iter: usize,
         mode: usize,
         seed: u64,
         diag: &mut RunDiagnostics,
-    ) {
+    ) -> bool {
         if self == Rule::Ncp {
-            return;
+            return true;
         }
-        *lambda = if iter == 0 { u.normalize_cols() } else { u.normalize_cols_max() };
+        let mut finite = update::normalize_gram(out.u, out.lambda, out.gram);
         // Guard: a zero column (rank deficiency) would poison the model;
         // re-seed it with noise so ALS can recover.
+        let u = &mut *out.u;
         let mut reseeded = 0;
-        for (r, &l) in lambda.iter().enumerate() {
+        for (r, &l) in out.lambda.iter().enumerate() {
             if l == 0.0 {
                 let noise = Mat::random(u.nrows(), 1, seed ^ 0xdead ^ r as u64);
                 for i in 0..u.nrows() {
@@ -479,6 +494,10 @@ impl Rule {
             }
         }
         if reseeded > 0 {
+            // The noise replaced whatever the zero scale left in those
+            // columns (a NaN times zero included).
+            finite = finite || u.is_finite();
+            *out.gram = u.gram();
             diag.record(BreakdownEvent {
                 iter,
                 mode: Some(mode),
@@ -487,27 +506,38 @@ impl Rule {
                 recovery_time: Duration::ZERO,
             });
         }
+        finite
     }
 }
 
-/// ALS solve `U = M pinv(H)`, with a Tikhonov ridge re-solve when the
-/// system is degenerate or the solve fails. `Err` only when even the
-/// ridge re-solve fails.
+/// What one mode update writes, in place: the factor, its cached Gram,
+/// and `lambda`.
+struct ModeOut<'a> {
+    u: &'a mut Mat,
+    gram: &'a mut Mat,
+    lambda: &'a mut [f64],
+}
+
+/// ALS solve, pass A of the fused update: `U = M pinv(H)` into `out.u`
+/// with the column norms in `out.lambda`. A degenerate system or a failed
+/// pseudoinverse is re-solved with a Tikhonov ridge instead; `Err` only
+/// when even the ridge inverse fails.
 fn als_solve(
     m: &Mat,
     h: &Mat,
+    out: &mut ModeOut<'_>,
     iter: usize,
     mode: usize,
     diag: &mut RunDiagnostics,
-) -> Result<Mat, BreakdownKind> {
-    match try_solve_gram(m, h) {
-        Ok((u, info)) if info.rank_deficient() || info.cond() > COND_LIMIT => {
+) -> Result<(), BreakdownKind> {
+    let inverse = match try_pinv_gram(h) {
+        Ok((pinv, info)) if info.rank_deficient() || info.cond() > COND_LIMIT => {
             // Detector: degenerate Gram system, condition estimate read
             // straight off the Jacobi eigenvalues the pseudoinverse
             // computed. Recovery: Tikhonov ridge re-solve.
             let rt = Instant::now();
             let ridge = (info.max_abs_eig * RIDGE_REL).max(RIDGE_FLOOR);
-            let repaired = ridge_solve_gram(m, h, ridge).ok();
+            let repaired = ridge_inv_gram(h, ridge).ok();
             diag.record(BreakdownEvent {
                 iter,
                 mode: Some(mode),
@@ -518,16 +548,16 @@ fn als_solve(
                 },
                 recovery_time: rt.elapsed(),
             });
-            Ok(repaired.unwrap_or(u))
+            repaired.unwrap_or(pinv)
         }
-        Ok((u, _)) => Ok(u),
+        Ok((pinv, _)) => pinv,
         Err(_) => {
             // Detector: the dense solve itself failed. Recovery: ridge
             // re-solve; if even that fails, the caller rolls back.
             let rt = Instant::now();
             let scale = (0..h.nrows()).map(|r| h.get(r, r).abs()).fold(0.0_f64, f64::max);
             let ridge = (scale * RIDGE_REL).max(RIDGE_FLOOR);
-            let u = ridge_solve_gram(m, h, ridge).map_err(|_| BreakdownKind::SolveFailed)?;
+            let inverse = ridge_inv_gram(h, ridge).map_err(|_| BreakdownKind::SolveFailed)?;
             diag.record(BreakdownEvent {
                 iter,
                 mode: Some(mode),
@@ -535,12 +565,16 @@ fn als_solve(
                 recovery: RecoveryAction::RidgeResolve { ridge },
                 recovery_time: rt.elapsed(),
             });
-            Ok(u)
+            inverse
         }
-    }
+    };
+    let norm = if iter == 0 { ColNorm::Two } else { ColNorm::Max };
+    update::solve_into(m, &inverse, norm, out.u, out.lambda);
+    Ok(())
 }
 
 /// Last-known-good solver state for rollback recoveries.
+#[derive(Default)]
 struct Snapshot {
     factors: Vec<Mat>,
     grams: Vec<Mat>,
@@ -878,13 +912,16 @@ struct Run<'a, B: MttkrpBackend + ?Sized> {
     ckpt: Option<CkptCtx>,
     pp: Option<PpCtl>,
     xnorm2: f64,
-    /// Reusable MTTKRP output buffer.
+    /// Reusable MTTKRP output buffer, allocated for the tallest mode and
+    /// reshaped within that capacity for each mode.
     m_buf: Mat,
-    // Reusable R x R work matrices: the Hadamard-of-Grams system and the
-    // fit Gram. Allocated once; steady-state iterations perform no
-    // dense-phase allocations beyond the factor update itself.
+    // Reusable work buffers: the R x R Hadamard-of-Grams system and fit
+    // Gram, and the fit's R column dots. Allocated once; with the factors
+    // updated in place, a steady-state iteration allocates nothing of
+    // factor size.
     h_buf: Mat,
     g_buf: Mat,
+    dots: Vec<f64>,
     // Drift accounting: only iterations that completed without any
     // detector firing — and whose MTTKRP phase was an exact sweep —
     // measure what the cost model priced.
@@ -928,9 +965,10 @@ impl<'a, B: MttkrpBackend + ?Sized> Run<'a, B> {
             ckpt,
             pp: opts.pp.clone().map(PpCtl::new),
             xnorm2: tensor.fro_norm_sq(),
-            m_buf: Mat::zeros(0, 0),
+            m_buf: Mat::zeros(tensor.dims().iter().copied().max().unwrap_or(0), rank),
             h_buf: Mat::zeros(rank, rank),
             g_buf: Mat::zeros(rank, rank),
+            dots: vec![0.0; rank],
             clean_kernel_ns: 0,
             clean_iters: 0,
         })
@@ -1032,11 +1070,11 @@ impl<'a, B: MttkrpBackend + ?Sized> Run<'a, B> {
         // hold exactly-measured iterates.
         if !pp_iter && fit >= self.best_fit {
             self.best_fit = fit;
-            self.last_good = Some(Snapshot {
-                factors: self.factors.clone(),
-                grams: self.grams.clone(),
-                lambda: self.lambda.clone(),
-            });
+            // Refreshed in place: `Mat::clone_from` reuses the buffers.
+            let snap = self.last_good.get_or_insert_with(Snapshot::default);
+            snap.factors.clone_from(&self.factors);
+            snap.grams.clone_from(&self.grams);
+            snap.lambda.clone_from(&self.lambda);
         }
         // Iteration-boundary checkpoint. Cadence is keyed on the absolute
         // iteration number, so a resumed run writes at the same
@@ -1141,9 +1179,7 @@ impl<'a, B: MttkrpBackend + ?Sized> Run<'a, B> {
         if !pp_iter {
             let (rows, rank) = (self.tensor.dims()[mode], self.opts.rank);
             self.backend.begin_mode(mode);
-            if self.m_buf.nrows() != rows || self.m_buf.ncols() != rank {
-                self.m_buf = Mat::zeros(rows, rank);
-            }
+            self.m_buf.reshape(rows, rank);
             self.backend.mttkrp_into(self.tensor, &self.factors, mode, &mut self.m_buf);
         }
         let d_mttkrp = t0.elapsed();
@@ -1198,15 +1234,21 @@ impl<'a, B: MttkrpBackend + ?Sized> Run<'a, B> {
             return self.breakdown(BreakdownKind::NonFiniteGram, iter, mode, Some(t1));
         }
 
+        // The rule writes the factor, its Gram and `lambda` in place: every
+        // breakdown below goes through `breakdown`, which restores all of
+        // them from the last-good snapshot or reseeds all of them.
         let t_solve = Instant::now();
         let m = match (pp_iter, &self.pp) {
             (true, Some(ctl)) => &ctl.outs[mode],
             _ => &self.m_buf,
         };
-        let solved =
-            self.rule.solve(&self.factors[mode], m, &self.h_buf, iter, mode, &mut self.diag);
-        let mut u = match solved {
-            Ok(u) => u,
+        let mut out = ModeOut {
+            u: &mut self.factors[mode],
+            gram: &mut self.grams[mode],
+            lambda: &mut self.lambda,
+        };
+        let solved = match self.rule.solve(m, &self.h_buf, &mut out, iter, mode, &mut self.diag) {
+            Ok(finite) => finite,
             Err(kind) => return self.breakdown(kind, iter, mode, Some(t1)),
         };
         adatm_trace::event!(
@@ -1217,14 +1259,12 @@ impl<'a, B: MttkrpBackend + ?Sized> Run<'a, B> {
             elapsed_ns: t_solve.elapsed().as_nanos() as u64
         );
         let t_norm = Instant::now();
-        self.rule.normalize(&mut u, &mut self.lambda, iter, mode, self.opts.seed, &mut self.diag);
+        let normalized = self.rule.normalize(&mut out, iter, mode, self.opts.seed, &mut self.diag);
         // Detector: the updated factor or its scales went non-finite
         // despite a finite system (overflow).
-        if !u.is_finite() || !self.lambda.iter().all(|l| l.is_finite()) {
+        if !(solved && normalized && self.lambda.iter().all(|l| l.is_finite())) {
             return self.breakdown(BreakdownKind::NonFiniteFactor, iter, mode, Some(t1));
         }
-        self.grams[mode] = u.gram();
-        self.factors[mode] = u;
         if let Some(st) = self.pp.as_mut().and_then(|c| c.state.as_mut()) {
             st.note_factor_updated(mode);
         }
@@ -1379,9 +1419,10 @@ impl<'a, B: MttkrpBackend + ?Sized> Run<'a, B> {
         let fit = if pp_iter {
             self.fit_history.last().copied().unwrap_or(0.0)
         } else {
+            self.m_buf.col_dots(&self.factors[last], &mut self.dots);
             let mut inner = 0.0;
-            for (r, &l) in self.lambda.iter().enumerate() {
-                inner += l * self.m_buf.col_dot(&self.factors[last], r);
+            for (&l, &dot) in self.lambda.iter().zip(&self.dots) {
+                inner += l * dot;
             }
             self.g_buf.as_mut_slice().fill(1.0);
             for w in &self.grams {

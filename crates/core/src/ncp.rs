@@ -15,9 +15,10 @@
 //! errors, breakdown detectors, time budget, checkpoints and resume,
 //! pairwise-perturbation sweeps, and tracing. This module holds only the
 //! rule's own parts: its initialization, its input check, and the
-//! update. The update preserves nonnegativity of the input tensor and
-//! the initialization; factors stay unnormalized and `lambda` stays all
-//! ones.
+//! division guard of the update, which runs in place as
+//! [`adatm_linalg::update::ncp_into`]. The update preserves
+//! nonnegativity of the input tensor and the initialization; factors
+//! stay unnormalized and `lambda` stays all ones.
 
 use crate::backend::MttkrpBackend;
 use crate::cpals::{CpAls, CpAlsOptions, CpResult};
@@ -26,7 +27,7 @@ use adatm_linalg::Mat;
 use adatm_tensor::SparseTensor;
 
 /// Division guard keeping the multiplicative update finite.
-const MU_EPS: f64 = 1e-12;
+pub(crate) const MU_EPS: f64 = 1e-12;
 
 /// Runs nonnegative CP with multiplicative updates over any MTTKRP
 /// backend: the one-call form of [`CpAls::ncp`].
@@ -63,15 +64,6 @@ pub(crate) fn check_input(tensor: &SparseTensor, factors: &[Mat]) -> Result<(), 
         Some(d) => Err(CpAlsError::NegativeInput { mode: Some(d) }),
         None => Ok(()),
     }
-}
-
-/// `U .* M ./ (U H + eps)`, elementwise, written over the denominator.
-pub(crate) fn update(u: &Mat, m: &Mat, h: &Mat) -> Mat {
-    let mut out = u.matmul(h);
-    for ((o, &x), &mv) in out.as_mut_slice().iter_mut().zip(u.as_slice()).zip(m.as_slice()) {
-        *o = x * (mv.max(0.0) / (*o + MU_EPS));
-    }
-    out
 }
 
 #[cfg(test)]

@@ -12,9 +12,10 @@
 //! implements exactly the kernels the solver needs on a row-major [`Mat`]
 //! type: Gram products, general matrix multiply, Hadamard products, column
 //! normalization, a cyclic Jacobi symmetric eigensolver, and the
-//! Moore–Penrose pseudoinverse built on top of it. Tall-skinny kernels are
-//! parallelized with rayon; `R x R` kernels run sequentially because they
-//! are far below parallelization thresholds.
+//! Moore–Penrose pseudoinverse built on top of it, plus the fused in-place
+//! mode updates the CP sweep loop runs ([`update`]). Tall-skinny kernels
+//! are parallelized with rayon; `R x R` kernels run sequentially because
+//! they are far below parallelization thresholds.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -24,10 +25,11 @@ pub mod kernels;
 pub mod mat;
 pub mod pinv;
 pub mod qr;
+pub mod update;
 
 pub use eig::{jacobi_eigh, try_jacobi_eigh, EigH};
 pub use mat::Mat;
-pub use pinv::{pinv_sym, ridge_solve_gram, solve_gram, try_solve_gram, GramSolveInfo};
+pub use pinv::{pinv_sym, ridge_inv_gram, solve_gram, try_pinv_gram, GramSolveInfo};
 pub use qr::{thin_qr, ThinQr};
 
 /// Machine-epsilon-scale tolerance used when truncating near-zero
@@ -37,7 +39,7 @@ pub const PINV_RCOND: f64 = 1e-12;
 /// Typed failures of the dense kernels.
 ///
 /// The `try_`-prefixed entry points ([`try_jacobi_eigh`],
-/// [`try_solve_gram`], [`ridge_solve_gram`]) return these instead of
+/// [`try_pinv_gram`], [`ridge_inv_gram`]) return these instead of
 /// panicking or silently producing NaN, so solver drivers can detect a
 /// numeric breakdown and apply a recovery policy.
 #[derive(Clone, Debug, PartialEq)]
@@ -53,11 +55,6 @@ pub enum LinalgError {
         nrows: usize,
         /// Column count of the offending matrix.
         ncols: usize,
-    },
-    /// Operand shapes are incompatible.
-    ShapeMismatch {
-        /// Human-readable description of the mismatch.
-        detail: String,
     },
     /// The iterative eigensolver did not converge within its sweep cap.
     NoConvergence {
@@ -77,7 +74,6 @@ impl std::fmt::Display for LinalgError {
             LinalgError::NotSquare { nrows, ncols } => {
                 write!(f, "expected a square matrix, got {nrows} x {ncols}")
             }
-            LinalgError::ShapeMismatch { detail } => write!(f, "shape mismatch: {detail}"),
             LinalgError::NoConvergence { sweeps, off_norm } => {
                 write!(f, "eigensolver failed to converge after {sweeps} sweeps (off-diagonal norm {off_norm:.3e})")
             }

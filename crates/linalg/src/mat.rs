@@ -9,18 +9,33 @@ use rayon::prelude::*;
 ///
 /// Below this the parallel runtime overhead dominates; `R x R` Gram/Hadamard
 /// work in CP-ALS never reaches it.
-const PAR_ROW_THRESHOLD: usize = 4096;
+pub(crate) const PAR_ROW_THRESHOLD: usize = 4096;
 
 /// A dense, row-major, `f64` matrix.
 ///
 /// Rows are contiguous, which matches how every sparse kernel in this
 /// workspace touches factor matrices: a nonzero with index `i` in mode `n`
 /// reads or updates the whole row `U^(n)(i, :)` at once.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct Mat {
     nrows: usize,
     ncols: usize,
     data: Vec<f64>,
+}
+
+impl Clone for Mat {
+    fn clone(&self) -> Self {
+        Mat { nrows: self.nrows, ncols: self.ncols, data: self.data.clone() }
+    }
+
+    /// Copies `src` into this matrix's buffer, reallocating only when the
+    /// buffer is too small — so snapshotting a factor set each iteration
+    /// (`Vec<Mat>::clone_from`) allocates nothing in steady state.
+    fn clone_from(&mut self, src: &Self) {
+        self.nrows = src.nrows;
+        self.ncols = src.ncols;
+        self.data.clone_from(&src.data);
+    }
 }
 
 impl Mat {
@@ -116,6 +131,16 @@ impl Mat {
     /// Iterates over rows as slices.
     pub fn rows(&self) -> impl Iterator<Item = &[f64]> {
         self.data.chunks_exact(self.ncols.max(1))
+    }
+
+    /// Changes the shape to `nrows x ncols`, reusing the buffer: no
+    /// allocation while `nrows * ncols` fits its capacity. Entries that
+    /// stay in range keep their values, new ones are zero; callers that
+    /// reshape a scratch buffer overwrite it anyway.
+    pub fn reshape(&mut self, nrows: usize, ncols: usize) {
+        self.nrows = nrows;
+        self.ncols = ncols;
+        self.data.resize(nrows * ncols, 0.0);
     }
 
     /// Fills the matrix with zeros in place, keeping its allocation.
@@ -301,6 +326,23 @@ impl Mat {
         (0..self.nrows).map(|i| self.get(i, j) * other.get(i, j)).sum()
     }
 
+    /// Dot products of every column with the corresponding column of
+    /// `other`, in one row pass: `out[j]` equals [`Mat::col_dot`]`(other, j)`
+    /// bit for bit (each sum runs in row order from `-0.0`, as
+    /// `Iterator::sum` does).
+    ///
+    /// # Panics
+    /// Panics on a shape mismatch or if `out.len() != ncols`.
+    pub fn col_dots(&self, other: &Mat, out: &mut [f64]) {
+        assert_eq!((self.nrows, self.ncols), (other.nrows, other.ncols));
+        assert_eq!(out.len(), self.ncols);
+        out.fill(-0.0);
+        let r = self.ncols.max(1);
+        for (a, b) in self.data.chunks_exact(r).zip(other.data.chunks_exact(r)) {
+            crate::kernels::muladd_assign(out, a, b);
+        }
+    }
+
     /// Element-wise sum of `self^T * other` weighted by the outer product
     /// `lambda * lambda^T`... more plainly: computes
     /// `sum_{r,s} a[r] * b[s] * G[r][s]` where `G = self` (an `R x R`
@@ -468,6 +510,49 @@ mod tests {
         let a = Mat::from_vec(3, 2, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
         let rows: Vec<&[f64]> = a.rows().collect();
         assert_eq!(rows, vec![&[1.0, 2.0][..], &[3.0, 4.0], &[5.0, 6.0]]);
+    }
+
+    #[test]
+    fn clone_from_reuses_the_buffer_and_matches_clone() {
+        let src = Mat::random(6, 4, 1);
+        let mut dst = Mat::random(6, 4, 2);
+        let ptr = dst.as_slice().as_ptr();
+        dst.clone_from(&src);
+        assert_eq!(dst, src);
+        assert_eq!(dst.as_slice().as_ptr(), ptr, "equal shapes must reuse the allocation");
+        for (rows, cols) in [(2, 3), (9, 5), (0, 4)] {
+            let src = Mat::random(rows, cols, 3);
+            let mut dst = Mat::random(6, 4, 4);
+            dst.clone_from(&src);
+            assert_eq!(dst, src.clone());
+            assert_eq!((dst.nrows(), dst.ncols()), (rows, cols));
+        }
+    }
+
+    #[test]
+    fn reshape_stays_within_capacity() {
+        let mut a = Mat::random(10, 4, 1);
+        let ptr = a.as_slice().as_ptr();
+        a.reshape(3, 4);
+        assert_eq!((a.nrows(), a.ncols(), a.as_slice().len()), (3, 4, 12));
+        a.reshape(10, 4);
+        assert_eq!(a.as_slice().len(), 40);
+        assert_eq!(a.as_slice().as_ptr(), ptr, "growing back within capacity must not reallocate");
+        assert_eq!(a.row(9), &[0.0; 4], "entries past the old length are zero");
+    }
+
+    #[test]
+    fn col_dots_match_col_dot_bitwise() {
+        let mut a = Mat::random(37, 5, 1);
+        let b = Mat::random(37, 5, 2);
+        for i in 0..37 {
+            a.set(i, 3, -0.0);
+        }
+        let mut dots = vec![1.0; 5];
+        a.col_dots(&b, &mut dots);
+        for (j, d) in dots.iter().enumerate() {
+            assert_eq!(d.to_bits(), a.col_dot(&b, j).to_bits(), "column {j}");
+        }
     }
 
     #[test]

@@ -88,7 +88,7 @@ fn spectral_apply(e: &EigH, f: impl Fn(f64) -> f64) -> Mat {
 ///
 /// # Panics
 /// Panics if `h` is not square, contains non-finite entries, or the
-/// eigensolver fails; fallible callers should use [`try_solve_gram`].
+/// eigensolver fails; fallible callers should use [`try_pinv_gram`].
 pub fn pinv_sym(h: &Mat, rcond: f64) -> Mat {
     let e = jacobi_eigh(h);
     let wmax = e.values.iter().fold(0.0_f64, |m, &w| m.max(w.abs()));
@@ -104,72 +104,47 @@ pub fn pinv_sym(h: &Mat, rcond: f64) -> Mat {
 ///
 /// # Panics
 /// Panics on non-finite or non-square `h` (see [`pinv_sym`]); resilient
-/// drivers use [`try_solve_gram`] instead.
+/// solvers use [`try_pinv_gram`] or [`ridge_inv_gram`] instead.
 pub fn solve_gram(m: &Mat, h: &Mat) -> Mat {
     m.matmul(&pinv_sym(h, PINV_RCOND))
 }
 
-/// Fallible [`solve_gram`] returning spectral diagnostics alongside the
-/// solution.
+/// The pseudoinverse [`solve_gram`] applies, with spectral diagnostics,
+/// for solvers that apply it themselves (the CP sweep's fused update,
+/// [`crate::update::solve_into`]).
 ///
 /// Fails (instead of panicking or emitting NaN) when `h` is non-square or
-/// non-finite, when `m` is non-finite, or when the eigensolver exhausts
-/// its sweep cap. The [`GramSolveInfo`] comes from the eigenvalues the
-/// pseudoinverse computed anyway, so the condition estimate costs nothing
-/// extra.
-pub fn try_solve_gram(m: &Mat, h: &Mat) -> Result<(Mat, GramSolveInfo), LinalgError> {
-    if m.ncols() != h.nrows() {
-        return Err(LinalgError::ShapeMismatch {
-            detail: format!(
-                "MTTKRP result is {} x {}, Gram is {} x {}",
-                m.nrows(),
-                m.ncols(),
-                h.nrows(),
-                h.ncols()
-            ),
-        });
-    }
-    if !m.is_finite() {
-        return Err(LinalgError::NonFinite { what: "normal-equations right-hand side" });
-    }
+/// non-finite, or when the eigensolver exhausts its sweep cap. The
+/// [`GramSolveInfo`] comes from the eigenvalues the pseudoinverse computed
+/// anyway, so the condition estimate costs nothing extra.
+pub fn try_pinv_gram(h: &Mat) -> Result<(Mat, GramSolveInfo), LinalgError> {
     let e = try_jacobi_eigh(h)?;
     let wmax = e.values.iter().fold(0.0_f64, |mx, &w| mx.max(w.abs()));
     let cutoff = PINV_RCOND * wmax;
     let info = spectral_info(&e, cutoff);
     let pinv = spectral_apply(&e, |w| if w.abs() > cutoff { 1.0 / w } else { 0.0 });
-    Ok((m.matmul(&pinv), info))
+    Ok((pinv, info))
 }
 
-/// Tikhonov-regularized Gram solve: `U = M * (H + ridge I)^-1`.
+/// Tikhonov-regularized Gram inverse `(H + ridge I)^-1`, which a solver
+/// applies as `U = M * (H + ridge I)^-1`.
 ///
 /// The recovery policy for a degenerate Gram system: adding `ridge > 0`
 /// to the diagonal moves every eigenvalue away from zero, so the solve is
 /// well-posed even when `H` is exactly singular. Implemented on the same
 /// eigendecomposition as the pseudoinverse (`H + ridge I` shares `H`'s
 /// eigenvectors, with eigenvalues `w_i + ridge`).
-pub fn ridge_solve_gram(m: &Mat, h: &Mat, ridge: f64) -> Result<Mat, LinalgError> {
-    if m.ncols() != h.nrows() {
-        return Err(LinalgError::ShapeMismatch {
-            detail: format!(
-                "MTTKRP result is {} x {}, Gram is {} x {}",
-                m.nrows(),
-                m.ncols(),
-                h.nrows(),
-                h.ncols()
-            ),
-        });
-    }
-    if !m.is_finite() {
-        return Err(LinalgError::NonFinite { what: "normal-equations right-hand side" });
-    }
+///
+/// Fails when `ridge` is not finite and positive, when `h` is non-square
+/// or non-finite, or when the eigensolver exhausts its sweep cap.
+pub fn ridge_inv_gram(h: &Mat, ridge: f64) -> Result<Mat, LinalgError> {
     if !ridge.is_finite() || ridge <= 0.0 {
         return Err(LinalgError::NonFinite { what: "ridge parameter (must be finite and > 0)" });
     }
     let e = try_jacobi_eigh(h)?;
     // H is PSD in exact arithmetic; clamp tiny negative rounding so the
     // shifted eigenvalue can never cancel to zero.
-    let inv = spectral_apply(&e, |w| 1.0 / (w.max(0.0) + ridge));
-    Ok(m.matmul(&inv))
+    Ok(spectral_apply(&e, |w| 1.0 / (w.max(0.0) + ridge)))
 }
 
 #[cfg(test)]
@@ -241,18 +216,19 @@ mod tests {
     }
 
     #[test]
-    fn try_solve_matches_infallible_solve_and_reports_full_rank() {
+    fn try_pinv_matches_infallible_pinv_and_reports_full_rank() {
         let h = random_spd(5, 21);
+        let (p, info) = try_pinv_gram(&h).unwrap();
+        assert!(p.max_abs_diff(&pinv_sym(&h, PINV_RCOND)) < 1e-14);
         let m = Mat::random(30, 5, 22);
-        let (u, info) = try_solve_gram(&m, &h).unwrap();
-        assert!(u.max_abs_diff(&solve_gram(&m, &h)) < 1e-14);
+        assert!(m.matmul(&p).max_abs_diff(&solve_gram(&m, &h)) < 1e-14);
         assert_eq!(info.truncated, 0);
         assert!(!info.rank_deficient());
         assert!(info.cond().is_finite() && info.cond() >= 1.0);
     }
 
     #[test]
-    fn try_solve_flags_singular_gram() {
+    fn try_pinv_flags_singular_gram() {
         // Rank-1 Gram: two of three eigenvalues truncated.
         let u = [1.0, -2.0, 0.5];
         let mut h = Mat::zeros(3, 3);
@@ -261,32 +237,30 @@ mod tests {
                 h.set(i, j, u[i] * u[j]);
             }
         }
-        let m = Mat::random(10, 3, 4);
-        let (_, info) = try_solve_gram(&m, &h).unwrap();
+        let (_, info) = try_pinv_gram(&h).unwrap();
         assert_eq!(info.truncated, 2);
         assert!(info.rank_deficient());
         assert!(info.cond().is_infinite() || info.cond() > 1e12);
     }
 
     #[test]
-    fn try_solve_rejects_non_finite_operands() {
+    fn gram_inverses_reject_non_finite_and_non_square_grams() {
         let h = random_spd(3, 1);
-        let mut m = Mat::random(5, 3, 2);
-        m.set(4, 1, f64::NAN);
-        assert!(matches!(try_solve_gram(&m, &h), Err(LinalgError::NonFinite { .. })));
-        let m = Mat::random(5, 3, 2);
         let mut bad_h = h.clone();
         bad_h.set(0, 2, f64::INFINITY);
         bad_h.set(2, 0, f64::INFINITY);
-        assert!(matches!(try_solve_gram(&m, &bad_h), Err(LinalgError::NonFinite { .. })));
-        assert!(matches!(
-            try_solve_gram(&Mat::random(5, 4, 3), &h),
-            Err(LinalgError::ShapeMismatch { .. })
-        ));
+        assert!(matches!(try_pinv_gram(&bad_h), Err(LinalgError::NonFinite { .. })));
+        assert!(matches!(ridge_inv_gram(&bad_h, 1e-6), Err(LinalgError::NonFinite { .. })));
+        let mut nan_h = h.clone();
+        nan_h.set(1, 1, f64::NAN);
+        assert!(matches!(try_pinv_gram(&nan_h), Err(LinalgError::NonFinite { .. })));
+        let rect = Mat::random(3, 4, 3);
+        assert!(matches!(try_pinv_gram(&rect), Err(LinalgError::NotSquare { .. })));
+        assert!(matches!(ridge_inv_gram(&rect, 1e-6), Err(LinalgError::NotSquare { .. })));
     }
 
     #[test]
-    fn ridge_solve_handles_exactly_singular_gram() {
+    fn ridge_inverse_handles_exactly_singular_gram() {
         // H = u u^T is singular; the ridge solve must still return finite
         // factors close to the least-squares solution.
         let u = [2.0, 1.0, -1.0];
@@ -297,31 +271,30 @@ mod tests {
             }
         }
         let m = Mat::random(12, 3, 8);
-        let sol = ridge_solve_gram(&m, &h, 1e-6).unwrap();
+        let sol = m.matmul(&ridge_inv_gram(&h, 1e-6).unwrap());
         assert!(sol.is_finite());
         // On a consistent system (RHS in the range of H) the ridge
         // solution approaches the pseudoinverse solution as ridge -> 0.
         let consistent = Mat::random(12, 3, 9).matmul(&h);
         let pinv_sol = solve_gram(&consistent, &h);
-        let tight = ridge_solve_gram(&consistent, &h, 1e-8).unwrap();
+        let tight = consistent.matmul(&ridge_inv_gram(&h, 1e-8).unwrap());
         assert!(tight.max_abs_diff(&pinv_sol) < 1e-4);
     }
 
     #[test]
-    fn ridge_solve_matches_plain_solve_when_well_conditioned() {
+    fn ridge_inverse_matches_plain_solve_when_well_conditioned() {
         let h = random_spd(4, 31);
         let m = Mat::random(20, 4, 32);
         let plain = solve_gram(&m, &h);
-        let ridged = ridge_solve_gram(&m, &h, 1e-14).unwrap();
+        let ridged = m.matmul(&ridge_inv_gram(&h, 1e-14).unwrap());
         assert!(ridged.max_abs_diff(&plain) < 1e-8);
     }
 
     #[test]
-    fn ridge_solve_rejects_bad_ridge() {
+    fn ridge_inverse_rejects_bad_ridge() {
         let h = random_spd(3, 5);
-        let m = Mat::random(6, 3, 6);
-        assert!(ridge_solve_gram(&m, &h, 0.0).is_err());
-        assert!(ridge_solve_gram(&m, &h, f64::NAN).is_err());
-        assert!(ridge_solve_gram(&m, &h, -1.0).is_err());
+        assert!(ridge_inv_gram(&h, 0.0).is_err());
+        assert!(ridge_inv_gram(&h, f64::NAN).is_err());
+        assert!(ridge_inv_gram(&h, -1.0).is_err());
     }
 }

@@ -222,3 +222,158 @@ proptest! {
         }
     }
 }
+
+/// Ranks for the fused-update parity tests: the block widths of the
+/// `axpy` the row kernels run (4, 8, 16) and ranks with a tail on either
+/// side of them.
+const UPDATE_RANKS: [usize; 7] = [1, 3, 4, 8, 16, 17, 33];
+
+/// Row counts straddling the 4096-row threshold of the parallel dense
+/// kernels; 9000 rows make three Gram chunks, so two workers fold
+/// unequal shares.
+const UPDATE_ROWS: [usize; 6] = [1, 7, 4095, 4096, 4097, 9000];
+
+/// A deterministic `rows x cols` matrix of mixed signs and magnitudes
+/// with exact zeros: every seventh row and every fifth entry.
+fn det_mat(rows: usize, cols: usize, seed: u64) -> Mat {
+    let data = (0..rows * cols)
+        .map(|k| {
+            if (k / cols.max(1)) % 7 == 3 || k % 5 == 2 {
+                return 0.0;
+            }
+            let x = (k as u64).wrapping_mul(6364136223846793005).wrapping_add(seed);
+            ((x >> 11) as f64 / (1u64 << 53) as f64) * 6.0 - 2.5
+        })
+        .collect();
+    Mat::from_vec(rows, cols, data)
+}
+
+fn bits(xs: &[f64]) -> Vec<u64> {
+    xs.iter().map(|x| x.to_bits()).collect()
+}
+
+/// Runs `f` once on a one-thread and once on a two-thread pool.
+fn at_1_and_2_threads(f: impl Fn(usize)) {
+    for threads in [1, 2] {
+        let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
+        pool.install(|| f(threads));
+    }
+}
+
+/// The fused ALS update equals `matmul` + `normalize_cols` (first
+/// iteration) or `normalize_cols_max` (later ones) + `gram`, bit for bit
+/// in the factor, `lambda` and the Gram — at one and two threads, where
+/// the Gram reduction changes shape above 4096 rows.
+#[test]
+fn fused_als_update_matches_chained_kernels_bitwise() {
+    use adatm_linalg::update::{normalize_gram, solve_into, ColNorm};
+    at_1_and_2_threads(|threads| {
+        for r in UPDATE_RANKS {
+            // An arbitrary operator with a zero last column (from rank 3
+            // on), so one column of U has norm 0 and is scaled by zero.
+            let mut p = det_mat(r, r, 11 + r as u64);
+            if r >= 3 {
+                for l in 0..r {
+                    p.set(l, r - 1, 0.0);
+                }
+            }
+            for rows in UPDATE_ROWS {
+                let m = det_mat(rows, r, rows as u64);
+                for norm in [ColNorm::Two, ColNorm::Max] {
+                    let mut want = m.matmul(&p);
+                    let want_lambda = match norm {
+                        ColNorm::Two => want.normalize_cols(),
+                        ColNorm::Max => want.normalize_cols_max(),
+                    };
+                    let want_gram = want.gram();
+                    // Stale contents everywhere: the kernels overwrite.
+                    let mut u = Mat::random(rows, r, 5);
+                    let mut lambda = vec![7.0; r];
+                    let mut gram = Mat::random(r, r, 6);
+                    solve_into(&m, &p, norm, &mut u, &mut lambda);
+                    let finite = normalize_gram(&mut u, &lambda, &mut gram);
+                    let at = format!("{threads} threads, rank {r}, {rows} rows, {norm:?}");
+                    assert!(finite, "{at}");
+                    assert_eq!(bits(u.as_slice()), bits(want.as_slice()), "factor, {at}");
+                    assert_eq!(bits(&lambda), bits(&want_lambda), "lambda, {at}");
+                    assert_eq!(bits(gram.as_slice()), bits(want_gram.as_slice()), "gram, {at}");
+                }
+            }
+        }
+    });
+}
+
+/// The NCP update as the chained kernels compute it:
+/// `U .* M ./ (U H + eps)` through `matmul`.
+fn ncp_update_ref(u: &Mat, m: &Mat, h: &Mat, eps: f64) -> Mat {
+    let mut out = u.matmul(h);
+    for ((o, &x), &mv) in out.as_mut_slice().iter_mut().zip(u.as_slice()).zip(m.as_slice()) {
+        *o = x * (mv.max(0.0) / (*o + eps));
+    }
+    out
+}
+
+/// The in-place NCP update equals the chained update + `gram`, bit for
+/// bit, at one and two threads.
+#[test]
+fn fused_ncp_update_matches_chained_kernels_bitwise() {
+    use adatm_linalg::update::ncp_into;
+    let eps = 1e-12;
+    at_1_and_2_threads(|threads| {
+        for r in UPDATE_RANKS {
+            let h = det_mat(2 * r, r, 3).gram();
+            for rows in UPDATE_ROWS {
+                let mut u0 = det_mat(rows, r, 17 + rows as u64);
+                u0.as_mut_slice().iter_mut().for_each(|x| *x = x.abs());
+                let m = det_mat(rows, r, 29 + rows as u64);
+                let want = ncp_update_ref(&u0, &m, &h, eps);
+                let want_gram = want.gram();
+                let mut u = u0.clone();
+                let mut gram = Mat::random(r, r, 6);
+                let finite = ncp_into(&mut u, &m, &h, eps, &mut gram);
+                let at = format!("{threads} threads, rank {r}, {rows} rows");
+                assert!(finite, "{at}");
+                assert_eq!(bits(u.as_slice()), bits(want.as_slice()), "factor, {at}");
+                assert_eq!(bits(gram.as_slice()), bits(want_gram.as_slice()), "gram, {at}");
+            }
+        }
+    });
+}
+
+/// The finiteness flag of both updates is exactly `is_finite()` of the
+/// chained result, including for a NaN that the max norm skips and the
+/// zero scale cannot clear.
+#[test]
+fn fused_updates_report_non_finite_entries() {
+    use adatm_linalg::update::{ncp_into, normalize_gram, solve_into, ColNorm};
+    at_1_and_2_threads(|threads| {
+        for rows in [7, 4097] {
+            for (i, j, v) in [(0, 0, f64::NAN), (rows - 1, 2, f64::INFINITY), (3, 1, 1e300)] {
+                let r = 4;
+                let mut m = det_mat(rows, r, 1);
+                m.set(i, j, v);
+                let p = det_mat(r, r, 2);
+                for norm in [ColNorm::Two, ColNorm::Max] {
+                    let mut want = m.matmul(&p);
+                    match norm {
+                        ColNorm::Two => want.normalize_cols(),
+                        ColNorm::Max => want.normalize_cols_max(),
+                    };
+                    let mut u = Mat::zeros(rows, r);
+                    let mut lambda = vec![0.0; r];
+                    let mut gram = Mat::zeros(r, r);
+                    solve_into(&m, &p, norm, &mut u, &mut lambda);
+                    let finite = normalize_gram(&mut u, &lambda, &mut gram);
+                    assert_eq!(finite, want.is_finite(), "{threads} threads, {rows} rows, {v}");
+                }
+                let h = det_mat(2 * r, r, 3).gram();
+                let mut u = det_mat(rows, r, 4);
+                u.as_mut_slice().iter_mut().for_each(|x| *x = x.abs());
+                let want = ncp_update_ref(&u, &m, &h, 1e-12);
+                let mut gram = Mat::zeros(r, r);
+                let finite = ncp_into(&mut u, &m, &h, 1e-12, &mut gram);
+                assert_eq!(finite, want.is_finite(), "ncp, {threads} threads, {rows} rows, {v}");
+            }
+        }
+    });
+}

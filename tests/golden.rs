@@ -1,11 +1,13 @@
 //! Golden trajectories of the CP sweep loop: fit histories pinned bit for
 //! bit, so any change to the loop's floating-point operations — for ALS
-//! with pairwise perturbation and checkpoints, and for the NCP rule —
-//! shows up here. The expected bit patterns were recorded from the
-//! pre-unification drivers (one loop per method) on a sequential COO
-//! backend, whose reduction order is fixed.
+//! with pairwise perturbation and checkpoints, for the NCP rule, and for
+//! the dense update of a tall rank-16 mode at one and two threads — shows
+//! up here. The expected bit patterns were recorded from earlier versions
+//! of the solver (one loop per method; the chained, allocating dense
+//! update) on a sequential COO backend, whose reduction order is fixed.
 
 use adatm::tensor::gen::{dense_low_rank, zipf_tensor};
+use adatm::SparseTensor;
 use adatm::{ncp, CheckpointConfig, CooBackend, CpAls, CpAlsOptions, CpResult, PpConfig};
 
 fn assert_fit_bits(what: &str, res: &CpResult, expected: &[u64]) {
@@ -76,6 +78,54 @@ fn sweep_loop_reproduces_recorded_fit_histories_bitwise() {
             0x3fefa8ab41f55899,
             0x3fefa8ab41f55899,
             0x3fefa8ab41f55899,
+        ],
+    );
+}
+
+#[test]
+fn tall_rank16_als_reproduces_recorded_fit_histories_bitwise() {
+    // Mode 0 is taller than the 4096-row threshold of the parallel dense
+    // kernels, so the two-thread run takes the chunked Gram reduction
+    // (whose rounding differs from the one-thread sum); its skew leaves
+    // empty rows, i.e. exact zeros in the MTTKRP.
+    let t = zipf_tensor(&[5000, 60, 40], 15_000, &[0.6, 0.3, 0.3], 21);
+    let run = |t: &SparseTensor, threads: usize| {
+        let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
+        pool.install(|| {
+            let opts = CpAlsOptions::new(16).max_iters(8).tol(0.0).seed(3);
+            CpAls::new(opts).run(t, &mut CooBackend::with_parallel(t, false)).unwrap()
+        })
+    };
+    let res = run(&t, 1);
+    assert!(res.diagnostics.clean(), "{:?}", res.diagnostics.events);
+    assert_fit_bits(
+        "als rank 16, 1 thread",
+        &res,
+        &[
+            0x3f7d7e3af9c1ff80,
+            0x3f83f639114bf340,
+            0x3f8898a5694ca680,
+            0x3f8c9c68eb8f20c0,
+            0x3f8f4ebaaf62a080,
+            0x3f907e0cddad23e0,
+            0x3f9111ef6c20d360,
+            0x3f918226acdb5160,
+        ],
+    );
+    let res = run(&t, 2);
+    assert!(res.diagnostics.clean(), "{:?}", res.diagnostics.events);
+    assert_fit_bits(
+        "als rank 16, 2 threads",
+        &res,
+        &[
+            0x3f7d7e3af9c20000,
+            0x3f83f639114bf300,
+            0x3f8898a5694ca680,
+            0x3f8c9c68eb8f20c0,
+            0x3f8f4ebaaf62a080,
+            0x3f907e0cddad2400,
+            0x3f9111ef6c20d360,
+            0x3f918226acdb5180,
         ],
     );
 }
