@@ -5,7 +5,7 @@
 //! sorted views / CSF trees, its per-(tensor, mode) `ModeSchedule`, and
 //! warmed its `Workspace`, a steady-state kernel call performs **zero**
 //! heap allocations on the sequential path, and the dimension-tree
-//! engine's scatter stays within its pooled buffers. The sweep loop's
+//! engine reuses its value buffers. The sweep loop's
 //! contract: after warm-up, an iteration allocates nothing of factor
 //! size — factors, Grams and snapshots are updated in place. Asserted
 //! with a counting global allocator, which is why this lives in its own
@@ -21,7 +21,7 @@
 #![allow(unsafe_code)]
 
 use adatm_core::{CooBackend, CpAls, CpAlsOptions, MttkrpBackend};
-use adatm_dtree::{DtreeEngine, TreeShape};
+use adatm_dtree::{DtreeEngine, EngineOptions, TreeShape};
 use adatm_linalg::Mat;
 use adatm_tensor::csf::CsfTensor;
 use adatm_tensor::gen::zipf_tensor;
@@ -189,7 +189,7 @@ fn parallel_path_allocations_stay_bounded() {
 #[test]
 fn dtree_scatter_reuses_pooled_buffers() {
     let _serial = serial();
-    // The dimension-tree engine recycles node buffers through its pool;
+    // The dimension-tree engine recycles value buffers per tree depth;
     // a steady-state recompute+scatter must stay within a small constant
     // of bookkeeping allocations rather than reallocating intermediates.
     let t = test_tensor();
@@ -207,6 +207,38 @@ fn dtree_scatter_reuses_pooled_buffers() {
         engine.mttkrp_into(&t, &factors, 1, &mut out);
     });
     assert!(n <= 256, "dtree steady-state recompute made {n} allocations");
+}
+
+#[test]
+fn dtree_sweeps_allocate_nothing_large_after_the_first() {
+    let _serial = serial();
+    // Every node holds at least 1024 elements, so each value buffer at
+    // rank 16 is at least 128 KiB: reallocating any of them would show.
+    let t = zipf_tensor(&[3000, 2500, 2000, 3500], 30_000, &[0.2, 0.3, 0.1, 0.2], 11);
+    let rank = 16;
+    let factors = factors_for(&t, rank);
+    let seq = EngineOptions { parallel: false, thick: true };
+    for shape in [TreeShape::two_level(4), TreeShape::three_level(4), TreeShape::balanced_binary(4)]
+    {
+        let mut engine = DtreeEngine::with_options(&t, &shape, rank, seq);
+        let smallest = (1..engine.tree().len()).map(|id| engine.symbolic().node(id).len).min();
+        assert!(smallest.unwrap_or(0) * rank * 8 >= LARGE, "{shape}: a node below {LARGE} bytes");
+        let mut out = Mat::zeros(t.dims().iter().copied().max().unwrap_or(0), rank);
+        let mut sweep = |engine: &mut DtreeEngine| {
+            for &mode in &shape.modes() {
+                engine.invalidate_mode(mode);
+                out.reshape(t.dims()[mode], rank);
+                engine.mttkrp_into(&t, &factors, mode, &mut out);
+            }
+        };
+        sweep(&mut engine);
+        for round in 0..3 {
+            let before = LARGE_ALLOCS.with(Cell::get);
+            sweep(&mut engine);
+            let n = LARGE_ALLOCS.with(Cell::get) - before;
+            assert_eq!(n, 0, "{shape}: sweep {round} made {n} allocation(s) of {LARGE}+ bytes");
+        }
+    }
 }
 
 /// A sequential COO backend that marks each iteration: at `begin_mode`

@@ -67,12 +67,16 @@ const HEADER_LEN: usize = 24;
 const HISTORY_SLACK: usize = 4096;
 
 // ---------------------------------------------------------------------
-// CRC32 (IEEE 802.3, reflected). Table-driven, no dependencies; lookups
-// use `get` + mask so the hot encode path has no panicking indexing.
+// CRC32 (IEEE 802.3, reflected). Slicing-by-8 over eight derived tables,
+// no dependencies; lookups use `get` + mask so the hot encode path has no
+// panicking indexing.
 // ---------------------------------------------------------------------
 
-const fn build_crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// `CRC_TABLES[0]` is the bytewise table; `CRC_TABLES[s][i]` advances
+/// entry `i` of table `s - 1` by one more zero byte, so one lookup in
+/// each table folds eight input bytes at once.
+const fn build_crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -81,22 +85,52 @@ const fn build_crc_table() -> [u32; 256] {
             c = if c & 1 != 0 { 0xedb8_8320 ^ (c >> 1) } else { c >> 1 };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut i = 0;
+    while i < 256 {
+        let mut s = 1;
+        while s < 8 {
+            let prev = tables[s - 1][i];
+            tables[s][i] = (prev >> 8) ^ tables[0][(prev & 0xff) as usize];
+            s += 1;
+        }
+        i += 1;
+    }
+    tables
 }
 
-const CRC_TABLE: [u32; 256] = build_crc_table();
+const CRC_TABLES: [[u32; 256]; 8] = build_crc_tables();
+
+/// Entry `byte & 0xff` of slicing table `table`. The mask keeps the index
+/// below 256; `get` + fallback avoids a panicking index in the hot write
+/// path.
+#[inline]
+fn crc_lookup(table: usize, byte: u32) -> u32 {
+    let row = CRC_TABLES.get(table);
+    row.and_then(|t| t.get((byte & 0xff) as usize)).copied().unwrap_or(0)
+}
 
 /// CRC32 (IEEE) of `bytes`.
 pub fn crc32(bytes: &[u8]) -> u32 {
     let mut c = 0xffff_ffffu32;
-    for &b in bytes {
-        let idx = ((c ^ b as u32) & 0xff) as usize;
-        // The mask keeps `idx` < 256; `get` + fallback avoids a
-        // panicking index in the hot write path.
-        c = CRC_TABLE.get(idx).copied().unwrap_or(0) ^ (c >> 8);
+    let mut words = bytes.chunks_exact(8);
+    for word in &mut words {
+        let v = u64::from_le_bytes(word.try_into().unwrap_or([0; 8]));
+        let lo = v as u32 ^ c;
+        let hi = (v >> 32) as u32;
+        c = crc_lookup(7, lo)
+            ^ crc_lookup(6, lo >> 8)
+            ^ crc_lookup(5, lo >> 16)
+            ^ crc_lookup(4, lo >> 24)
+            ^ crc_lookup(3, hi)
+            ^ crc_lookup(2, hi >> 8)
+            ^ crc_lookup(1, hi >> 16)
+            ^ crc_lookup(0, hi >> 24);
+    }
+    for &b in words.remainder() {
+        c = crc_lookup(0, c ^ b as u32) ^ (c >> 8);
     }
     !c
 }
@@ -580,7 +614,8 @@ pub trait CheckpointMedium: std::fmt::Debug + Send {
     /// storage (fsync).
     fn persist(&mut self, path: &Path, bytes: &[u8]) -> std::io::Result<()>;
 
-    /// Atomically replaces `to` with `from`.
+    /// Atomically replaces `to` with `from`, durably: once this returns,
+    /// a crash leaves `to` holding the new contents.
     fn rename(&mut self, from: &Path, to: &Path) -> std::io::Result<()>;
 }
 
@@ -596,7 +631,15 @@ impl CheckpointMedium for FsMedium {
     }
 
     fn rename(&mut self, from: &Path, to: &Path) -> std::io::Result<()> {
-        fs::rename(from, to)
+        fs::rename(from, to)?;
+        // The rename lives in the directory entry: sync the directory so
+        // the new generation survives a crash before older ones are
+        // pruned.
+        let dir = match to.parent() {
+            Some(d) if !d.as_os_str().is_empty() => d,
+            _ => Path::new("."),
+        };
+        fs::File::open(dir)?.sync_all()
     }
 }
 
@@ -874,6 +917,28 @@ impl CheckpointStore {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// The bytewise table-driven CRC the slicing-by-8 form must equal.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut c = 0xffff_ffffu32;
+        for &b in bytes {
+            c = CRC_TABLES[0][((c ^ b as u32) & 0xff) as usize] ^ (c >> 8);
+        }
+        !c
+    }
+
+    #[test]
+    fn crc32_matches_the_known_answer_and_the_bytewise_form() {
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
+        let data: Vec<u8> = (0..80u32).map(|i| (i.wrapping_mul(167) ^ (i >> 3)) as u8).collect();
+        for start in 0..8 {
+            for len in 0..=64 {
+                let s = &data[start..start + len];
+                assert_eq!(crc32(s), crc32_bytewise(s), "start {start} len {len}");
+            }
+        }
+    }
 
     fn sample_checkpoint(dims: &[usize], rank: usize, seed: u64, hist: usize) -> CpCheckpoint {
         let factors: Vec<Mat> =

@@ -18,7 +18,11 @@
 //!
 //! Every node is therefore computed exactly once per iteration, and at
 //! most one root-to-leaf path of value matrices is live at any instant —
-//! the `O(log N)` memory bound of the balanced binary tree.
+//! the `O(log N)` memory bound of the balanced binary tree. The engine
+//! holds value buffers to match: one per tree depth, sized once for the
+//! largest node at that depth and reshaped for the others, so a run keeps
+//! about one root-to-leaf path of value matrices allocated and steady
+//! iterations allocate none.
 
 use crate::error::DtreeError;
 use crate::sched::ScatterSchedule;
@@ -50,6 +54,28 @@ struct NodeSched {
     /// Parent-chunk schedule with touched-row compaction (scatter
     /// kernel).
     scatter: Option<ScatterSchedule>,
+}
+
+/// The value buffers of one tree depth.
+#[derive(Debug, Default)]
+struct DepthBuffer {
+    /// Element count of the largest node at this depth. Every value
+    /// buffer for the depth is allocated at this many rows and reshaped
+    /// to the node it holds, so it never grows.
+    rows: usize,
+    /// One retired buffer, reused by the next node computed at this depth.
+    spare: Option<Mat>,
+}
+
+/// Depth of node `id` (the root is 0).
+fn depth_of(tree: &DimTree, id: usize) -> usize {
+    let mut depth = 0;
+    let mut cur = id;
+    while let Some(p) = tree.node(cur).parent {
+        depth += 1;
+        cur = p;
+    }
+    depth
 }
 
 /// Tuning knobs for the numeric engine.
@@ -102,12 +128,11 @@ pub struct DtreeEngine {
     sym: Arc<SymbolicTree>,
     rank: usize,
     vals: Vec<Option<Mat>>,
-    /// Retired value matrices, kept per node for reuse: a node's shape
-    /// (`len x R`) never changes, so `invalidate → recompute` cycles in
-    /// steady-state CP-ALS stop allocating entirely. Excluded from the
-    /// live-memory model in [`DtreeEngine::mem`]; see
-    /// [`DtreeEngine::pooled_bytes`].
-    pool: Vec<Option<Mat>>,
+    /// Value buffers by tree depth (index 0, the root's, stays empty).
+    /// Under the protocol at most one node per depth is live, so
+    /// `invalidate → recompute` cycles in steady-state CP-ALS stop
+    /// allocating entirely; see [`DtreeEngine::value_buffer_bytes`].
+    depths: Vec<DepthBuffer>,
     /// Lazily built per-node schedules (valid for `sched_threads`).
     scheds: Vec<NodeSched>,
     /// Thread count the cached schedules were balanced for (0 = none).
@@ -186,12 +211,19 @@ impl DtreeEngine {
         assert!(rank > 0, "rank must be positive");
         assert_eq!(sym.len(), tree.len(), "symbolic structure is for a different tree");
         let n_nodes = tree.len();
+        let mut depths: Vec<DepthBuffer> = Vec::new();
+        depths.resize_with(tree.shape().height() + 1, DepthBuffer::default);
+        for id in 1..n_nodes {
+            if let Some(buf) = depths.get_mut(depth_of(&tree, id)) {
+                buf.rows = buf.rows.max(sym.node(id).len);
+            }
+        }
         DtreeEngine {
             tree,
             sym,
             rank,
             vals: (0..n_nodes).map(|_| None).collect(),
-            pool: (0..n_nodes).map(|_| None).collect(),
+            depths,
             scheds: vec![NodeSched::default(); n_nodes],
             sched_threads: 0,
             ws: Workspace::new(),
@@ -270,19 +302,24 @@ impl DtreeEngine {
     fn drop_node(&mut self, id: usize) {
         if let Some(m) = self.vals[id].take() {
             self.mem.free(value_bytes(&m));
-            // Retire to the per-node pool: the next compute of this node
-            // reuses the buffer instead of reallocating.
-            self.pool[id] = Some(m);
+            // Retire to the depth's spare slot: the next node computed at
+            // this depth reuses the buffer. A depth already holding a
+            // spare (two nodes were live there, outside the protocol)
+            // frees this one.
+            let spare = &mut self.depths[depth_of(&self.tree, id)].spare;
+            if spare.is_none() {
+                *spare = Some(m);
+            }
         }
     }
 
-    /// Drops all reusable caches: pooled value matrices, persistent
-    /// kernel schedules, and workspace memory. Part of the backend
-    /// `reset()` protocol — call when the tensor identity, thread pool,
-    /// or measurement context changes.
+    /// Drops all reusable caches: spare value buffers, persistent kernel
+    /// schedules, and workspace memory. Part of the backend `reset()`
+    /// protocol — call when the tensor identity, thread pool, or
+    /// measurement context changes.
     pub fn reset_caches(&mut self) {
-        for p in &mut self.pool {
-            *p = None;
+        for d in &mut self.depths {
+            d.spare = None;
         }
         for s in &mut self.scheds {
             *s = NodeSched::default();
@@ -291,13 +328,15 @@ impl DtreeEngine {
         self.ws.clear();
     }
 
-    /// Bytes held by retired-but-reusable value matrices. These are real
-    /// allocations excluded from the live-memory model of
-    /// [`DtreeEngine::mem`] (which tracks the paper's `O(log N)` bound on
-    /// *valid* nodes); memory experiments should call
-    /// [`DtreeEngine::reset_caches`] first if they want the pool gone.
-    pub fn pooled_bytes(&self) -> usize {
-        self.pool.iter().flatten().map(value_bytes).sum()
+    /// Bytes allocated for value buffers, live and spare: the heap the
+    /// engine's intermediates occupy. [`DtreeEngine::mem`] counts only
+    /// the valid nodes' `len x R` views of these buffers. After a
+    /// protocol sweep it is the largest node of each depth times `R * 8`,
+    /// summed over depths.
+    pub fn value_buffer_bytes(&self) -> usize {
+        let spares = self.depths.iter().map(|d| &d.spare);
+        let held = self.vals.iter().chain(spares).flatten();
+        held.map(|m| m.capacity() * std::mem::size_of::<f64>()).sum()
     }
 
     /// Approximate bytes held by the persistent kernel schedules and the
@@ -385,7 +424,8 @@ impl DtreeEngine {
     /// Drops node `id` and recomputes it from its parent (ancestors are
     /// ensured first). Bench/calibration hook: timing this call in
     /// steady state measures exactly one TTMV of the node's kernel class,
-    /// with schedules and pooled buffers warm.
+    /// with schedules and value buffers warm. Other nodes stay live, so a
+    /// depth may hold several buffers while this is used.
     ///
     /// # Panics
     /// Panics if `id` is the root or out of range, or on a broken tree
@@ -474,15 +514,14 @@ impl DtreeEngine {
                 None => return Err(DtreeError::NodeNotComputed { node: parent }),
             }
         };
-        // Reuse the node's retired value matrix if one is pooled (its
-        // shape is invariant), else allocate once.
-        let mut out = match self.pool[id].take() {
-            Some(mut m) => {
-                m.fill_zero();
-                m
-            }
-            None => Mat::zeros(node.len, self.rank),
-        };
+        // Reuse the depth's spare buffer, else allocate one sized for the
+        // depth's largest node; either way it never grows. Emptied first,
+        // the reshape zeroes every entry exactly once.
+        let rank = self.rank;
+        let depth = &mut self.depths[depth_of(&self.tree, id)];
+        let mut out = depth.spare.take().unwrap_or_else(|| Mat::zeros(depth.rows, rank));
+        out.reshape(0, rank);
+        out.reshape(node.len, rank);
         let pmap = if self.opts.thick { node.pmap.as_deref() } else { None };
         if let Some(pmap) = pmap {
             // Push schedule: stream the (much larger) parent and
@@ -1114,26 +1153,86 @@ mod tests {
         });
     }
 
+    /// One protocol sweep over every mode.
+    fn sweep(eng: &mut DtreeEngine, t: &SparseTensor, factors: &[Mat]) {
+        for mode in 0..t.ndim() {
+            eng.invalidate_mode(mode);
+            let _ = eng.mttkrp(t, factors, mode);
+        }
+    }
+
     #[test]
-    fn pool_reuses_value_matrices_and_reset_clears() {
+    fn depth_buffers_are_reused_and_reset_clears() {
         let t = zipf_tensor(&[12, 12, 12, 12], 300, &[0.4; 4], 8);
         let factors = factors_for(&t, 3, 12);
         let mut eng = DtreeEngine::new(&t, &TreeShape::balanced_binary(4), 3);
-        for mode in 0..4 {
-            eng.invalidate_mode(mode);
-            let _ = eng.mttkrp(&t, &factors, mode);
-        }
-        assert!(eng.pooled_bytes() > 0, "invalidated nodes should be pooled");
-        eng.reset_caches();
-        assert_eq!(eng.pooled_bytes(), 0);
-        // Still correct after dropping every cache.
+        sweep(&mut eng, &t, &factors);
+        let held = eng.value_buffer_bytes();
+        assert!(held > 0);
+        // Dropped nodes retire to their depth's spare slot: nothing is
+        // freed, and further sweeps allocate no new buffer.
         eng.invalidate_all();
+        assert_eq!(eng.live_nodes(), 0);
+        assert_eq!(eng.value_buffer_bytes(), held, "dropped buffers must be kept as spares");
+        sweep(&mut eng, &t, &factors);
+        assert_eq!(eng.value_buffer_bytes(), held);
+        eng.invalidate_all();
+        eng.reset_caches();
+        assert_eq!(eng.value_buffer_bytes(), 0);
+        // Still correct after dropping every cache.
         for mode in 0..4 {
             eng.invalidate_mode(mode);
             let m = eng.mttkrp(&t, &factors, mode);
             let want = mttkrp_seq(&t, &factors, mode);
             assert!(m.max_abs_diff(&want) < 1e-10, "mode {mode}");
         }
+    }
+
+    #[test]
+    fn protocol_holds_one_buffer_per_depth_sized_for_its_largest_node() {
+        // Mode sizes and skews differ, so nodes at one depth differ in
+        // length and each depth's buffer must fit the largest of them.
+        let t = zipf_tensor(&[30, 8, 40, 12, 25, 18], 2_000, &[0.9, 0.2, 0.7, 0.4, 1.0, 0.5], 41);
+        let rank = 4;
+        let factors = factors_for(&t, rank, 5);
+        for shape in
+            [TreeShape::two_level(6), TreeShape::three_level(6), TreeShape::balanced_binary(6)]
+        {
+            let mut eng = DtreeEngine::new(&t, &shape, rank);
+            sweep(&mut eng, &t, &factors);
+            let tree = eng.tree();
+            let mut largest = vec![0usize; shape.height() + 1];
+            for id in 1..tree.len() {
+                let depth = tree.path_to_root(id).len() - 1;
+                largest[depth] = largest[depth].max(eng.symbolic().node(id).len);
+            }
+            let want: usize = largest.iter().map(|&len| len * rank * 8).sum();
+            assert_eq!(eng.value_buffer_bytes(), want, "{shape}");
+            sweep(&mut eng, &t, &factors);
+            assert_eq!(eng.value_buffer_bytes(), want, "{shape}: second sweep");
+        }
+    }
+
+    #[test]
+    fn second_live_node_at_a_depth_gets_its_own_buffer() {
+        // Outside the protocol, recompute_node never evicts a live node:
+        // two live leaves of the flat tree hold two buffers, and dropping
+        // both keeps one as the depth's spare.
+        let t = zipf_tensor(&[20, 20, 20], 500, &[0.5; 3], 3);
+        let factors = factors_for(&t, 2, 9);
+        let mut eng = DtreeEngine::new(&t, &TreeShape::two_level(3), 2);
+        let one = eng.depths[1].rows * 2 * 8;
+        eng.recompute_node(&t, &factors, 1);
+        eng.recompute_node(&t, &factors, 2);
+        assert_eq!(eng.live_nodes(), 2);
+        assert_eq!(eng.value_buffer_bytes(), 2 * one);
+        // Recomputing a live node reuses its own buffer.
+        eng.recompute_node(&t, &factors, 2);
+        assert_eq!(eng.value_buffer_bytes(), 2 * one);
+        eng.invalidate_all();
+        assert_eq!(eng.value_buffer_bytes(), one);
+        let m = eng.mttkrp(&t, &factors, 0);
+        assert!(m.max_abs_diff(&mttkrp_seq(&t, &factors, 0)) < 1e-10);
     }
 
     #[test]

@@ -161,11 +161,11 @@ impl SymbolicTree {
         self.nodes.is_empty()
     }
 
-    /// Asserts the structure belongs to `tensor` (cheap fingerprint).
+    /// Asserts the structure belongs to `tensor` (cheap fingerprint,
+    /// compared without allocating: it runs on every MTTKRP call).
     pub fn check_tensor(&self, tensor: &SparseTensor) {
-        assert_eq!(
-            self.fingerprint,
-            (tensor.dims().to_vec(), tensor.nnz()),
+        assert!(
+            self.fingerprint.0 == tensor.dims() && self.fingerprint.1 == tensor.nnz(),
             "symbolic structure was built for a different tensor"
         );
     }

@@ -143,6 +143,12 @@ impl Mat {
         self.data.resize(nrows * ncols, 0.0);
     }
 
+    /// Entries the buffer holds without reallocating (at least
+    /// `nrows * ncols`).
+    pub fn capacity(&self) -> usize {
+        self.data.capacity()
+    }
+
     /// Fills the matrix with zeros in place, keeping its allocation.
     pub fn fill_zero(&mut self) {
         self.data.iter_mut().for_each(|x| *x = 0.0);

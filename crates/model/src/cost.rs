@@ -7,6 +7,12 @@
 //!   iteration (the dimension-tree invariant); computing node `t` from its
 //!   parent costs `elems(parent) * (|δ(t)| + 1) * R` fused multiply-adds
 //!   (one row Hadamard per delta mode plus the accumulate);
+//! * **value-stream traffic** — the read of each node's source (tensor or
+//!   parent value matrix) and the write of its own value matrix;
+//! * **gather misses** — the factor rows a node gathers from beyond
+//!   cache: `elems(parent) * |δ(t)| * R * 8 * miss(δ(t))` bytes, where
+//!   `miss` is the share of the delta modes' touched rows that do not fit
+//!   in [`GATHER_CACHE_BYTES`] (see [`gather_miss_per_elem`]);
 //! * **peak value memory** — under the invalidation protocol at most one
 //!   root-to-leaf path of value matrices is live, so the peak is the
 //!   maximum over modes of the path sum of `elems(t) * R * 8` bytes;
@@ -15,8 +21,10 @@
 //! * **symbolic cost** — comparison count of the one-time sorts,
 //!   `sum elems(parent) * log2(elems(parent))`.
 //!
-//! These formulas mirror the engine's counters one-to-one, which is what
-//! the model-accuracy experiment (E8) verifies.
+//! The flop, value-memory and index formulas mirror the engine's counters
+//! one-to-one, which is what the model-accuracy experiment (E8) verifies.
+//! The traffic and gather terms are priced, not counted: E8 holds the
+//! ranking they produce against measured time.
 
 use crate::estimate::EstimatorCache;
 use crate::profile::{KernelClass, KernelProfile};
@@ -33,6 +41,12 @@ pub struct CostBreakdown {
     /// between strategies with similar operation counts (a balanced tree
     /// materializes ~2N intermediates; a 3-level tree only 2).
     pub traffic_bytes_per_iter: f64,
+    /// Bytes of factor rows gathered from beyond cache per iteration
+    /// (see [`gather_miss_per_elem`]). Zero while every node's delta
+    /// factors fit in cache; on large, uncollapsed modes it is what makes
+    /// a memoizing tree, which gathers fewer rows per node from smaller
+    /// delta sets, beat the flat tree.
+    pub gather_miss_bytes_per_iter: f64,
     /// Peak bytes of live value matrices under the protocol.
     pub peak_value_bytes: f64,
     /// Bytes of symbolic index structures (one-time, resident).
@@ -53,10 +67,11 @@ impl CostBreakdown {
     }
 
     /// The scalar objective the planner ranks strategies by:
-    /// `flops + beta * traffic_bytes`, with `beta` the machine's
-    /// flops-per-byte trade (see [`crate::plan::Objective`]).
+    /// `flops + beta * (traffic_bytes + gather_miss_bytes)`, with `beta`
+    /// the machine's flops-per-byte trade (see
+    /// [`crate::plan::Objective`]).
     pub fn cost_units(&self, beta: f64) -> f64 {
-        self.flops_per_iter + beta * self.traffic_bytes_per_iter
+        self.flops_per_iter + beta * (self.traffic_bytes_per_iter + self.gather_miss_bytes_per_iter)
     }
 }
 
@@ -66,6 +81,37 @@ const VAL_BYTES: f64 = 8.0;
 const IDX_BYTES: f64 = 4.0;
 /// Bytes per reduction-pointer entry (usize on 64-bit).
 const PTR_BYTES: f64 = 8.0;
+
+/// Bytes of factor rows a core keeps cached while it gathers them: the
+/// 2 MiB per-core L2 of the Xeon (Sapphire Rapids) the model was checked
+/// against, as Linux reports it in
+/// `/sys/devices/system/cpu/cpu0/cache/index2/size`.
+pub const GATHER_CACHE_BYTES: f64 = 2.0 * 1024.0 * 1024.0;
+
+/// Factor-row bytes gathered from beyond cache per parent element of a
+/// node whose delta set has `delta_len` modes touching `rows` factor rows
+/// in total (`rows = Σ_{d∈δ} elems({d})`):
+/// `|δ| * R * 8 * miss(δ)`, with
+/// `miss(δ) = max(0, 1 − C / (rows * R * 8))` and `C` =
+/// [`GATHER_CACHE_BYTES`].
+///
+/// Each parent element reads one row of every delta factor at an index
+/// the tensor scatters across the touched rows. While those rows fit in
+/// cache the reads hit; past that, the model takes the uncached share of
+/// the rows as the share of reads that go to memory.
+pub fn gather_miss_per_elem(delta_len: usize, rows: f64, rank: usize) -> f64 {
+    let row_bytes = rank as f64 * VAL_BYTES;
+    let footprint = rows * row_bytes;
+    if footprint <= GATHER_CACHE_BYTES {
+        return 0.0;
+    }
+    delta_len as f64 * row_bytes * (1.0 - GATHER_CACHE_BYTES / footprint)
+}
+
+/// Factor rows the tensor touches across `modes`: `Σ_d elems({d})`.
+fn touched_rows(modes: &[usize], cache: &mut EstimatorCache<'_>) -> f64 {
+    modes.iter().map(|&d| cache.elems(&[d])).sum()
+}
 
 /// Predicts the cost of executing CP-ALS with the given tree shape.
 ///
@@ -77,6 +123,7 @@ pub fn predict(shape: &TreeShape, rank: usize, cache: &mut EstimatorCache<'_>) -
     let n = tree.ndim() as f64;
     let mut flops = 0.0;
     let mut traffic = 0.0;
+    let mut gather = 0.0;
     let mut index_bytes = 0.0;
     let mut symbolic = 0.0;
     let mut value_bytes: Vec<f64> = vec![0.0; tree.len()];
@@ -91,14 +138,16 @@ pub fn predict(shape: &TreeShape, rank: usize, cache: &mut EstimatorCache<'_>) -
         // Stream traffic of computing this node: read the source (the
         // tensor itself for children of the root — value plus the delta
         // modes' index columns — or the parent's R-wide value matrix),
-        // then write our own value matrix. Factor-row reads are mostly
-        // cache-resident and are deliberately not charged.
+        // then write our own value matrix. Factor-row reads are charged
+        // separately, for the share that misses cache.
         let read = if parent == 0 {
             parent_elems * (VAL_BYTES + n * IDX_BYTES)
         } else {
             parent_elems * r * VAL_BYTES
         };
         traffic += read + own_elems * r * VAL_BYTES;
+        gather += parent_elems
+            * gather_miss_per_elem(node.delta.len(), touched_rows(&node.delta, cache), rank);
         index_bytes += own_elems * (node.modes.len() as f64 * IDX_BYTES + PTR_BYTES)
             + parent_elems * IDX_BYTES;
         symbolic += parent_elems * parent_elems.max(2.0).log2();
@@ -116,6 +165,7 @@ pub fn predict(shape: &TreeShape, rank: usize, cache: &mut EstimatorCache<'_>) -
     CostBreakdown {
         flops_per_iter: flops,
         traffic_bytes_per_iter: traffic,
+        gather_miss_bytes_per_iter: gather,
         peak_value_bytes: peak,
         index_bytes,
         symbolic_cost: symbolic,
@@ -128,8 +178,9 @@ pub fn predict(shape: &TreeShape, rank: usize, cache: &mut EstimatorCache<'_>) -
 /// [`KernelProfile`], in nanoseconds.
 ///
 /// Each non-root node's analytic work units — flops
-/// (`elems(parent) * (|δ| + 1) * R`) plus value-stream traffic bytes,
-/// both counted exactly as [`predict`] does — are converted at the
+/// (`elems(parent) * (|δ| + 1) * R`) plus value-stream traffic and
+/// gather-miss bytes, all counted exactly as [`predict`] does — are
+/// converted at the
 /// measured rate of the kernel class the engine would run it with:
 /// scatter when the node passes the engine's [`scatter_eligible`]
 /// thresholds, pull otherwise. Scatter costing more per unit than pull,
@@ -141,8 +192,8 @@ pub fn predict(shape: &TreeShape, rank: usize, cache: &mut EstimatorCache<'_>) -
 /// on flop-units alone drifts toward deep memoizing trees whose extra
 /// R-wide intermediate streams make them slower in practice. With a
 /// uniform profile this model degenerates to the analytic
-/// `flops + traffic` objective ([`CostBreakdown::cost_units`] at
-/// `beta = 1`).
+/// `flops + traffic + gather` objective ([`CostBreakdown::cost_units`]
+/// at `beta = 1`).
 ///
 /// This is a *ranking* refinement, not an oracle: absolute numbers drift
 /// with tensor shape, but the per-class rates transfer well enough to
@@ -170,7 +221,9 @@ pub fn predict_time_ns(
         } else {
             parent_elems * r * VAL_BYTES
         };
-        let units = flops + read + own_elems * r * VAL_BYTES;
+        let gather = parent_elems
+            * gather_miss_per_elem(node.delta.len(), touched_rows(&node.delta, cache), rank);
+        let units = flops + read + own_elems * r * VAL_BYTES + gather;
         let class = if scatter_eligible(own_elems as usize, parent_elems as usize) {
             KernelClass::TreeScatter
         } else {
@@ -192,8 +245,10 @@ pub fn predict_time_ns(
 /// costs one rank-row operation, measured by the
 /// [`KernelClass::CsfRoot`] calibration. As in [`predict_time_ns`], the
 /// stream traffic — one pass over the tensor per mode plus the output
-/// write — is charged as extra units so the pseudo-candidate stays
-/// comparable with the traffic-aware tree predictions.
+/// write — and the gather misses are charged as extra units so the
+/// pseudo-candidate stays comparable with the tree predictions: each
+/// below-root fiber node gathers one row of its level's factor, from the
+/// rows of every mode but `m`.
 pub fn predict_csf_time_ns(
     dims: &[usize],
     rank: usize,
@@ -205,12 +260,17 @@ pub fn predict_csf_time_ns(
     let r = rank as f64;
     let all: Vec<usize> = (0..n).collect();
     let nnz = cache.elems(&all);
-    let mut traffic = 0.0;
+    let mut units = 0.0;
     for mode in 0..n {
-        traffic += nnz * (VAL_BYTES + n as f64 * IDX_BYTES) + cache.elems(&[mode]) * r * VAL_BYTES;
+        let rest: Vec<usize> = (0..n).filter(|&d| d != mode).collect();
+        let levels = csf_forest_elems(dims, mode, cache, false);
+        let gather = levels * gather_miss_per_elem(1, touched_rows(&rest, cache), rank);
+        units += levels * r
+            + nnz * (VAL_BYTES + n as f64 * IDX_BYTES)
+            + cache.elems(&[mode]) * r * VAL_BYTES
+            + gather;
     }
-    (csf_level_elems(dims, cache, false) * r + traffic)
-        * profile.ns_per_unit(KernelClass::CsfRoot, threads)
+    units * profile.ns_per_unit(KernelClass::CsfRoot, threads)
 }
 
 /// Predicted wall time of one CP-ALS iteration of the scheduled COO
@@ -219,7 +279,8 @@ pub fn predict_csf_time_ns(
 /// Once the entry kernels are fused, COO's `nnz·(N−1)·R` units per mode
 /// can undercut every tree on tensors whose projections barely collapse;
 /// a planner that cannot pick it would leave the fastest backend on the
-/// table.
+/// table. Each entry gathers the same `N − 1` factor rows as the flat
+/// tree's leaf for that mode, so it pays the same gather misses.
 pub fn predict_coo_time_ns(
     dims: &[usize],
     rank: usize,
@@ -233,9 +294,11 @@ pub fn predict_coo_time_ns(
     let nnz = cache.elems(&all);
     let mut units = 0.0;
     for mode in 0..n {
+        let rest: Vec<usize> = (0..n).filter(|&d| d != mode).collect();
         units += nnz * (n as f64 - 1.0) * r
             + nnz * (VAL_BYTES + n as f64 * IDX_BYTES)
-            + cache.elems(&[mode]) * r * VAL_BYTES;
+            + cache.elems(&[mode]) * r * VAL_BYTES
+            + nnz * gather_miss_per_elem(n - 1, touched_rows(&rest, cache), rank);
     }
     units * profile.ns_per_unit(KernelClass::CooMttkrp, threads)
 }
@@ -303,27 +366,27 @@ pub fn predict_coo_resident_bytes(dims: &[usize], cache: &mut EstimatorCache<'_>
 /// Estimated resident bytes of the CSF baseline's `N` fiber forests
 /// (index structures plus values), for budget gating the pseudo-candidate.
 pub fn predict_csf_resident_bytes(dims: &[usize], cache: &mut EstimatorCache<'_>) -> f64 {
-    csf_level_elems(dims, cache, true) * (IDX_BYTES + PTR_BYTES)
+    let levels: f64 = (0..dims.len()).map(|mode| csf_forest_elems(dims, mode, cache, true)).sum();
+    levels * (IDX_BYTES + PTR_BYTES)
         + dims.len() as f64 * cache.elems(&(0..dims.len()).collect::<Vec<_>>()) * VAL_BYTES
 }
 
-/// Sum of estimated node counts over every level of every per-mode CSF
-/// forest (optionally including the root level, which does no per-rank
-/// work but does occupy index storage).
-fn csf_level_elems(dims: &[usize], cache: &mut EstimatorCache<'_>, include_root: bool) -> f64 {
-    let n = dims.len();
-    let mut total = 0.0;
-    for mode in 0..n {
-        let mut rest: Vec<usize> = (0..n).filter(|&d| d != mode).collect();
-        rest.sort_by_key(|&d| dims[d]);
-        let mut prefix = vec![mode];
-        if include_root {
-            total += cache.elems(&prefix);
-        }
-        for &d in &rest {
-            prefix.push(d);
-            total += cache.elems(&prefix);
-        }
+/// Estimated node count over the levels of the mode-`mode` CSF forest
+/// (optionally including the root level, which does no per-rank work but
+/// does occupy index storage).
+fn csf_forest_elems(
+    dims: &[usize],
+    mode: usize,
+    cache: &mut EstimatorCache<'_>,
+    include_root: bool,
+) -> f64 {
+    let mut rest: Vec<usize> = (0..dims.len()).filter(|&d| d != mode).collect();
+    rest.sort_by_key(|&d| dims[d]);
+    let mut prefix = vec![mode];
+    let mut total = if include_root { cache.elems(&prefix) } else { 0.0 };
+    for &d in &rest {
+        prefix.push(d);
+        total += cache.elems(&prefix);
     }
     total
 }
@@ -425,10 +488,17 @@ mod tests {
         let t = uniform_tensor(&[20; 4], 1_000, 13);
         let mut c = cache(&t);
         let cb = predict(&TreeShape::balanced_binary(4), 8, &mut c);
+        // Small factors: every gather hits cache.
+        assert_eq!(cb.gather_miss_bytes_per_iter, 0.0);
         assert_eq!(cb.cost_units(0.0), cb.flops_per_iter);
         assert!(
             (cb.cost_units(2.0) - cb.flops_per_iter - 2.0 * cb.traffic_bytes_per_iter).abs() < 1e-9
         );
+        let big = uniform_tensor(&[12_500; 8], 15_000, 13);
+        let mut c = cache(&big);
+        let cb = predict(&TreeShape::two_level(8), 16, &mut c);
+        let bytes = cb.traffic_bytes_per_iter + cb.gather_miss_bytes_per_iter;
+        assert!((cb.cost_units(2.0) - cb.flops_per_iter - 2.0 * bytes).abs() < 1e-6);
     }
 
     #[test]
@@ -454,22 +524,85 @@ mod tests {
     #[test]
     fn uniform_rates_make_predicted_time_proportional_to_analytic_units() {
         // With every class at the same flat rate, predicted time must be
-        // exactly (flops + traffic) * ns_per_unit — the calibrated model
-        // degenerates to the analytic default objective (beta = 1).
-        let t = uniform_tensor(&[30; 4], 2_000, 21);
-        let mut c = cache(&t);
+        // exactly (flops + traffic + gather) * ns_per_unit — the
+        // calibrated model degenerates to the analytic default objective
+        // (beta = 1). The 8-mode tensor's factors overflow the cache, so
+        // its gather term is live.
         let p = uniform_profile(2.0);
-        for shape in
-            [TreeShape::two_level(4), TreeShape::three_level(4), TreeShape::balanced_binary(4)]
-        {
-            let cb = predict(&shape, 8, &mut c);
-            let ns = predict_time_ns(&shape, 8, &mut c, &p, 8);
-            assert!(
-                (ns - 2.0 * cb.cost_units(1.0)).abs() < 1e-6 * ns,
-                "time {ns} vs units {}",
-                cb.cost_units(1.0)
-            );
+        for (t, rank) in [
+            (uniform_tensor(&[30; 4], 2_000, 21), 8),
+            (uniform_tensor(&[12_500; 8], 15_000, 21), 16),
+        ] {
+            let n = t.ndim();
+            let mut c = cache(&t);
+            for shape in
+                [TreeShape::two_level(n), TreeShape::three_level(n), TreeShape::balanced_binary(n)]
+            {
+                let cb = predict(&shape, rank, &mut c);
+                let ns = predict_time_ns(&shape, rank, &mut c, &p, 8);
+                assert!(
+                    (ns - 2.0 * cb.cost_units(1.0)).abs() < 1e-6 * ns,
+                    "{shape}: time {ns} vs units {}",
+                    cb.cost_units(1.0)
+                );
+            }
         }
+    }
+
+    #[test]
+    fn gather_miss_fraction_is_the_uncached_share_of_the_rows() {
+        let rank = 16;
+        let row = rank as f64 * VAL_BYTES;
+        let rows_at = |bytes: f64| bytes / row;
+        // Rows that fit in cache never miss.
+        assert_eq!(gather_miss_per_elem(3, rows_at(GATHER_CACHE_BYTES), rank), 0.0);
+        assert_eq!(gather_miss_per_elem(3, 0.0, rank), 0.0);
+        // Twice the cache: half of each of the |δ| row reads misses.
+        let half = gather_miss_per_elem(2, rows_at(2.0 * GATHER_CACHE_BYTES), rank);
+        assert!((half - 2.0 * row * 0.5).abs() < 1e-9, "{half}");
+    }
+
+    #[test]
+    fn gather_misses_move_large_uncollapsed_tensors_off_the_flat_tree() {
+        // Eight uniform modes of 12.5k rows, nothing collapses: each
+        // factor's touched rows take ~1.1 MB at rank 16, so a flat leaf's
+        // seven delta factors overflow the cache and most of its gathers
+        // miss.
+        let t = uniform_tensor(&[12_500; 8], 15_000, 31);
+        let mut c = cache(&t);
+        let flat = predict(&TreeShape::two_level(8), 16, &mut c);
+        let bdt = predict(&TreeShape::balanced_binary(8), 16, &mut c);
+        assert!(flat.gather_miss_bytes_per_iter > 0.0);
+        assert!(bdt.gather_miss_bytes_per_iter < flat.gather_miss_bytes_per_iter);
+        let plan = crate::Planner::new(&t, 16).plan();
+        assert!(plan.predicted.memo_count > 0, "chose the flat tree: {}", plan.shape);
+    }
+
+    #[test]
+    fn coo_pseudo_candidate_pays_the_flat_trees_gather_misses() {
+        // COO entries gather the rows of the same N - 1 factors as the
+        // flat tree's leaves: at 1 ns/unit its prediction is its flop and
+        // stream units plus exactly the flat tree's gather misses.
+        let t = uniform_tensor(&[12_500; 8], 15_000, 32);
+        let (n, r) = (8usize, 16.0);
+        let mut c = cache(&t);
+        let flat = predict(&TreeShape::two_level(n), 16, &mut c);
+        assert!(flat.gather_miss_bytes_per_iter > 0.0);
+        let nnz = t.nnz() as f64;
+        let streams: f64 = (0..n)
+            .map(|m| {
+                nnz * (n as f64 - 1.0) * r
+                    + nnz * (VAL_BYTES + n as f64 * IDX_BYTES)
+                    + c.elems(&[m]) * r * VAL_BYTES
+            })
+            .sum();
+        let coo = predict_coo_time_ns(t.dims(), 16, &mut c, &uniform_profile(1.0), 8);
+        let gather = coo - streams;
+        assert!(
+            (gather - flat.gather_miss_bytes_per_iter).abs() < 1e-9 * coo,
+            "coo gathers {gather} vs flat {}",
+            flat.gather_miss_bytes_per_iter
+        );
     }
 
     #[test]

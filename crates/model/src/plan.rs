@@ -20,12 +20,14 @@ use adatm_tensor::SparseTensor;
 pub enum Objective {
     /// Fused multiply-adds only — the classic operation-count model.
     Flops,
-    /// `flops + beta * value_stream_bytes`: MTTKRP is memory-bound, so
-    /// weighting the reads/writes of intermediate value matrices models
-    /// wall time much better than flops alone (it is what correctly
-    /// prefers a shallow tree over a balanced one when projections barely
-    /// collapse). `beta` is the machine's effective flops-per-byte trade;
-    /// 1.0 is a good default for commodity cores.
+    /// `flops + beta * (value_stream_bytes + gather_miss_bytes)`: MTTKRP
+    /// is memory-bound, so weighting the reads/writes of intermediate
+    /// value matrices models wall time much better than flops alone (it
+    /// is what correctly prefers a shallow tree over a balanced one when
+    /// projections barely collapse), and charging the factor rows gathered
+    /// from beyond cache is what moves large-mode tensors off the flat
+    /// tree. `beta` is the machine's effective flops-per-byte trade; 1.0
+    /// is a good default for commodity cores.
     FlopsAndTraffic {
         /// Flops charged per byte of value-stream traffic.
         beta: f64,
@@ -406,6 +408,7 @@ impl<'a> Planner<'a> {
                     rank_pos: i as u64,
                     label: c.label.as_str(),
                     cost_units: c.cost.cost_units(beta),
+                    gather_bytes: c.cost.gather_miss_bytes_per_iter,
                     fits_budget: c.fits_budget,
                     predicted_ns: c.predicted_ns.unwrap_or(-1.0)
                 );

@@ -7,14 +7,17 @@
 //!   (flat / 3-level / balanced binary / left-deep);
 //! * [`interval_dp`] — the optimal *binary* tree whose leaves follow a
 //!   given mode permutation, found by dynamic programming over contiguous
-//!   intervals in `O(N³)` model evaluations. A key structural fact makes
-//!   the DP clean: computing both children of a node with mode set `S`
-//!   costs `elems(S) * R * (|S| + 2)` flops *regardless of where the split
-//!   falls* — the split only matters through the element counts of the
-//!   subtrees it creates;
+//!   intervals in `O(N³)` model evaluations. A structural fact keeps the
+//!   DP clean: computing both children of a node with mode set `S` costs
+//!   `elems(S) * R * (|S| + 2)` flops, and each child's delta set is its
+//!   sibling's mode set. So every term of the objective — flops, stream
+//!   traffic, and the gather misses of the two children — is a function
+//!   of a node and its split alone, and the objective decomposes node by
+//!   node;
 //! * [`subset_dp`] — the exact optimum over **all** binary trees (any
 //!   mode partition), `O(3^N)` DP over subsets, practical for `N <= 8`.
 
+use crate::cost::gather_miss_per_elem;
 use crate::estimate::EstimatorCache;
 use adatm_dtree::TreeShape;
 use std::collections::HashMap;
@@ -61,6 +64,12 @@ pub struct SearchResult {
     pub shape: TreeShape,
     /// Predicted fused multiply-adds per iteration under the model.
     pub flops: f64,
+    /// The objective the DP minimized, for the winning tree:
+    /// `flops + beta * (traffic + gather-miss bytes)` plus the memory
+    /// penalty on memoized nodes. Without a penalty it equals
+    /// [`CostBreakdown::cost_units`](crate::CostBreakdown::cost_units)
+    /// of [`predict`](crate::cost::predict) on the shape.
+    pub objective: f64,
 }
 
 /// Optimal binary tree over contiguous intervals of `perm`, under the
@@ -84,21 +93,25 @@ pub fn interval_dp_penalized(
 }
 
 /// Interval DP minimizing the full objective
-/// `flops + beta * traffic_bytes + lambda * value_bytes`.
+/// `flops + beta * (traffic_bytes + gather_miss_bytes) + lambda * value_bytes`.
 ///
 /// * `beta` (flops per byte) charges the value-stream traffic of each
 ///   node computation — the read of the source (tensor or parent value
-///   matrix) plus the write of the node's own value matrix. MTTKRP is
-///   memory-bound, so this term decides between strategies with similar
-///   flop counts (it is what makes a 3-level tree beat a balanced binary
-///   tree on high-order tensors with weak index collapse).
+///   matrix) plus the write of the node's own value matrix — and the
+///   factor rows it gathers from beyond cache. MTTKRP is memory-bound,
+///   so these terms decide between strategies with similar flop counts:
+///   the stream traffic is what makes a 3-level tree beat a balanced
+///   binary tree on high-order tensors with weak index collapse, and the
+///   gather misses are what make either beat the flat tree once the
+///   factors outgrow cache.
 /// * `lambda_per_byte` additionally penalizes materialized bytes; the
 ///   planner sweeps it to generate memory/compute trade-off candidates
 ///   under a budget.
 ///
-/// Both terms decompose over the recursion (each node's read depends on
-/// its parent interval, each write on its own interval), so the DP stays
-/// exact for the stated objective.
+/// Every term decomposes over the recursion (each node's read depends on
+/// its parent interval, each write on its own interval, and each child's
+/// gather misses on its parent interval and its sibling), so the DP
+/// stays exact for the stated objective.
 ///
 /// # Panics
 /// Panics if `perm` has fewer than 2 modes or a weight is negative.
@@ -120,6 +133,15 @@ pub fn interval_dp_weighted(
             elems[a][b] = cache.elems(&perm[a..b]);
         }
     }
+    // Factor rows touched by an interval's modes, for the gather misses
+    // of a child whose delta set is that interval.
+    let mut rows = vec![vec![0.0f64; n + 1]; n];
+    for (a, row) in rows.iter_mut().enumerate() {
+        for b in (a + 1)..=n {
+            row[b] = row[b - 1] + elems[b - 1][b];
+        }
+    }
+    let gather = |a: usize, b: usize| gather_miss_per_elem(b - a, rows[a][b], rank);
     // Value-matrix write bytes of an interval.
     let write = |a: usize, b: usize| elems[a][b] * r * 8.0;
     // Read bytes of consuming an interval as a parent: root streams the
@@ -146,7 +168,9 @@ pub fn interval_dp_weighted(
                 + if len == n { 0.0 } else { (beta + lambda_per_byte) * write(a, b) };
             let (mut best, mut best_s) = (f64::INFINITY, a + 1);
             for (s, gs) in g.iter().enumerate().take(b).skip(a + 1) {
-                let c = g[a][s] + gs[b];
+                // Child [a, s) multiplies in [s, b), and [s, b) in [a, s).
+                let misses = beta * elems[a][b] * (gather(s, b) + gather(a, s));
+                let c = g[a][s] + gs[b] + misses;
                 if c < best {
                     best = c;
                     best_s = s;
@@ -156,9 +180,10 @@ pub fn interval_dp_weighted(
             split[a][b] = best_s;
         }
     }
-    // Leaves contribute their own writes.
-    // (Constant across all trees over the same permutation, so it does
-    // not affect the argmin; omitted from g.)
+    // Leaves contribute their own writes. They are the same for every
+    // tree over the permutation, so they stay out of g and join only the
+    // reported objective.
+    let leaf_writes: f64 = (0..n).map(|a| write(a, a + 1)).sum();
     let shape = TreeShape::from_splits(perm, 0, n, &|lo, hi| split[lo][hi]);
     // Report unweighted flops for the chosen shape so callers compare
     // like for like.
@@ -167,7 +192,7 @@ pub fn interval_dp_weighted(
     } else {
         shape_flops(&shape, perm, r, &elems_lookup(perm, &elems))
     };
-    SearchResult { shape, flops }
+    SearchResult { shape, flops, objective: g[0][n] + beta * leaf_writes }
 }
 
 /// Lookup closure from a mode interval's *sorted mode set* to its
@@ -238,6 +263,17 @@ pub fn subset_dp_weighted(
     let r = rank as f64;
     let full: u32 = if n == 32 { u32::MAX } else { (1u32 << n) - 1 };
     let modes_of = |mask: u32| -> Vec<usize> { (0..n).filter(|&m| mask & (1 << m) != 0).collect() };
+    let single: Vec<f64> = (0..n).map(|m| cache.elems(&[m])).collect();
+    // Per mask: gather misses per parent element of a child whose delta
+    // set is that mask (a child's delta set is its sibling's modes).
+    let mut rows = vec![0.0f64; full as usize + 1];
+    let mut gather = vec![0.0f64; full as usize + 1];
+    for mask in 1..=full {
+        let low = mask.trailing_zeros() as usize;
+        rows[mask as usize] = rows[(mask & (mask - 1)) as usize] + single[low];
+        gather[mask as usize] =
+            gather_miss_per_elem(mask.count_ones() as usize, rows[mask as usize], rank);
+    }
     // Masks ordered by popcount so children are solved before parents.
     let mut masks: Vec<u32> = (1..=full).collect();
     masks.sort_by_key(|m| m.count_ones());
@@ -266,7 +302,9 @@ pub fn subset_dp_weighted(
         let mut sub = (mask - 1) & mask;
         while sub != 0 {
             if sub & low != 0 {
-                let c = g[&sub] + g[&(mask ^ sub)];
+                let rest = mask ^ sub;
+                let misses = beta * e * (gather[rest as usize] + gather[sub as usize]);
+                let c = g[&sub] + g[&rest] + misses;
                 if c < best {
                     best = c;
                     arg = sub;
@@ -286,7 +324,14 @@ pub fn subset_dp_weighted(
         let a = split[&mask];
         TreeShape::internal(vec![rebuild(a, split), rebuild(mask ^ a, split)])
     }
-    SearchResult { shape: rebuild(full, &best_split), flops: pure_flops[&full] }
+    // Leaf writes are the same for every tree; they join only the
+    // reported objective.
+    let leaf_writes: f64 = single.iter().map(|&e| e * r * 8.0).sum();
+    SearchResult {
+        shape: rebuild(full, &best_split),
+        flops: pure_flops[&full],
+        objective: g[&full] + beta * leaf_writes,
+    }
 }
 
 #[cfg(test)]
@@ -433,6 +478,31 @@ mod tests {
         // And the extreme penalty should not cost more memory than flat-
         // equivalent contiguous trees allow... flops may rise instead.
         assert!(tight.flops >= free.flops - 1e-9);
+    }
+
+    #[test]
+    fn dp_objectives_equal_the_cost_model_with_gather_misses() {
+        // Large uncollapsed factors make every tree pay gather misses, so
+        // both DPs' split-dependent miss accounting is checked against
+        // the cost model on the trees they return.
+        let t = uniform_tensor(&[12_500; 8], 15_000, 33);
+        let mut c = cache(&t);
+        let beta = 1.0;
+        let perm: Vec<usize> = (0..8).collect();
+        let interval = interval_dp_weighted(&perm, 16, &mut c, beta, 0.0);
+        let subset = subset_dp_weighted(8, 16, &mut c, beta);
+        for (name, res) in [("interval", interval), ("subset", subset)] {
+            let cb = predict(&res.shape, 16, &mut c);
+            assert!(cb.gather_miss_bytes_per_iter > 0.0, "{name}");
+            let units = cb.cost_units(beta);
+            assert!(
+                (res.objective - units).abs() < 1e-9 * units,
+                "{name}: dp {} vs model {units} for {}",
+                res.objective,
+                res.shape
+            );
+            assert!((res.flops - cb.flops_per_iter).abs() < 1e-9 * units, "{name}");
+        }
     }
 
     #[test]

@@ -158,6 +158,7 @@ pub const EVENTS: &[EventSchema] = &[
             req("rank_pos", U64),
             req("label", Str),
             req("cost_units", F64),
+            req("gather_bytes", F64),
             req("fits_budget", Bool),
             req("predicted_ns", F64),
         ],

@@ -365,15 +365,16 @@ fn cmd_plan(args: &[String]) -> Result<(), CliError> {
         plan.shape
     );
     println!(
-        "{:<20} {:>14} {:>14} {:>12} {:>7}  shape",
-        "label", "flops/iter", "traffic-MiB/it", "resident-MiB", "fits"
+        "{:<20} {:>14} {:>14} {:>13} {:>12} {:>7}  shape",
+        "label", "flops/iter", "traffic-MiB/it", "gather-MiB/it", "resident-MiB", "fits"
     );
     for c in &plan.candidates {
         println!(
-            "{:<20} {:>14.3e} {:>14.1} {:>12.1} {:>7}  {}{}",
+            "{:<20} {:>14.3e} {:>14.1} {:>13.1} {:>12.1} {:>7}  {}{}",
             c.label,
             c.cost.flops_per_iter,
             c.cost.traffic_bytes_per_iter / (1024.0 * 1024.0),
+            c.cost.gather_miss_bytes_per_iter / (1024.0 * 1024.0),
             c.cost.resident_bytes() / (1024.0 * 1024.0),
             c.fits_budget,
             c.shape,

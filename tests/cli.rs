@@ -134,6 +134,30 @@ fn plan_prints_candidates() {
 }
 
 #[test]
+fn plan_moves_off_the_flat_tree_when_factor_gathers_miss_cache() {
+    // Eight uniform modes of 12.5k rows at rank 16: a flat leaf gathers
+    // rows from seven factors that together overflow the cache, so the
+    // model's gather-miss term must steer the plan to a memoizing tree.
+    let dir = tmpdir("plan8d");
+    let tns = dir.join("t.tns");
+    let dims = ["12500"; 8].join("x");
+    let gen = adatm()
+        .args(["generate", "--dims", &dims, "--nnz", "15000", "--seed", "1", "-o"])
+        .arg(&tns)
+        .status()
+        .unwrap();
+    assert!(gen.success());
+    let out = adatm().arg("plan").arg(&tns).env_remove("ADATM_PROFILE").output().unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains("gather-MiB/it"), "{text}");
+    let chosen = text.lines().next().and_then(|l| l.split("chosen: ").nth(1)).unwrap_or("");
+    assert!(!chosen.is_empty(), "{text}");
+    assert_ne!(chosen, "(0 1 2 3 4 5 6 7)", "chose the flat tree:\n{text}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn decompose_als_writes_factors() {
     let dir = tmpdir("als");
     let tns = dir.join("t.tns");
