@@ -8,20 +8,37 @@
 //! `ADATM_PROFILE` at that file and every `AdaptiveBackend` planning
 //! constructor ranks candidate strategies by calibrated wall time.
 //!
-//! Knobs (mirroring `bench_kernels`):
+//! Knobs:
 //!
 //! * `ADATM_BENCH_SMOKE=1` — tiny tensor / few reps (CI smoke job);
 //! * `ADATM_BENCH_THREADS` — parallel pool size (default 8);
 //! * `ADATM_RANK` — decomposition rank (default 16);
 //! * `ADATM_BENCH_REPS` — timing repetitions (default 9 / 2 smoke);
-//! * `ADATM_CALIBRATE_CHECK=1` — after writing the profile, verify the
-//!   calibrated planner end-to-end: the adaptive backend's measured
-//!   per-iteration time must not exceed the best fixed tree's by more
-//!   than 10% (exit 1 otherwise);
+//! * `ADATM_CALIBRATE_CHECK=1` — after writing the profile, run the
+//!   gates below and exit 1 if any fails, printing one line naming it;
 //! * argv[1] — output profile path (default `PROFILE.txt`).
+//!
+//! Gates, all on the probe tensor inside the pinned pool:
+//!
+//! * **adaptive** — planned with the fresh profile, the adaptive
+//!   backend's measured per-iteration time is within 10% of the best
+//!   fixed tree's, and the plan carries a `pp_update` prediction;
+//! * **pp** (full scale only; the smoke tensor's sweeps are
+//!   microseconds and its trajectory too short for the bounds to mean
+//!   anything) — an approximate sweep runs at least 2x faster than a
+//!   clean exact sweep of the same run, and moves the final fit by at
+//!   most 1e-4 against an all-exact twin;
+//! * **checkpoint** — checkpointing every 5 iterations costs under 2% of
+//!   the iteration work at full scale, under 500% at smoke (smoke
+//!   iterations are microseconds while an fsync is not).
 
-use adatm_bench::{env_flag, env_usize, time_best, with_threads, Table};
-use adatm_core::{AdaptiveBackend, CpAls, CpAlsOptions, DtreeBackend, MttkrpBackend};
+use adatm_bench::{
+    env_flag, env_usize, per_iter, run_cpals, run_cpals_with, time_best, with_threads, Table,
+};
+use adatm_core::{
+    AdaptiveBackend, CheckpointConfig, CooBackend, CpAlsOptions, DtreeBackend, MttkrpBackend,
+    PpConfig,
+};
 use adatm_dtree::{DtreeEngine, EngineOptions, NodeKernelClass, PpState, TreeShape};
 use adatm_linalg::Mat;
 use adatm_model::{ClassRate, KernelClass, KernelProfile, NnzEstimator, Planner};
@@ -35,8 +52,10 @@ fn factors_for(t: &SparseTensor, rank: usize, seed: u64) -> Vec<Mat> {
     t.dims().iter().enumerate().map(|(d, &n)| Mat::random(n, rank, seed + d as u64)).collect()
 }
 
-/// Same gate tensor as `bench_kernels`: the profile should be measured
-/// on the workload class the planner will be judged on.
+/// The gate tensor: `deli4d`, the first proxy dataset of the standard
+/// experiment suite (Delicious-like, user-mode skew 0.9), at the default
+/// harness scale, or 10x smaller at smoke. The profile is measured on
+/// the workload class the planner is judged on.
 fn gate_tensor(smoke: bool) -> SparseTensor {
     let scale = if smoke { 0.01 } else { 0.1 };
     let spec = &proxy_datasets(scale)[0];
@@ -176,22 +195,14 @@ fn cpals_per_iter(
     for rep in 0..reps {
         for k in 0..len {
             let i = (k + rep) % len;
-            let opts = CpAlsOptions::new(rank).max_iters(iters).tol(0.0).seed(0);
-            let res = CpAls::new(opts)
-                .run(t, &mut backends[i])
-                .unwrap_or_else(|e| panic!("calibrate CP-ALS rejected input: {e}"));
-            let per_iter = if res.iters == 0 {
-                0
-            } else {
-                (res.timings.total().as_nanos() / res.iters as u128) as u64
-            };
-            best[i] = best[i].min(per_iter);
+            let res = run_cpals(t, &mut *backends[i], rank, iters);
+            best[i] = best[i].min(per_iter(&res).as_nanos() as u64);
         }
     }
     best
 }
 
-/// The `--check` gate: plan with the freshly measured profile and verify
+/// The adaptive gate: plan with the freshly measured profile and verify
 /// the adaptive backend's measured per-iteration time is within 10% of
 /// the best fixed tree's. Returns false on violation.
 fn check_calibrated_plan(
@@ -222,7 +233,9 @@ fn check_calibrated_plan(
         // pp_update prediction, so callers can weigh an exact sweep
         // against a pairwise-perturbation sweep before enabling PP.
         let Some(pp_ns) = plan.pp_predicted_ns else {
-            eprintln!("calibrate: CHECK FAILED: calibrated plan carries no pp_update prediction");
+            eprintln!(
+                "calibrate: ADAPTIVE GATE FAILED: calibrated plan carries no pp_update prediction"
+            );
             return false;
         };
         println!(
@@ -245,7 +258,7 @@ fn check_calibrated_plan(
         let limit = best_fixed + best_fixed / 10;
         if adaptive_ns > limit {
             eprintln!(
-                "calibrate: CHECK FAILED: adaptive {adaptive_ns} ns/iter exceeds best fixed tree {best_fixed} ns/iter by more than 10%"
+                "calibrate: ADAPTIVE GATE FAILED: adaptive {adaptive_ns} ns/iter exceeds best fixed tree {best_fixed} ns/iter by more than 10%"
             );
             false
         } else {
@@ -255,6 +268,94 @@ fn check_calibrated_plan(
             true
         }
     })
+}
+
+/// The PP gate (full scale only): one PP-enabled CP-ALS run on the
+/// balanced-binary tree backend, with the speedup taken from the run's
+/// own diagnostics — average MTTKRP-phase time of an approximate sweep
+/// vs a clean exact sweep of the *same* run, so machine drift cancels —
+/// plus an all-exact twin run to bound the fit error PP introduces.
+/// Returns false on violation.
+fn check_pp(t: &SparseTensor, rank: usize, threads: usize) -> bool {
+    with_threads(threads, || {
+        let exact = run_cpals(t, &mut DtreeBackend::balanced_binary(t, rank), rank, 30);
+        let opts = CpAlsOptions::new(rank).max_iters(30).tol(0.0).seed(0);
+        let pp_opts = opts.pp(PpConfig::new().tol(0.05).every(8));
+        let pp = run_cpals_with(t, &mut DtreeBackend::balanced_binary(t, rank), pp_opts);
+        let exact_ns = pp.diagnostics.exact_sweep_ns.unwrap_or(0.0);
+        let pp_ns = pp.diagnostics.pp_sweep_ns.unwrap_or(f64::INFINITY);
+        let speedup = if pp_ns > 0.0 { exact_ns / pp_ns } else { 0.0 };
+        let fit_diff = (exact.final_fit() - pp.final_fit()).abs();
+        println!(
+            "   check: pp {} approximate sweep(s), {} refresh(es); exact sweep {:.2} ms vs pp \
+             sweep {:.2} ms -> {speedup:.2}x; |fit diff| {fit_diff:.2e}",
+            pp.diagnostics.pp_sweeps,
+            pp.diagnostics.pp_refreshes,
+            exact_ns / 1e6,
+            pp_ns / 1e6,
+        );
+        // `<=` is false for NaN, so a non-finite fit difference fails.
+        if speedup >= 2.0 && fit_diff <= 1e-4 {
+            println!("   check ok: pp sweep {speedup:.2}x (gate >= 2x), |fit diff| {fit_diff:.2e} (gate <= 1e-4)");
+            true
+        } else {
+            eprintln!(
+                "calibrate: PP GATE FAILED: sweep speedup {speedup:.2}x (gate >= 2x), |fit diff| \
+                 {fit_diff:.2e} (gate <= 1e-4)"
+            );
+            false
+        }
+    })
+}
+
+/// Checkpoint-overhead bound in percent of the iteration work, at full
+/// scale and at smoke.
+const CKPT_BOUND_PCT: f64 = 2.0;
+const CKPT_BOUND_SMOKE_PCT: f64 = 500.0;
+
+/// The checkpoint gate: checkpointing every 5 iterations must stay cheap
+/// relative to the iterations themselves. The overhead is checkpoint
+/// time over everything else, from the driver's own phase timings (the
+/// accounting `checkpointing_does_not_perturb_the_trajectory` exercises),
+/// minimum over `max(reps, 2)` runs of 10 iterations. Returns false on
+/// violation.
+fn check_ckpt_overhead(
+    t: &SparseTensor,
+    rank: usize,
+    threads: usize,
+    reps: usize,
+    smoke: bool,
+) -> bool {
+    let bound = if smoke { CKPT_BOUND_SMOKE_PCT } else { CKPT_BOUND_PCT };
+    let dir = std::env::temp_dir().join(format!("adatm-calibrate-ckpt-{}", std::process::id()));
+    let overhead = with_threads(threads, || {
+        let mut best = f64::INFINITY;
+        for _ in 0..reps.max(2) {
+            let _ = std::fs::remove_dir_all(&dir);
+            let cfg = CheckpointConfig::new(&dir).every_iters(5);
+            let opts = CpAlsOptions::new(rank).max_iters(10).tol(0.0).seed(0).checkpoint(cfg);
+            let res = run_cpals_with(t, &mut CooBackend::new(t), opts);
+            let ckpt = res.timings.checkpoint.as_nanos() as f64;
+            let rest = res.timings.total().as_nanos() as f64 - ckpt;
+            if rest > 0.0 {
+                best = best.min(100.0 * ckpt / rest);
+            }
+        }
+        best
+    });
+    let _ = std::fs::remove_dir_all(&dir);
+    if overhead <= bound {
+        println!(
+            "   check ok: checkpoint overhead {overhead:.3}% of iteration work (gate < {bound}%)"
+        );
+        true
+    } else {
+        eprintln!(
+            "calibrate: CHECKPOINT GATE FAILED: checkpointing every 5 iters costs {overhead:.2}% \
+             (gate < {bound}%) of iteration work"
+        );
+        false
+    }
 }
 
 fn main() {
@@ -310,7 +411,15 @@ fn main() {
     }
     println!("   wrote {out_path}");
 
-    if check && !check_calibrated_plan(&t, rank, threads, &profile) {
-        std::process::exit(1);
+    if check {
+        // Every gate runs, so one failure does not hide another.
+        let mut ok = check_calibrated_plan(&t, rank, threads, &profile);
+        if !smoke {
+            ok &= check_pp(&t, rank, threads);
+        }
+        ok &= check_ckpt_overhead(&t, rank, threads, reps, smoke);
+        if !ok {
+            std::process::exit(1);
+        }
     }
 }

@@ -1,6 +1,7 @@
-//! Experiment harness utilities shared by the `e1_*` ... `e12_*` binaries.
+//! Experiment harness utilities shared by the `e1_*` ... `e14_*` binaries
+//! and the `calibrate` probe.
 //!
-//! Every binary in `src/bin/` regenerates one (reconstructed) table or
+//! Every `e*` binary in `src/bin/` regenerates one (reconstructed) table or
 //! figure of the paper's evaluation and prints it as an aligned text
 //! table plus machine-readable TSV. Common knobs:
 //!
@@ -17,11 +18,59 @@ use adatm_tensor::gen::{proxy_datasets, random_nd, DatasetSpec};
 use adatm_tensor::SparseTensor;
 use std::time::{Duration, Instant};
 
-// The env-knob readers moved to `adatm_core::env` (they were duplicated
-// with workspace automation); re-exported here so harness code and the
-// `e*_` binaries keep their old paths. Loud-fallback behavior on
-// malformed values is unchanged.
-pub use adatm_core::env::{env_f64, env_flag, env_usize, flag_value, parse_env};
+/// Reads a float knob from the environment. A set-but-malformed value
+/// falls back to the default loudly (stderr warning): silently running
+/// at the wrong scale because of a typo'd knob poisons every downstream
+/// table.
+pub fn env_f64(name: &str, default: f64) -> f64 {
+    parse_env(name, std::env::var(name).ok().as_deref(), default)
+}
+
+/// Reads an integer knob from the environment (same loud-fallback
+/// contract as [`env_f64`]).
+pub fn env_usize(name: &str, default: usize) -> usize {
+    parse_env(name, std::env::var(name).ok().as_deref(), default)
+}
+
+/// Shared parse-with-warning core of [`env_f64`]/[`env_usize`], over an
+/// explicit value so tests need not mutate the process environment.
+pub fn parse_env<T: std::str::FromStr + Copy>(name: &str, value: Option<&str>, default: T) -> T {
+    match value {
+        None => default,
+        Some(v) => v.parse().unwrap_or_else(|_| {
+            eprintln!(
+                "adatm: warning: ignoring {name}='{v}' (not a valid \
+                 {}); using default",
+                std::any::type_name::<T>()
+            );
+            default
+        }),
+    }
+}
+
+/// Reads a boolean flag from the environment, accepting `1`/`true`/
+/// `yes`/`on` (case-insensitive) as set and `0`/`false`/`no`/`off`/empty
+/// as unset. Anything else warns and counts as unset, so
+/// `ADATM_BENCH_SMOKE=maybe` never silently means a full run.
+pub fn env_flag(name: &str) -> bool {
+    flag_value(name, std::env::var(name).ok().as_deref())
+}
+
+/// Shared interpretation core of [`env_flag`], over an explicit value.
+pub fn flag_value(name: &str, value: Option<&str>) -> bool {
+    let Some(v) = value else { return false };
+    match v.to_ascii_lowercase().as_str() {
+        "1" | "true" | "yes" | "on" => true,
+        "" | "0" | "false" | "no" | "off" => false,
+        _ => {
+            eprintln!(
+                "adatm: warning: ignoring {name}='{v}' (expected one of \
+                 1/true/yes/on or 0/false/no/off); treating as unset"
+            );
+            false
+        }
+    }
+}
 
 /// The dataset-size scale for this run.
 pub fn scale() -> f64 {
@@ -161,6 +210,16 @@ pub fn run_cpals<B: adatm_core::MttkrpBackend + ?Sized>(
     iterations: usize,
 ) -> adatm_core::CpResult {
     let opts = adatm_core::CpAlsOptions::new(rank).max_iters(iterations).tol(0.0).seed(0);
+    run_cpals_with(tensor, backend, opts)
+}
+
+/// Runs CP-ALS under `opts`. Harness inputs are well-formed, so a
+/// rejection is a bug and panics.
+pub fn run_cpals_with<B: adatm_core::MttkrpBackend + ?Sized>(
+    tensor: &SparseTensor,
+    backend: &mut B,
+    opts: adatm_core::CpAlsOptions,
+) -> adatm_core::CpResult {
     adatm_core::CpAls::new(opts)
         .run(tensor, backend)
         .unwrap_or_else(|e| panic!("benchmark CP-ALS run rejected its input: {e}"))
@@ -240,13 +299,33 @@ mod tests {
     use super::*;
 
     #[test]
-    fn env_helpers_are_reexported_from_core() {
-        // The implementations (and their unit tests) live in
-        // `adatm_core::env`; this pins the bench-facing re-export.
+    fn env_parsing_defaults() {
         assert_eq!(env_f64("ADATM_NO_SUCH_VAR_XYZ", 0.25), 0.25);
         assert_eq!(env_usize("ADATM_NO_SUCH_VAR_XYZ", 7), 7);
-        assert!(flag_value("F", Some("yes")) && !flag_value("F", Some("maybe")));
+    }
+
+    #[test]
+    fn parse_env_accepts_valid_and_rejects_malformed_loudly() {
+        assert_eq!(parse_env("K", Some("0.5"), 0.25), 0.5);
+        assert_eq!(parse_env("K", Some("12"), 7usize), 12);
+        // Malformed: falls back to the default (the warning goes to
+        // stderr; the contract under test is the value).
         assert_eq!(parse_env("K", Some("fast"), 0.25), 0.25);
+        assert_eq!(parse_env("K", Some("3.5"), 7usize), 7);
+        assert_eq!(parse_env("K", None, 9usize), 9);
+    }
+
+    #[test]
+    fn flag_value_accepts_common_truthy_and_falsy_spellings() {
+        for v in ["1", "true", "TRUE", "yes", "Yes", "on"] {
+            assert!(flag_value("F", Some(v)), "{v} should enable");
+        }
+        for v in ["", "0", "false", "no", "OFF"] {
+            assert!(!flag_value("F", Some(v)), "{v} should disable");
+        }
+        assert!(!flag_value("F", None));
+        // Unrecognized: warns, treated as unset.
+        assert!(!flag_value("F", Some("maybe")));
     }
 
     #[test]

@@ -13,11 +13,12 @@
 //! state: every random draw is derived deterministically from the run
 //! seed plus counters, all of which are stored here.)
 //!
-//! # On-disk format (version 1, all little-endian)
+//! # On-disk format (version 2, all little-endian)
 //!
 //! ```text
 //! header  (24 bytes): magic "ADTMCKPT" | version u32 | payload_len u64 | crc32 u32
-//! payload: seed u64 | next_iter u64 | rank u64 | ndim u64
+//! payload: rule u8 (0 = ALS, 1 = NCP)
+//!          | seed u64 | next_iter u64 | rank u64 | ndim u64
 //!          | per mode: nrows u64, nrows*rank f64          (factor data)
 //!          | rank f64                                     (lambda)
 //!          | len u64, len f64                             (fit history)
@@ -32,6 +33,9 @@
 //! — never a panic, never a silently-wrong model. The cached Gram
 //! matrices are deliberately **not** stored: they are bitwise-pure
 //! functions of the factors (`Mat::gram`) and are recomputed on resume.
+//! The rule tag, added in version 2, keeps an NCP checkpoint from
+//! resuming under ALS or the reverse; a version-1 file (no tag) is
+//! rejected as [`CheckpointError::UnsupportedVersion`].
 //!
 //! # Durability protocol
 //!
@@ -45,6 +49,7 @@
 //! [`CheckpointMedium`] seam so the `fault-inject` harness can inject
 //! torn writes, bit flips, `ENOSPC`, and rename failures.
 
+use crate::cpals::UpdateRule;
 use adatm_linalg::Mat;
 use std::fs;
 use std::io::Write as _;
@@ -55,7 +60,7 @@ use std::time::Instant;
 pub const CHECKPOINT_MAGIC: &[u8; 8] = b"ADTMCKPT";
 
 /// Current checkpoint format version.
-pub const CHECKPOINT_VERSION: u32 = 1;
+pub const CHECKPOINT_VERSION: u32 = 2;
 
 /// Extension used for finalized checkpoint generations.
 pub const CHECKPOINT_EXT: &str = "adtmc";
@@ -157,7 +162,9 @@ pub enum CheckpointError {
     },
     /// The file does not start with the checkpoint magic.
     BadMagic,
-    /// The file's format version is newer than this build understands.
+    /// The file's format version is not the one this build reads: an
+    /// older format (version 1 predates the update-rule tag) or a newer
+    /// one.
     UnsupportedVersion {
         /// Version found in the header.
         found: u32,
@@ -265,6 +272,9 @@ pub struct CheckpointWarning {
 /// run bitwise-identically to one that was never interrupted.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CpCheckpoint {
+    /// The update rule that wrote the checkpoint; a resume under any
+    /// other rule is a [`CheckpointError::Mismatch`].
+    pub rule: UpdateRule,
     /// The run's initialization seed (all reseed streams derive from it).
     pub seed: u64,
     /// The next outer iteration to execute (= completed iterations).
@@ -307,6 +317,7 @@ impl CpCheckpoint {
     /// Borrowing view for encoding.
     pub fn as_view(&self) -> CheckpointView<'_> {
         CheckpointView {
+            rule: self.rule,
             seed: self.seed,
             next_iter: self.next_iter,
             lambda: &self.lambda,
@@ -341,6 +352,8 @@ impl CpCheckpoint {
 /// into an owned [`CpCheckpoint`] first.
 #[derive(Clone, Copy, Debug)]
 pub struct CheckpointView<'a> {
+    /// See [`CpCheckpoint::rule`].
+    pub rule: UpdateRule,
     /// See [`CpCheckpoint::seed`].
     pub seed: u64,
     /// See [`CpCheckpoint::next_iter`].
@@ -386,8 +399,8 @@ fn put_f64s(buf: &mut Vec<u8>, vs: &[f64]) {
 fn payload_size(view: &CheckpointView<'_>) -> usize {
     let rank = view.lambda.len();
     let factor_bytes: usize = view.factors.iter().map(|m| 8 + m.as_slice().len() * 8).sum();
-    let mut n =
-        8 * 4 + factor_bytes + rank * 8 + 8 + view.fit_history.len() * 8 + 8 + 8 + 8 + 1 + 8 + 1;
+    let mut n = 1 + 8 * 4 + factor_bytes + rank * 8;
+    n += 8 + view.fit_history.len() * 8 + 8 + 8 + 8 + 1 + 8 + 1;
     if let Some((l, fs)) = view.last_good {
         n += l.len() * 8 + fs.iter().map(|m| m.as_slice().len() * 8).sum::<usize>();
     }
@@ -404,6 +417,10 @@ pub fn encode_into(view: &CheckpointView<'_>, buf: &mut Vec<u8>) {
     buf.clear();
     buf.reserve(HEADER_LEN + plen + HISTORY_SLACK);
     buf.extend_from_slice(&[0u8; HEADER_LEN]);
+    buf.push(match view.rule {
+        UpdateRule::Als => 0,
+        UpdateRule::Ncp => 1,
+    });
     put_u64(buf, view.seed);
     put_u64(buf, view.next_iter as u64);
     put_u64(buf, view.lambda.len() as u64);
@@ -540,6 +557,11 @@ fn decode(bytes: &[u8]) -> Result<CpCheckpoint, CheckpointError> {
     }
 
     let mut cur = Cursor { rest: payload, taken: 0 };
+    let rule = match cur.u8()? {
+        0 => UpdateRule::Als,
+        1 => UpdateRule::Ncp,
+        _ => return Err(CheckpointError::Malformed { what: "update rule" }),
+    };
     let seed = cur.u64()?;
     let next_iter = usize::try_from(cur.u64()?)
         .map_err(|_| CheckpointError::Malformed { what: "iteration counter overflow" })?;
@@ -587,6 +609,7 @@ fn decode(bytes: &[u8]) -> Result<CpCheckpoint, CheckpointError> {
         return Err(CheckpointError::Malformed { what: "trailing payload bytes" });
     }
     Ok(CpCheckpoint {
+        rule,
         seed,
         next_iter,
         lambda,
@@ -947,6 +970,7 @@ mod tests {
         let fit_history: Vec<f64> = (0..hist).map(|i| 0.5 + i as f64 * 1e-3).collect();
         let best_fit = fit_history.last().copied().unwrap_or(f64::NEG_INFINITY);
         CpCheckpoint {
+            rule: UpdateRule::Als,
             seed,
             next_iter: hist,
             last_good: if hist > 0 { Some((lambda.clone(), factors.clone())) } else { None },
@@ -969,10 +993,38 @@ mod tests {
 
     #[test]
     fn roundtrip_bitwise_identical() {
-        let ck = sample_checkpoint(&[7, 5, 6], 3, 42, 9);
-        let bytes = ck.encode();
-        let back = CpCheckpoint::decode(&bytes).unwrap();
-        assert_eq!(ck, back);
+        for rule in [UpdateRule::Als, UpdateRule::Ncp] {
+            let ck = CpCheckpoint { rule, ..sample_checkpoint(&[7, 5, 6], 3, 42, 9) };
+            let bytes = ck.encode();
+            let back = CpCheckpoint::decode(&bytes).unwrap();
+            assert_eq!(ck, back);
+        }
+    }
+
+    #[test]
+    fn unknown_rule_tag_is_malformed() {
+        let mut bytes = sample_checkpoint(&[3, 4], 2, 1, 2).encode();
+        // The tag is the first payload byte; re-seal the CRC so the
+        // decoder reaches it.
+        bytes[HEADER_LEN] = 2;
+        let crc = crc32(&bytes[HEADER_LEN..]);
+        bytes[20..HEADER_LEN].copy_from_slice(&crc.to_le_bytes());
+        assert_eq!(
+            CpCheckpoint::decode(&bytes),
+            Err(CheckpointError::Malformed { what: "update rule" })
+        );
+    }
+
+    #[test]
+    fn version_1_files_are_unsupported() {
+        // Version 1 predates the rule tag: its payload cannot say which
+        // rule wrote it, so it is refused rather than guessed at.
+        let mut bytes = sample_checkpoint(&[3, 3], 1, 0, 1).encode();
+        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+        assert_eq!(
+            CpCheckpoint::decode(&bytes),
+            Err(CheckpointError::UnsupportedVersion { found: 1 })
+        );
     }
 
     #[test]
@@ -1134,6 +1186,9 @@ mod tests {
             let mut ck = sample_checkpoint(&dims, rank, seed, hist);
             if !with_last_good {
                 ck.last_good = None;
+            }
+            if seed & 1 == 1 {
+                ck.rule = UpdateRule::Ncp;
             }
             let bytes = ck.encode();
             let back = CpCheckpoint::decode(&bytes).unwrap();

@@ -405,9 +405,10 @@ impl CpResult {
 /// The per-mode update rule: the one step of a sweep that differs
 /// between the CP methods this driver runs. Everything rule-specific —
 /// initialization, input check, update — sits behind it, so the loop
-/// never matches on it.
+/// never matches on it. Checkpoints record it, and a run resumes only
+/// under the rule that wrote them.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Rule {
+pub enum UpdateRule {
     /// Normal-equation solve with ridge fallbacks, then column
     /// normalization into `lambda`.
     Als,
@@ -415,12 +416,13 @@ enum Rule {
     Ncp,
 }
 
-impl Rule {
-    /// The rule's name in traces (the `rule` field of `cpals.run`).
-    fn name(self) -> &'static str {
+impl UpdateRule {
+    /// The rule's name in traces (the `rule` field of `cpals.run`) and
+    /// in checkpoint mismatch errors.
+    pub fn name(self) -> &'static str {
         match self {
-            Rule::Als => "als",
-            Rule::Ncp => "ncp",
+            UpdateRule::Als => "als",
+            UpdateRule::Ncp => "ncp",
         }
     }
 
@@ -429,7 +431,9 @@ impl Rule {
     /// produce signed factors, which NCP's input check then rejects).
     fn init(self, tensor: &SparseTensor, opts: &CpAlsOptions) -> Vec<Mat> {
         match (self, opts.init) {
-            (Rule::Ncp, InitStrategy::Random) => ncp::init_factors(tensor, opts.rank, opts.seed),
+            (UpdateRule::Ncp, InitStrategy::Random) => {
+                ncp::init_factors(tensor, opts.rank, opts.seed)
+            }
             _ => init_factors(tensor, opts.rank, opts.seed, opts.init),
         }
     }
@@ -437,8 +441,8 @@ impl Rule {
     /// The rule's own input requirements, checked after the shared ones.
     fn check_input(self, tensor: &SparseTensor, factors: &[Mat]) -> Result<(), CpAlsError> {
         match self {
-            Rule::Als => Ok(()),
-            Rule::Ncp => ncp::check_input(tensor, factors),
+            UpdateRule::Als => Ok(()),
+            UpdateRule::Ncp => ncp::check_input(tensor, factors),
         }
     }
 
@@ -458,8 +462,8 @@ impl Rule {
         diag: &mut RunDiagnostics,
     ) -> Result<bool, BreakdownKind> {
         match self {
-            Rule::Als => als_solve(m, h, out, iter, mode, diag).map(|()| true),
-            Rule::Ncp => Ok(update::ncp_into(out.u, m, h, ncp::MU_EPS, out.gram)),
+            UpdateRule::Als => als_solve(m, h, out, iter, mode, diag).map(|()| true),
+            UpdateRule::Ncp => Ok(update::ncp_into(out.u, m, h, ncp::MU_EPS, out.gram)),
         }
     }
 
@@ -476,7 +480,7 @@ impl Rule {
         seed: u64,
         diag: &mut RunDiagnostics,
     ) -> bool {
-        if self == Rule::Ncp {
+        if self == UpdateRule::Ncp {
             return true;
         }
         let mut finite = update::normalize_gram(out.u, out.lambda, out.gram);
@@ -700,13 +704,13 @@ impl PpCtl {
 #[derive(Clone, Debug)]
 pub struct CpAls {
     opts: CpAlsOptions,
-    rule: Rule,
+    rule: UpdateRule,
 }
 
 impl CpAls {
     /// Creates a CP-ALS solver with the given options.
     pub fn new(opts: CpAlsOptions) -> Self {
-        CpAls { opts, rule: Rule::Als }
+        CpAls { opts, rule: UpdateRule::Als }
     }
 
     /// Creates a nonnegative-CP solver (multiplicative updates, see
@@ -714,7 +718,7 @@ impl CpAls {
     /// nonnegative, and so must the initial factors; the default random
     /// init is.
     pub fn ncp(opts: CpAlsOptions) -> Self {
-        CpAls { opts, rule: Rule::Ncp }
+        CpAls { opts, rule: UpdateRule::Ncp }
     }
 
     /// Runs the solver on `tensor` with `backend`, starting from a seeded
@@ -756,9 +760,9 @@ impl CpAls {
     /// reseed RNG stream aligned. Gram matrices are recomputed from the
     /// restored factors (they are bitwise-pure functions of them).
     ///
-    /// The checkpoint must match `tensor` (mode dimensions), the
-    /// configured rank, and the configured seed; disagreements return a
-    /// typed [`CpAlsError::Checkpoint`] with
+    /// The checkpoint must match this solver's update rule, `tensor`
+    /// (mode dimensions), the configured rank, and the configured seed;
+    /// disagreements return a typed [`CpAlsError::Checkpoint`] with
     /// [`CheckpointError::Mismatch`] inside.
     pub fn resume_from<B: MttkrpBackend + ?Sized>(
         &self,
@@ -808,13 +812,20 @@ impl CpAls {
         Ok(())
     }
 
-    /// Checks that `ck` belongs to this run — rank, mode shapes, seed —
-    /// and is internally consistent. Disagreements are typed
-    /// [`CheckpointError::Mismatch`]es.
+    /// Checks that `ck` belongs to this run — update rule, rank, mode
+    /// shapes, seed — and is internally consistent. Disagreements are
+    /// typed [`CheckpointError::Mismatch`]es.
     fn check_checkpoint(&self, tensor: &SparseTensor, ck: &CpCheckpoint) -> Result<(), CpAlsError> {
         let (n, rank) = (tensor.ndim(), self.opts.rank);
         let mismatch =
             |what: String| Err(CpAlsError::Checkpoint(CheckpointError::Mismatch { what }));
+        if ck.rule != self.rule {
+            return mismatch(format!(
+                "checkpoint was written by the {} update rule, this run uses {}",
+                ck.rule.name(),
+                self.rule.name()
+            ));
+        }
         if ck.rank() != rank {
             return mismatch(format!("checkpoint rank {} vs requested rank {rank}", ck.rank()));
         }
@@ -880,7 +891,7 @@ enum Flow {
 /// docs for their order).
 struct Run<'a, B: MttkrpBackend + ?Sized> {
     opts: &'a CpAlsOptions,
-    rule: Rule,
+    rule: UpdateRule,
     tensor: &'a SparseTensor,
     backend: &'a mut B,
     factors: Vec<Mat>,
@@ -1572,6 +1583,7 @@ impl<'a, B: MttkrpBackend + ?Sized> Run<'a, B> {
         let Some(ck) = self.ckpt.as_mut() else { return };
         let t0 = Instant::now();
         let view = CheckpointView {
+            rule: self.rule,
             seed: self.opts.seed,
             next_iter,
             lambda: &self.lambda,
@@ -1642,6 +1654,7 @@ impl<'a, B: MttkrpBackend + ?Sized> Run<'a, B> {
     /// tensor.
     fn drift_check(&mut self) {
         self.diag.predicted_iter_ns = self.backend.predicted_iter_ns();
+        self.diag.measured_iters = self.clean_iters;
         if self.clean_iters == 0 {
             return;
         }

@@ -151,6 +151,10 @@ pub struct RunDiagnostics {
     /// honest prediction look drifted. This is the quantity the drift
     /// detector compares against `predicted_iter_ns`.
     pub measured_iter_ns: Option<f64>,
+    /// How many iterations `measured_iter_ns` averages over: the clean
+    /// exact iterations, so a run that recovered or ran PP sweeps counts
+    /// fewer than it ran.
+    pub measured_iters: u64,
     /// Approximate (pairwise-perturbation) sweeps executed.
     pub pp_sweeps: u64,
     /// Times the PP baseline was (re)captured from an exact sweep.

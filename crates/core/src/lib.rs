@@ -38,7 +38,6 @@ pub mod completion;
 pub mod cpals;
 pub mod cpopt;
 pub mod diagnostics;
-pub mod env;
 pub mod error;
 #[cfg(feature = "fault-inject")]
 pub mod fault;
@@ -55,7 +54,7 @@ pub use checkpoint::{
     CpCheckpoint, FsMedium, ResumeOutcome,
 };
 pub use completion::{complete, CompletionOptions, CompletionResult};
-pub use cpals::{CpAls, CpAlsOptions, CpResult, PhaseTimings, PpConfig};
+pub use cpals::{CpAls, CpAlsOptions, CpResult, PhaseTimings, PpConfig, UpdateRule};
 pub use cpopt::{cp_opt, CpOptOptions, CpOptResult};
 pub use diagnostics::{BreakdownEvent, BreakdownKind, RecoveryAction, RunDiagnostics, StopReason};
 pub use error::CpAlsError;

@@ -68,28 +68,6 @@ where
     ClaimOutcome::Disjoint
 }
 
-/// [`check_disjoint_rows`] that panics on violation, naming the kernel.
-/// The parallel kernels call this after collecting their per-task rows:
-/// an overlap would mean the "one task per output row" argument — and
-/// therefore the absence of a data race — is wrong for this input.
-pub fn assert_disjoint_rows<I>(rows: I, nrows: usize, kernel: &str)
-where
-    I: IntoIterator<Item = usize>,
-{
-    match check_disjoint_rows(rows, nrows) {
-        ClaimOutcome::Disjoint => {}
-        ClaimOutcome::Overlap { row } => {
-            panic!("audit: {kernel}: two parallel tasks claimed output row {row}")
-        }
-        ClaimOutcome::OutOfBounds { row, nrows } => {
-            panic!("audit: {kernel}: claimed row {row} outside output of {nrows} rows")
-        }
-        ClaimOutcome::DegenerateSplit { .. } => {
-            unreachable!("check_disjoint_rows never reports splits")
-        }
-    }
-}
-
 /// Checks the row claims of a *scheduled* kernel: `owned` rows are
 /// written directly by exactly one task; `split` rows `(row, nslots)` are
 /// produced by merging `nslots` privatized slot rows. All rows (owned and
@@ -196,11 +174,5 @@ mod tests {
             check_disjoint_rows([5usize].into_iter(), 3),
             ClaimOutcome::OutOfBounds { row: 5, nrows: 3 }
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "claimed output row")]
-    fn assert_form_panics_on_overlap() {
-        assert_disjoint_rows([2usize, 2].into_iter(), 3, "test-kernel");
     }
 }

@@ -3,10 +3,10 @@
 //! The build container has no network access and no vendored registry, so
 //! the workspace replaces its `rayon` dependency with this shim (see
 //! `[workspace.dependencies]` in the root manifest). It reproduces exactly
-//! the combinator surface the kernels use — `par_iter` / `into_par_iter`
-//! (ranges and slices), `map`, `map_init`, `enumerate`, `zip`, `step_by`,
-//! `fold` + `reduce`, `for_each`, `collect`, `par_chunks`,
-//! `par_chunks_mut`, `par_sort_unstable_by` — with real data parallelism
+//! the combinator surface the workspace uses — `into_par_iter` (ranges
+//! and vectors), `map` + `collect` / `reduce`, `enumerate`, `zip`,
+//! `fold` + `reduce`, `for_each`, `par_chunks`, `par_chunks_mut`,
+//! `par_sort_unstable_by` — with real data parallelism
 //! via [`std::thread::scope`]: each terminal operation splits its items
 //! into one contiguous block per worker and joins in order, so outputs are
 //! position-stable just as with rayon.
@@ -107,11 +107,6 @@ impl ThreadPool {
         POOL_THREADS.with(|c| c.set(prev));
         out
     }
-
-    /// The pool's worker count.
-    pub fn current_num_threads(&self) -> usize {
-        self.num_threads
-    }
 }
 
 /// Runs `f` over `items`, one contiguous block per worker, preserving item
@@ -190,17 +185,6 @@ impl<T: Send> ParIter<T> {
         MapIter { items: self.items, f }
     }
 
-    /// Like `map` but with a per-worker scratch state built by `init`.
-    pub fn map_init<S, U, INIT, F>(self, init: INIT, f: F) -> MapInitIter<T, INIT, F>
-    where
-        S: Send,
-        U: Send,
-        INIT: Fn() -> S + Sync,
-        F: Fn(&mut S, T) -> U + Sync,
-    {
-        MapInitIter { items: self.items, init, f }
-    }
-
     /// Pairs each item with its index.
     pub fn enumerate(self) -> ParIter<(usize, T)> {
         ParIter { items: self.items.into_iter().enumerate().collect() }
@@ -209,11 +193,6 @@ impl<T: Send> ParIter<T> {
     /// Zips with another parallel iterator, truncating to the shorter.
     pub fn zip<U: Send>(self, other: ParIter<U>) -> ParIter<(T, U)> {
         ParIter { items: self.items.into_iter().zip(other.items).collect() }
-    }
-
-    /// Keeps every `step`-th item starting from the first.
-    pub fn step_by(self, step: usize) -> ParIter<T> {
-        ParIter { items: self.items.into_iter().step_by(step).collect() }
     }
 
     /// Per-worker fold producing one accumulator per block.
@@ -233,21 +212,6 @@ impl<T: Send> ParIter<T> {
     {
         let _ = run_map(self.items, f);
     }
-
-    /// Collects the items (parallelism already happened upstream).
-    pub fn collect<C: FromIterator<T>>(self) -> C {
-        self.items.into_iter().collect()
-    }
-
-    /// Number of items.
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// Whether there are no items.
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
 }
 
 /// Lazy `map` adapter; the closure runs in parallel at the terminal op.
@@ -265,26 +229,6 @@ where
         run_map(self.items, self.f).into_iter().collect()
     }
 
-    /// Runs the map in parallel, discarding results.
-    pub fn for_each<G>(self, g: G)
-    where
-        G: Fn(U) + Sync,
-    {
-        let f = self.f;
-        let _ = run_map(self.items, move |t| g(f(t)));
-    }
-
-    /// Per-worker fold over the mapped items.
-    pub fn fold<A, ID, G>(self, identity: ID, fold: G) -> FoldIter<A>
-    where
-        A: Send,
-        ID: Fn() -> A + Sync,
-        G: Fn(A, U) -> A + Sync,
-    {
-        let f = self.f;
-        FoldIter { accs: run_fold(self.items, identity, move |acc, t| fold(acc, f(t))) }
-    }
-
     /// Reduces the mapped items directly.
     pub fn reduce<ID, G>(self, identity: ID, reduce: G) -> U
     where
@@ -292,60 +236,6 @@ where
         G: Fn(U, U) -> U + Sync,
     {
         run_map(self.items, self.f).into_iter().fold(identity(), reduce)
-    }
-
-    /// Sums the mapped items.
-    pub fn sum<S>(self) -> S
-    where
-        S: std::iter::Sum<U>,
-    {
-        run_map(self.items, self.f).into_iter().sum()
-    }
-}
-
-/// Lazy `map_init` adapter: one scratch state per worker block.
-pub struct MapInitIter<T, INIT, F> {
-    items: Vec<T>,
-    init: INIT,
-    f: F,
-}
-
-impl<T: Send, S, U: Send, INIT, F> MapInitIter<T, INIT, F>
-where
-    S: Send,
-    INIT: Fn() -> S + Sync,
-    F: Fn(&mut S, T) -> U + Sync,
-{
-    /// Runs the map in parallel and collects results in item order.
-    pub fn collect<C: FromIterator<U>>(self) -> C {
-        let MapInitIter { items, init, f } = self;
-        let workers = current_num_threads().min(items.len().max(1));
-        if workers <= 1 || items.len() <= 1 {
-            let mut state = init();
-            return items.into_iter().map(|t| f(&mut state, t)).collect();
-        }
-        let mut blocks: Vec<Vec<T>> = Vec::with_capacity(workers);
-        let chunk = items.len().div_ceil(workers);
-        let mut rest = items;
-        while rest.len() > chunk {
-            let tail = rest.split_off(chunk);
-            blocks.push(std::mem::replace(&mut rest, tail));
-        }
-        blocks.push(rest);
-        let (initref, fref) = (&init, &f);
-        let outputs: Vec<Vec<U>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = blocks
-                .into_iter()
-                .map(|block| {
-                    scope.spawn(move || {
-                        let mut state = initref();
-                        block.into_iter().map(|t| fref(&mut state, t)).collect::<Vec<U>>()
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("shim worker panicked")).collect()
-        });
-        outputs.into_iter().flatten().collect()
     }
 }
 
@@ -363,11 +253,6 @@ impl<A: Send> FoldIter<A> {
         F: Fn(A, A) -> A + Sync,
     {
         self.accs.into_iter().fold(identity(), reduce)
-    }
-
-    /// Collects the per-block accumulators.
-    pub fn collect<C: FromIterator<A>>(self) -> C {
-        self.accs.into_iter().collect()
     }
 }
 
@@ -387,40 +272,10 @@ impl IntoParallelIterator for Range<usize> {
     }
 }
 
-impl IntoParallelIterator for Range<u32> {
-    type Item = u32;
-    fn into_par_iter(self) -> ParIter<u32> {
-        ParIter { items: self.collect() }
-    }
-}
-
 impl<T: Send> IntoParallelIterator for Vec<T> {
     type Item = T;
     fn into_par_iter(self) -> ParIter<T> {
         ParIter { items: self }
-    }
-}
-
-/// `par_iter` over shared references (subset of rayon's
-/// `IntoParallelRefIterator`).
-pub trait IntoParallelRefIterator<'a> {
-    /// The reference item type.
-    type Item: Send;
-    /// Borrowing parallel iterator.
-    fn par_iter(&'a self) -> ParIter<Self::Item>;
-}
-
-impl<'a, T: Sync + 'a> IntoParallelRefIterator<'a> for [T] {
-    type Item = &'a T;
-    fn par_iter(&'a self) -> ParIter<&'a T> {
-        ParIter { items: self.iter().collect() }
-    }
-}
-
-impl<'a, T: Sync + 'a> IntoParallelRefIterator<'a> for Vec<T> {
-    type Item = &'a T;
-    fn par_iter(&'a self) -> ParIter<&'a T> {
-        ParIter { items: self.iter().collect() }
     }
 }
 
@@ -466,31 +321,9 @@ impl<T: Send> ParallelSliceMut<T> for [T] {
     }
 }
 
-/// Runs two closures, potentially in parallel, returning both results.
-pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    if current_num_threads() <= 1 {
-        let ra = a();
-        let rb = b();
-        return (ra, rb);
-    }
-    std::thread::scope(|scope| {
-        let hb = scope.spawn(b);
-        let ra = a();
-        (ra, hb.join().expect("shim worker panicked"))
-    })
-}
-
 /// The traits and types a `use rayon::prelude::*` import expects.
 pub mod prelude {
-    pub use super::{
-        IntoParallelIterator, IntoParallelRefIterator, ParallelSlice, ParallelSliceMut,
-    };
+    pub use super::{IntoParallelIterator, ParallelSlice, ParallelSliceMut};
 }
 
 #[cfg(test)]
@@ -500,16 +333,8 @@ mod tests {
 
     #[test]
     fn map_collect_preserves_order() {
-        let v: Vec<usize> = (0..1000).collect();
-        let out: Vec<usize> = v.par_iter().map(|&x| x * 2).collect();
+        let out: Vec<usize> = (0..1000usize).into_par_iter().map(|x| x * 2).collect();
         assert_eq!(out, (0..1000).map(|x| x * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn range_map_init_matches_sequential() {
-        let out: Vec<usize> =
-            (0..257usize).into_par_iter().map_init(|| 10usize, |s, x| *s + x).collect();
-        assert_eq!(out, (0..257).map(|x| 10 + x).collect::<Vec<_>>());
     }
 
     #[test]
@@ -519,12 +344,6 @@ mod tests {
             .fold(|| 0u64, |acc, x| acc + x as u64)
             .reduce(|| 0u64, |a, b| a + b);
         assert_eq!(total, 10_000 * 9_999 / 2);
-    }
-
-    #[test]
-    fn step_by_then_fold_covers_stepped_items() {
-        let picked: Vec<usize> = (0..100usize).into_par_iter().step_by(17).collect();
-        assert_eq!(picked, vec![0, 17, 34, 51, 68, 85]);
     }
 
     #[test]
@@ -566,12 +385,5 @@ mod tests {
             .install(current_num_threads);
         assert_eq!(n, 3);
         assert!(current_num_threads() >= 1);
-    }
-
-    #[test]
-    fn join_runs_both() {
-        let (a, b) = join(|| 1 + 1, || "x".repeat(3));
-        assert_eq!(a, 2);
-        assert_eq!(b, "xxx");
     }
 }

@@ -22,6 +22,7 @@ pub use adatm_core::{
     CpAlsOptions, CpCheckpoint, CpModel, CpOptOptions, CpOptResult, CpResult, CsfBackend,
     DtreeBackend, InitStrategy, MttkrpBackend, PhaseTimings, PpConfig, RecoveryAction,
     ResumeOutcome, RunDiagnostics, StopReason, TuckerModel, TuckerOptions, TuckerResult,
+    UpdateRule,
 };
 #[cfg(feature = "fault-inject")]
 pub use adatm_core::{

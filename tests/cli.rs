@@ -342,6 +342,32 @@ fn decompose_ncp_checkpoints_with_pp_and_resumes() {
 }
 
 #[test]
+fn resuming_an_ncp_checkpoint_without_algo_ncp_exits_with_checkpoint_code() {
+    let dir = tmpdir("ncprule");
+    let tns = dir.join("t.tns");
+    adatm()
+        .args(["generate", "--dims", "12x15x10", "--nnz", "500", "--skew", "0.5", "-o"])
+        .arg(&tns)
+        .status()
+        .unwrap();
+    let ckpt = dir.join("ckpt");
+    let decompose = |extra: &[&str]| {
+        let mut cmd = adatm();
+        cmd.arg("decompose").arg(&tns).args(["--rank", "3", "--iters", "4", "--tol", "0"]);
+        cmd.args(extra).arg("--checkpoint-dir").arg(&ckpt);
+        cmd.output().unwrap()
+    };
+    let out = decompose(&["--algo", "ncp", "--checkpoint-every", "2"]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    // The default algorithm is ALS: the NCP checkpoint must be refused.
+    let out = decompose(&["--resume"]);
+    assert_eq!(out.status.code(), Some(8), "{}", String::from_utf8_lossy(&out.stderr));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("ncp") && stderr.contains("als"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn ncp_negative_value_exits_with_solver_input_code() {
     let dir = tmpdir("ncpneg");
     let tns = dir.join("neg.tns");

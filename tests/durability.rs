@@ -217,6 +217,29 @@ fn resume_validation_mismatches_are_typed() {
 }
 
 #[test]
+fn resume_under_the_other_update_rule_is_a_typed_mismatch() {
+    // The checkpoint records the rule that wrote it: resuming an NCP
+    // checkpoint under ALS (or the reverse) would silently continue a
+    // different method from the other's state.
+    let t = ground_truth();
+    for (writer, reader) in [("ncp", "als"), ("als", "ncp")] {
+        let solver = |rule: &str, o| if rule == "ncp" { CpAls::ncp(o) } else { CpAls::new(o) };
+        let dir = tmp_dir(&format!("rule-{writer}"));
+        solver(writer, opts(4).checkpoint(CheckpointConfig::new(&dir).every_iters(2)))
+            .run(&t, &mut backend(&t))
+            .unwrap();
+        let ckpt = CheckpointStore::load_latest(&dir).unwrap().checkpoint;
+        let err = solver(reader, opts(8)).resume_from(&t, &mut backend(&t), ckpt).unwrap_err();
+        let named_both = |what: &str| what.contains(writer) && what.contains(reader);
+        assert!(
+            matches!(&err, CpAlsError::Checkpoint(CheckpointError::Mismatch { what }) if named_both(what)),
+            "{writer} -> {reader}: got {err:?}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
 fn resume_from_missing_or_empty_dir_is_a_typed_no_checkpoints_error() {
     let missing = tmp_dir("never-created");
     let err = CheckpointStore::load_latest(&missing).unwrap_err();

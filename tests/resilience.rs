@@ -599,24 +599,37 @@ fn drift_detector_excludes_recovered_iterations_from_the_average() {
     let t = ground_truth();
     // One iteration (calls 30..33, i.e. iteration 10) both stalls and
     // poisons: the stall inflates that iteration's measured kernel time
-    // ~1000x past any clean sweep, and the poison marks the iteration
-    // non-clean so the fixed average excludes it.
-    let sched =
-        FaultSchedule::new().at_call(30, FaultKind::StallMs(200)).at_call(31, FaultKind::PoisonNan);
+    // far past any clean sweep, and the poison marks the iteration
+    // non-clean so the average excludes it.
+    let sched = FaultSchedule::new()
+        .at_call(30, FaultKind::StallMs(1000))
+        .at_call(31, FaultKind::PoisonNan);
     let faulty = FaultInjectingBackend::new(CooBackend::new(&t), sched);
-    // Predict 1 ms/iter: far above a clean ~10x10x10 sweep (so clean
-    // iterations can never trip the 2x default factor) yet far below the
-    // 200 ms stall smeared over 30 iterations (so the old all-iteration
-    // average reliably tripped it).
-    let mut b = CalibratedStub { inner: faulty, predicted_ns: 1e6 };
+    // Predict 8 ms/iter, so drift warns above 16 ms (the default 2x
+    // factor). The 1 s stall smeared over 30 iterations is 33 ms, twice
+    // that, so the old all-iteration average trips it; a clean sweep of
+    // this 12x10x11 tensor is far below 16 ms even in a loaded debug build.
+    let mut b = CalibratedStub { inner: faulty, predicted_ns: 8e6 };
     let res =
         CpAls::new(CpAlsOptions::new(3).max_iters(30).tol(0.0).seed(9)).run(&t, &mut b).unwrap();
     assert!(res.diagnostics.recoveries >= 1, "the injected fault must recover");
-    let measured = res.diagnostics.measured_iter_ns.expect("clean iterations must be measured");
-    assert!(
-        measured < 1e6,
-        "clean-iteration average ({measured:.0} ns) must exclude the stalled iteration"
+    // The exclusion itself, by count: every recovery belongs to the
+    // faulted iteration, and the average covers every iteration but that
+    // one.
+    let faulted: Vec<usize> = res
+        .diagnostics
+        .events
+        .iter()
+        .filter(|e| e.kind != BreakdownKind::PredictionDrift)
+        .map(|e| e.iter)
+        .collect();
+    assert!(faulted.iter().all(|&i| i == 10), "recoveries outside iteration 10: {faulted:?}");
+    assert_eq!(
+        res.diagnostics.measured_iters,
+        res.iters as u64 - 1,
+        "the drift average must cover every iteration except the stalled, recovered one"
     );
+    assert!(res.diagnostics.measured_iter_ns.is_some(), "clean iterations must be measured");
     assert_eq!(
         res.diagnostics.count_of(BreakdownKind::PredictionDrift),
         0,

@@ -9,8 +9,7 @@
 //! name must be declared, every required field must be present, no
 //! undeclared field may appear, and every value's JSON shape must match
 //! the declared [`FieldType`]. Pure functions over strings, unit-tested
-//! without the filesystem — same philosophy as [`crate::bench`] and
-//! [`crate::lints`].
+//! without the filesystem — same philosophy as [`crate::lints`].
 
 use adatm_trace::schema::{self, FieldSpec, FieldType};
 
