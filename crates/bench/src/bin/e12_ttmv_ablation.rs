@@ -15,20 +15,10 @@ fn main() {
     for d in suite.iter().take(4) {
         let t = &d.tensor;
         let shape = TreeShape::balanced_binary(t.ndim());
-        let mut thick = DtreeBackend::with_options(
-            t,
-            &shape,
-            r,
-            EngineOptions { parallel: true, thick: true },
-            "thick",
-        );
-        let mut thin = DtreeBackend::with_options(
-            t,
-            &shape,
-            r,
-            EngineOptions { parallel: true, thick: false },
-            "colwise",
-        );
+        let mut thick =
+            DtreeBackend::with_options(t, &shape, r, EngineOptions { thick: true }, "thick");
+        let mut thin =
+            DtreeBackend::with_options(t, &shape, r, EngineOptions { thick: false }, "colwise");
         let thick_t = run_cpals(t, &mut thick, r, it).timings.mttkrp.as_secs_f64() / it as f64;
         let thin_t = run_cpals(t, &mut thin, r, it).timings.mttkrp.as_secs_f64() / it as f64;
         table.row(&[

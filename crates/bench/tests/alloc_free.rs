@@ -21,12 +21,12 @@
 #![allow(unsafe_code)]
 
 use adatm_core::{CooBackend, CpAls, CpAlsOptions, MttkrpBackend};
-use adatm_dtree::{DtreeEngine, EngineOptions, TreeShape};
+use adatm_dtree::{DtreeEngine, NodeKernelClass, TreeShape};
 use adatm_linalg::Mat;
 use adatm_tensor::csf::CsfTensor;
 use adatm_tensor::gen::zipf_tensor;
 use adatm_tensor::mttkrp::{mttkrp_par_into, schedule_for_view};
-use adatm_tensor::schedule::Workspace;
+use adatm_tensor::schedule::{ModeSchedule, Workspace};
 use adatm_tensor::{SortedModeView, SparseTensor};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -165,11 +165,12 @@ fn csf_scheduled_kernel_is_alloc_free_after_warmup() {
 #[test]
 fn parallel_path_allocations_stay_bounded() {
     let _serial = serial();
-    // The parallel path allocates O(tasks) bookkeeping (the task-context
-    // vector plus the thread shim's dispatch) but must never regress to
-    // the legacy kernel's O(groups) per-row collections. Its task bodies
-    // run on worker threads, so this counts every thread. Mode 1 has far
-    // more groups than the bound, so even one allocation per group fails.
+    // The parallel path allocates O(tasks) bookkeeping (the runner's
+    // task list plus the thread shim's dispatch) but must never regress
+    // to the legacy kernel's O(groups) per-row collections. Its task
+    // bodies run on worker threads, so this counts every thread. Each
+    // kernel below has far more groups than its bound, so even one
+    // allocation per group fails.
     let t = zipf_tensor(&[60, 3000, 50], 12_000, &[0.3, 0.2, 0.6], 7);
     let factors = factors_for(&t, 8);
     let mode = 1;
@@ -184,6 +185,35 @@ fn parallel_path_allocations_stay_bounded() {
         mttkrp_par_into(&t, &factors, mode, &view, &sched, &mut ws, &mut out);
     });
     assert!(n <= bound, "parallel path made {n} allocations");
+
+    // The CSF root kernel over the same mode's root slices.
+    let csf = CsfTensor::for_mode(&t, mode);
+    let sched = csf.root_schedule(8);
+    let bound = 16 * sched.num_tasks() as u64 + 64;
+    assert!(csf.node_counts()[0] as u64 > 2 * bound, "{} slices", csf.node_counts()[0]);
+    csf.mttkrp_root_into(&factors, &sched, &mut ws, &mut out);
+    let n = all_allocs_during(|| csf.mttkrp_root_into(&factors, &sched, &mut ws, &mut out));
+    assert!(n <= bound, "CSF parallel path made {n} allocations");
+
+    // The dimension-tree pull kernel on the tree's largest pull node, in
+    // an 8-thread pool; the engine balances the node as built here.
+    let pool = rayon::ThreadPoolBuilder::new().num_threads(8).build().unwrap();
+    pool.install(|| {
+        let mut engine = DtreeEngine::new(&t, &TreeShape::balanced_binary(3), 8);
+        let pull = (1..engine.tree().len())
+            .filter(|&id| engine.node_kernel_class(id) == Some(NodeKernelClass::Pull));
+        let id = pull.max_by_key(|&id| engine.symbolic().node(id).len).unwrap();
+        let node = engine.symbolic().node(id);
+        let weights: Vec<usize> = node.rptr.windows(2).map(|w| w[1] - w[0]).collect();
+        let sched = ModeSchedule::build(&weights, 8);
+        let bound = 16 * sched.num_tasks() as u64 + 64;
+        // 4096 elements is the engine's threshold for going parallel.
+        assert!(node.len >= 4096 && sched.num_tasks() > 1, "{} elements", node.len);
+        assert!(node.len as u64 > 2 * bound, "{} elements", node.len);
+        engine.recompute_node(&t, &factors, id);
+        let n = all_allocs_during(|| engine.recompute_node(&t, &factors, id));
+        assert!(n <= bound, "dimension-tree pull path made {n} allocations");
+    });
 }
 
 #[test]
@@ -217,19 +247,21 @@ fn dtree_sweeps_allocate_nothing_large_after_the_first() {
     let t = zipf_tensor(&[3000, 2500, 2000, 3500], 30_000, &[0.2, 0.3, 0.1, 0.2], 11);
     let rank = 16;
     let factors = factors_for(&t, rank);
-    let seq = EngineOptions { parallel: false, thick: true };
+    let pool = rayon::ThreadPoolBuilder::new().num_threads(1).build().unwrap();
     for shape in [TreeShape::two_level(4), TreeShape::three_level(4), TreeShape::balanced_binary(4)]
     {
-        let mut engine = DtreeEngine::with_options(&t, &shape, rank, seq);
+        let mut engine = DtreeEngine::new(&t, &shape, rank);
         let smallest = (1..engine.tree().len()).map(|id| engine.symbolic().node(id).len).min();
         assert!(smallest.unwrap_or(0) * rank * 8 >= LARGE, "{shape}: a node below {LARGE} bytes");
         let mut out = Mat::zeros(t.dims().iter().copied().max().unwrap_or(0), rank);
         let mut sweep = |engine: &mut DtreeEngine| {
-            for &mode in &shape.modes() {
-                engine.invalidate_mode(mode);
-                out.reshape(t.dims()[mode], rank);
-                engine.mttkrp_into(&t, &factors, mode, &mut out);
-            }
+            pool.install(|| {
+                for &mode in &shape.modes() {
+                    engine.invalidate_mode(mode);
+                    out.reshape(t.dims()[mode], rank);
+                    engine.mttkrp_into(&t, &factors, mode, &mut out);
+                }
+            });
         };
         sweep(&mut engine);
         for round in 0..3 {

@@ -25,36 +25,24 @@
 //! iterations allocate none.
 
 use crate::error::DtreeError;
-use crate::sched::ScatterSchedule;
+use crate::sched::{run_scatter, ScatterSchedule};
 use crate::shape::TreeShape;
 use crate::stats::{MemoryStats, OpStats};
-use crate::symbolic::SymbolicTree;
+use crate::symbolic::{SymbolicNode, SymbolicTree};
 use crate::tree::DimTree;
 use adatm_linalg::kernels;
 use adatm_linalg::Mat;
 use adatm_tensor::coo::Idx;
-use adatm_tensor::schedule::{ModeSchedule, Task, Workspace};
+use adatm_tensor::schedule::{run_schedule, ModeSchedule, ScheduleCache, Workspace};
 use adatm_tensor::SparseTensor;
 use rayon::prelude::*;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Elements per parallel task in the (unscheduled) column-wise kernel.
 const PAR_CHUNK: usize = 512;
 /// Minimum node size before the kernels go parallel.
 const PAR_THRESHOLD: usize = 4096;
-
-/// Persistent per-node schedules for the parallel kernels, built lazily
-/// on first parallel computation of the node and kept until the thread
-/// count changes or the engine's caches are reset.
-#[derive(Clone, Debug, Default)]
-struct NodeSched {
-    /// Nnz-balanced schedule over the node's reduction sets (pull/thick
-    /// kernel).
-    pull: Option<ModeSchedule>,
-    /// Parent-chunk schedule with touched-row compaction (scatter
-    /// kernel).
-    scatter: Option<ScatterSchedule>,
-}
 
 /// The value buffers of one tree depth.
 #[derive(Debug, Default)]
@@ -81,8 +69,6 @@ fn depth_of(tree: &DimTree, id: usize) -> usize {
 /// Tuning knobs for the numeric engine.
 #[derive(Clone, Copy, Debug)]
 pub struct EngineOptions {
-    /// Use rayon over node elements (subiteration-level parallelism).
-    pub parallel: bool,
     /// Vectorized "thick" updates (all `R` columns per element). `false`
     /// selects the column-at-a-time schedule — one pass over the
     /// reduction sets per rank column, as a non-vectorized implementation
@@ -92,7 +78,7 @@ pub struct EngineOptions {
 
 impl Default for EngineOptions {
     fn default() -> Self {
-        EngineOptions { parallel: true, thick: true }
+        EngineOptions { thick: true }
     }
 }
 
@@ -133,10 +119,11 @@ pub struct DtreeEngine {
     /// `invalidate → recompute` cycles in steady-state CP-ALS stop
     /// allocating entirely; see [`DtreeEngine::value_buffer_bytes`].
     depths: Vec<DepthBuffer>,
-    /// Lazily built per-node schedules (valid for `sched_threads`).
-    scheds: Vec<NodeSched>,
-    /// Thread count the cached schedules were balanced for (0 = none).
-    sched_threads: usize,
+    /// Per-node schedules of the parallel pull and scatter kernels,
+    /// built on a node's first parallel computation and kept until the
+    /// thread count changes or the caches are reset.
+    pull: ScheduleCache<ModeSchedule>,
+    scatter: ScheduleCache<ScatterSchedule>,
     /// Reusable kernel scratch (per-task Hadamard rows + slot rows).
     ws: Workspace,
     opts: EngineOptions,
@@ -224,8 +211,8 @@ impl DtreeEngine {
             rank,
             vals: (0..n_nodes).map(|_| None).collect(),
             depths,
-            scheds: vec![NodeSched::default(); n_nodes],
-            sched_threads: 0,
+            pull: ScheduleCache::new(n_nodes),
+            scatter: ScheduleCache::new(n_nodes),
             ws: Workspace::new(),
             opts,
             ops: OpStats::default(),
@@ -321,10 +308,8 @@ impl DtreeEngine {
         for d in &mut self.depths {
             d.spare = None;
         }
-        for s in &mut self.scheds {
-            *s = NodeSched::default();
-        }
-        self.sched_threads = 0;
+        self.pull.clear();
+        self.scatter.clear();
         self.ws.clear();
     }
 
@@ -342,15 +327,9 @@ impl DtreeEngine {
     /// Approximate bytes held by the persistent kernel schedules and the
     /// workspace (diagnostics).
     pub fn schedule_bytes(&self) -> usize {
-        let sched: usize = self
-            .scheds
-            .iter()
-            .map(|s| {
-                s.pull.as_ref().map_or(0, ModeSchedule::structure_bytes)
-                    + s.scatter.as_ref().map_or(0, ScatterSchedule::structure_bytes)
-            })
-            .sum();
-        sched + self.ws.structure_bytes()
+        self.pull.iter().map(ModeSchedule::structure_bytes).sum::<usize>()
+            + self.scatter.iter().map(ScatterSchedule::structure_bytes).sum::<usize>()
+            + self.ws.structure_bytes()
     }
 
     /// Computes the mode-`mode` MTTKRP into a fresh `I_mode x R` matrix.
@@ -474,15 +453,6 @@ impl DtreeEngine {
     ) -> Result<(), DtreeError> {
         let parent = self.tree.node(id).parent.ok_or(DtreeError::MissingParent { node: id })?;
         debug_assert!(parent == 0 || self.vals[parent].is_some(), "parent must be valid");
-        // Cached schedules are balanced for one thread count; rebuild
-        // lazily if the pool changed since they were built.
-        let threads = if self.opts.parallel { rayon::current_num_threads() } else { 1 };
-        if self.sched_threads != threads {
-            for s in &mut self.scheds {
-                *s = NodeSched::default();
-            }
-            self.sched_threads = threads;
-        }
         // Work through a local handle so `node` does not pin `self`.
         let sym = Arc::clone(&self.sym);
         let node = sym.node(id);
@@ -515,96 +485,47 @@ impl DtreeEngine {
             }
         };
         // Reuse the depth's spare buffer, else allocate one sized for the
-        // depth's largest node; either way it never grows. Emptied first,
-        // the reshape zeroes every entry exactly once.
+        // depth's largest node; either way it never reallocates. Only the
+        // scatter kernel accumulates into the buffer as handed over, so
+        // only it gets the buffer emptied first for the reshape to zero
+        // every entry; the pull runner zeroes its own rows, and the
+        // column-wise kernel assigns every entry.
         let rank = self.rank;
+        let pmap = if self.opts.thick { node.pmap.as_deref() } else { None };
         let depth = &mut self.depths[depth_of(&self.tree, id)];
         let mut out = depth.spare.take().unwrap_or_else(|| Mat::zeros(depth.rows, rank));
-        out.reshape(0, rank);
+        if pmap.is_some() {
+            out.reshape(0, rank);
+        }
         out.reshape(node.len, rank);
-        let pmap = if self.opts.thick { node.pmap.as_deref() } else { None };
+        // The kernels go parallel, and only then get a schedule, with more
+        // than one thread and at least PAR_THRESHOLD elements to stream.
+        let threads = rayon::current_num_threads();
+        let par = |len: usize| threads > 1 && len >= PAR_THRESHOLD;
         if let Some(pmap) = pmap {
             // Push schedule: stream the (much larger) parent and
             // accumulate into the cache-resident child.
-            let want_par =
-                self.opts.parallel && threads > 1 && sym.node(parent).len >= PAR_THRESHOLD;
-            let mut ran_par = false;
-            if want_par {
-                let sched = self.scheds[id]
-                    .scatter
-                    .get_or_insert_with(|| ScatterSchedule::build(pmap, node.len, threads));
-                if !sched.is_sequential() {
-                    kernel_scatter_par(
-                        &mut out,
-                        self.rank,
-                        &delta_cols,
-                        &delta_facs,
-                        &parent_vals,
-                        sched,
-                        &mut self.ws,
-                    );
-                    ran_par = true;
-                }
-            }
-            if !ran_par {
-                let (scratch, _) = self.ws.ensure(self.rank, 0);
-                kernel_scatter_seq(
-                    &mut out,
-                    self.rank,
-                    pmap,
-                    &delta_cols,
-                    &delta_facs,
-                    &parent_vals,
-                    scratch,
-                );
-            }
+            let build = || ScatterSchedule::build(pmap, node.len, threads);
+            let sched =
+                par(sym.node(parent).len).then(|| self.scatter.get_or_build(id, threads, build));
+            let ws = &mut self.ws;
+            kernel_scatter(&mut out, rank, pmap, &delta_cols, &delta_facs, &parent_vals, sched, ws);
         } else if self.opts.thick {
-            let rperm = if node.sequential { None } else { Some(node.rperm.as_slice()) };
-            let want_par = self.opts.parallel && threads > 1 && node.len >= PAR_THRESHOLD;
-            let mut ran_par = false;
-            if want_par {
-                let sched = self.scheds[id].pull.get_or_insert_with(|| {
-                    let weights: Vec<usize> = node.rptr.windows(2).map(|w| w[1] - w[0]).collect();
-                    ModeSchedule::build(&weights, threads)
-                });
-                if !sched.is_sequential() {
-                    kernel_thick_par(
-                        &mut out,
-                        self.rank,
-                        &node.rptr,
-                        rperm,
-                        &delta_cols,
-                        &delta_facs,
-                        &parent_vals,
-                        sched,
-                        &mut self.ws,
-                    );
-                    ran_par = true;
-                }
-            }
-            if !ran_par {
-                let (scratch, _) = self.ws.ensure(self.rank, 0);
-                kernel_thick_seq(
-                    &mut out,
-                    self.rank,
-                    &node.rptr,
-                    rperm,
-                    &delta_cols,
-                    &delta_facs,
-                    &parent_vals,
-                    scratch,
-                );
-            }
+            let weights = || node.rptr.windows(2).map(|w| w[1] - w[0]).collect::<Vec<_>>();
+            let build = || ModeSchedule::build(&weights(), threads);
+            let sched = par(node.len).then(|| self.pull.get_or_build(id, threads, build));
+            let ws = &mut self.ws;
+            kernel_pull(&mut out, rank, node, &delta_cols, &delta_facs, &parent_vals, sched, ws);
         } else {
             kernel_colwise(
                 &mut out,
-                self.rank,
+                rank,
                 &node.rptr,
                 &node.rperm,
                 &delta_cols,
                 &delta_facs,
                 &parent_vals,
-                self.opts.parallel && node.len >= PAR_THRESHOLD,
+                par(node.len),
             );
         }
         // Stage-boundary audit: a TTMV output contaminated by NaN/Inf
@@ -685,15 +606,13 @@ fn contrib(
     }
 }
 
-/// Accumulates the reduction set of element `i` into `row`.
-// A flat argument list keeps the hot per-element call free of a
-// context-struct indirection; the parameters are the already-borrowed
-// pieces of the node being reduced.
-#[allow(clippy::too_many_arguments)]
+/// Accumulates parent elements `span` of the reduction-set order into
+/// `row`: the elements `rperm[span]`, or `span` itself when `rperm` is
+/// `None` (the reduction sets are the identity partition of the parent —
+/// the first-child layout — so the parent streams without indirection).
 #[inline]
-fn reduce_element(
-    i: usize,
-    rptr: &[usize],
+fn reduce_span(
+    span: Range<usize>,
     rperm: Option<&[u32]>,
     delta_cols: &[&[Idx]],
     delta_facs: &[&Mat],
@@ -703,203 +622,79 @@ fn reduce_element(
 ) {
     match rperm {
         Some(perm) => {
-            for &j in &perm[rptr[i]..rptr[i + 1]] {
+            for &j in &perm[span] {
                 contrib(parent, delta_cols, delta_facs, j as usize, scratch, row);
             }
         }
         None => {
-            for j in rptr[i]..rptr[i + 1] {
+            for j in span {
                 contrib(parent, delta_cols, delta_facs, j, scratch, row);
             }
         }
     }
 }
 
-/// The sequential vectorized ("thick") TTMV kernel: per node element,
-/// accumulate all `R` columns at once from each parent element in the
-/// reduction set. `rperm: None` selects the streaming fast path (the
-/// reduction sets are the identity partition of the parent — the
-/// first-child layout). `scratch` is one caller-owned rank row:
-/// allocation-free.
+/// The vectorized ("thick") pull TTMV kernel: per node element,
+/// accumulate all `R` columns at once from each parent element in its
+/// reduction set. Elements are output rows, so [`run_schedule`] runs it
+/// with the node's nnz-balanced schedule (or inline, with none) and
+/// zeroes the rows; a split reduction set's sub-tasks each take a run of
+/// its parent elements.
 #[adatm::hot]
 #[allow(clippy::too_many_arguments)]
-fn kernel_thick_seq(
+fn kernel_pull(
     out: &mut Mat,
     rank: usize,
-    rptr: &[usize],
-    rperm: Option<&[u32]>,
+    node: &SymbolicNode,
     delta_cols: &[&[Idx]],
     delta_facs: &[&Mat],
     parent: &ParentVals<'_>,
-    scratch: &mut [f64],
-) {
-    for (i, row) in out.as_mut_slice().chunks_mut(rank).enumerate() {
-        reduce_element(i, rptr, rperm, delta_cols, delta_facs, parent, scratch, row);
-    }
-}
-
-/// The scheduled parallel thick kernel. Owned tasks write contiguous
-/// `out` row spans directly (elements *are* output rows here, so spans
-/// come straight from consecutive `split_at_mut`); oversized reduction
-/// sets are split across privatized slot rows and merged per-row after
-/// the parallel phase. All scratch comes from `ws`: steady-state
-/// allocations are O(tasks), independent of the node or parent size.
-#[adatm::hot]
-#[allow(clippy::too_many_arguments)]
-fn kernel_thick_par(
-    out: &mut Mat,
-    rank: usize,
-    rptr: &[usize],
-    rperm: Option<&[u32]>,
-    delta_cols: &[&[Idx]],
-    delta_facs: &[&Mat],
-    parent: &ParentVals<'_>,
-    sched: &ModeSchedule,
+    sched: Option<&ModeSchedule>,
     ws: &mut Workspace,
 ) {
-    struct Ctx<'a> {
-        task: &'a Task,
-        buf: &'a mut [f64],
-        row0: usize,
-        srow: &'a mut [f64],
-    }
-    let (scratch, slots) = ws.ensure(sched.num_tasks() * rank, sched.num_slots() * rank);
-    let mut ctxs: Vec<Ctx<'_>> = Vec::with_capacity(sched.num_tasks());
-    let mut out_rest = out.as_mut_slice();
-    let mut consumed_rows = 0usize;
-    let mut slots_rest = &mut slots[..];
-    let mut scratch_rest = &mut scratch[..];
-    for task in sched.tasks() {
-        let (srow, rest) = std::mem::take(&mut scratch_rest).split_at_mut(rank);
-        scratch_rest = rest;
-        match task {
-            Task::Owned { groups } => {
-                let tail = std::mem::take(&mut out_rest);
-                let (_, tail) = tail.split_at_mut((groups.start - consumed_rows) * rank);
-                let (span, rest) = tail.split_at_mut(groups.len() * rank);
-                out_rest = rest;
-                consumed_rows = groups.end;
-                ctxs.push(Ctx { task, buf: span, row0: groups.start, srow });
-            }
-            Task::Split { .. } => {
-                let (row, rest) = std::mem::take(&mut slots_rest).split_at_mut(rank);
-                slots_rest = rest;
-                ctxs.push(Ctx { task, buf: row, row0: 0, srow });
-            }
-        }
-    }
-    ctxs.into_par_iter().for_each(|ctx| {
-        let Ctx { task, buf, row0, srow } = ctx;
-        match task {
-            Task::Owned { groups } => {
-                for i in groups.clone() {
-                    let off = (i - row0) * rank;
-                    let row = &mut buf[off..off + rank];
-                    reduce_element(i, rptr, rperm, delta_cols, delta_facs, parent, srow, row);
-                }
-            }
-            Task::Split { group, elems, .. } => {
-                let base = rptr[*group];
-                match rperm {
-                    Some(perm) => {
-                        for &j in &perm[base + elems.start..base + elems.end] {
-                            contrib(parent, delta_cols, delta_facs, j as usize, srow, buf);
-                        }
-                    }
-                    None => {
-                        for j in base + elems.start..base + elems.end {
-                            contrib(parent, delta_cols, delta_facs, j, srow, buf);
-                        }
-                    }
-                }
-            }
-        }
-    });
-    for sp in sched.splits() {
-        let orow = out.row_mut(sp.group);
-        for s in 0..sp.nslots {
-            let srow = &slots[(sp.slot0 + s) * rank..(sp.slot0 + s + 1) * rank];
-            kernels::add_assign(orow, srow);
-        }
-    }
+    let rperm = if node.sequential { None } else { Some(node.rperm.as_slice()) };
+    let rptr = &node.rptr;
+    run_schedule(
+        sched,
+        ws,
+        rank,
+        out,
+        node.len,
+        |i| i,
+        #[inline(always)]
+        |i, elems, row, scratch| {
+            let (lo, hi) = (rptr[i], rptr[i + 1]);
+            let span = elems.map_or(lo..hi, |e| lo + e.start..lo + e.end);
+            reduce_span(span, rperm, delta_cols, delta_facs, parent, scratch, row);
+        },
+    );
 }
 
-/// The sequential push ("scatter") TTMV kernel: one pass over the
-/// parent, accumulating each contribution into the child row given by
-/// the inverse reduction map. Used when the child is far smaller than
-/// the parent, so the child accumulator stays cache-resident while the
-/// parent streams. `scratch` is one caller-owned rank row:
-/// allocation-free.
+/// The push ("scatter") TTMV kernel: stream the parent and accumulate
+/// each contribution into the child row given by the inverse reduction
+/// map. Used when the child is far smaller than the parent, so the child
+/// accumulator stays cache-resident while the parent streams.
+/// [`run_scatter`] runs it over the whole parent straight into `out`
+/// (zeroed by the caller), or chunk by chunk into compact touched-row
+/// accumulators merged afterwards.
 #[adatm::hot]
-fn kernel_scatter_seq(
+#[allow(clippy::too_many_arguments)]
+fn kernel_scatter(
     out: &mut Mat,
     rank: usize,
     pmap: &[u32],
     delta_cols: &[&[Idx]],
     delta_facs: &[&Mat],
     parent: &ParentVals<'_>,
-    scratch: &mut [f64],
-) {
-    // `out` is already zeroed by the caller.
-    let acc = out.as_mut_slice();
-    for (j, &e) in pmap.iter().enumerate() {
-        let row = &mut acc[e as usize * rank..(e as usize + 1) * rank];
-        contrib(parent, delta_cols, delta_facs, j, scratch, row);
-    }
-}
-
-/// The scheduled parallel scatter kernel: parent chunks accumulate into
-/// compact per-chunk buffers covering only the child rows they actually
-/// touch (per the persistent [`ScatterSchedule`]), merged per-row
-/// afterwards. Replaces the old dense `child_len x R`-per-chunk
-/// tree-reduction.
-#[adatm::hot]
-fn kernel_scatter_par(
-    out: &mut Mat,
-    rank: usize,
-    delta_cols: &[&[Idx]],
-    delta_facs: &[&Mat],
-    parent: &ParentVals<'_>,
-    sched: &ScatterSchedule,
+    sched: Option<&ScatterSchedule>,
     ws: &mut Workspace,
 ) {
-    struct Ctx<'a> {
-        c: usize,
-        acc: &'a mut [f64],
-        srow: &'a mut [f64],
-    }
-    let nchunks = sched.num_chunks();
-    let (scratch, slots) = ws.ensure(nchunks * rank, sched.total_rows() * rank);
-    let mut ctxs: Vec<Ctx<'_>> = Vec::with_capacity(nchunks);
-    let mut slots_rest = &mut slots[..];
-    let mut scratch_rest = &mut scratch[..];
-    for c in 0..nchunks {
-        let (srow, rest) = std::mem::take(&mut scratch_rest).split_at_mut(rank);
-        scratch_rest = rest;
-        let (acc, rest) =
-            std::mem::take(&mut slots_rest).split_at_mut(sched.chunk_rows(c).len() * rank);
-        slots_rest = rest;
-        ctxs.push(Ctx { c, acc, srow });
-    }
-    let cmap = sched.cmap();
-    ctxs.into_par_iter().for_each(|ctx| {
-        let Ctx { c, acc, srow } = ctx;
-        for j in sched.chunk(c) {
-            let e = cmap[j] as usize;
-            let row = &mut acc[e * rank..(e + 1) * rank];
-            contrib(parent, delta_cols, delta_facs, j, srow, row);
+    run_scatter(sched, pmap, out.as_mut_slice(), rank, ws, |j0, map, acc, scratch| {
+        for (j, &e) in (j0..).zip(map) {
+            let e = e as usize * rank;
+            contrib(parent, delta_cols, delta_facs, j, scratch, &mut acc[e..e + rank]);
         }
     });
-    // Merge: each chunk's compact rows into the child rows it touched.
-    let mut off = 0usize;
-    for c in 0..nchunks {
-        for &e in sched.chunk_rows(c) {
-            let srow = &slots[off..off + rank];
-            off += rank;
-            let orow = out.row_mut(e as usize);
-            kernels::add_assign(orow, srow);
-        }
-    }
 }
 
 /// The column-at-a-time kernel: one full pass over the reduction sets per
@@ -955,6 +750,11 @@ mod tests {
 
     fn factors_for(t: &SparseTensor, rank: usize, seed: u64) -> Vec<Mat> {
         t.dims().iter().enumerate().map(|(d, &n)| Mat::random(n, rank, seed + d as u64)).collect()
+    }
+
+    /// A pool of `threads` workers.
+    fn pool(threads: usize) -> rayon::ThreadPool {
+        rayon::ThreadPoolBuilder::new().num_threads(threads).build().expect("thread pool")
     }
 
     fn all_shapes(n: usize) -> Vec<TreeShape> {
@@ -1082,13 +882,14 @@ mod tests {
     fn colwise_matches_thick() {
         let t = zipf_tensor(&[14, 11, 13, 9], 350, &[0.5; 4], 13);
         let factors = factors_for(&t, 6, 70);
-        let opts = EngineOptions { parallel: false, thick: false };
+        let opts = EngineOptions { thick: false };
         let mut thin = DtreeEngine::with_options(&t, &TreeShape::balanced_binary(4), 6, opts);
         let mut thick = DtreeEngine::new(&t, &TreeShape::balanced_binary(4), 6);
+        let one = pool(1);
         for mode in 0..4 {
             thin.invalidate_mode(mode);
             thick.invalidate_mode(mode);
-            let a = thin.mttkrp(&t, &factors, mode);
+            let a = one.install(|| thin.mttkrp(&t, &factors, mode));
             let b = thick.mttkrp(&t, &factors, mode);
             assert!(a.max_abs_diff(&b) < 1e-10, "mode {mode}");
         }
@@ -1099,13 +900,13 @@ mod tests {
         // Enough elements to cross PAR_THRESHOLD.
         let t = zipf_tensor(&[300, 300, 300], 20_000, &[0.2; 3], 14);
         let factors = factors_for(&t, 4, 90);
-        let seq_opts = EngineOptions { parallel: false, thick: true };
-        let mut seq = DtreeEngine::with_options(&t, &TreeShape::balanced_binary(3), 4, seq_opts);
+        let mut seq = DtreeEngine::new(&t, &TreeShape::balanced_binary(3), 4);
         let mut par = DtreeEngine::new(&t, &TreeShape::balanced_binary(3), 4);
+        let one = pool(1);
         for mode in 0..3 {
             seq.invalidate_mode(mode);
             par.invalidate_mode(mode);
-            let a = seq.mttkrp(&t, &factors, mode);
+            let a = one.install(|| seq.mttkrp(&t, &factors, mode));
             let b = par.mttkrp(&t, &factors, mode);
             assert!(a.max_abs_diff(&b) < 1e-9, "mode {mode}");
         }
@@ -1118,16 +919,15 @@ mod tests {
         // multi-thread pool makes the scheduled parallel paths run.
         let t = zipf_tensor(&[40, 300, 300], 30_000, &[0.95, 0.2, 0.2], 23);
         let factors = factors_for(&t, 4, 91);
-        let seq_opts = EngineOptions { parallel: false, thick: true };
-        let mut seq = DtreeEngine::with_options(&t, &TreeShape::balanced_binary(3), 4, seq_opts);
-        let pool = rayon::ThreadPoolBuilder::new().num_threads(4).build().expect("thread pool");
-        pool.install(|| {
+        let mut seq = DtreeEngine::new(&t, &TreeShape::balanced_binary(3), 4);
+        let one = pool(1);
+        pool(4).install(|| {
             let mut par = DtreeEngine::new(&t, &TreeShape::balanced_binary(3), 4);
             for _iter in 0..2 {
                 for mode in 0..3 {
                     seq.invalidate_mode(mode);
                     par.invalidate_mode(mode);
-                    let a = seq.mttkrp(&t, &factors, mode);
+                    let a = one.install(|| seq.mttkrp(&t, &factors, mode));
                     let b = par.mttkrp(&t, &factors, mode);
                     assert!(a.max_abs_diff(&b) < 1e-9, "mode {mode}");
                 }
@@ -1139,8 +939,7 @@ mod tests {
     fn scheduled_parallel_runs_are_deterministic() {
         let t = zipf_tensor(&[50, 200, 200], 20_000, &[0.9, 0.3, 0.3], 29);
         let factors = factors_for(&t, 4, 17);
-        let pool = rayon::ThreadPoolBuilder::new().num_threads(4).build().expect("thread pool");
-        pool.install(|| {
+        pool(4).install(|| {
             let mut eng = DtreeEngine::new(&t, &TreeShape::balanced_binary(3), 4);
             eng.invalidate_mode(1);
             let a = eng.mttkrp(&t, &factors, 1);
@@ -1159,6 +958,28 @@ mod tests {
             eng.invalidate_mode(mode);
             let _ = eng.mttkrp(t, factors, mode);
         }
+    }
+
+    #[cfg(feature = "audit")]
+    #[test]
+    fn parallel_pull_nodes_are_overlap_audited() {
+        use adatm_tensor::audit::{overlap_checks, overlap_count};
+        // Every node holds tens of thousands of elements, so at two
+        // threads the pull kernels run nnz-balanced multi-task schedules.
+        let t = zipf_tensor(&[3000, 2500, 2000, 3500], 30_000, &[0.2, 0.3, 0.1, 0.2], 11);
+        let factors = factors_for(&t, 4, 3);
+        let before = overlap_checks();
+        pool(2).install(|| {
+            let mut eng = DtreeEngine::new(&t, &TreeShape::balanced_binary(4), 4);
+            sweep(&mut eng, &t, &factors);
+            let pull = (1..eng.tree().len()).filter(|&id| {
+                eng.node_kernel_class(id) == Some(NodeKernelClass::Pull)
+                    && eng.symbolic().node(id).len >= PAR_THRESHOLD
+            });
+            assert!(pull.count() >= 2, "the sweep must run parallel pull nodes");
+        });
+        assert!(overlap_checks() > before, "no pull kernel call was audited");
+        assert_eq!(overlap_count(), 0, "pull kernel tasks claimed overlapping rows");
     }
 
     #[test]

@@ -10,8 +10,12 @@
 //! thread count) and records, for each parent chunk, exactly the child
 //! rows the chunk touches plus a compact per-element index into them, so
 //! the parallel phase accumulates into `touched x R` buffers and the
-//! merge is a cheap per-row reduction.
+//! merge is a cheap per-row reduction. [`run_scatter`] runs one kernel
+//! call over it.
 
+use adatm_linalg::kernels;
+use adatm_tensor::schedule::Workspace;
+use rayon::prelude::*;
 use std::ops::Range;
 
 /// Parent chunks created per worker thread (same slack rule as the
@@ -113,6 +117,59 @@ impl ScatterSchedule {
     pub fn structure_bytes(&self) -> usize {
         (self.chunk_ptr.len() + self.row_ptr.len()) * std::mem::size_of::<usize>()
             + (self.rows.len() + self.cmap.len()) * std::mem::size_of::<u32>()
+    }
+}
+
+/// Runs one scatter kernel call: `body(j0, map, acc, scratch)` adds the
+/// contribution of parent element `j0 + k` into row `map[k]` of `acc`, a
+/// buffer of `width`-value rows, for every `k` in `map`; `scratch` is
+/// `width` values private to the chunk.
+///
+/// With no schedule, or one chunk, the whole parent accumulates straight
+/// into `out` through `pmap`, allocation-free once `ws` has grown.
+/// Otherwise each chunk accumulates into its compact touched rows (`ws`
+/// slot rows, zeroed) in parallel, and the merge adds them into `out`
+/// chunk by chunk. `out` must be zeroed by the caller.
+#[adatm::hot]
+pub(crate) fn run_scatter<B>(
+    sched: Option<&ScatterSchedule>,
+    pmap: &[u32],
+    out: &mut [f64],
+    width: usize,
+    ws: &mut Workspace,
+    body: B,
+) where
+    B: Fn(usize, &[u32], &mut [f64], &mut [f64]) + Sync,
+{
+    let sched = match sched {
+        Some(s) if !s.is_sequential() => s,
+        _ => {
+            let (scratch, _) = ws.ensure(width, 0);
+            body(0, pmap, out, scratch);
+            return;
+        }
+    };
+    let nchunks = sched.num_chunks();
+    let (mut scratch_rest, slots) = ws.ensure(nchunks * width, sched.total_rows() * width);
+    let mut parts = Vec::with_capacity(nchunks);
+    let mut acc_rest = &mut *slots;
+    for c in 0..nchunks {
+        let (scr, tail) = std::mem::take(&mut scratch_rest).split_at_mut(width);
+        scratch_rest = tail;
+        let (acc, tail) =
+            std::mem::take(&mut acc_rest).split_at_mut(sched.chunk_rows(c).len() * width);
+        acc_rest = tail;
+        parts.push((c, acc, scr));
+    }
+    parts.into_par_iter().for_each(|(c, acc, scr)| {
+        let js = sched.chunk(c);
+        body(js.start, &sched.cmap[js], acc, scr);
+    });
+    // Touched-row lists and slot rows share one layout: chunk by chunk,
+    // each chunk's rows in first-touch order.
+    for (&e, srow) in sched.rows.iter().zip(slots.chunks_exact(width)) {
+        let r = e as usize * width;
+        kernels::add_assign(&mut out[r..r + width], srow);
     }
 }
 

@@ -19,10 +19,6 @@ use crate::error::DtreeError;
 use crate::tree::DimTree;
 use adatm_tensor::coo::Idx;
 use adatm_tensor::SparseTensor;
-use rayon::prelude::*;
-
-/// Parent-element count above which the symbolic sort runs in parallel.
-const PAR_SORT_THRESHOLD: usize = 1 << 15;
 
 /// Symbolic structure of one tree node.
 #[derive(Clone, Debug, Default)]
@@ -279,11 +275,7 @@ pub(crate) fn build_node(
         }
         std::cmp::Ordering::Equal
     };
-    if parent_len >= PAR_SORT_THRESHOLD {
-        perm.par_sort_unstable_by(key_cmp);
-    } else {
-        perm.sort_unstable_by(key_cmp);
-    }
+    perm.sort_unstable_by(key_cmp);
     let mut idx: Vec<Vec<Idx>> = vec![Vec::new(); own_positions.len()];
     let mut rptr: Vec<usize> = vec![0];
     for (pos, &p) in perm.iter().enumerate() {

@@ -70,19 +70,6 @@ pub fn scale(dst: &mut [f64], alpha: f64, src: &[f64]) {
     }
 }
 
-/// `dst[i] = a[i] * b[i]` — assigning Hadamard product.
-#[adatm::hot]
-#[inline]
-pub fn mul_into(dst: &mut [f64], a: &[f64], b: &[f64]) {
-    debug_assert_eq!(dst.len(), a.len());
-    debug_assert_eq!(dst.len(), b.len());
-    match dst.len() {
-        n if n >= 16 => mul_into_b::<16>(dst, a, b),
-        n if n >= 8 => mul_into_b::<8>(dst, a, b),
-        _ => mul_into_b::<4>(dst, a, b),
-    }
-}
-
 /// `acc[i] += a[i] * b[i]` — the fused final MTTKRP accumulate.
 #[adatm::hot]
 #[inline]
@@ -141,33 +128,6 @@ pub fn axpy3(acc: &mut [f64], alpha: f64, a: &[f64], b: &[f64], c: &[f64]) {
         n if n >= 16 => axpy3_b::<16>(acc, alpha, a, b, c),
         n if n >= 8 => axpy3_b::<8>(acc, alpha, a, b, c),
         _ => axpy3_b::<4>(acc, alpha, a, b, c),
-    }
-}
-
-/// `dst[i] = alpha * a[i] * b[i]` — assigning form of [`axpy2`].
-#[adatm::hot]
-#[inline]
-pub fn scale2(dst: &mut [f64], alpha: f64, a: &[f64], b: &[f64]) {
-    debug_assert_eq!(dst.len(), a.len());
-    debug_assert_eq!(dst.len(), b.len());
-    match dst.len() {
-        n if n >= 16 => scale2_b::<16>(dst, alpha, a, b),
-        n if n >= 8 => scale2_b::<8>(dst, alpha, a, b),
-        _ => scale2_b::<4>(dst, alpha, a, b),
-    }
-}
-
-/// `dst[i] = alpha * a[i] * b[i] * c[i]` — assigning form of [`axpy3`].
-#[adatm::hot]
-#[inline]
-pub fn scale3(dst: &mut [f64], alpha: f64, a: &[f64], b: &[f64], c: &[f64]) {
-    debug_assert_eq!(dst.len(), a.len());
-    debug_assert_eq!(dst.len(), b.len());
-    debug_assert_eq!(dst.len(), c.len());
-    match dst.len() {
-        n if n >= 16 => scale3_b::<16>(dst, alpha, a, b, c),
-        n if n >= 8 => scale3_b::<8>(dst, alpha, a, b, c),
-        _ => scale3_b::<4>(dst, alpha, a, b, c),
     }
 }
 
@@ -243,21 +203,6 @@ fn scale_b<const B: usize>(dst: &mut [f64], alpha: f64, src: &[f64]) {
 }
 
 #[inline(always)]
-fn mul_into_b<const B: usize>(dst: &mut [f64], a: &[f64], b: &[f64]) {
-    let mut dc = dst.chunks_exact_mut(B);
-    let mut ac = a.chunks_exact(B);
-    let mut bc = b.chunks_exact(B);
-    for ((d, x), y) in dc.by_ref().zip(ac.by_ref()).zip(bc.by_ref()) {
-        for i in 0..B {
-            d[i] = x[i] * y[i];
-        }
-    }
-    for ((d, x), y) in dc.into_remainder().iter_mut().zip(ac.remainder()).zip(bc.remainder()) {
-        *d = *x * *y;
-    }
-}
-
-#[inline(always)]
 fn muladd_assign_b<const B: usize>(acc: &mut [f64], a: &[f64], b: &[f64]) {
     let mut cc = acc.chunks_exact_mut(B);
     let mut ac = a.chunks_exact(B);
@@ -317,39 +262,6 @@ fn axpy3_b<const B: usize>(acc: &mut [f64], alpha: f64, a: &[f64], b: &[f64], c:
         oc.into_remainder().iter_mut().zip(ac.remainder()).zip(bc.remainder()).zip(cc.remainder())
     {
         *o += alpha * *x * *y * *z;
-    }
-}
-
-#[inline(always)]
-fn scale2_b<const B: usize>(dst: &mut [f64], alpha: f64, a: &[f64], b: &[f64]) {
-    let mut dc = dst.chunks_exact_mut(B);
-    let mut ac = a.chunks_exact(B);
-    let mut bc = b.chunks_exact(B);
-    for ((d, x), y) in dc.by_ref().zip(ac.by_ref()).zip(bc.by_ref()) {
-        for i in 0..B {
-            d[i] = alpha * x[i] * y[i];
-        }
-    }
-    for ((d, x), y) in dc.into_remainder().iter_mut().zip(ac.remainder()).zip(bc.remainder()) {
-        *d = alpha * *x * *y;
-    }
-}
-
-#[inline(always)]
-fn scale3_b<const B: usize>(dst: &mut [f64], alpha: f64, a: &[f64], b: &[f64], c: &[f64]) {
-    let mut dc = dst.chunks_exact_mut(B);
-    let mut ac = a.chunks_exact(B);
-    let mut bc = b.chunks_exact(B);
-    let mut cc = c.chunks_exact(B);
-    for (((d, x), y), z) in dc.by_ref().zip(ac.by_ref()).zip(bc.by_ref()).zip(cc.by_ref()) {
-        for i in 0..B {
-            d[i] = alpha * x[i] * y[i] * z[i];
-        }
-    }
-    for (((d, x), y), z) in
-        dc.into_remainder().iter_mut().zip(ac.remainder()).zip(bc.remainder()).zip(cc.remainder())
-    {
-        *d = alpha * *x * *y * *z;
     }
 }
 
@@ -440,17 +352,6 @@ mod tests {
     }
 
     #[test]
-    fn mul_into_bitwise_matches_scalar() {
-        for &n in LENS {
-            let (a, b) = (v(n, 9), v(n, 10));
-            let want: Vec<f64> = a.iter().zip(&b).map(|(x, y)| x * y).collect();
-            let mut got = v(n, 11);
-            mul_into(&mut got, &a, &b);
-            assert_eq!(got, want, "len {n}");
-        }
-    }
-
-    #[test]
     fn muladd_assign_bitwise_matches_scalar() {
         for &n in LENS {
             let (c0, a, b) = (v(n, 12), v(n, 13), v(n, 14));
@@ -491,9 +392,6 @@ mod tests {
             let mut got = vec![0.0; n];
             axpy2(&mut got, alpha, &a, &b);
             assert_eq!(got, want, "axpy2 len {n}");
-            let mut got2 = v(n, 34);
-            scale2(&mut got2, alpha, &a, &b);
-            assert_eq!(got2, srow, "scale2 len {n}");
 
             let mut srow3 = srow.clone();
             mul_assign(&mut srow3, &c);
@@ -502,9 +400,6 @@ mod tests {
             let mut got3 = vec![0.0; n];
             axpy3(&mut got3, alpha, &a, &b, &c);
             assert_eq!(got3, want3, "axpy3 len {n}");
-            let mut got3s = v(n, 35);
-            scale3(&mut got3s, alpha, &a, &b, &c);
-            assert_eq!(got3s, srow3, "scale3 len {n}");
 
             // muladd3: acc += a*b*c, left-to-right.
             let acc0 = v(n, 36);

@@ -175,10 +175,6 @@ proptest! {
         kernels::scale(&mut g, alpha, &a);
         check(&g, &w, "scale")?;
         let mut g = acc0.clone();
-        let w: Vec<f64> = (0..n).map(|i| a[i] * b[i]).collect();
-        kernels::mul_into(&mut g, &a, &b);
-        check(&g, &w, "mul_into")?;
-        let mut g = acc0.clone();
         let w: Vec<f64> = (0..n).map(|i| acc0[i] + a[i] * b[i]).collect();
         kernels::muladd_assign(&mut g, &a, &b);
         check(&g, &w, "muladd_assign")?;
@@ -190,14 +186,6 @@ proptest! {
         let w: Vec<f64> = (0..n).map(|i| acc0[i] + alpha * a[i] * b[i] * c[i]).collect();
         kernels::axpy3(&mut g, alpha, &a, &b, &c);
         check(&g, &w, "axpy3")?;
-        let mut g = acc0.clone();
-        let w: Vec<f64> = (0..n).map(|i| alpha * a[i] * b[i]).collect();
-        kernels::scale2(&mut g, alpha, &a, &b);
-        check(&g, &w, "scale2")?;
-        let mut g = acc0.clone();
-        let w: Vec<f64> = (0..n).map(|i| alpha * a[i] * b[i] * c[i]).collect();
-        kernels::scale3(&mut g, alpha, &a, &b, &c);
-        check(&g, &w, "scale3")?;
         let mut g = acc0.clone();
         let w: Vec<f64> = (0..n).map(|i| acc0[i] + a[i] * b[i] * c[i]).collect();
         kernels::muladd3(&mut g, &a, &b, &c);

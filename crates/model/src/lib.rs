@@ -32,5 +32,5 @@ pub mod search;
 
 pub use cost::CostBreakdown;
 pub use estimate::NnzEstimator;
-pub use plan::{AdmissionError, MemoPlan, Objective, Planner, SearchStrategy};
+pub use plan::{AdmissionError, MemoPlan, Objective, Planner};
 pub use profile::{ClassRate, EnvProfile, KernelClass, KernelProfile};

@@ -50,21 +50,13 @@ impl Default for Objective {
     }
 }
 
-/// How much of the strategy space to search.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SearchStrategy {
-    /// Only the named baseline shapes.
-    NamedOnly,
-    /// Named shapes plus the interval DP over each order heuristic.
-    IntervalDp,
-    /// Everything above plus the exact subset DP (orders <= the given cap).
-    SubsetDp {
-        /// Maximum order for which the `O(3^N)` subset DP runs.
-        max_order: usize,
-    },
-    /// Pick automatically: subset DP for `N <= 6`, interval DP otherwise.
-    Auto,
-}
+/// Highest order for which the planner runs the exact `O(3^N)` subset
+/// DP; above it, the interval DP over each order heuristic stands alone.
+const SUBSET_DP_MAX_ORDER: usize = 6;
+
+/// The mode orders the interval DP searches.
+const ORDERS: [OrderHeuristic; 3] =
+    [OrderHeuristic::Natural, OrderHeuristic::DimsDescending, OrderHeuristic::DimsAscending];
 
 /// One evaluated strategy.
 #[derive(Clone, Debug)]
@@ -176,16 +168,14 @@ pub struct Planner<'a> {
     rank: usize,
     estimator: NnzEstimator,
     memory_budget: Option<usize>,
-    strategy: SearchStrategy,
-    orders: Vec<OrderHeuristic>,
     objective: Objective,
     calibration: Option<KernelProfile>,
     threads: usize,
 }
 
 impl<'a> Planner<'a> {
-    /// Creates a planner with defaults: sampled estimation, automatic
-    /// search depth, no memory budget, all order heuristics.
+    /// Creates a planner with defaults: sampled estimation, no memory
+    /// budget, the traffic-aware objective.
     pub fn new(tensor: &'a SparseTensor, rank: usize) -> Self {
         assert!(tensor.ndim() >= 2, "CP decomposition needs at least 2 modes");
         assert!(rank > 0, "rank must be positive");
@@ -194,12 +184,6 @@ impl<'a> Planner<'a> {
             rank,
             estimator: NnzEstimator::default(),
             memory_budget: None,
-            strategy: SearchStrategy::Auto,
-            orders: vec![
-                OrderHeuristic::Natural,
-                OrderHeuristic::DimsDescending,
-                OrderHeuristic::DimsAscending,
-            ],
             objective: Objective::default(),
             calibration: None,
             threads: rayon::current_num_threads(),
@@ -245,12 +229,6 @@ impl<'a> Planner<'a> {
         self
     }
 
-    /// Sets the search depth.
-    pub fn search(mut self, s: SearchStrategy) -> Self {
-        self.strategy = s;
-        self
-    }
-
     /// Runs the search and returns the plan.
     pub fn plan(&self) -> MemoPlan {
         let n = self.tensor.ndim();
@@ -290,36 +268,28 @@ impl<'a> Planner<'a> {
         for (name, shape) in named_shapes(n) {
             push(&mut candidates, name.to_string(), shape, rank, &mut cache);
         }
-        let run_interval = !matches!(self.strategy, SearchStrategy::NamedOnly);
-        let run_subset = match self.strategy {
-            SearchStrategy::SubsetDp { max_order } => n <= max_order,
-            SearchStrategy::Auto => n <= 6,
-            _ => false,
-        };
         let beta = self.objective.beta();
-        if run_interval {
-            for &h in &self.orders {
-                let perm = h.order(self.tensor.dims());
-                let res = interval_dp_weighted(&perm, self.rank, &mut cache, beta, 0.0);
-                push(&mut candidates, format!("dp:{h:?}"), res.shape, rank, &mut cache);
-                // Under a memory budget, sweep the flops/bytes trade-off:
-                // increasingly memory-averse trees join the candidate set,
-                // and the budget filter below picks the cheapest that fits.
-                if self.memory_budget.is_some() {
-                    for lambda in [1.0, 8.0, 64.0, 512.0] {
-                        let res = interval_dp_weighted(&perm, self.rank, &mut cache, beta, lambda);
-                        push_new(
-                            &mut candidates,
-                            format!("dp:{h:?}:mem{lambda}"),
-                            res.shape,
-                            rank,
-                            &mut cache,
-                        );
-                    }
+        for h in ORDERS {
+            let perm = h.order(self.tensor.dims());
+            let res = interval_dp_weighted(&perm, self.rank, &mut cache, beta, 0.0);
+            push(&mut candidates, format!("dp:{h:?}"), res.shape, rank, &mut cache);
+            // Under a memory budget, sweep the flops/bytes trade-off:
+            // increasingly memory-averse trees join the candidate set,
+            // and the budget filter below picks the cheapest that fits.
+            if self.memory_budget.is_some() {
+                for lambda in [1.0, 8.0, 64.0, 512.0] {
+                    let res = interval_dp_weighted(&perm, self.rank, &mut cache, beta, lambda);
+                    push_new(
+                        &mut candidates,
+                        format!("dp:{h:?}:mem{lambda}"),
+                        res.shape,
+                        rank,
+                        &mut cache,
+                    );
                 }
             }
         }
-        if run_subset {
+        if n <= SUBSET_DP_MAX_ORDER {
             let res = subset_dp_weighted(n, self.rank, &mut cache, beta);
             push(&mut candidates, "dp:subset".to_string(), res.shape, rank, &mut cache);
         }
@@ -654,16 +624,6 @@ mod tests {
         let min_mem =
             plan.candidates.iter().map(|c| c.cost.resident_bytes()).fold(f64::INFINITY, f64::min);
         assert!((plan.predicted.resident_bytes() - min_mem).abs() < 1e-9);
-    }
-
-    #[test]
-    fn named_only_search_contains_exactly_named() {
-        let t = uniform_tensor(&[20; 4], 1_000, 11);
-        let plan = Planner::new(&t, 4)
-            .estimator(NnzEstimator::Exact)
-            .search(SearchStrategy::NamedOnly)
-            .plan();
-        assert_eq!(plan.candidates.len(), 4);
     }
 
     #[test]

@@ -1,14 +1,16 @@
-//! Runtime write-overlap detection for the parallel MTTKRP kernels
+//! Runtime write-overlap detection for the scheduled MTTKRP kernels
 //! (compiled only with the `audit` feature).
 //!
-//! The parallel kernels ([`crate::mttkrp::mttkrp_par`],
-//! [`crate::csf::CsfTensor::mttkrp_root_par`]) are race-free because each
-//! parallel task owns a *distinct* output row: COO groups entries by the
-//! target mode's index, CSF assigns one task per root slice. That
-//! disjointness is a structural claim about the sorted views and the CSF
-//! build — this module checks it at runtime on every parallel MTTKRP,
-//! and keeps global counters so an end-to-end run can prove the detector
-//! actually executed and found zero overlaps.
+//! The scheduled kernels ([`crate::mttkrp::mttkrp_par_into`],
+//! [`crate::csf::CsfTensor::mttkrp_root_into`] and the dimension-tree
+//! pull kernel) are race-free because each task owns *distinct* output
+//! rows: COO groups entries by the target mode's index, CSF by root
+//! slice, the dimension tree by node element, and split groups write
+//! private slot rows. That disjointness is a structural claim about the
+//! schedules and the group→row maps. [`crate::schedule::run_schedule`],
+//! which all three kernels run through, checks it here on every call,
+//! and global counters let an end-to-end run prove the detector actually
+//! executed and found zero overlaps.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -149,9 +151,20 @@ pub fn reset_overlap_stats() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, MutexGuard, PoisonError};
+
+    /// Held by the tests that read the process-wide overlap counter
+    /// before and after a check, so no other test's deliberate overlap
+    /// lands in between.
+    static COUNTER: Mutex<()> = Mutex::new(());
+
+    fn counter() -> MutexGuard<'static, ()> {
+        COUNTER.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 
     #[test]
     fn disjoint_rows_pass() {
+        let _counter = counter();
         let before = overlap_count();
         assert_eq!(check_disjoint_rows([0usize, 2, 1].into_iter(), 3), ClaimOutcome::Disjoint);
         assert_eq!(overlap_count(), before);
@@ -160,6 +173,7 @@ mod tests {
 
     #[test]
     fn duplicate_row_is_an_overlap() {
+        let _counter = counter();
         let before = overlap_count();
         assert_eq!(
             check_disjoint_rows([0usize, 1, 1].into_iter(), 4),
@@ -170,6 +184,7 @@ mod tests {
 
     #[test]
     fn out_of_bounds_row_is_flagged() {
+        let _counter = counter();
         assert_eq!(
             check_disjoint_rows([5usize].into_iter(), 3),
             ClaimOutcome::OutOfBounds { row: 5, nrows: 3 }

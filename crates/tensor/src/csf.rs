@@ -12,10 +12,9 @@
 //! per CP-ALS iteration, each doing `N-1` levels of row products.
 
 use crate::coo::{Idx, SparseTensor};
-use crate::schedule::{ModeSchedule, Task, Workspace};
+use crate::schedule::{run_schedule, ModeSchedule, Workspace};
 use adatm_linalg::kernels;
 use adatm_linalg::Mat;
-use rayon::prelude::*;
 use std::ops::Range;
 
 /// A sparse tensor in compressed-sparse-fiber form for one mode ordering.
@@ -226,47 +225,26 @@ impl CsfTensor {
         })
     }
 
-    /// Computes the MTTKRP for the root mode, sequentially.
+    /// Computes the MTTKRP for the root mode, with a schedule for the
+    /// current thread count and a throwaway workspace. Hot paths should
+    /// cache both and call [`CsfTensor::mttkrp_root_into`].
     pub fn mttkrp_root(&self, factors: &[Mat]) -> Mat {
         let rank = self.check(factors);
-        let mut m = Mat::zeros(self.dims[self.root_mode()], rank);
-        let mut scratch = vec![0.0f64; self.ndim() * rank];
-        for s in 0..self.fids[0].len() {
-            let row = m.row_mut(self.fids[0][s] as usize);
-            self.eval_root_children(
-                self.fptr[0][s]..self.fptr[0][s + 1],
-                factors,
-                rank,
-                &mut scratch,
-                row,
-            );
-        }
-        m
-    }
-
-    /// Computes the MTTKRP for the root mode, parallel over root slices.
-    ///
-    /// Convenience wrapper over [`CsfTensor::mttkrp_root_into`] that
-    /// builds a schedule for the current thread count and a throwaway
-    /// workspace. Hot paths should cache both.
-    pub fn mttkrp_root_par(&self, factors: &[Mat]) -> Mat {
-        let rank = self.check(factors);
         let sched = self.root_schedule(rayon::current_num_threads());
-        let mut ws = Workspace::new();
         let mut m = Mat::zeros(self.dims[self.root_mode()], rank);
-        self.mttkrp_root_into(factors, &sched, &mut ws, &mut m);
+        self.mttkrp_root_into(factors, &sched, &mut Workspace::new(), &mut m);
         m
     }
 
-    /// Scheduled parallel root-mode MTTKRP into a caller-provided output.
+    /// Scheduled root-mode MTTKRP into a caller-provided output.
     ///
     /// `sched` must come from [`CsfTensor::root_schedule`]; `ws` provides
     /// all scratch memory (one `N x R` evaluation stack per task plus one
-    /// privatized slot row per split sub-task). Zero heap allocations
-    /// when the schedule is sequential; O(tasks) otherwise. Race-freedom
-    /// mirrors the COO kernel: Owned tasks get disjoint `out` row spans
-    /// via `split_at_mut`, split sub-tasks accumulate level-1 child
-    /// subtrees into private slot rows merged per-row afterwards.
+    /// privatized slot row per split sub-task). Each root slice sums its
+    /// level-1 subtrees into its output row through [`run_schedule`]; a
+    /// split slice's sub-tasks each take a run of those subtrees. Zero
+    /// heap allocations when the schedule has one task; O(tasks)
+    /// otherwise.
     #[adatm::hot]
     pub fn mttkrp_root_into(
         &self,
@@ -278,106 +256,21 @@ impl CsfTensor {
         let rank = self.check(factors);
         assert_eq!(out.nrows(), self.dims[self.root_mode()], "output rows mismatch");
         assert_eq!(out.ncols(), rank, "output rank mismatch");
-        out.fill_zero();
-        if rank == 0 || sched.num_tasks() == 0 {
-            return;
-        }
-        #[cfg(feature = "audit")]
-        {
-            let owned = sched.tasks().iter().flat_map(|task| {
-                let groups = match task {
-                    Task::Owned { groups } => groups.clone(),
-                    Task::Split { .. } => 0..0,
-                };
-                groups.map(|g| self.fids[0][g] as usize)
-            });
-            let split =
-                sched.splits().iter().map(|sp| (self.fids[0][sp.group] as usize, sp.nslots));
-            crate::audit::assert_schedule_claims(owned, split, out.nrows(), "mttkrp_root_par");
-        }
-        let nscr = self.ndim() * rank;
-        let (scratch, slots) = ws.ensure(sched.num_tasks() * nscr, sched.num_slots() * rank);
-        if sched.is_sequential() {
-            let scr = &mut scratch[..nscr];
-            for s in 0..self.fids[0].len() {
-                let row = out.row_mut(self.fids[0][s] as usize);
-                self.eval_root_children(
-                    self.fptr[0][s]..self.fptr[0][s + 1],
-                    factors,
-                    rank,
-                    scr,
-                    row,
-                );
-            }
-            return;
-        }
-        struct Ctx<'a> {
-            task: &'a Task,
-            buf: &'a mut [f64],
-            row0: usize,
-            scr: &'a mut [f64],
-        }
-        let mut ctxs: Vec<Ctx<'_>> = Vec::with_capacity(sched.num_tasks());
-        let mut out_rest = out.as_mut_slice();
-        let mut consumed_rows = 0usize;
-        let mut slots_rest = &mut slots[..];
-        let mut scratch_rest = &mut scratch[..];
-        for task in sched.tasks() {
-            let (scr, rest) = std::mem::take(&mut scratch_rest).split_at_mut(nscr);
-            scratch_rest = rest;
-            match task {
-                Task::Owned { groups } => {
-                    let first = self.fids[0][groups.start] as usize;
-                    let last = self.fids[0][groups.end - 1] as usize;
-                    let tail = std::mem::take(&mut out_rest);
-                    let (_, tail) = tail.split_at_mut((first - consumed_rows) * rank);
-                    let (span, rest) = tail.split_at_mut((last + 1 - first) * rank);
-                    out_rest = rest;
-                    consumed_rows = last + 1;
-                    ctxs.push(Ctx { task, buf: span, row0: first, scr });
-                }
-                Task::Split { .. } => {
-                    let (row, rest) = std::mem::take(&mut slots_rest).split_at_mut(rank);
-                    slots_rest = rest;
-                    ctxs.push(Ctx { task, buf: row, row0: 0, scr });
-                }
-            }
-        }
-        ctxs.into_par_iter().for_each(|ctx| {
-            let Ctx { task, buf, row0, scr } = ctx;
-            match task {
-                Task::Owned { groups } => {
-                    for s in groups.clone() {
-                        let off = (self.fids[0][s] as usize - row0) * rank;
-                        let row = &mut buf[off..off + rank];
-                        self.eval_root_children(
-                            self.fptr[0][s]..self.fptr[0][s + 1],
-                            factors,
-                            rank,
-                            scr,
-                            row,
-                        );
-                    }
-                }
-                Task::Split { group, elems, .. } => {
-                    let base = self.fptr[0][*group];
-                    self.eval_root_children(
-                        base + elems.start..base + elems.end,
-                        factors,
-                        rank,
-                        scr,
-                        buf,
-                    );
-                }
-            }
-        });
-        for sp in sched.splits() {
-            let orow = out.row_mut(self.fids[0][sp.group] as usize);
-            for s in 0..sp.nslots {
-                let srow = &slots[(sp.slot0 + s) * rank..(sp.slot0 + s + 1) * rank];
-                kernels::add_assign(orow, srow);
-            }
-        }
+        let (roots, children) = (&self.fids[0], &self.fptr[0]);
+        run_schedule(
+            Some(sched),
+            ws,
+            self.ndim() * rank,
+            out,
+            roots.len(),
+            |s| roots[s] as usize,
+            #[inline(always)]
+            |s, elems, row, scr| {
+                let (lo, hi) = (children[s], children[s + 1]);
+                let span = elems.map_or(lo..hi, |e| lo + e.start..lo + e.end);
+                self.eval_root_children(span, factors, rank, scr, row);
+            },
+        );
     }
 
     /// Evaluates a range of level-1 subtrees and accumulates their rows
@@ -536,14 +429,20 @@ mod tests {
         assert!(m.max_abs_diff(&dense.mttkrp_ref(&factors, 2)) < 1e-12);
     }
 
+    /// `mttkrp_root` in a pool of `threads` workers.
+    fn root_in_pool(c: &CsfTensor, factors: &[Mat], threads: usize) -> Mat {
+        let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().expect("pool");
+        pool.install(|| c.mttkrp_root(factors))
+    }
+
     #[test]
     fn parallel_matches_sequential() {
         let t = toy();
         let factors = factors_for(&t, 4, 9);
         for mode in 0..4 {
             let c = CsfTensor::for_mode(&t, mode);
-            let p = c.mttkrp_root_par(&factors);
-            let s = c.mttkrp_root(&factors);
+            let p = root_in_pool(&c, &factors, 4);
+            let s = root_in_pool(&c, &factors, 1);
             assert!(p.max_abs_diff(&s) < 1e-12, "mode {mode}");
         }
     }
@@ -615,7 +514,7 @@ mod tests {
         let mut ws = Workspace::new();
         let mut out = Mat::zeros(t.dims()[0], 5);
         c.mttkrp_root_into(&factors, &sched, &mut ws, &mut out);
-        let s = c.mttkrp_root(&factors);
+        let s = root_in_pool(&c, &factors, 1);
         assert!(out.max_abs_diff(&s) < 1e-12);
     }
 

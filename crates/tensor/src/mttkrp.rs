@@ -9,21 +9,18 @@
 //! point every memoization strategy is measured against.
 //!
 //! Two schedules are provided:
-//! * [`mttkrp_seq`] — a single pass over entries in storage order;
-//! * [`mttkrp_par_into`] — the scheduled parallel kernel: an
-//!   nnz-balanced [`ModeSchedule`] assigns contiguous group runs (and
-//!   privatized sub-ranges of oversized groups) to tasks that write
-//!   disjoint `out` row spans directly, with all scratch living in a
-//!   caller-owned [`Workspace`] — zero steady-state heap allocations on
-//!   the sequential path, and per-call allocations bounded by the task
-//!   count (never the nnz) on the parallel path.
+//! * [`mttkrp_seq`] — a single pass over entries in storage order, the
+//!   thread-count-independent reference;
+//! * [`mttkrp_par_into`] — the scheduled kernel: an nnz-balanced
+//!   [`ModeSchedule`] over the groups of a [`SortedModeView`], run by
+//!   [`run_schedule`] with all scratch in a caller-owned [`Workspace`].
+//!   A one-task schedule is the sequential path and allocates nothing.
 
 use crate::coo::SparseTensor;
-use crate::schedule::{ModeSchedule, Task, Workspace};
+use crate::schedule::{run_schedule, ModeSchedule, Workspace};
 use crate::sorted::SortedModeView;
 use adatm_linalg::kernels;
 use adatm_linalg::Mat;
-use rayon::prelude::*;
 
 /// Validates factor shapes against a tensor; returns the common rank.
 ///
@@ -156,30 +153,14 @@ pub fn mttkrp_par(t: &SparseTensor, factors: &[Mat], mode: usize, view: &SortedM
     m
 }
 
-/// One scheduled task's slice of the output: either a contiguous span of
-/// `out` rows (Owned) or a privatized slot row (Split), plus a scratch row.
-struct TaskCtx<'a> {
-    task: &'a Task,
-    /// Output span (Owned: rows `row0..`, row-major) or one slot row.
-    buf: &'a mut [f64],
-    /// First output row covered by `buf` (Owned tasks only).
-    row0: usize,
-    srow: &'a mut [f64],
-}
-
-/// Scheduled parallel COO MTTKRP into a caller-provided output.
+/// Scheduled COO MTTKRP into a caller-provided output.
 ///
 /// `sched` must have been built from `view`'s group weights (see
-/// [`schedule_for_view`]); `ws` provides all scratch memory. The kernel
-/// performs **no heap allocation** when the schedule is sequential, and
-/// allocates only the per-task context vector (O(tasks), independent of
-/// nnz) on the parallel path.
-///
-/// Race-freedom: tasks are ordered by ascending group index and groups
-/// map to strictly ascending output rows, so consecutive `split_at_mut`
-/// calls hand each Owned task a disjoint row span of `out`; Split tasks
-/// write privatized slot rows that are merged per-row afterwards. With
-/// the `audit` feature the claim is re-checked at runtime.
+/// [`schedule_for_view`]); `ws` provides all scratch memory. Each group
+/// accumulates its entries, in view order, into its output row through
+/// [`run_schedule`], which zeroes the rows, runs the tasks and merges
+/// split groups: no heap allocation when the schedule has one task,
+/// O(tasks) (never O(nnz)) otherwise.
 ///
 /// # Panics
 /// Panics if `view.mode() != mode`, on factor-shape mismatch, or if
@@ -198,168 +179,21 @@ pub fn mttkrp_par_into(
     assert_eq!(view.mode(), mode, "sorted view is for a different mode");
     assert_eq!(out.nrows(), t.dims()[mode], "output rows mismatch");
     assert_eq!(out.ncols(), rank, "output rank mismatch");
-    if rank == 0 || sched.num_tasks() == 0 {
-        out.fill_zero();
-        return;
-    }
-    #[cfg(feature = "audit")]
-    audit_schedule_claims(view, sched, out.nrows());
-    let (scratch, slots) = ws.ensure(sched.num_tasks() * rank, sched.num_slots() * rank);
-    if sched.is_sequential() {
-        // Allocation-free steady state: one pass over the groups with a
-        // single workspace scratch row.
-        out.fill_zero();
-        let srow = &mut scratch[..rank];
-        for g in 0..view.num_groups() {
-            let orow = out.row_mut(view.key(g) as usize);
-            for &e in view.group(g) {
-                accumulate_entry(t, factors, mode, e as usize, srow, orow);
+    run_schedule(
+        Some(sched),
+        ws,
+        rank,
+        out,
+        view.num_groups(),
+        |g| view.key(g) as usize,
+        #[inline(always)]
+        |g, elems, row, srow| {
+            let entries = view.group(g);
+            for &e in elems.map_or(entries, |r| &entries[r]) {
+                accumulate_entry(t, factors, mode, e as usize, srow, row);
             }
-        }
-        return;
-    }
-    // Carve the output into disjoint &mut row spans, one per Owned task,
-    // walking `out` left to right (tasks are ordered by group index).
-    // There is no up-front zeroing pass: each span starts at the first
-    // not-yet-claimed row, so gap rows (absent mode indices and rows
-    // privatized by earlier Split tasks) are zeroed by the task that owns
-    // the enclosing span, in parallel, while group rows are written by
-    // first-touch assignment.
-    let mut ctxs: Vec<TaskCtx<'_>> = Vec::with_capacity(sched.num_tasks());
-    let mut out_rest = out.as_mut_slice();
-    let mut consumed_rows = 0usize;
-    let mut slots_rest = &mut slots[..];
-    let mut scratch_rest = &mut scratch[..];
-    for task in sched.tasks() {
-        let (srow, rest) = std::mem::take(&mut scratch_rest).split_at_mut(rank);
-        scratch_rest = rest;
-        match task {
-            Task::Owned { groups } => {
-                let last = view.key(groups.end - 1) as usize;
-                let tail = std::mem::take(&mut out_rest);
-                let (span, rest) = tail.split_at_mut((last + 1 - consumed_rows) * rank);
-                out_rest = rest;
-                ctxs.push(TaskCtx { task, buf: span, row0: consumed_rows, srow });
-                consumed_rows = last + 1;
-            }
-            Task::Split { .. } => {
-                // Slot ids are assigned in task order, so slot rows are
-                // consumed in order too. The split group's output row is
-                // zeroed by a later Owned span (or the trailing fill) and
-                // overwritten by the merge below.
-                let (row, rest) = std::mem::take(&mut slots_rest).split_at_mut(rank);
-                slots_rest = rest;
-                ctxs.push(TaskCtx { task, buf: row, row0: 0, srow });
-            }
-        }
-    }
-    ctxs.into_par_iter().for_each(|ctx| {
-        let TaskCtx { task, buf, row0, srow } = ctx;
-        match task {
-            Task::Owned { groups } => {
-                let mut cursor = row0;
-                for g in groups.clone() {
-                    let key = view.key(g) as usize;
-                    buf[(cursor - row0) * rank..(key - row0) * rank].fill(0.0);
-                    let off = (key - row0) * rank;
-                    let orow = &mut buf[off..off + rank];
-                    if let Some((&e0, rest)) = view.group(g).split_first() {
-                        assign_entry(t, factors, mode, e0 as usize, srow, orow);
-                        for &e in rest {
-                            accumulate_entry(t, factors, mode, e as usize, srow, orow);
-                        }
-                    } else {
-                        orow.fill(0.0);
-                    }
-                    cursor = key + 1;
-                }
-                buf[(cursor - row0) * rank..].fill(0.0);
-            }
-            Task::Split { group, elems, .. } => {
-                for &e in &view.group(*group)[elems.clone()] {
-                    accumulate_entry(t, factors, mode, e as usize, srow, buf);
-                }
-            }
-        }
-    });
-    // Rows past the last Owned span (trailing absent indices and trailing
-    // split rows) were never handed to a task.
-    out_rest.fill(0.0);
-    // Merge each split group's privatized slot rows into its output row —
-    // a per-row reduction, not a per-matrix one. The first slot assigns
-    // (the row was only gap-zeroed), the rest accumulate.
-    for sp in sched.splits() {
-        let orow = out.row_mut(view.key(sp.group) as usize);
-        for s in 0..sp.nslots {
-            let srow = &slots[(sp.slot0 + s) * rank..(sp.slot0 + s + 1) * rank];
-            if s == 0 {
-                orow.copy_from_slice(srow);
-            } else {
-                kernels::add_assign(orow, srow);
-            }
-        }
-    }
-}
-
-/// Re-checks the schedule's disjoint-write claim against the view.
-#[cfg(feature = "audit")]
-fn audit_schedule_claims(view: &SortedModeView, sched: &ModeSchedule, nrows: usize) {
-    let owned = sched.tasks().iter().flat_map(|task| {
-        let groups = match task {
-            Task::Owned { groups } => groups.clone(),
-            Task::Split { .. } => 0..0,
-        };
-        groups.map(|g| view.key(g) as usize)
-    });
-    let split = sched.splits().iter().map(|sp| (view.key(sp.group) as usize, sp.nslots));
-    crate::audit::assert_schedule_claims(owned, split, nrows, "mttkrp_par");
-}
-
-/// [`accumulate_entry`]'s first-touch form: *assigns* the contribution
-/// of entry `k` to `orow` instead of adding it. Used for the first entry
-/// of each group on the parallel path so output rows never need a
-/// separate zeroing pass (identical products, so results match the
-/// accumulate-into-zero form bitwise up to the sign of zero).
-#[inline]
-fn assign_entry(
-    t: &SparseTensor,
-    factors: &[Mat],
-    mode: usize,
-    k: usize,
-    srow: &mut [f64],
-    orow: &mut [f64],
-) {
-    let val = t.vals()[k];
-    let ndim = factors.len();
-    let row_of = |d: usize| factors[d].row(t.mode_idx(d)[k] as usize);
-    match ndim {
-        2 => kernels::scale(orow, val, row_of(1 - mode)),
-        3 => {
-            let (a, b) = other_modes3(mode);
-            kernels::scale2(orow, val, row_of(a), row_of(b));
-        }
-        4 => {
-            let (a, b, c) = other_modes4(mode);
-            kernels::scale3(orow, val, row_of(a), row_of(b), row_of(c));
-        }
-        _ => {
-            let last = if mode == ndim - 1 { ndim - 2 } else { ndim - 1 };
-            let mut seeded = false;
-            for (d, f) in factors.iter().enumerate() {
-                if d == mode || d == last {
-                    continue;
-                }
-                let frow = f.row(t.mode_idx(d)[k] as usize);
-                if seeded {
-                    kernels::mul_assign(srow, frow);
-                } else {
-                    kernels::scale(srow, val, frow);
-                    seeded = true;
-                }
-            }
-            kernels::mul_into(orow, srow, row_of(last));
-        }
-    }
+        },
+    );
 }
 
 /// Total fused multiply-add count of one COO MTTKRP in one mode

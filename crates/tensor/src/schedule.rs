@@ -14,9 +14,15 @@
 //!
 //! Schedules are pure index structure: they borrow nothing and stay valid
 //! for the lifetime of the tensor representation they were built from.
-//! Backends cache one per (tensor, mode) and invalidate them together
-//! with their workspaces on `reset()`.
+//! Backends keep them in a [`ScheduleCache`], one per (tensor, mode),
+//! and drop them together with their workspaces on `reset()`.
+//!
+//! [`run_schedule`] is the one place a scheduled kernel call becomes
+//! tasks: the COO, CSF and dimension-tree pull kernels each hand it a
+//! body closure that accumulates one group's elements into one row.
 
+use adatm_linalg::{kernels, Mat};
+use rayon::prelude::*;
 use std::ops::Range;
 
 /// Tasks created per worker thread. More tasks give the static scheduler
@@ -295,6 +301,198 @@ impl Workspace {
     }
 }
 
+/// Schedules cached per slot (a mode, a tree node) for the worker count
+/// they were balanced for.
+///
+/// Asking for a different count drops every cached schedule first, so a
+/// kernel never runs a schedule balanced for another pool size.
+#[derive(Clone, Debug)]
+pub struct ScheduleCache<S> {
+    scheds: Vec<Option<S>>,
+    /// Worker count the cached schedules were balanced for (0 = none).
+    threads: usize,
+}
+
+impl<S> ScheduleCache<S> {
+    /// An empty cache with `slots` slots.
+    pub fn new(slots: usize) -> Self {
+        ScheduleCache { scheds: (0..slots).map(|_| None).collect(), threads: 0 }
+    }
+
+    /// The schedule of `slot` for `threads` workers, built by `build` if
+    /// the slot is empty or the cached schedules were balanced for
+    /// another count.
+    ///
+    /// # Panics
+    /// Panics if `slot` is out of range.
+    pub fn get_or_build(&mut self, slot: usize, threads: usize, build: impl FnOnce() -> S) -> &S {
+        if self.threads != threads {
+            self.clear();
+            self.threads = threads;
+        }
+        self.scheds[slot].get_or_insert_with(build)
+    }
+
+    /// Drops every cached schedule (backend `reset()` protocol).
+    pub fn clear(&mut self) {
+        self.scheds.iter_mut().for_each(|s| *s = None);
+        self.threads = 0;
+    }
+
+    /// The cached schedules.
+    pub fn iter(&self) -> impl Iterator<Item = &S> {
+        self.scheds.iter().flatten()
+    }
+}
+
+/// Runs one kernel call over `sched`: carves `out` into per-task rows,
+/// runs the tasks, and merges split rows.
+///
+/// Group `g` of `groups` owns output row `row_of(g)`, strictly ascending
+/// in `g`; rows no group owns come out zero. `body(g, elems, row,
+/// scratch)` accumulates elements `elems` of group `g` (a sub-range
+/// within the group, or `None` for all of them) into `row`; `scratch` is
+/// `scratch_len` values private to the task. The contract every
+/// scheduled kernel shares:
+///
+/// * Callers do not pre-zero. Each output row is zeroed once, inside the
+///   task that owns it, so every row is `0 + c0 + c1 + ...` in group and
+///   element order.
+/// * With no schedule, or one task, the groups run inline on the calling
+///   thread. That path builds nothing and, once `ws` has grown, allocates
+///   nothing.
+/// * Otherwise an Owned task gets the rows from the first one not yet
+///   claimed through its last group's row (gap rows and rows of earlier
+///   split groups included), and zeroes them before its groups run. A
+///   Split task accumulates into a private slot row that `ws` zeroes.
+///   Rows past the last Owned task are zeroed after the parallel phase;
+///   then each split group's slot rows are added to its row in slot
+///   order. Per-call allocation is the task list: O(tasks), never O(nnz).
+/// * With the `audit` feature, every call checks that the rows its tasks
+///   claim are in bounds and disjoint, naming the kernel's body if not.
+///
+/// The kernels mark `body` `#[inline(always)]`: it runs once per group,
+/// often over a handful of elements, and is called from more places
+/// here than the inliner takes on by itself.
+///
+/// # Panics
+/// Panics if a group's row lies outside `out`.
+#[adatm::hot]
+pub fn run_schedule<R, B>(
+    sched: Option<&ModeSchedule>,
+    ws: &mut Workspace,
+    scratch_len: usize,
+    out: &mut Mat,
+    groups: usize,
+    row_of: R,
+    body: B,
+) where
+    R: Fn(usize) -> usize + Sync,
+    B: Fn(usize, Option<Range<usize>>, &mut [f64], &mut [f64]) + Sync,
+{
+    let width = out.ncols();
+    if width == 0 {
+        return;
+    }
+    #[cfg(feature = "audit")]
+    audit_claims(sched, groups, &row_of, out.nrows(), std::any::type_name::<B>());
+    let out = out.as_mut_slice();
+    let sched = match sched {
+        Some(s) if !s.is_sequential() => s,
+        _ => {
+            let (scratch, _) = ws.ensure(scratch_len, 0);
+            run_owned(0..groups, 0, out, width, scratch, &row_of, &body);
+            return;
+        }
+    };
+    let (mut scratch_rest, slots) =
+        ws.ensure(sched.num_tasks() * scratch_len, sched.num_slots() * width);
+    // Tasks are ordered by group, and rows ascend with groups, so taking
+    // each Owned task's rows off the front of what is left of `out`
+    // hands every task a disjoint span.
+    let mut parts = Vec::with_capacity(sched.num_tasks());
+    let mut rest = &mut *out;
+    let mut slot_rest = &mut *slots;
+    let mut next_row = 0usize;
+    for task in sched.tasks() {
+        let (scr, tail) = std::mem::take(&mut scratch_rest).split_at_mut(scratch_len);
+        scratch_rest = tail;
+        let (row0, buf) = match task {
+            Task::Owned { groups } => {
+                let end = row_of(groups.end - 1) + 1;
+                let (span, tail) = std::mem::take(&mut rest).split_at_mut((end - next_row) * width);
+                rest = tail;
+                (std::mem::replace(&mut next_row, end), span)
+            }
+            Task::Split { .. } => {
+                let (row, tail) = std::mem::take(&mut slot_rest).split_at_mut(width);
+                slot_rest = tail;
+                (0, row)
+            }
+        };
+        parts.push((task, row0, buf, scr));
+    }
+    parts.into_par_iter().for_each(|(task, row0, buf, scr)| match task {
+        Task::Owned { groups } => {
+            run_owned(groups.start..groups.end, row0, buf, width, scr, &row_of, &body);
+        }
+        Task::Split { group, elems, .. } => body(*group, Some(elems.start..elems.end), buf, scr),
+    });
+    rest.fill(0.0);
+    for sp in sched.splits() {
+        let r = row_of(sp.group) * width;
+        let orow = &mut out[r..r + width];
+        for srow in slots[sp.slot0 * width..(sp.slot0 + sp.nslots) * width].chunks_exact(width) {
+            kernels::add_assign(orow, srow);
+        }
+    }
+}
+
+/// One Owned task: zeroes `buf`, the output rows from `row0` on, then
+/// runs each of `groups` into its row.
+#[inline(always)]
+fn run_owned<R, B>(
+    groups: Range<usize>,
+    row0: usize,
+    buf: &mut [f64],
+    width: usize,
+    scratch: &mut [f64],
+    row_of: &R,
+    body: &B,
+) where
+    R: Fn(usize) -> usize,
+    B: Fn(usize, Option<Range<usize>>, &mut [f64], &mut [f64]),
+{
+    buf.fill(0.0);
+    for g in groups {
+        let r = (row_of(g) - row0) * width;
+        body(g, None, &mut buf[r..r + width], scratch);
+    }
+}
+
+/// Re-checks the rows one [`run_schedule`] call's tasks claim: each
+/// Owned group's row, and each split group's row with its slot count.
+#[cfg(feature = "audit")]
+fn audit_claims(
+    sched: Option<&ModeSchedule>,
+    groups: usize,
+    row_of: &impl Fn(usize) -> usize,
+    nrows: usize,
+    kernel: &str,
+) {
+    let whole = [Task::Owned { groups: 0..groups }];
+    let tasks: &[Task] = match sched {
+        Some(s) => s.tasks(),
+        None => &whole,
+    };
+    let owned = tasks.iter().flat_map(|task| match task {
+        Task::Owned { groups } => groups.start..groups.end,
+        Task::Split { .. } => 0..0,
+    });
+    let split = sched.iter().flat_map(|s| s.splits()).map(|sp| (row_of(sp.group), sp.nslots));
+    crate::audit::assert_schedule_claims(owned.map(row_of), split, nrows, kernel);
+}
+
 /// `ExactSizeIterator` of `count` unit weights (the uniform-element case).
 struct UniformElems(usize);
 
@@ -429,6 +627,51 @@ mod tests {
         assert_eq!(s.num_tasks(), 0);
         assert_eq!(s.num_slots(), 0);
         assert_eq!(s.total_weight(), 0);
+    }
+
+    #[test]
+    fn runner_zeroes_every_row_and_merges_splits() {
+        // Groups own rows 1, 3, 4 and 7 of 9, so rows 0, 2, 5, 6 and 8
+        // belong to no group; group 2 is hot enough to split.
+        let weights = [3usize, 2, 40, 5];
+        let rows = [1usize, 3, 4, 7];
+        let sched = ModeSchedule::build_with_target(&weights, 4, 8);
+        assert!(!sched.splits().is_empty() && sched.num_tasks() > 2);
+        // Each row ends as the sum of its group's element ids.
+        let mut want = vec![0.0; 9 * 2];
+        for (g, &r) in rows.iter().enumerate() {
+            let sum = (0..weights[g]).sum::<usize>() as f64;
+            want[2 * r..2 * r + 2].fill(sum);
+        }
+        let mut ws = Workspace::new();
+        for sched in [None, Some(&sched)] {
+            let mut out = Mat::from_vec(9, 2, vec![f64::NAN; 9 * 2]);
+            run_schedule(
+                sched,
+                &mut ws,
+                1,
+                &mut out,
+                4,
+                |g| rows[g],
+                |g, elems, row, _| {
+                    for e in elems.unwrap_or(0..weights[g]) {
+                        row.iter_mut().for_each(|v| *v += e as f64);
+                    }
+                },
+            );
+            assert_eq!(out.as_slice(), want, "schedule {:?}", sched.map(ModeSchedule::num_tasks));
+        }
+    }
+
+    #[test]
+    fn cache_drops_schedules_balanced_for_another_pool() {
+        let mut cache = ScheduleCache::new(2);
+        assert_eq!(*cache.get_or_build(0, 2, || 20), 20);
+        assert_eq!(*cache.get_or_build(0, 2, || 21), 20, "cached for the same pool");
+        assert_eq!(*cache.get_or_build(1, 4, || 41), 41);
+        assert_eq!(cache.iter().count(), 1, "slot 0 was built for another pool");
+        cache.clear();
+        assert_eq!(cache.iter().count(), 0);
     }
 
     #[test]

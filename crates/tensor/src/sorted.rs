@@ -114,6 +114,14 @@ impl SortedModeView {
         &self.keys
     }
 
+    /// Bytes of index structure: the keys, the group boundaries and the
+    /// entry permutation.
+    pub fn structure_bytes(&self) -> usize {
+        self.keys.len() * std::mem::size_of::<Idx>()
+            + self.ptr.len() * std::mem::size_of::<usize>()
+            + self.perm.len() * std::mem::size_of::<u32>()
+    }
+
     /// Per-group entry counts — the nnz weights the scheduler balances.
     pub fn group_weights(&self) -> Vec<usize> {
         (0..self.num_groups()).map(|g| self.group(g).len()).collect()

@@ -5,11 +5,10 @@
 //! `[workspace.dependencies]` in the root manifest). It reproduces exactly
 //! the combinator surface the workspace uses — `into_par_iter` (ranges
 //! and vectors), `map` + `collect` / `reduce`, `enumerate`, `zip`,
-//! `fold` + `reduce`, `for_each`, `par_chunks`, `par_chunks_mut`,
-//! `par_sort_unstable_by` — with real data parallelism
-//! via [`std::thread::scope`]: each terminal operation splits its items
-//! into one contiguous block per worker and joins in order, so outputs are
-//! position-stable just as with rayon.
+//! `fold` + `reduce`, `for_each`, `par_chunks`, `par_chunks_mut` — with
+//! real data parallelism via [`std::thread::scope`]: each terminal
+//! operation splits its items into one contiguous block per worker and
+//! joins in order, so outputs are position-stable just as with rayon.
 //!
 //! Differences from rayon, none observable by this workspace:
 //!
@@ -25,7 +24,6 @@
 #![warn(missing_docs)]
 
 use std::cell::Cell;
-use std::cmp::Ordering;
 use std::fmt;
 use std::ops::Range;
 
@@ -298,26 +296,12 @@ impl<T: Sync> ParallelSlice<T> for [T] {
 pub trait ParallelSliceMut<T: Send> {
     /// Parallel iterator over mutable `chunk_size`-sized chunks.
     fn par_chunks_mut(&mut self, chunk_size: usize) -> ParIter<&mut [T]>;
-
-    /// Unstable comparator sort. Sequential in this shim — callers use it
-    /// as a drop-in for `sort_unstable_by` above a size threshold, and a
-    /// sequential sort is semantically identical.
-    fn par_sort_unstable_by<F>(&mut self, compare: F)
-    where
-        F: Fn(&T, &T) -> Ordering + Sync;
 }
 
 impl<T: Send> ParallelSliceMut<T> for [T] {
     fn par_chunks_mut(&mut self, chunk_size: usize) -> ParIter<&mut [T]> {
         assert!(chunk_size > 0, "chunk size must be positive");
         ParIter { items: self.chunks_mut(chunk_size).collect() }
-    }
-
-    fn par_sort_unstable_by<F>(&mut self, compare: F)
-    where
-        F: Fn(&T, &T) -> Ordering + Sync,
-    {
-        self.sort_unstable_by(compare);
     }
 }
 
@@ -365,15 +349,6 @@ mod tests {
         assert_eq!(v[0], 0);
         assert_eq!(v[16], 1);
         assert_eq!(v[32], 2);
-    }
-
-    #[test]
-    fn par_sort_matches_sequential_sort() {
-        let mut a: Vec<u32> = (0..500).map(|i| (i * 7919) % 1000).collect();
-        let mut b = a.clone();
-        a.par_sort_unstable_by(|x, y| x.cmp(y));
-        b.sort_unstable();
-        assert_eq!(a, b);
     }
 
     #[test]

@@ -33,7 +33,6 @@ pub use adatm_dtree::TreeShape;
 pub use adatm_linalg::Mat;
 pub use adatm_model::{
     AdmissionError, EnvProfile, KernelProfile, MemoPlan, NnzEstimator, Objective, Planner,
-    SearchStrategy,
 };
 pub use adatm_tensor::SparseTensor;
 

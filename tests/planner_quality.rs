@@ -6,7 +6,7 @@
 //! choice is flop-optimal among the candidates (with the exact estimator)
 //! or near-optimal (with the sampled estimator).
 
-use adatm::dtree::{DtreeEngine, EngineOptions};
+use adatm::dtree::DtreeEngine;
 use adatm::planner::estimate::NnzEstimator;
 use adatm::tensor::gen::{uniform_tensor, zipf_tensor};
 use adatm::{Objective, Planner, SparseTensor};
@@ -14,10 +14,14 @@ use adatm::{Objective, Planner, SparseTensor};
 /// Counted flops of one full CP-ALS iteration's MTTKRPs under the
 /// dimension-tree protocol for a given shape.
 fn iteration_flops(t: &SparseTensor, shape: &adatm::TreeShape, rank: usize) -> u64 {
+    let pool = rayon::ThreadPoolBuilder::new().num_threads(1).build().unwrap();
+    pool.install(|| sequential_iteration_flops(t, shape, rank))
+}
+
+fn sequential_iteration_flops(t: &SparseTensor, shape: &adatm::TreeShape, rank: usize) -> u64 {
     let factors: Vec<adatm::Mat> =
         t.dims().iter().enumerate().map(|(d, &n)| adatm::Mat::random(n, rank, d as u64)).collect();
-    let mut eng =
-        DtreeEngine::with_options(t, shape, rank, EngineOptions { parallel: false, thick: true });
+    let mut eng = DtreeEngine::new(t, shape, rank);
     // Subiterations must follow the tree's leaf order (what the CP-ALS
     // driver does via MttkrpBackend::mode_order) so that every node is
     // computed exactly once per iteration.
