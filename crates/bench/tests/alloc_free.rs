@@ -1,5 +1,5 @@
 //! Zero-allocation gates for the scheduled MTTKRP kernels and the CP
-//! sweep loop.
+//! sweep loop, and an allocation bound for planning.
 //!
 //! The perf contract of the scheduling work: once a backend has built its
 //! sorted views / CSF trees, its per-(tensor, mode) `ModeSchedule`, and
@@ -23,6 +23,7 @@
 use adatm_core::{CooBackend, CpAls, CpAlsOptions, MttkrpBackend};
 use adatm_dtree::{DtreeEngine, NodeKernelClass, TreeShape};
 use adatm_linalg::Mat;
+use adatm_model::Planner;
 use adatm_tensor::csf::CsfTensor;
 use adatm_tensor::gen::zipf_tensor;
 use adatm_tensor::mttkrp::{mttkrp_par_into, schedule_for_view};
@@ -333,4 +334,20 @@ fn sweep_loop_allocates_nothing_factor_sized_after_warmup() {
             );
         }
     }
+}
+
+#[test]
+fn planning_allocations_grow_with_estimator_evaluations_only() {
+    let _serial = serial();
+    // deli4d's benchmark shape: 37.5k nonzeros, above the sampled
+    // estimator's 16384-entry sample, so every evaluation sorts a sample.
+    // An evaluation may allocate a few buffers, never one per sampled
+    // entry (about 12.5k here).
+    let t = zipf_tensor(&[200, 3000, 30_000, 10_000], 37_500, &[0.3, 0.9, 0.7, 1.0], 11);
+    let planner = Planner::new(&t, 16);
+    let mut evals = 0;
+    let n = allocs_during(|| evals = planner.plan().estimator_evals);
+    assert!(evals > 0, "planning made no estimator evaluation");
+    let bound = 32 * evals as u64 + 256;
+    assert!(n <= bound, "planning made {n} allocations over {evals} evaluations (bound {bound})");
 }

@@ -327,7 +327,8 @@ impl PpState {
                 // Larger-dimension mode is the primary sort key so every
                 // correction streams the big matrix (see module docs).
                 let (p, s) = if dims[b] > dims[a] { (b, a) } else { (a, b) };
-                let node = build_node(&[t.mode_idx(p), t.mode_idx(s)], &[0, 1], t.nnz());
+                let cols = [(t.mode_idx(p), dims[p]), (t.mode_idx(s), dims[s])];
+                let node = build_node(&cols, &[0, 1], t.nnz());
                 let vals = vec![0.0f32; node.len * rank];
                 pairs.push(PairMemo { modes: (p, s), node, vals });
             }

@@ -18,6 +18,7 @@
 use crate::error::DtreeError;
 use crate::tree::DimTree;
 use adatm_tensor::coo::Idx;
+use adatm_tensor::keys::{KeyColumn, SortedTuples};
 use adatm_tensor::SparseTensor;
 
 /// Symbolic structure of one tree node.
@@ -74,10 +75,12 @@ pub struct SymbolicTree {
 impl SymbolicTree {
     /// Runs the symbolic TTV pass for `tree` over `tensor`.
     ///
-    /// Cost: one indirect sort of the parent's elements per non-root node
-    /// (`O(E_p log E_p)` with `|µ(t)|`-way comparisons), parallelized for
-    /// large nodes. Duplicate coordinates in `tensor` are tolerated (they
-    /// simply form a reduction set of size > 1 at the first level).
+    /// Cost: one sort of the parent's elements per non-root node, on
+    /// packed `u64` keys of the node's modes (`O(E_p log E_p)` word
+    /// compares, plus one rank fold per mode that does not fit beside the
+    /// element id; see [`adatm_tensor::keys`]). Duplicate coordinates in
+    /// `tensor` are tolerated (they simply form a reduction set of more
+    /// than one element at the first level).
     pub fn build(tensor: &SparseTensor, tree: &DimTree) -> Self {
         Self::try_build(tensor, tree).unwrap_or_else(|e| panic!("symbolic pass failed: {e}"))
     }
@@ -119,8 +122,10 @@ impl SymbolicTree {
                     Ok(nodes[parent].idx[pos].as_slice())
                 }
             };
-            let key_cols: Vec<&[Idx]> =
-                key_modes.iter().map(|&m| col_of(m)).collect::<Result<_, _>>()?;
+            let key_cols: Vec<KeyColumn<'_>> = key_modes
+                .iter()
+                .map(|&m| Ok((col_of(m)?, tensor.dims()[m])))
+                .collect::<Result<_, DtreeError>>()?;
             // idx arrays are stored in ascending mode order regardless of
             // the sort-key order.
             let own_modes = &tree.node(id).modes;
@@ -257,51 +262,32 @@ fn sort_key_modes(tree: &DimTree, id: usize) -> Vec<usize> {
 /// Builds one node's symbolic structure from the parent's index columns.
 ///
 /// `key_cols` are the parent's index arrays for the node's modes in the
-/// node's *sort-key* order; `own_positions[k]` locates the node's `k`-th
-/// ascending mode within `key_cols` (for extracting the stored `idx`
-/// arrays).
+/// node's *sort-key* order, each with its mode's size; `own_positions[k]`
+/// locates the node's `k`-th ascending mode within `key_cols` (for
+/// extracting the stored `idx` arrays).
 pub(crate) fn build_node(
-    key_cols: &[&[Idx]],
+    key_cols: &[KeyColumn<'_>],
     own_positions: &[usize],
     parent_len: usize,
 ) -> SymbolicNode {
-    let mut perm: Vec<u32> = (0..parent_len as u32).collect();
-    let key_cmp = |a: &u32, b: &u32| {
-        for col in key_cols {
-            match col[*a as usize].cmp(&col[*b as usize]) {
-                std::cmp::Ordering::Equal => continue,
-                ord => return ord,
-            }
+    // Ties break by ascending parent id, so each reduction set lists its
+    // parent elements in ascending order: the best locality on the
+    // parent's value matrix, and what makes the first child's identity
+    // permutation detectable.
+    let sorted = SortedTuples::new(key_cols, parent_len);
+    let perm = sorted.perm();
+    let len = sorted.distinct();
+    let mut idx: Vec<Vec<Idx>> = vec![Vec::with_capacity(len); own_positions.len()];
+    let mut rptr: Vec<usize> = Vec::with_capacity(len + 1);
+    rptr.push(0);
+    let mut start = 0;
+    for run in sorted.runs() {
+        let head = perm[start] as usize;
+        for (col, &kpos) in idx.iter_mut().zip(own_positions.iter()) {
+            col.push(key_cols[kpos].0[head]);
         }
-        std::cmp::Ordering::Equal
-    };
-    perm.sort_unstable_by(key_cmp);
-    let mut idx: Vec<Vec<Idx>> = vec![Vec::new(); own_positions.len()];
-    let mut rptr: Vec<usize> = vec![0];
-    for (pos, &p) in perm.iter().enumerate() {
-        let is_new = pos == 0 || {
-            let prev = perm[pos - 1] as usize;
-            key_cols.iter().any(|col| col[p as usize] != col[prev])
-        };
-        if is_new {
-            if pos > 0 {
-                rptr.push(pos);
-            }
-            for (col, &kpos) in idx.iter_mut().zip(own_positions.iter()) {
-                col.push(key_cols[kpos][p as usize]);
-            }
-        }
-    }
-    rptr.push(parent_len);
-    if parent_len == 0 {
-        rptr = vec![0];
-    }
-    let len = idx.first().map_or(0, Vec::len);
-    // Ascending order within each reduction set maximizes locality on the
-    // parent's value matrix; it also makes "identity permutation" (the
-    // first-child case) detectable.
-    for e in 0..len {
-        perm[rptr[e]..rptr[e + 1]].sort_unstable();
+        start += run;
+        rptr.push(start);
     }
     let sequential = perm.iter().enumerate().all(|(i, &p)| p as usize == i);
     let pmap = if !sequential && scatter_eligible(len, parent_len) {

@@ -5,11 +5,14 @@
 //! planner evaluates hundreds of candidate nodes, so it needs this count
 //! *cheaply*. Three estimators with different cost/fidelity trades:
 //!
-//! * **Exact** — sort-based distinct count, `O(nnz log nnz)` per subset.
-//!   The oracle; used by tests and small planning problems.
-//! * **Sampled** — distinct count over a fixed-size coordinate sample,
-//!   scaled up with a bias-corrected Chao1 richness estimator. `O(sample
-//!   log sample)` per subset regardless of nnz; the default for planning.
+//! * **Exact** — distinct count over all entries sorted by packed `u64`
+//!   keys ([`adatm_tensor::keys`]), `O(nnz log nnz)` word compares per
+//!   subset. The oracle; used by tests and small planning problems.
+//! * **Sampled** — distinct count over a fixed-size stride sample of the
+//!   entries, sorted by the same packed keys, scaled up with a
+//!   bias-corrected Chao1 richness estimator. `O(sample log sample)` per
+//!   subset regardless of nnz, with no allocation per sampled entry; the
+//!   default for planning.
 //! * **Analytic** — the uniform-occupancy closed form
 //!   `M (1 - (1 - 1/M)^nnz)`, `O(1)` per subset. Exact in expectation for
 //!   uniform random tensors; a lower bound on collapse for skewed ones.
@@ -17,6 +20,7 @@
 //! All estimates are clamped to the hard bounds
 //! `[1, min(nnz, prod_{d in S} I_d)]`.
 
+use adatm_tensor::keys::SortedTuples;
 use adatm_tensor::stats::distinct_projections;
 use adatm_tensor::SparseTensor;
 use std::collections::HashMap;
@@ -24,7 +28,7 @@ use std::collections::HashMap;
 /// Strategy for estimating distinct projection counts.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum NnzEstimator {
-    /// Exact sort-based count.
+    /// Exact count over all entries, sorted by packed keys.
     Exact,
     /// Chao-corrected count over a sample of the given size.
     Sampled {
@@ -137,29 +141,20 @@ fn sampled_estimate(t: &SparseTensor, modes: &[usize], sample: usize) -> f64 {
     // entries are typically sorted, and a truncated prefix would bias the
     // sample toward the head keys.
     let stride = nnz.div_ceil(sample).max(1);
-    let picked: Vec<usize> = (0..nnz).step_by(stride).collect();
-    let mut keys: Vec<Vec<u32>> =
-        picked.iter().map(|&k| modes.iter().map(|&m| t.mode_idx(m)[k]).collect()).collect();
-    keys.sort_unstable();
+    let sorted = SortedTuples::sampled(t, modes, stride);
     // Distinct keys plus singleton/doubleton counts in one scan.
     let mut d = 0usize;
     let (mut f1, mut f2) = (0usize, 0usize);
-    let mut i = 0usize;
-    while i < keys.len() {
-        let mut j = i + 1;
-        while j < keys.len() && keys[j] == keys[i] {
-            j += 1;
-        }
+    for run in sorted.runs() {
         d += 1;
-        match j - i {
+        match run {
             1 => f1 += 1,
             2 => f2 += 1,
             _ => {}
         }
-        i = j;
     }
     let d = d as f64;
-    let q = picked.len() as f64 / nnz as f64;
+    let q = sorted.len() as f64 / nnz as f64;
     if q >= 1.0 {
         return d;
     }

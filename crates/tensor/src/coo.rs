@@ -1,5 +1,6 @@
 //! Coordinate-format (COO) sparse tensors, stored structure-of-arrays.
 
+use crate::keys::SortedTuples;
 use std::fmt;
 
 /// Index type for mode coordinates.
@@ -218,50 +219,35 @@ impl SparseTensor {
     /// Computes (without applying) the stable permutation that sorts
     /// entries lexicographically by `mode_order`.
     pub fn sort_permutation(&self, mode_order: &[usize]) -> Vec<u32> {
-        let mut perm: Vec<u32> = (0..self.nnz() as u32).collect();
-        let inds = &self.inds;
-        perm.sort_by(|&a, &b| {
-            for &d in mode_order {
-                let (ia, ib) = (inds[d][a as usize], inds[d][b as usize]);
-                match ia.cmp(&ib) {
-                    std::cmp::Ordering::Equal => continue,
-                    ord => return ord,
-                }
-            }
-            std::cmp::Ordering::Equal
-        });
-        perm
+        SortedTuples::by_modes(self, mode_order).perm()
     }
 
     /// Sums duplicate coordinates, leaving entries sorted lexicographically
-    /// by mode `0, 1, ..., N-1`. Entries that sum to exactly zero are kept
-    /// (they remain structurally significant for symbolic analysis).
+    /// by mode `0, 1, ..., N-1`. Duplicates are summed in entry order.
+    /// Entries that sum to exactly zero are kept (they remain structurally
+    /// significant for symbolic analysis).
     pub fn dedup_sum(&mut self) {
-        if self.nnz() == 0 {
-            return;
-        }
         let order: Vec<usize> = (0..self.ndim()).collect();
-        self.sort_by_modes(&order);
-        let n = self.ndim();
-        let nnz = self.nnz();
-        let mut write = 0usize;
-        for read in 1..nnz {
-            let same = (0..n).all(|d| self.inds[d][read] == self.inds[d][write]);
-            if same {
-                self.vals[write] += self.vals[read];
-            } else {
-                write += 1;
-                for d in 0..n {
-                    self.inds[d][write] = self.inds[d][read];
-                }
-                self.vals[write] = self.vals[read];
+        let sorted = SortedTuples::by_modes(self, &order);
+        let perm = sorted.perm();
+        let distinct = sorted.distinct();
+        let mut heads = Vec::with_capacity(distinct);
+        let mut vals = Vec::with_capacity(distinct);
+        let mut start = 0;
+        for len in sorted.runs() {
+            let run = &perm[start..start + len];
+            let mut sum = self.vals[run[0] as usize];
+            for &k in &run[1..] {
+                sum += self.vals[k as usize];
             }
+            heads.push(run[0]);
+            vals.push(sum);
+            start += len;
         }
-        let new_len = write + 1;
         for col in &mut self.inds {
-            col.truncate(new_len);
+            *col = gather_u32(col, &heads);
         }
-        self.vals.truncate(new_len);
+        self.vals = vals;
     }
 
     /// Returns a tensor with modes permuted: mode `d` of the result is mode

@@ -60,65 +60,92 @@ impl From<io::Error> for IoError {
 /// The tensor order is inferred from the first data line; mode sizes are
 /// the per-mode maxima of the (1-based) indices. Duplicate coordinates are
 /// preserved (call [`SparseTensor::dedup_sum`] to canonicalize).
+///
+/// Lines are read into one reused buffer and their fields parsed in one
+/// walk, so reading allocates nothing per line.
 pub fn read_tns<R: Read>(reader: R) -> Result<SparseTensor, IoError> {
-    let buf = BufReader::new(reader);
+    let mut buf = BufReader::new(reader);
     let mut inds: Vec<Vec<Idx>> = Vec::new();
     let mut vals: Vec<f64> = Vec::new();
     let mut dims: Vec<usize> = Vec::new();
-    for (lineno, line) in buf.lines().enumerate() {
-        let line = line?;
-        let line = line.split('#').next().unwrap_or("").trim();
+    let mut raw = String::new();
+    let mut lineno = 0usize;
+    loop {
+        raw.clear();
+        if buf.read_line(&mut raw)? == 0 {
+            break;
+        }
+        lineno += 1;
+        let line = raw.split('#').next().unwrap_or("").trim();
         if line.is_empty() {
             continue;
         }
-        let fields: Vec<&str> = line.split_whitespace().collect();
-        if fields.len() < 2 {
-            return Err(IoError::Parse(format!("line {}: too few fields", lineno + 1)));
-        }
-        let n = fields.len() - 1;
         if inds.is_empty() {
+            let n = line.split_whitespace().count().saturating_sub(1);
+            if let Some(e) = field_count_error(line, lineno, n) {
+                return Err(e);
+            }
             inds = vec![Vec::new(); n];
             dims = vec![0; n];
-        } else if n != inds.len() {
-            return Err(IoError::Parse(format!(
-                "line {}: expected {} indices, found {n}",
-                lineno + 1,
-                inds.len()
-            )));
         }
-        for (d, f) in fields[..n].iter().enumerate() {
-            let one_based: u64 = f
-                .parse()
-                .map_err(|_| IoError::Parse(format!("line {}: bad index '{f}'", lineno + 1)))?;
-            if one_based == 0 {
-                return Err(IoError::Parse(format!(
-                    "line {}: indices are 1-based, found 0",
-                    lineno + 1
-                )));
-            }
-            let zero_based = one_based - 1;
-            if zero_based > Idx::MAX as u64 {
-                return Err(IoError::Parse(format!("line {}: index overflow", lineno + 1)));
-            }
-            inds[d].push(zero_based as Idx);
-            dims[d] = dims[d].max(one_based as usize);
+        if let Err(e) = parse_entry(line, lineno, &mut inds, &mut dims, &mut vals) {
+            // A wrong field count is reported before any bad field.
+            return Err(field_count_error(line, lineno, inds.len()).unwrap_or(e));
         }
-        let v: f64 = fields[n]
-            .parse()
-            .map_err(|_| IoError::Parse(format!("line {}: bad value", lineno + 1)))?;
-        if !v.is_finite() {
-            return Err(IoError::NonFinite(format!(
-                "line {}: value '{}' is not finite",
-                lineno + 1,
-                fields[n]
-            )));
-        }
-        vals.push(v);
     }
     if inds.is_empty() {
         return Err(IoError::Parse("no data lines found".into()));
     }
     Ok(SparseTensor::new(dims, inds, vals))
+}
+
+/// The error for a data line that does not hold `expected` indices and a
+/// value, if it does not.
+fn field_count_error(line: &str, lineno: usize, expected: usize) -> Option<IoError> {
+    let nfields = line.split_whitespace().count();
+    if nfields < 2 {
+        Some(IoError::Parse(format!("line {lineno}: too few fields")))
+    } else if nfields - 1 != expected {
+        let n = nfields - 1;
+        Some(IoError::Parse(format!("line {lineno}: expected {expected} indices, found {n}")))
+    } else {
+        None
+    }
+}
+
+/// Appends one data line's entry to the columns, or reports its first bad
+/// field in field order. A line with the wrong field count also fails
+/// here; the caller reports that instead.
+fn parse_entry(
+    line: &str,
+    lineno: usize,
+    inds: &mut [Vec<Idx>],
+    dims: &mut [usize],
+    vals: &mut Vec<f64>,
+) -> Result<(), IoError> {
+    let mut fields = line.split_whitespace();
+    for ((col, dim), f) in inds.iter_mut().zip(dims.iter_mut()).zip(fields.by_ref()) {
+        let one_based: u64 =
+            f.parse().map_err(|_| IoError::Parse(format!("line {lineno}: bad index '{f}'")))?;
+        if one_based == 0 {
+            return Err(IoError::Parse(format!("line {lineno}: indices are 1-based, found 0")));
+        }
+        let zero_based = one_based - 1;
+        if zero_based > Idx::MAX as u64 {
+            return Err(IoError::Parse(format!("line {lineno}: index overflow")));
+        }
+        col.push(zero_based as Idx);
+        *dim = (*dim).max(one_based as usize);
+    }
+    let (Some(field), None) = (fields.next(), fields.next()) else {
+        return Err(IoError::Parse(format!("line {lineno}: wrong field count")));
+    };
+    let v: f64 = field.parse().map_err(|_| IoError::Parse(format!("line {lineno}: bad value")))?;
+    if !v.is_finite() {
+        return Err(IoError::NonFinite(format!("line {lineno}: value '{field}' is not finite")));
+    }
+    vals.push(v);
+    Ok(())
 }
 
 /// Reads a `.tns` file from disk.
@@ -305,6 +332,32 @@ mod tests {
         t.dedup_sum();
         assert_eq!(t.nnz(), 1);
         assert_eq!(t.get(&[0, 0]), 5.0);
+    }
+
+    #[test]
+    fn tns_reports_the_first_error_of_a_line_with_its_message() {
+        let cases = [
+            ("7\n", "line 1: too few fields"),
+            ("1 1 2.0\n\n3 # c\n", "line 3: too few fields"),
+            // A wrong field count wins over a bad field in the same line.
+            ("1 1 1 2.0\n1 x 3.0\n", "line 2: expected 3 indices, found 2"),
+            ("1 1 2.0\n1 1 2.0 5\n", "line 2: expected 2 indices, found 3"),
+            ("1 y 0 2.0\n", "line 1: bad index 'y'"),
+            ("1 0 y 2.0\n", "line 1: indices are 1-based, found 0"),
+            ("1 4294967297 2.0\n", "line 1: index overflow"),
+            // The largest index that fits `Idx` reads.
+            ("4294967296 1 2.0\n", ""),
+            ("1 2 x\n", "line 1: bad value"),
+        ];
+        for (text, want) in cases {
+            match read_tns(text.as_bytes()) {
+                Err(IoError::Parse(m)) => assert_eq!(m, want, "{text:?}"),
+                Ok(t) => assert!(want.is_empty(), "{text:?} read as {t:?}"),
+                Err(other) => panic!("{text:?}: expected a parse error, got {other}"),
+            }
+        }
+        let err = read_tns(&b"1 1 2.0\n1 \xff 3.0\n"[..]).unwrap_err();
+        assert!(matches!(err, IoError::Io(_)), "invalid UTF-8: {err}");
     }
 
     #[test]

@@ -6,6 +6,8 @@
 //!   structure-of-arrays (one index array per mode plus a value array),
 //!   which is both the interchange format (FROSTT) and the root of every
 //!   dimension tree;
+//! * [`keys`] — packed `u64` sort keys: entry ids ordered by their index
+//!   tuples, and the runs of equal tuples, for every multi-mode sort;
 //! * [`sorted`] — per-mode sorted views used to parallelize COO MTTKRP
 //!   without atomics;
 //! * [`dense`] — a small dense tensor used as a brute-force oracle in tests
@@ -43,6 +45,7 @@ pub mod dense;
 pub mod error;
 pub mod gen;
 pub mod io;
+pub mod keys;
 pub mod mttkrp;
 pub mod ops;
 pub mod schedule;

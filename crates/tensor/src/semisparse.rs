@@ -12,6 +12,7 @@
 
 use crate::coo::{Idx, SparseTensor};
 use crate::error::TensorError;
+use crate::keys::SortedTuples;
 use adatm_linalg::Mat;
 
 /// A tensor sparse over `sparse_modes` and dense (width `R`) along one
@@ -82,30 +83,29 @@ pub fn ttm(t: &SparseTensor, mode: usize, u: &Mat) -> SemiSparseTensor {
     assert_eq!(u.nrows(), t.dims()[mode], "matrix rows must match mode size");
     let rank = u.ncols();
     let keep: Vec<usize> = (0..t.ndim()).filter(|&d| d != mode).collect();
-    // Group entries by their projection onto the kept modes.
-    let perm = t.sort_permutation(&keep);
-    let mut idx: Vec<Vec<Idx>> = vec![Vec::new(); keep.len()];
-    let mut rows: Vec<f64> = Vec::new();
-    let mut count = 0usize;
-    for (pos, &p) in perm.iter().enumerate() {
-        let k = p as usize;
-        let is_new = pos == 0 || {
-            let prev = perm[pos - 1] as usize;
-            keep.iter().any(|&d| t.mode_idx(d)[k] != t.mode_idx(d)[prev])
-        };
-        if is_new {
-            for (col, &d) in idx.iter_mut().zip(keep.iter()) {
-                col.push(t.mode_idx(d)[k]);
+    // Group entries by their projection onto the kept modes: each run of
+    // equal tuples sums into one row, in entry order.
+    let sorted = SortedTuples::by_modes(t, &keep);
+    let perm = sorted.perm();
+    let count = sorted.distinct();
+    let mut idx: Vec<Vec<Idx>> = vec![Vec::with_capacity(count); keep.len()];
+    let mut rows: Vec<f64> = vec![0.0; count * rank];
+    let mut start = 0;
+    for (g, len) in sorted.runs().enumerate() {
+        let run = &perm[start..start + len];
+        let out = &mut rows[g * rank..(g + 1) * rank];
+        for (col, &d) in idx.iter_mut().zip(keep.iter()) {
+            col.push(t.mode_idx(d)[run[0] as usize]);
+        }
+        for &p in run {
+            let k = p as usize;
+            let urow = u.row(t.mode_idx(mode)[k] as usize);
+            let v = t.vals()[k];
+            for (o, &x) in out.iter_mut().zip(urow.iter()) {
+                *o += v * x;
             }
-            rows.extend(std::iter::repeat_n(0.0, rank));
-            count += 1;
         }
-        let urow = u.row(t.mode_idx(mode)[k] as usize);
-        let v = t.vals()[k];
-        let out = &mut rows[(count - 1) * rank..count * rank];
-        for (o, &x) in out.iter_mut().zip(urow.iter()) {
-            *o += v * x;
-        }
+        start += len;
     }
     SemiSparseTensor {
         sparse_dims: keep.iter().map(|&d| t.dims()[d]).collect(),
@@ -151,7 +151,9 @@ pub fn try_ttm_semisparse(
     let r = t.dense_width();
     let s = u.ncols();
     let keep: Vec<usize> = (0..t.sparse_modes.len()).filter(|&p| p != pos).collect();
-    // Sort tuple ids by the kept columns.
+    // Sort tuple ids by the kept columns. This sort stays a comparator
+    // sort, unstable: its tie order is the order duplicate rows are summed
+    // in, so Tucker's output bits depend on it.
     let mut perm: Vec<u32> = (0..t.nnz() as u32).collect();
     perm.sort_unstable_by(|&a, &b| {
         for &p in &keep {

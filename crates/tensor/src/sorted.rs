@@ -8,6 +8,7 @@
 //! the dimension-tree engine uses for its reduction sets.
 
 use crate::coo::{Idx, SparseTensor};
+use crate::keys::SortedTuples;
 
 /// Entry ids of a tensor grouped by their index in one mode.
 #[derive(Clone, Debug)]
@@ -22,12 +23,11 @@ pub struct SortedModeView {
 }
 
 impl SortedModeView {
-    /// Builds the view for `mode` by counting sort over the mode's index
-    /// array (`O(nnz + I_mode)`), then orders the entries *within* each
-    /// group lexicographically by the other modes' indices, largest mode
-    /// first.
+    /// Builds the view for `mode`: one packed-key sort of the entries by
+    /// their mode index, then by the other modes' indices, largest mode
+    /// first, then by entry id.
     ///
-    /// The secondary sort is a locality optimization for "long-mode"
+    /// The secondary order is a locality optimization for "long-mode"
     /// groups (small mode dimension, many entries per group): the MTTKRP
     /// entry kernel gathers one factor row per non-target mode per entry,
     /// and on a mode whose groups span thousands of entries those reads
@@ -38,49 +38,21 @@ impl SortedModeView {
     /// is untouched; only the in-group summation order (and therefore
     /// floating-point rounding, within tolerance) differs.
     pub fn build(t: &SparseTensor, mode: usize) -> Self {
+        let mut order: Vec<usize> = (0..t.ndim()).filter(|&d| d != mode).collect();
+        order.sort_by_key(|&d| std::cmp::Reverse(t.dims()[d]));
+        order.insert(0, mode);
+        let perm = SortedTuples::by_modes(t, &order).perm();
         let idx = t.mode_idx(mode);
-        let size = t.dims()[mode];
-        let mut counts = vec![0usize; size + 1];
-        for &i in idx {
-            counts[i as usize + 1] += 1;
-        }
-        for i in 0..size {
-            counts[i + 1] += counts[i];
-        }
-        let mut perm = vec![0u32; t.nnz()];
-        let mut cursor = counts.clone();
-        for (k, &i) in idx.iter().enumerate() {
-            perm[cursor[i as usize]] = k as u32;
-            cursor[i as usize] += 1;
-        }
-        // Compact empty groups.
-        let mut keys = Vec::new();
-        let mut ptr = vec![0usize];
-        for i in 0..size {
-            if counts[i + 1] > counts[i] {
-                keys.push(i as Idx);
-                ptr.push(counts[i + 1]);
+        let mut keys: Vec<Idx> = Vec::new();
+        let mut ptr = Vec::new();
+        for (pos, &e) in perm.iter().enumerate() {
+            let i = idx[e as usize];
+            if keys.last() != Some(&i) {
+                keys.push(i);
+                ptr.push(pos);
             }
         }
-        // Secondary in-group order: other modes by descending size, ties
-        // broken by entry id for determinism.
-        let mut others: Vec<usize> = (0..t.ndim()).filter(|&d| d != mode).collect();
-        others.sort_by_key(|&d| std::cmp::Reverse(t.dims()[d]));
-        for g in 0..keys.len() {
-            let grp = &mut perm[ptr[g]..ptr[g + 1]];
-            if grp.len() > 1 {
-                grp.sort_unstable_by(|&a, &b| {
-                    for &d in &others {
-                        let col = t.mode_idx(d);
-                        match col[a as usize].cmp(&col[b as usize]) {
-                            std::cmp::Ordering::Equal => continue,
-                            ord => return ord,
-                        }
-                    }
-                    a.cmp(&b)
-                });
-            }
-        }
+        ptr.push(perm.len());
         SortedModeView { mode, keys, ptr, perm }
     }
 

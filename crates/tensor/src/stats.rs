@@ -9,12 +9,12 @@
 //! estimators).
 
 use crate::coo::SparseTensor;
+use crate::keys::SortedTuples;
 
 /// Exact number of distinct projections of the nonzeros onto `modes`.
 ///
-/// Computed by lexicographic sort over the selected modes (`O(nnz log
-/// nnz)` with `|modes|`-way comparisons), which is exact for any order —
-/// no packing tricks, no hash-collision risk.
+/// Counted over the entries sorted by packed keys ([`crate::keys`]),
+/// which is exact for any order — no hashing, no collision risk.
 ///
 /// # Panics
 /// Panics if `modes` is empty or contains an out-of-range/duplicate mode.
@@ -25,18 +25,7 @@ pub fn distinct_projections(t: &SparseTensor, modes: &[usize]) -> usize {
         assert!(m < t.ndim() && !seen[m], "invalid projection mode set");
         seen[m] = true;
     }
-    if t.nnz() == 0 {
-        return 0;
-    }
-    let perm = t.sort_permutation(modes);
-    let mut count = 1usize;
-    for w in perm.windows(2) {
-        let (a, b) = (w[0] as usize, w[1] as usize);
-        if modes.iter().any(|&d| t.mode_idx(d)[a] != t.mode_idx(d)[b]) {
-            count += 1;
-        }
-    }
-    count
+    SortedTuples::by_modes(t, modes).distinct()
 }
 
 /// The collapse factor of a projection: `nnz / distinct_projections`.

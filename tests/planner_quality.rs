@@ -115,3 +115,108 @@ fn memoizing_plans_beat_flat_on_higher_orders() {
         "8-mode memoization should cut flops well below flat: {chosen} vs {flat}"
     );
 }
+
+/// The three benchmark inputs, rebuilt from their generator specs the
+/// way the benchmark builds them: long modes (over 1000) and the nonzero
+/// count cut by `k`, written to `.tns` and read back (so each mode's size
+/// is its largest index), then deduplicated.
+fn benchmark_inputs() -> Vec<(&'static str, SparseTensor)> {
+    use adatm::tensor::gen::{proxy_datasets, random_nd, DatasetSpec};
+    use adatm::tensor::io::{read_tns, write_tns};
+    let cut = |mut spec: DatasetSpec, k: usize| {
+        for d in &mut spec.dims {
+            if *d > 1_000 {
+                *d /= k;
+            }
+        }
+        spec.nnz /= k;
+        spec
+    };
+    let proxy = |name: &str| proxy_datasets(0.1).into_iter().find(|s| s.name == name).unwrap();
+    [
+        ("deli4d", cut(proxy("deli4d"), 4)),
+        ("random8d", cut(random_nd(8, 0.1), 4)),
+        ("nell3d-ckpt", cut(proxy("nell3d"), 8)),
+    ]
+    .into_iter()
+    .map(|(name, spec)| {
+        let mut text = Vec::new();
+        write_tns(&spec.build(), &mut text).unwrap();
+        let mut t = read_tns(&text[..]).unwrap();
+        t.dedup_sum();
+        (name, t)
+    })
+    .collect()
+}
+
+/// `(label, bits of cost_units)` for each candidate, in ranking order.
+type CandidateBits = &'static [(&'static str, u64)];
+
+/// Each benchmark input's chosen tree, estimator evaluations, and the bits
+/// of every candidate's analytic cost units in ranking order. The planner
+/// must pick the same plan however fast it gets there.
+const PINNED_PLANS: [(&str, &str, usize, CandidateBits); 3] = [
+    (
+        "deli4d",
+        "(0 1 2 3)",
+        14,
+        &[
+            ("flat", 0x41760ab27ddaafa9),
+            ("dp:subset", 0x41805564a13af2da),
+            ("dp:DimsDescending", 0x41815a097d9ff512),
+            ("dp:DimsAscending", 0x41815a097d9ff512),
+            ("3level", 0x4181a737b7b41e50),
+            ("bdt", 0x4181a737b7b41e50),
+            ("dp:Natural", 0x4181a737b7b41e50),
+            ("leftdeep", 0x4182489ce38b410b),
+        ],
+    ),
+    (
+        "random8d",
+        "(((2 3) (4 5)) ((6 7) (0 1)))",
+        51,
+        &[
+            ("dp:DimsDescending", 0x418e0551278e39ea),
+            ("bdt", 0x418e0552272f5542),
+            ("dp:Natural", 0x418e0552272f5542),
+            ("dp:DimsAscending", 0x418e0552272f5542),
+            ("3level", 0x418ef0dba9c329db),
+            ("leftdeep", 0x4194acef630458be),
+            ("flat", 0x4199b64ee055cbfb),
+        ],
+    ),
+    (
+        "nell3d-ckpt",
+        "(0 1 2)",
+        6,
+        &[
+            ("flat", 0x414c877800000000),
+            ("3level", 0x415ad68800000000),
+            ("bdt", 0x415ad68800000000),
+            ("dp:Natural", 0x415ad68800000000),
+            ("dp:DimsDescending", 0x415ad68800000000),
+            ("dp:DimsAscending", 0x415ad68800000000),
+            ("dp:subset", 0x415ad68800000000),
+            ("leftdeep", 0x415c723800000000),
+        ],
+    ),
+];
+
+#[test]
+fn benchmark_plans_are_pinned() {
+    let beta = Objective::default().beta();
+    for ((name, t), (pinned, shape, evals, costs)) in
+        benchmark_inputs().into_iter().zip(PINNED_PLANS)
+    {
+        assert_eq!(name, pinned);
+        let plan = Planner::new(&t, 16).plan_admitted().unwrap();
+        assert_eq!(plan.shape.to_string(), shape, "{name}: chosen tree");
+        assert_eq!(plan.estimator_evals, evals, "{name}: estimator evaluations");
+        let got: Vec<(&str, u64)> = plan
+            .candidates
+            .iter()
+            .map(|c| (c.label.as_str(), c.cost.cost_units(beta).to_bits()))
+            .collect();
+        assert_eq!(got, costs, "{name}: candidate cost units");
+    }
+}
