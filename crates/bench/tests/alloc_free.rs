@@ -340,14 +340,17 @@ fn sweep_loop_allocates_nothing_factor_sized_after_warmup() {
 fn planning_allocations_grow_with_estimator_evaluations_only() {
     let _serial = serial();
     // deli4d's benchmark shape: 37.5k nonzeros, above the sampled
-    // estimator's 16384-entry sample, so every evaluation sorts a sample.
-    // An evaluation may allocate a few buffers, never one per sampled
-    // entry (about 12.5k here).
+    // estimator's 16384-entry sample, so every evaluation groups a sample.
+    // An evaluation may allocate a few buffers (its cache key, a kept
+    // grouping's two arrays and its key, map growth), never one per
+    // sampled entry (about 12.5k here). Planning made 486 allocations
+    // over 14 evaluations when this bound was set; with the analytic
+    // estimator, which counts nothing, it makes 424.
     let t = zipf_tensor(&[200, 3000, 30_000, 10_000], 37_500, &[0.3, 0.9, 0.7, 1.0], 11);
     let planner = Planner::new(&t, 16);
     let mut evals = 0;
     let n = allocs_during(|| evals = planner.plan().estimator_evals);
     assert!(evals > 0, "planning made no estimator evaluation");
-    let bound = 32 * evals as u64 + 256;
+    let bound = 8 * evals as u64 + 384;
     assert!(n <= bound, "planning made {n} allocations over {evals} evaluations (bound {bound})");
 }

@@ -9,9 +9,9 @@
 //! candidate dimension tree from cheap estimates of intermediate nonzero
 //! counts, and picks the best strategy before any numeric work runs.
 //!
-//! * [`estimate`] — intermediate-nnz estimators: exact (all entries
-//!   sorted by packed `u64` keys), sampled (the same key sort over a
-//!   stride sample, with a Chao-style scale-up), analytic
+//! * [`estimate`] — intermediate-nnz estimators: exact (all entries),
+//!   sampled (a stride sample, with a Chao-style scale-up), both counted
+//!   by refining one cached grouping per subset, and analytic
 //!   (uniform-occupancy closed form);
 //! * [`cost`] — the per-iteration flop model, the peak-live-value-memory
 //!   model (which follows the tree-path invariant of the engine's

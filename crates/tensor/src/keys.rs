@@ -2,11 +2,11 @@
 //!
 //! Every multi-mode sort on the setup path orders entry ids by the tuple
 //! of their indices in a list of modes: dedup on load, the CSF build, the
-//! planner's distinct counts, the symbolic pass and the per-mode sorted
-//! views. Comparing tuples column by column chases one index array per
-//! mode on every comparison. This module packs each tuple into one `u64`
-//! instead (the linearization ALTO applies to whole coordinates), so
-//! ordering is a word sort and grouping a word compare.
+//! symbolic pass and the per-mode sorted views. Comparing tuples column
+//! by column chases one index array per mode on every comparison. This
+//! module packs each tuple into one `u64` instead (the linearization ALTO
+//! applies to whole coordinates), so ordering is a word sort and grouping
+//! a word compare.
 //!
 //! Key format. Columns are packed most significant first, each in
 //! `ceil(log2 dim)` bits, so the keys' integer order is the tuples'
@@ -57,7 +57,8 @@ impl SortedTuples {
 
     /// Sorts the stride sample of `t`'s entries (entries `0, stride,
     /// 2·stride, …`) by their indices in `modes`. Ids are sample
-    /// positions: id `k` is entry `k·stride`.
+    /// positions: id `k` is entry `k·stride`. The planner's estimator
+    /// counts by [`crate::groups`] instead; its tests count with this.
     pub fn sampled(t: &SparseTensor, modes: &[usize], stride: usize) -> Self {
         Self::strided(&columns(t, modes), t.nnz(), stride.max(1))
     }

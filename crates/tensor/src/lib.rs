@@ -8,6 +8,8 @@
 //!   dimension tree;
 //! * [`keys`] — packed `u64` sort keys: entry ids ordered by their index
 //!   tuples, and the runs of equal tuples, for every multi-mode sort;
+//! * [`groups`] — entry groupings refined one mode at a time, which size
+//!   the planner's candidate nodes;
 //! * [`sorted`] — per-mode sorted views used to parallelize COO MTTKRP
 //!   without atomics;
 //! * [`dense`] — a small dense tensor used as a brute-force oracle in tests
@@ -44,6 +46,7 @@ pub mod csf;
 pub mod dense;
 pub mod error;
 pub mod gen;
+pub mod groups;
 pub mod io;
 pub mod keys;
 pub mod mttkrp;

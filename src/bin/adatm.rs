@@ -653,10 +653,19 @@ fn cmd_decompose(args: &[String]) -> Result<(), CliError> {
             let res = cp_opt(&t, &mut backend, &o);
             println!(
                 "cpopt: {} iters, objective {:.5e}, converged {}",
-                res.iters,
-                res.objective_history.last().copied().unwrap_or(f64::NAN),
-                res.converged
+                res.iters, res.objective, res.converged
             );
+            let finite_model =
+                res.model.factors.iter().all(|f| f.as_slice().iter().all(|v| v.is_finite()));
+            if !res.objective.is_finite() || !finite_model {
+                return Err(CliError {
+                    code: EXIT_NUMERICAL,
+                    msg: format!(
+                        "cpopt: non-finite objective {:e} or model; nothing written",
+                        res.objective
+                    ),
+                });
+            }
             if let Some(dir) = opts.get("out") {
                 write_factors(dir, &res.model)?;
             }

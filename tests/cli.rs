@@ -228,6 +228,28 @@ fn decompose_ncp_and_cpopt_run() {
 }
 
 #[test]
+fn cpopt_non_finite_objective_exits_with_numerical_code() {
+    // Values of 1e308 overflow the squared norm, so the objective is
+    // infinite from the start: no step can be judged, and the run must
+    // fail as numerical instead of reporting convergence.
+    let dir = tmpdir("cpopt_inf");
+    let tns = dir.join("big.tns");
+    std::fs::write(&tns, "1 1 1 1e308\n2 2 2 1e308\n").unwrap();
+    let out_dir = dir.join("factors");
+    let out = adatm()
+        .arg("decompose")
+        .arg(&tns)
+        .args(["--rank", "2", "--algo", "cpopt", "--out"])
+        .arg(&out_dir)
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(7), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("converged false"));
+    assert!(!out_dir.exists(), "a non-finite run must not write a model");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn decompose_tucker_runs() {
     let dir = tmpdir("tucker");
     let tns = dir.join("t.tns");
