@@ -1,11 +1,11 @@
 //! Invariant audits for the sparse-tensor kernels.
 //!
 //! Every data structure the CP-ALS pipeline moves through — COO tensors,
-//! CSF forests, semi-sparse intermediates, dimension trees and their
-//! symbolic structure, factor matrices — carries invariants the numeric
-//! kernels silently rely on: sorted and deduplicated indices, CSR-shaped
-//! pointer arrays whose reduction sets partition the parent, mode sets
-//! that partition on the way down the tree, finite floating-point values.
+//! CSF forests, dimension trees and their symbolic structure, factor
+//! matrices — carries invariants the numeric kernels silently rely on:
+//! sorted and deduplicated indices, CSR-shaped pointer arrays whose
+//! reduction sets partition the parent, mode sets that partition on the
+//! way down the tree, finite floating-point values.
 //! A violation rarely crashes; it produces a *wrong decomposition*.
 //!
 //! This crate makes those invariants checkable: the [`Validate`] trait
@@ -28,7 +28,6 @@ mod coo;
 mod csf;
 mod dtree;
 mod factors;
-mod semisparse;
 
 pub use coo::validate_canonical;
 pub use csf::validate_csf_parts;
@@ -157,7 +156,6 @@ impl std::error::Error for AuditError {}
 /// `validate` returns the **first** violated invariant (scan order is
 /// deterministic), or `Ok(())` when every invariant holds. Implementations
 /// exist for [`adatm_tensor::SparseTensor`], [`adatm_tensor::CsfTensor`],
-/// [`adatm_tensor::semisparse::SemiSparseTensor`],
 /// [`adatm_dtree::DimTree`] and [`adatm_linalg::Mat`].
 pub trait Validate {
     /// Checks every invariant; `Err` names the first violation.

@@ -7,7 +7,6 @@ use adatm_dtree::{DimTree, SymbolicTree, TreeShape};
 use adatm_linalg::Mat;
 use adatm_tensor::coo::Idx;
 use adatm_tensor::csf::CsfTensor;
-use adatm_tensor::semisparse::ttm;
 use adatm_tensor::SparseTensor;
 use proptest::prelude::*;
 
@@ -146,24 +145,6 @@ proptest! {
         prop_assert!(matches!(
             run_parts(&dims, &order, &fids, &fptr, &vals),
             Err(adatm_audit::AuditError::CountMismatch { what: "csf leaf values", .. })
-        ));
-    }
-
-    /// Semi-sparse TTM outputs always validate; a swapped tuple fails.
-    #[test]
-    fn ttm_output_validates_and_swap_fails(t in arb_tensor(), seed in 0u64..1000) {
-        let mode = (seed as usize) % t.ndim();
-        let u = Mat::random(t.dims()[mode], 2, seed);
-        let mut s = ttm(&t, mode, &u);
-        prop_assert_eq!(s.validate(), Ok(()));
-        prop_assume!(s.nnz() >= 2);
-        let last = s.nnz() - 1;
-        for col in &mut s.idx {
-            col.swap(0, last);
-        }
-        prop_assert!(matches!(
-            s.validate(),
-            Err(adatm_audit::AuditError::Unsorted { what: "semisparse tuples", .. })
         ));
     }
 

@@ -777,17 +777,13 @@ impl CpAls {
         Ok(run.drive())
     }
 
-    /// Caller-input validation shared by every entry point: rank, mode
-    /// count, factor count, shapes and finiteness, tensor finiteness,
-    /// then the rule's own requirements.
+    /// Caller-input validation shared by every entry point: the drivers'
+    /// `error::check_input` (rank, mode count, tensor finiteness), then
+    /// factor count, shapes and finiteness, then the rule's own
+    /// requirements.
     fn check_input(&self, tensor: &SparseTensor, factors: &[Mat]) -> Result<(), CpAlsError> {
         let (n, rank) = (tensor.ndim(), self.opts.rank);
-        if rank == 0 {
-            return Err(CpAlsError::ZeroRank);
-        }
-        if n < 2 {
-            return Err(CpAlsError::TooFewModes { ndim: n });
-        }
+        crate::error::check_input(tensor, rank)?;
         if factors.len() != n {
             return Err(CpAlsError::FactorCountMismatch { expected: n, found: factors.len() });
         }
@@ -802,9 +798,6 @@ impl CpAls {
             if !f.is_finite() {
                 return Err(CpAlsError::NonFiniteInit { mode: d });
             }
-        }
-        if !tensor.vals().iter().all(|v| v.is_finite()) {
-            return Err(CpAlsError::NonFiniteTensor);
         }
         self.rule.check_input(tensor, factors)?;
         #[cfg(feature = "audit")]

@@ -19,6 +19,7 @@
 //! `U^(n)`" step for an update rule to plug into.
 
 use crate::backend::MttkrpBackend;
+use crate::error::{check_input, CpAlsError};
 use crate::init::{init_factors, InitStrategy};
 use crate::model::CpModel;
 use adatm_linalg::Mat;
@@ -41,8 +42,10 @@ pub struct CpOptOptions {
 
 impl CpOptOptions {
     /// Defaults: 100 iterations, tolerance `1e-8`, seed 0, step 1.
+    ///
+    /// A rank of 0 is rejected with [`CpAlsError::ZeroRank`] when
+    /// [`cp_opt`] runs.
     pub fn new(rank: usize) -> Self {
-        assert!(rank > 0, "rank must be positive");
         CpOptOptions { rank, max_iters: 100, tol: 1e-8, seed: 0, step0: 1.0 }
     }
 
@@ -135,11 +138,16 @@ fn objective_and_gradient<B: MttkrpBackend + ?Sized>(
 
 /// Runs CP-OPT (gradient descent with Armijo backtracking) over any
 /// MTTKRP backend.
+///
+/// Returns [`CpAlsError`] for a zero rank, a tensor with fewer than two
+/// modes or a non-finite value. A run that meets a non-finite objective
+/// is not an error: it stops there, unconverged.
 pub fn cp_opt<B: MttkrpBackend + ?Sized>(
     tensor: &SparseTensor,
     backend: &mut B,
     opts: &CpOptOptions,
-) -> CpOptResult {
+) -> Result<CpOptResult, CpAlsError> {
+    check_input(tensor, opts.rank)?;
     let xnorm2 = tensor.fro_norm_sq();
     let mut factors = init_factors(tensor, opts.rank, opts.seed, InitStrategy::Random);
     // Scale the random init down: gradient descent on CP blows up from
@@ -215,13 +223,13 @@ pub fn cp_opt<B: MttkrpBackend + ?Sized>(
         }
     }
 
-    CpOptResult {
+    Ok(CpOptResult {
         model: CpModel { lambda: vec![1.0; opts.rank], factors },
         iters,
         objective_history: history,
         objective: obj,
         converged,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -238,7 +246,8 @@ mod tests {
             &truth.tensor,
             &mut backend,
             &CpOptOptions::new(2).max_iters(30).tol(0.0).seed(5),
-        );
+        )
+        .unwrap();
         assert!(res.iters > 0, "no accepted steps");
         for w in res.objective_history.windows(2) {
             assert!(w[1] <= w[0] + 1e-12, "objective increased: {} -> {}", w[0], w[1]);
@@ -277,7 +286,8 @@ mod tests {
         let truth = dense_low_rank(&[8, 7, 6], 2, 0.0, 11);
         let t = &truth.tensor;
         let mut backend = DtreeBackend::balanced_binary(t, 2);
-        let res = cp_opt(t, &mut backend, &CpOptOptions::new(2).max_iters(400).tol(0.0).seed(1));
+        let res =
+            cp_opt(t, &mut backend, &CpOptOptions::new(2).max_iters(400).tol(0.0).seed(1)).unwrap();
         let final_obj = *res.objective_history.last().unwrap();
         let rel = (2.0 * final_obj).sqrt() / t.fro_norm();
         assert!(rel < 0.3, "relative residual {rel}");
@@ -295,7 +305,7 @@ mod tests {
             *v *= 1e100;
         }
         let mut backend = CooBackend::new(&t);
-        let res = cp_opt(&t, &mut backend, &CpOptOptions::new(2).max_iters(5).seed(4));
+        let res = cp_opt(&t, &mut backend, &CpOptOptions::new(2).max_iters(5).seed(4)).unwrap();
         assert_eq!(res.iters, 0, "an overflowed trial was accepted");
         let (obj, _) =
             objective_and_gradient(&t, &mut backend, &res.model.factors, t.fro_norm_sq());
@@ -317,5 +327,22 @@ mod tests {
         for (x, y) in ga.iter().zip(gb.iter()) {
             assert!(x.max_abs_diff(y) < 1e-9);
         }
+    }
+
+    #[test]
+    fn bad_input_is_a_typed_error() {
+        let t = zipf_tensor(&[5, 4, 3], 30, &[0.3; 3], 2);
+        let mut backend = CooBackend::new(&t);
+        let err = cp_opt(&t, &mut backend, &CpOptOptions::new(0)).unwrap_err();
+        assert_eq!(err, CpAlsError::ZeroRank);
+        let one_mode = SparseTensor::from_entries(vec![3], &[(vec![0], 1.0), (vec![2], 2.0)]);
+        let mut backend = CooBackend::new(&one_mode);
+        let err = cp_opt(&one_mode, &mut backend, &CpOptOptions::new(2)).unwrap_err();
+        assert_eq!(err, CpAlsError::TooFewModes { ndim: 1 });
+        let mut inf = t.clone();
+        inf.vals_mut()[0] = f64::INFINITY;
+        let mut backend = CooBackend::new(&inf);
+        let err = cp_opt(&inf, &mut backend, &CpOptOptions::new(2)).unwrap_err();
+        assert_eq!(err, CpAlsError::NonFiniteTensor);
     }
 }

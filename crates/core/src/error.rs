@@ -1,25 +1,37 @@
-//! The typed failure surface of the CP sweep driver (ALS and NCP).
+//! The typed failure surface of every driver: the CP sweep loop (ALS and
+//! NCP), CP-OPT and Tucker (HOOI).
 //!
 //! [`CpAls::run`](crate::CpAls::run),
 //! [`CpAls::run_from`](crate::CpAls::run_from),
-//! [`CpAls::resume_from`](crate::CpAls::resume_from) and
-//! [`ncp`](crate::ncp()) return [`CpAlsError`] for malformed caller input
-//! instead of panicking, so a service embedding the
-//! solver can translate every failure into a response instead of crashing
-//! a worker. Numeric breakdowns *during* a run are not errors: the solver
+//! [`CpAls::resume_from`](crate::CpAls::resume_from),
+//! [`ncp`](crate::ncp()), [`cp_opt`](crate::cp_opt) and
+//! [`hooi`](crate::hooi) return [`CpAlsError`] for malformed caller input
+//! instead of panicking, so a service embedding the solver can translate
+//! every failure into a response instead of crashing a worker. Each
+//! driver first runs the one input check of this module, `check_input`:
+//! a rank of at least 1, at least two modes, finite tensor values. Its
+//! value-free half, [`check_rank_and_order`], is cheap enough to run
+//! before planning. A driver then checks only what is its own: ALS and
+//! NCP their initial factors, NCP the signs, HOOI one rank per mode that
+//! fits its mode.
+//!
+//! Numeric breakdowns *during* a sweep run are not errors: the solver
 //! recovers or degrades gracefully and reports what happened in
-//! [`RunDiagnostics`](crate::RunDiagnostics).
+//! [`RunDiagnostics`](crate::RunDiagnostics). CP-OPT reports a non-finite
+//! objective as an unconverged result. HOOI reports an eigensolver
+//! failure on an overflowed unfolding as [`CpAlsError::Linalg`].
 
 use crate::checkpoint::CheckpointError;
 use adatm_linalg::LinalgError;
+use adatm_tensor::SparseTensor;
 
-/// Why a CP-ALS run could not start (or, in the unrecoverable case, could
-/// not produce even a degraded model).
+/// Why a driver could not start (or, in the unrecoverable case, could not
+/// produce even a degraded model).
 #[derive(Clone, Debug, PartialEq)]
 pub enum CpAlsError {
     /// The requested decomposition rank is zero.
     ZeroRank,
-    /// CP decomposition needs at least two modes.
+    /// Decomposition needs at least two modes.
     TooFewModes {
         /// Number of modes of the input tensor.
         ndim: usize,
@@ -55,6 +67,22 @@ pub enum CpAlsError {
         /// Which mode's initial factor is signed; `None` for the tensor.
         mode: Option<usize>,
     },
+    /// HOOI was given a number of ranks other than the tensor's order.
+    RankCountMismatch {
+        /// Modes in the tensor.
+        ndim: usize,
+        /// Ranks supplied.
+        ranks: usize,
+    },
+    /// A HOOI rank exceeds its mode's size.
+    RankExceedsMode {
+        /// The mode.
+        mode: usize,
+        /// Its requested rank.
+        rank: usize,
+        /// Its size.
+        size: usize,
+    },
     /// A dense kernel failed in a way no recovery policy could absorb.
     Linalg(LinalgError),
     /// The checkpoint store could not be opened, or a checkpoint being
@@ -71,7 +99,7 @@ impl std::fmt::Display for CpAlsError {
         match self {
             CpAlsError::ZeroRank => write!(f, "decomposition rank must be at least 1"),
             CpAlsError::TooFewModes { ndim } => {
-                write!(f, "CP decomposition needs a tensor with at least 2 modes, got {ndim}")
+                write!(f, "decomposition needs a tensor with at least 2 modes, got {ndim}")
             }
             CpAlsError::FactorCountMismatch { expected, found } => {
                 write!(f, "expected {expected} initial factors (one per mode), found {found}")
@@ -95,6 +123,12 @@ impl std::fmt::Display for CpAlsError {
                 "initial factor for mode {d} has negative entries; nonnegative CP needs a \
                  nonnegative start (use the random init)"
             ),
+            CpAlsError::RankCountMismatch { ndim, ranks } => {
+                write!(f, "expected one rank per mode ({ndim}), got {ranks}")
+            }
+            CpAlsError::RankExceedsMode { mode, rank, size } => {
+                write!(f, "rank {rank} exceeds mode {mode} size {size}")
+            }
             CpAlsError::Linalg(e) => write!(f, "unrecoverable dense-kernel failure: {e}"),
             CpAlsError::Checkpoint(e) => write!(f, "checkpoint failure: {e}"),
         }
@@ -121,4 +155,27 @@ impl From<CheckpointError> for CpAlsError {
     fn from(e: CheckpointError) -> Self {
         CpAlsError::Checkpoint(e)
     }
+}
+
+/// Checks what every driver needs of its rank and its tensor's order: a
+/// rank of at least 1 and at least two modes. It reads no tensor values,
+/// so a caller can run it before planning or building a backend.
+pub fn check_rank_and_order(rank: usize, ndim: usize) -> Result<(), CpAlsError> {
+    if rank == 0 {
+        return Err(CpAlsError::ZeroRank);
+    }
+    if ndim < 2 {
+        return Err(CpAlsError::TooFewModes { ndim });
+    }
+    Ok(())
+}
+
+/// The input check every driver runs first: [`check_rank_and_order`],
+/// then one scan for NaN or infinite tensor values.
+pub(crate) fn check_input(tensor: &SparseTensor, rank: usize) -> Result<(), CpAlsError> {
+    check_rank_and_order(rank, tensor.ndim())?;
+    if !tensor.vals().iter().all(|v| v.is_finite()) {
+        return Err(CpAlsError::NonFiniteTensor);
+    }
+    Ok(())
 }

@@ -14,6 +14,10 @@
 //!   column normalization, or the NCP multiplicative update), efficient
 //!   fit, with detectors, checkpoints and pairwise-perturbation sweeps;
 //! * [`ncp`](mod@ncp) — the nonnegative-CP rule and its one-call [`ncp()`];
+//! * [`cpopt`] — gradient CP-OPT over any backend;
+//! * [`tucker`] — sparse Tucker (HOOI) on one-pass unfoldings;
+//! * [`error`] — [`CpAlsError`], the failure surface of every driver,
+//!   and the one input check they all run first;
 //! * [`model`] — the decomposition result type [`model::CpModel`];
 //! * [`decompose`] / [`decompose_with`] — one-call conveniences.
 //!
@@ -34,7 +38,6 @@
 
 pub mod backend;
 pub mod checkpoint;
-pub mod completion;
 pub mod cpals;
 pub mod cpopt;
 pub mod diagnostics;
@@ -53,11 +56,10 @@ pub use checkpoint::{
     CheckpointConfig, CheckpointError, CheckpointMedium, CheckpointStore, CheckpointWarning,
     CpCheckpoint, FsMedium, ResumeOutcome,
 };
-pub use completion::{complete, CompletionOptions, CompletionResult};
 pub use cpals::{CpAls, CpAlsOptions, CpResult, PhaseTimings, PpConfig, UpdateRule};
 pub use cpopt::{cp_opt, CpOptOptions, CpOptResult};
 pub use diagnostics::{BreakdownEvent, BreakdownKind, RecoveryAction, RunDiagnostics, StopReason};
-pub use error::CpAlsError;
+pub use error::{check_rank_and_order, CpAlsError};
 #[cfg(feature = "fault-inject")]
 pub use fault::{
     FaultInjectingBackend, FaultKind, FaultSchedule, FaultyMedium, IoFaultKind, IoFaultLog,

@@ -166,18 +166,21 @@ impl TreeShape {
         }
     }
 
+    /// Whether the shape's leaves are exactly the modes `0..n`, each once.
+    pub fn covers(&self, n: usize) -> bool {
+        let mut modes = self.modes();
+        modes.sort_unstable();
+        modes.into_iter().eq(0..n)
+    }
+
     /// Validates that the shape's leaves are exactly the modes `0..n`,
     /// each once. Returns `n`.
     ///
     /// # Panics
     /// Panics (with a description) if not.
     pub fn validate(&self) -> usize {
-        let mut modes = self.modes();
-        let n = modes.len();
-        modes.sort_unstable();
-        for (want, got) in modes.iter().enumerate() {
-            assert_eq!(*got, want, "shape must cover modes 0..{n} exactly once");
-        }
+        let n = self.modes().len();
+        assert!(self.covers(n), "shape must cover modes 0..{n} exactly once");
         assert!(
             matches!(self, TreeShape::Internal(_)) || n == 1,
             "root of a multi-mode shape must be internal"

@@ -1,9 +1,9 @@
-//! Typed errors for fallible tensor construction and contraction.
+//! Typed errors for fallible tensor construction.
 //!
-//! The panicking entry points ([`crate::coo::SparseTensor::from_entries`],
-//! [`crate::semisparse::ttm_semisparse`], ...) delegate to `try_`
-//! counterparts returning these errors, so library users embedding the
-//! kernels can handle malformed inputs without unwinding.
+//! The panicking constructor [`crate::coo::SparseTensor::from_entries`]
+//! delegates to [`crate::coo::SparseTensor::try_from_entries`], which
+//! returns these errors, so library users embedding the kernels can
+//! handle malformed inputs without unwinding.
 
 use std::fmt;
 
@@ -24,18 +24,6 @@ pub enum TensorError {
         /// The entry's arity.
         got: usize,
     },
-    /// The requested mode is not one of a semi-sparse tensor's sparse modes.
-    ModeNotSparse {
-        /// The requested (original) mode id.
-        mode: usize,
-    },
-    /// The operation needs more modes than the tensor has.
-    TooFewModes {
-        /// Minimum number of modes required.
-        needed: usize,
-        /// Number of modes present.
-        got: usize,
-    },
 }
 
 impl fmt::Display for TensorError {
@@ -46,12 +34,6 @@ impl fmt::Display for TensorError {
             }
             TensorError::ArityMismatch { expected, got } => {
                 write!(f, "entry arity {got} does not match tensor order {expected}")
-            }
-            TensorError::ModeNotSparse { mode } => {
-                write!(f, "mode {mode} must be one of the sparse modes")
-            }
-            TensorError::TooFewModes { needed, got } => {
-                write!(f, "operation requires at least {needed} modes, tensor has {got}")
             }
         }
     }
@@ -67,10 +49,6 @@ mod tests {
     fn display_messages_name_the_problem() {
         let e = TensorError::IndexOverflow { mode: 2, coordinate: 1 << 40 };
         assert!(e.to_string().contains("mode 2"));
-        let e = TensorError::ModeNotSparse { mode: 1 };
-        assert!(e.to_string().contains("one of the sparse modes"));
-        let e = TensorError::TooFewModes { needed: 2, got: 1 };
-        assert!(e.to_string().contains("at least 2"));
         let e = TensorError::ArityMismatch { expected: 3, got: 2 };
         assert!(e.to_string().contains("order 3"));
     }

@@ -21,18 +21,14 @@
 //!   style);
 //! * [`schedule`] — nnz-balanced static schedules and reusable kernel
 //!   workspaces shared by the parallel MTTKRP paths;
-//! * [`ops`] — standalone tensor operations: TTV and TTV chains,
-//!   add/scale, empty-slice compaction, inner products;
-//! * [`semisparse`] — sCOO tensors (sparse modes + one dense mode) and
-//!   the TTM / TTM-chain operations Tucker builds on;
 //! * [`io`] — FROSTT `.tns` text and a compact binary format;
 //! * [`gen`] — synthetic tensor generators (uniform, Zipf-skewed,
 //!   low-rank-plus-noise) and shape-faithful proxies for the real datasets
 //!   used in the paper's line of work;
 //! * [`stats`] — dataset characteristics and projection-collapse
 //!   statistics used by the planner's experiments;
-//! * [`error`] — typed errors for the fallible construction and
-//!   contraction entry points;
+//! * [`error`] — typed errors for the fallible construction entry
+//!   points;
 //! * [`audit`] (feature `audit`) — the runtime write-overlap detector the
 //!   parallel MTTKRP kernels use to prove their row-disjointness claim.
 
@@ -50,9 +46,7 @@ pub mod groups;
 pub mod io;
 pub mod keys;
 pub mod mttkrp;
-pub mod ops;
 pub mod schedule;
-pub mod semisparse;
 pub mod sorted;
 pub mod stats;
 

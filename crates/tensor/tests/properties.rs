@@ -1,14 +1,11 @@
-//! Property-based tests of the tensor substrate: CSF equivalence, TTV
-//! algebra, I/O round trips, and compaction, on random sparse tensors.
+//! Property-based tests of the tensor substrate: CSF equivalence and I/O
+//! round trips, on random sparse tensors.
 
 use adatm_linalg::Mat;
 use adatm_tensor::csf::CsfTensor;
 use adatm_tensor::dense::DenseTensor;
 use adatm_tensor::io::{read_binary, read_tns, write_binary, write_tns};
 use adatm_tensor::mttkrp::mttkrp_seq;
-use adatm_tensor::ops::{add, compact, inner, scale, ttv};
-use adatm_tensor::semisparse::ttm;
-use adatm_tensor::stats::distinct_projections;
 use adatm_tensor::SparseTensor;
 use proptest::prelude::*;
 
@@ -64,76 +61,6 @@ proptest! {
     fn csf_leaf_count_is_distinct_coordinate_count(t in arb_tensor()) {
         let csf = CsfTensor::build(&t, &(0..t.ndim()).collect::<Vec<_>>());
         prop_assert_eq!(*csf.node_counts().last().unwrap(), t.nnz());
-    }
-
-    #[test]
-    fn ttv_is_linear_in_values(t in arb_tensor(), alpha in -3.0f64..3.0) {
-        prop_assume!(t.ndim() >= 2);
-        let mode = t.ndim() - 1;
-        let v: Vec<f64> = (0..t.dims()[mode]).map(|i| 0.5 + i as f64).collect();
-        let y1 = ttv(&t, mode, &v);
-        let mut t2 = t.clone();
-        scale(&mut t2, alpha);
-        let y2 = ttv(&t2, mode, &v);
-        // y2 == alpha * y1 entry-wise.
-        for k in 0..y2.nnz() {
-            let coords: Vec<usize> =
-                (0..y2.ndim()).map(|d| y2.mode_idx(d)[k] as usize).collect();
-            prop_assert!((y2.vals()[k] - alpha * y1.get(&coords)).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn ttm_row_sums_equal_ttv_with_same_vector(t in arb_tensor(), seed in 0u64..100) {
-        prop_assume!(t.ndim() >= 2);
-        let mode = 0;
-        let u = Mat::random(t.dims()[mode], 3, seed);
-        let y = ttm(&t, mode, &u);
-        // Column r of the TTM equals the TTV with u's column r.
-        for r in 0..3 {
-            let col: Vec<f64> = (0..u.nrows()).map(|i| u.get(i, r)).collect();
-            let z = ttv(&t, mode, &col);
-            for e in 0..y.nnz() {
-                let coords: Vec<usize> =
-                    (0..y.idx.len()).map(|p| y.idx[p][e] as usize).collect();
-                prop_assert!((y.fiber(e)[r] - z.get(&coords)).abs() < 1e-9);
-            }
-        }
-    }
-
-    #[test]
-    fn add_commutes(a in arb_tensor()) {
-        let mut b = a.clone();
-        scale(&mut b, 0.5);
-        let ab = add(&a, &b);
-        let ba = add(&b, &a);
-        prop_assert_eq!(ab.nnz(), ba.nnz());
-        for k in 0..ab.nnz() {
-            let coords: Vec<usize> =
-                (0..ab.ndim()).map(|d| ab.mode_idx(d)[k] as usize).collect();
-            prop_assert!((ab.vals()[k] - ba.get(&coords)).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn inner_is_bilinear_diagonal(t in arb_tensor(), alpha in -2.0f64..2.0) {
-        let mut s = t.clone();
-        scale(&mut s, alpha);
-        prop_assert!((inner(&t, &s) - alpha * t.fro_norm_sq()).abs() < 1e-7);
-    }
-
-    #[test]
-    fn compact_preserves_values_and_projections(t in arb_tensor()) {
-        let c = compact(&t);
-        prop_assert_eq!(c.tensor.nnz(), t.nnz());
-        // Distinct projections are invariant under index renaming.
-        for m in 0..t.ndim() {
-            prop_assert_eq!(
-                distinct_projections(&c.tensor, &[m]),
-                distinct_projections(&t, &[m])
-            );
-        }
-        prop_assert!((c.tensor.fro_norm() - t.fro_norm()).abs() < 1e-12);
     }
 
     #[test]

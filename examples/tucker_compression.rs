@@ -1,7 +1,6 @@
 //! Tucker compression scenario: reduce a sparse multi-aspect dataset to a
 //! small dense core plus orthonormal factor bases — the data-compression
-//! use case of the Tucker decomposition, built on the same semi-sparse
-//! TTM chains the CP machinery uses.
+//! use case of the Tucker decomposition (HOOI).
 //!
 //! ```text
 //! cargo run --release --example tucker_compression
@@ -10,7 +9,7 @@
 use adatm::tensor::gen::zipf_tensor;
 use adatm::{hooi, TuckerOptions};
 
-fn main() {
+fn main() -> Result<(), adatm::CpAlsError> {
     // A 4-mode measurement tensor: sensor x frequency x time x location.
     let dims = [5_000usize, 64, 2_000, 300];
     let tensor = zipf_tensor(&dims, 300_000, &[0.8, 0.3, 0.5, 0.7], 99);
@@ -22,7 +21,7 @@ fn main() {
     );
 
     let ranks = vec![8, 4, 8, 4];
-    let res = hooi(&tensor, &TuckerOptions::new(ranks.clone()).max_iters(8).tol(1e-5).seed(1));
+    let res = hooi(&tensor, &TuckerOptions::new(ranks.clone()).max_iters(8).tol(1e-5).seed(1))?;
     println!(
         "HOOI: {} iterations, fit {:.4}, converged {}",
         res.iters,
@@ -64,4 +63,5 @@ fn main() {
             res.model.predict(&coords)
         );
     }
+    Ok(())
 }

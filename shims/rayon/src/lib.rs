@@ -4,7 +4,7 @@
 //! the workspace replaces its `rayon` dependency with this shim (see
 //! `[workspace.dependencies]` in the root manifest). It reproduces exactly
 //! the combinator surface the workspace uses — `into_par_iter` (ranges
-//! and vectors), `map` + `collect` / `reduce`, `enumerate`, `zip`,
+//! and vectors), `map` + `reduce`, `enumerate`, `zip`,
 //! `fold` + `reduce`, `for_each`, `par_chunks`, `par_chunks_mut` — with
 //! real data parallelism via [`std::thread::scope`]: each terminal
 //! operation splits its items into one contiguous block per worker and
@@ -222,11 +222,6 @@ impl<T: Send, U: Send, F> MapIter<T, F>
 where
     F: Fn(T) -> U + Sync,
 {
-    /// Runs the map in parallel and collects the results in item order.
-    pub fn collect<C: FromIterator<U>>(self) -> C {
-        run_map(self.items, self.f).into_iter().collect()
-    }
-
     /// Reduces the mapped items directly.
     pub fn reduce<ID, G>(self, identity: ID, reduce: G) -> U
     where
@@ -314,12 +309,6 @@ pub mod prelude {
 mod tests {
     use super::prelude::*;
     use super::*;
-
-    #[test]
-    fn map_collect_preserves_order() {
-        let out: Vec<usize> = (0..1000usize).into_par_iter().map(|x| x * 2).collect();
-        assert_eq!(out, (0..1000).map(|x| x * 2).collect::<Vec<_>>());
-    }
 
     #[test]
     fn fold_reduce_sums_everything_once() {

@@ -17,14 +17,27 @@ use adatm::tensor::io::{
 };
 use adatm::tensor::stats::TensorStats;
 use adatm::{
-    complete, cp_opt, hooi, AdaptiveBackend, AdmissionError, CheckpointConfig, CheckpointStore,
-    CompletionOptions, CooBackend, CpAls, CpAlsError, CpAlsOptions, CpOptOptions, CsfBackend,
+    check_rank_and_order, cp_opt, hooi, AdaptiveBackend, AdmissionError, CheckpointConfig,
+    CheckpointStore, CooBackend, CpAls, CpAlsError, CpAlsOptions, CpOptOptions, CsfBackend,
     DtreeBackend, EnvProfile, KernelProfile, MttkrpBackend, Planner, PpConfig, SparseTensor,
     TreeShape, TuckerOptions,
 };
 use std::collections::HashMap;
+use std::io::Write;
 use std::path::Path;
 use std::process::ExitCode;
+
+/// Writes one line of command output to stdout. A closed or failing
+/// stdout ends the command with [`EXIT_IO`], where `println!` would
+/// panic.
+macro_rules! say {
+    ($($arg:tt)*) => {
+        writeln!(std::io::stdout(), $($arg)*).map_err(|e| CliError {
+            code: EXIT_IO,
+            msg: format!("cannot write to stdout: {e}"),
+        })?
+    };
+}
 
 /// A CLI failure: a one-line message plus the process exit code that
 /// classifies it (see `print_usage` for the code table).
@@ -91,20 +104,47 @@ impl From<AdmissionError> for CliError {
     }
 }
 
+/// A subcommand's `--flag value` options, keyed by flag name.
+type Opts = HashMap<String, String>;
+
+/// A subcommand's body, called with its positionals and options.
+type Body = fn(&[String], &Opts) -> Result<(), CliError>;
+
+/// Each subcommand: its name, the flags it takes (`-o` is `out`), and
+/// its body.
+const SUBCOMMANDS: [(&str, &[&str], Body); 5] = [
+    ("info", &[], cmd_info),
+    ("convert", &[], cmd_convert),
+    ("generate", &["dims", "nnz", "skew", "seed", "out"], cmd_generate),
+    ("plan", &["rank", "estimator", "budget-mib", "trace"], cmd_plan),
+    (
+        "decompose",
+        &[
+            "rank",
+            "iters",
+            "tol",
+            "seed",
+            "backend",
+            "shape",
+            "algo",
+            "ranks",
+            "out",
+            "trace",
+            "mem-budget",
+            "checkpoint-dir",
+            "checkpoint-every",
+            "resume",
+            "pp-tol",
+            "pp-every",
+            "drift-factor",
+        ],
+        cmd_decompose,
+    ),
+];
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let result = match args.first().map(String::as_str) {
-        Some("info") => cmd_info(&args[1..]),
-        Some("convert") => cmd_convert(&args[1..]),
-        Some("generate") => cmd_generate(&args[1..]),
-        Some("plan") => cmd_plan(&args[1..]),
-        Some("decompose") => cmd_decompose(&args[1..]),
-        Some("--help") | Some("-h") | None => {
-            print_usage();
-            Ok(())
-        }
-        Some(other) => Err(CliError::from(format!("unknown subcommand '{other}' (try --help)"))),
-    };
+    let result = run(&args);
     // Flush and tear down any --trace sink before exiting (events are
     // written eagerly, so even an error path leaves a valid NDJSON file).
     adatm::trace::shutdown();
@@ -117,8 +157,25 @@ fn main() -> ExitCode {
     }
 }
 
+/// Dispatches to the subcommand named by `args[0]`; `--help` anywhere
+/// in its flags prints the usage instead.
+fn run(args: &[String]) -> Result<(), CliError> {
+    let name = match args.first().map(String::as_str) {
+        None | Some("--help" | "-h") => return print_usage(),
+        Some(name) => name,
+    };
+    let (_, flags, body) = SUBCOMMANDS
+        .iter()
+        .find(|(n, ..)| *n == name)
+        .ok_or_else(|| format!("unknown subcommand '{name}' (try --help)"))?;
+    match parse_args(&args[1..], flags)? {
+        Some((pos, opts)) => body(&pos, &opts),
+        None => print_usage(),
+    }
+}
+
 /// Installs the NDJSON file sink when `--trace <path>` was given.
-fn install_trace(opts: &HashMap<String, String>) -> Result<(), CliError> {
+fn install_trace(opts: &Opts) -> Result<(), CliError> {
     let Some(path) = opts.get("trace") else { return Ok(()) };
     if path.is_empty() {
         return Err("--trace requires a file path".into());
@@ -139,7 +196,7 @@ fn checked_profile() -> Result<Option<KernelProfile>, CliError> {
                 age_s: age.map_or(-1i64, |a| a.as_secs() as i64),
                 threads: profile.threads
             );
-            println!("calibration: {path} (threads {})", profile.threads);
+            say!("calibration: {path} (threads {})", profile.threads);
             Ok(Some(profile))
         }
         EnvProfile::Broken { path, error } => {
@@ -154,8 +211,8 @@ fn checked_profile() -> Result<Option<KernelProfile>, CliError> {
     }
 }
 
-fn print_usage() {
-    println!(
+fn print_usage() -> Result<(), CliError> {
+    say!(
         "adatm - model-driven sparse CP decomposition\n\n\
          USAGE:\n  adatm info <tensor>\n  adatm convert <in> <out>\n  \
          adatm generate --dims AxBxC [--nnz N] [--skew s|s1,s2,..] [--seed S] -o <out>\n  \
@@ -163,15 +220,15 @@ fn print_usage() {
          [--trace FILE]\n  \
          adatm decompose <tensor> [--rank R] [--iters N] [--tol T] [--seed S]\n      \
          [--backend adaptive|coo|csf|tree2|tree3|bdt] [--shape '(0 (1 2))']\n      \
-         [--algo als|ncp|cpopt|complete|tucker] [--reg R (complete)]\n      \
-         [--ranks AxBxC (tucker)] [--out DIR] [--trace FILE] [--drift-factor F]\n      \
+         [--algo als|ncp|cpopt|tucker] [--ranks AxBxC (tucker)]\n      \
+         [--out DIR] [--trace FILE] [--drift-factor F]\n      \
          [--checkpoint-dir DIR] [--checkpoint-every N] [--resume] [--mem-budget MIB]\n      \
          [--pp-tol T] [--pp-every K]\n\n\
          Tensor files: FROSTT text (.tns) or adatm binary (.adtm), chosen by extension.\n\n\
          --trace FILE writes a structured NDJSON event log (planner decisions,\n\
          per-stage timings, recoveries); validate it with `cargo xtask trace-check`.\n\n\
          CP SWEEP (--algo als|ncp): ALS and nonnegative CP run the same loop, so both\n\
-         take the flags below; with --algo cpopt|complete|tucker they are a usage error.\n  \
+         take the flags below; with --algo cpopt|tucker they are a usage error.\n  \
          --drift-factor F        warn when measured kernel time per iteration exceeds\n                          \
          F x the calibrated prediction (default 2; 0 disables)\n\n\
          PAIRWISE PERTURBATION (--algo als|ncp):\n  \
@@ -190,7 +247,7 @@ fn print_usage() {
          memory exceeds the budget\n\n\
          EXIT CODES:\n  \
          0  success\n  \
-         2  usage error (bad flag, missing argument, unknown subcommand)\n  \
+         2  usage error (unknown or bad flag, missing argument, unknown subcommand)\n  \
          3  file i/o error\n  \
          4  malformed tensor file\n  \
          5  tensor file contains non-finite values\n  \
@@ -199,17 +256,25 @@ fn print_usage() {
          8  checkpoint failure (store unusable, or --resume found nothing readable)\n  \
          9  admission control rejected the run (nothing fits --mem-budget)"
     );
+    Ok(())
 }
 
 /// Splits `args` into positionals and `--flag value` options (flags with
 /// no following value or followed by another flag get an empty value).
-fn parse_args(args: &[String]) -> Result<(Vec<String>, HashMap<String, String>), String> {
+/// A flag outside `flags` is a usage error; `None` means `--help`.
+fn parse_args(args: &[String], flags: &[&str]) -> Result<Option<(Vec<String>, Opts)>, CliError> {
     let mut pos = Vec::new();
     let mut opts = HashMap::new();
     let mut i = 0;
     while i < args.len() {
         let a = &args[i];
+        if a == "--help" || a == "-h" {
+            return Ok(None);
+        }
         if let Some(name) = a.strip_prefix("--") {
+            if !flags.contains(&name) {
+                return Err(format!("unknown flag '{a}' (try --help)").into());
+            }
             let val = if i + 1 < args.len() && !args[i + 1].starts_with("--") {
                 i += 1;
                 args[i].clone()
@@ -218,6 +283,9 @@ fn parse_args(args: &[String]) -> Result<(Vec<String>, HashMap<String, String>),
             };
             opts.insert(name.to_string(), val);
         } else if a == "-o" {
+            if !flags.contains(&"out") {
+                return Err("unknown flag '-o' (try --help)".into());
+            }
             if i + 1 >= args.len() {
                 return Err("-o requires a path".into());
             }
@@ -228,14 +296,10 @@ fn parse_args(args: &[String]) -> Result<(Vec<String>, HashMap<String, String>),
         }
         i += 1;
     }
-    Ok((pos, opts))
+    Ok(Some((pos, opts)))
 }
 
-fn opt_parse<T: std::str::FromStr>(
-    opts: &HashMap<String, String>,
-    key: &str,
-    default: T,
-) -> Result<T, String> {
+fn opt_parse<T: std::str::FromStr>(opts: &Opts, key: &str, default: T) -> Result<T, String> {
     match opts.get(key) {
         None => Ok(default),
         Some(v) => v.parse().map_err(|_| format!("bad value '{v}' for --{key}")),
@@ -268,47 +332,41 @@ fn store(t: &SparseTensor, path: &str) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_info(args: &[String]) -> Result<(), CliError> {
-    let (pos, _) = parse_args(args)?;
+fn cmd_info(pos: &[String], _: &Opts) -> Result<(), CliError> {
     let path = pos.first().ok_or("info requires a tensor file")?;
     let t = load(path)?;
     let s = TensorStats::compute(&t);
-    println!("file      : {path}");
-    println!("order     : {}", s.order);
-    println!(
-        "dims      : {}",
-        s.dims.iter().map(|d| d.to_string()).collect::<Vec<_>>().join(" x ")
-    );
-    println!("nnz       : {}", s.nnz);
-    println!("density   : {:.3e}", s.density);
-    println!("per-mode distinct: {:?}", s.distinct_per_mode);
-    println!(
-        "half-split collapse: {:.2} | {:.2}",
-        s.half_split_collapse.0, s.half_split_collapse.1
-    );
+    say!("file      : {path}");
+    say!("order     : {}", s.order);
+    say!("dims      : {}", s.dims.iter().map(|d| d.to_string()).collect::<Vec<_>>().join(" x "));
+    say!("nnz       : {}", s.nnz);
+    say!("density   : {:.3e}", s.density);
+    say!("per-mode distinct: {:?}", s.distinct_per_mode);
+    say!("half-split collapse: {:.2} | {:.2}", s.half_split_collapse.0, s.half_split_collapse.1);
     Ok(())
 }
 
-fn cmd_convert(args: &[String]) -> Result<(), CliError> {
-    let (pos, _) = parse_args(args)?;
+fn cmd_convert(pos: &[String], _: &Opts) -> Result<(), CliError> {
     if pos.len() != 2 {
         return Err("convert requires <in> and <out>".into());
     }
     let t = load(&pos[0])?;
     store(&t, &pos[1])?;
-    println!("wrote {} ({} nnz)", pos[1], t.nnz());
+    say!("wrote {} ({} nnz)", pos[1], t.nnz());
     Ok(())
 }
 
-fn cmd_generate(args: &[String]) -> Result<(), CliError> {
-    let (_, opts) = parse_args(args)?;
+fn cmd_generate(_: &[String], opts: &Opts) -> Result<(), CliError> {
     let dims_s = opts.get("dims").ok_or("generate requires --dims AxBxC")?;
     let dims: Vec<usize> = dims_s
         .split(['x', 'X'])
         .map(|d| d.parse().map_err(|_| format!("bad dims '{dims_s}'")))
         .collect::<Result<_, _>>()?;
-    let nnz = opt_parse(&opts, "nnz", 100_000usize)?;
-    let seed = opt_parse(&opts, "seed", 0u64)?;
+    if dims.contains(&0) {
+        return Err(format!("--dims needs positive mode sizes, got '{dims_s}'").into());
+    }
+    let nnz = opt_parse(opts, "nnz", 100_000usize)?;
+    let seed = opt_parse(opts, "seed", 0u64)?;
     let skews: Vec<f64> = match opts.get("skew") {
         None => vec![0.0; dims.len()],
         Some(s) if s.contains(',') => s
@@ -323,6 +381,9 @@ fn cmd_generate(args: &[String]) -> Result<(), CliError> {
     if skews.len() != dims.len() {
         return Err("--skew needs one value or one per mode".into());
     }
+    if !skews.iter().all(|s| s.is_finite() && *s >= 0.0) {
+        return Err("--skew values must be nonnegative numbers".into());
+    }
     let out = opts.get("out").ok_or("generate requires -o <out>")?;
     let t = if skews.iter().all(|&s| s == 0.0) {
         uniform_tensor(&dims, nnz, seed)
@@ -330,11 +391,11 @@ fn cmd_generate(args: &[String]) -> Result<(), CliError> {
         zipf_tensor(&dims, nnz, &skews, seed)
     };
     store(&t, out)?;
-    println!("generated {} nnz into {out}", t.nnz());
+    say!("generated {} nnz into {out}", t.nnz());
     Ok(())
 }
 
-fn parse_estimator(opts: &HashMap<String, String>) -> Result<NnzEstimator, String> {
+fn parse_estimator(opts: &Opts) -> Result<NnzEstimator, String> {
     match opts.get("estimator").map(String::as_str) {
         None | Some("sampled") => Ok(NnzEstimator::default()),
         Some("exact") => Ok(NnzEstimator::Exact),
@@ -343,13 +404,13 @@ fn parse_estimator(opts: &HashMap<String, String>) -> Result<NnzEstimator, Strin
     }
 }
 
-fn cmd_plan(args: &[String]) -> Result<(), CliError> {
-    let (pos, opts) = parse_args(args)?;
-    install_trace(&opts)?;
+fn cmd_plan(pos: &[String], opts: &Opts) -> Result<(), CliError> {
+    install_trace(opts)?;
     let path = pos.first().ok_or("plan requires a tensor file")?;
     let t = load(path)?;
-    let rank = opt_parse(&opts, "rank", 16usize)?;
-    let mut planner = Planner::new(&t, rank).estimator(parse_estimator(&opts)?);
+    let rank = opt_parse(opts, "rank", 16usize)?;
+    check_rank_and_order(rank, t.ndim())?;
+    let mut planner = Planner::new(&t, rank).estimator(parse_estimator(opts)?);
     if let Some(profile) = checked_profile()? {
         planner = planner.calibration(profile);
     }
@@ -358,18 +419,23 @@ fn cmd_plan(args: &[String]) -> Result<(), CliError> {
         planner = planner.memory_budget((mib * 1024.0 * 1024.0) as usize);
     }
     let plan = planner.plan();
-    println!(
+    say!(
         "{} candidates ({} estimator evaluations); chosen: {}",
         plan.candidates.len(),
         plan.estimator_evals,
         plan.shape
     );
-    println!(
+    say!(
         "{:<20} {:>14} {:>14} {:>13} {:>12} {:>7}  shape",
-        "label", "flops/iter", "traffic-MiB/it", "gather-MiB/it", "resident-MiB", "fits"
+        "label",
+        "flops/iter",
+        "traffic-MiB/it",
+        "gather-MiB/it",
+        "resident-MiB",
+        "fits"
     );
     for c in &plan.candidates {
-        println!(
+        say!(
             "{:<20} {:>14.3e} {:>14.1} {:>13.1} {:>12.1} {:>7}  {}{}",
             c.label,
             c.cost.flops_per_iter,
@@ -389,7 +455,7 @@ fn cmd_plan(args: &[String]) -> Result<(), CliError> {
         } else {
             "tree"
         };
-        println!(
+        say!(
             "calibrated: predicted {ns:.0} ns/iter, dispatch {dispatch} (csf {:.0} ns, coo {:.0} ns)",
             plan.csf_predicted_ns.unwrap_or(f64::NAN),
             plan.coo_predicted_ns.unwrap_or(f64::NAN)
@@ -400,16 +466,16 @@ fn cmd_plan(args: &[String]) -> Result<(), CliError> {
         // decompose run with the same budget would face.
         let admitted = planner.plan_admitted()?;
         if admitted.use_coo && !plan.use_coo {
-            println!("admission: degraded to the fused COO baseline");
+            say!("admission: degraded to the fused COO baseline");
         } else {
-            println!("admission: admitted within budget");
+            say!("admission: admitted within budget");
         }
     }
     Ok(())
 }
 
 /// Parses `--mem-budget MIB` into bytes (`None` when absent).
-fn parse_mem_budget(opts: &HashMap<String, String>) -> Result<Option<usize>, CliError> {
+fn parse_mem_budget(opts: &Opts) -> Result<Option<usize>, CliError> {
     let Some(m) = opts.get("mem-budget") else { return Ok(None) };
     let mib: f64 = m.parse().map_err(|_| format!("bad --mem-budget '{m}'"))?;
     if !mib.is_finite() || mib <= 0.0 {
@@ -421,13 +487,17 @@ fn parse_mem_budget(opts: &HashMap<String, String>) -> Result<Option<usize>, Cli
 fn make_backend(
     t: &SparseTensor,
     rank: usize,
-    opts: &HashMap<String, String>,
+    opts: &Opts,
     profile: Option<KernelProfile>,
     mem_budget: Option<usize>,
 ) -> Result<Box<dyn MttkrpBackend>, CliError> {
     if let Some(s) = opts.get("shape") {
         let shape: TreeShape = s.parse().map_err(|e| format!("{e}"))?;
-        shape.validate();
+        if !shape.covers(t.ndim()) {
+            return Err(
+                format!("--shape '{s}' must cover modes 0..{} exactly once", t.ndim()).into()
+            );
+        }
         return Ok(Box::new(DtreeBackend::new(t, &shape, rank)));
     }
     Ok(match opts.get("backend").map(String::as_str) {
@@ -476,7 +546,7 @@ fn write_factors(dir: &str, model: &adatm::CpModel) -> Result<(), CliError> {
     for (d, f) in model.factors.iter().enumerate() {
         write_rows(&format!("{dir}/factor_{d}.txt"), (0..f.nrows()).map(|i| f.row(i)))?;
     }
-    println!("wrote lambda + {} factors under {dir}/", model.factors.len());
+    say!("wrote lambda + {} factors under {dir}/", model.factors.len());
     Ok(())
 }
 
@@ -487,10 +557,7 @@ const SWEEP_FLAGS: [&str; 6] =
 
 /// Adds the sweep-loop flags — drift threshold, pairwise perturbation,
 /// checkpointing — to `o`.
-fn sweep_options(
-    opts: &HashMap<String, String>,
-    mut o: CpAlsOptions,
-) -> Result<CpAlsOptions, CliError> {
+fn sweep_options(opts: &Opts, mut o: CpAlsOptions) -> Result<CpAlsOptions, CliError> {
     o = o.drift_factor(opt_parse(opts, "drift-factor", 2.0f64)?);
     if opts.contains_key("pp-tol") || opts.contains_key("pp-every") {
         let pp_tol = opt_parse(opts, "pp-tol", 0.02f64)?;
@@ -515,10 +582,9 @@ fn sweep_options(
     Ok(o)
 }
 
-fn cmd_decompose(args: &[String]) -> Result<(), CliError> {
-    let (pos, opts) = parse_args(args)?;
+fn cmd_decompose(pos: &[String], opts: &Opts) -> Result<(), CliError> {
     let algo = opts.get("algo").map_or("als", String::as_str);
-    if !matches!(algo, "als" | "ncp" | "cpopt" | "complete" | "tucker") {
+    if !matches!(algo, "als" | "ncp" | "cpopt" | "tucker") {
         return Err(format!("unknown algorithm '{algo}'").into());
     }
     if !matches!(algo, "als" | "ncp") {
@@ -526,15 +592,15 @@ fn cmd_decompose(args: &[String]) -> Result<(), CliError> {
             return Err(format!("--{flag} applies to --algo als|ncp only, not {algo}").into());
         }
     }
-    install_trace(&opts)?;
+    install_trace(opts)?;
     let path = pos.first().ok_or("decompose requires a tensor file")?;
     let t = load(path)?;
-    let rank = opt_parse(&opts, "rank", 16usize)?;
-    let iters = opt_parse(&opts, "iters", 50usize)?;
-    let tol = opt_parse(&opts, "tol", 1e-5f64)?;
-    let seed = opt_parse(&opts, "seed", 0u64)?;
+    let rank = opt_parse(opts, "rank", 16usize)?;
+    let iters = opt_parse(opts, "iters", 50usize)?;
+    let tol = opt_parse(opts, "tol", 1e-5f64)?;
+    let seed = opt_parse(opts, "seed", 0u64)?;
     if algo == "tucker" {
-        // Tucker runs on TTM chains directly, not an MTTKRP backend.
+        // Tucker runs on unfoldings directly, not an MTTKRP backend.
         let ranks: Vec<usize> = match opts.get("ranks") {
             Some(s) => s
                 .split(['x', 'X'])
@@ -542,11 +608,8 @@ fn cmd_decompose(args: &[String]) -> Result<(), CliError> {
                 .collect::<Result<_, _>>()?,
             None => vec![rank.min(8); t.ndim()],
         };
-        if ranks.len() != t.ndim() {
-            return Err("--ranks needs one value per mode".into());
-        }
-        let res = hooi(&t, &TuckerOptions::new(ranks).max_iters(iters).tol(tol).seed(seed));
-        println!(
+        let res = hooi(&t, &TuckerOptions::new(ranks).max_iters(iters).tol(tol).seed(seed))?;
+        say!(
             "tucker: {} iters, fit {:.5}, converged {}, core norm {:.4}",
             res.iters,
             res.final_fit(),
@@ -555,22 +618,25 @@ fn cmd_decompose(args: &[String]) -> Result<(), CliError> {
         );
         return Ok(());
     }
+    // Rank and order are checked before anything is planned or built; the
+    // driver's own check then scans the values once.
+    check_rank_and_order(rank, t.ndim())?;
     // The planner only consults ADATM_PROFILE on the adaptive path; a
     // set-but-broken profile there is a typed usage error, not a silent
     // fallback to analytic costs.
     let uses_planner = !opts.contains_key("shape")
         && matches!(opts.get("backend").map(String::as_str), None | Some("adaptive"));
     let profile = if uses_planner { checked_profile()? } else { None };
-    let mem_budget = parse_mem_budget(&opts)?;
+    let mem_budget = parse_mem_budget(opts)?;
     if mem_budget.is_some() && !uses_planner {
         return Err("--mem-budget only applies to the adaptive (planner) backend".into());
     }
-    let mut backend = make_backend(&t, rank, &opts, profile, mem_budget)?;
-    println!("backend: {}", backend.name());
+    let mut backend = make_backend(&t, rank, opts, profile, mem_budget)?;
+    say!("backend: {}", backend.name());
     match algo {
         "als" | "ncp" => {
             let o =
-                sweep_options(&opts, CpAlsOptions::new(rank).max_iters(iters).tol(tol).seed(seed))?;
+                sweep_options(opts, CpAlsOptions::new(rank).max_iters(iters).tol(tol).seed(seed))?;
             let solver = |o| if algo == "ncp" { CpAls::ncp(o) } else { CpAls::new(o) };
             let res = match opts.get("checkpoint-dir").filter(|_| opts.contains_key("resume")) {
                 Some(dir) => {
@@ -581,12 +647,12 @@ fn cmd_decompose(args: &[String]) -> Result<(), CliError> {
                     // typed resume error, not a silently different
                     // model).
                     if outcome.checkpoint.seed != seed && opts.contains_key("seed") {
-                        println!(
+                        say!(
                             "note: --seed {seed} ignored; resuming with checkpoint seed {}",
                             outcome.checkpoint.seed
                         );
                     }
-                    println!(
+                    say!(
                         "resume: {} (generation {}, iteration {}, {} corrupt generation(s) skipped)",
                         outcome.path.display(),
                         outcome.generation,
@@ -601,7 +667,7 @@ fn cmd_decompose(args: &[String]) -> Result<(), CliError> {
                 }
                 None => solver(o).run(&t, backend.as_mut())?,
             };
-            println!(
+            say!(
                 "{algo}: {} iters, fit {:.5}, converged {}, mttkrp {:.3}s dense {:.3}s fit {:.3}s",
                 res.iters,
                 res.final_fit(),
@@ -611,7 +677,7 @@ fn cmd_decompose(args: &[String]) -> Result<(), CliError> {
                 res.timings.fit.as_secs_f64()
             );
             if res.diagnostics.pp_sweeps > 0 {
-                println!(
+                say!(
                     "pp: {} approximate sweep(s), {} baseline refresh(es), {:.2} ms/sweep vs {:.2} ms exact",
                     res.diagnostics.pp_sweeps,
                     res.diagnostics.pp_refreshes,
@@ -620,7 +686,7 @@ fn cmd_decompose(args: &[String]) -> Result<(), CliError> {
                 );
             }
             if res.diagnostics.recoveries > 0 || res.diagnostics.degraded {
-                println!(
+                say!(
                     "resilience: {} breakdown event(s), {} recover(ies), stop: {:?}",
                     res.diagnostics.events.len(),
                     res.diagnostics.recoveries,
@@ -628,32 +694,20 @@ fn cmd_decompose(args: &[String]) -> Result<(), CliError> {
                 );
             }
             if opts.contains_key("trace") {
-                println!("trace: {}", res.trace_summary());
+                say!("trace: {}", res.trace_summary());
             }
-            if let Some(dir) = opts.get("out") {
-                write_factors(dir, &res.model)?;
-            }
-        }
-        "complete" => {
-            let reg = opt_parse(&opts, "reg", 0.1f64)?;
-            let o = CompletionOptions::new(rank).max_iters(iters).tol(tol).reg(reg).seed(seed);
-            let res = complete(&t, &o);
-            println!(
-                "complete: {} iters, train RMSE {:.5}, converged {}",
-                res.iters,
-                res.final_rmse(),
-                res.converged
-            );
             if let Some(dir) = opts.get("out") {
                 write_factors(dir, &res.model)?;
             }
         }
         _ => {
             let o = CpOptOptions::new(rank).max_iters(iters).tol(tol).seed(seed);
-            let res = cp_opt(&t, &mut backend, &o);
-            println!(
+            let res = cp_opt(&t, &mut backend, &o)?;
+            say!(
                 "cpopt: {} iters, objective {:.5e}, converged {}",
-                res.iters, res.objective, res.converged
+                res.iters,
+                res.objective,
+                res.converged
             );
             let finite_model =
                 res.model.factors.iter().all(|f| f.as_slice().iter().all(|v| v.is_finite()));

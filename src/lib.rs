@@ -16,13 +16,12 @@
 
 pub use adatm_core::backend::all_backends;
 pub use adatm_core::{
-    complete, cp_opt, decompose, decompose_with, factor_match_score, hooi, ncp, AdaptiveBackend,
-    BreakdownEvent, BreakdownKind, CheckpointConfig, CheckpointError, CheckpointMedium,
-    CheckpointStore, CompletionOptions, CompletionResult, CooBackend, CpAls, CpAlsError,
-    CpAlsOptions, CpCheckpoint, CpModel, CpOptOptions, CpOptResult, CpResult, CsfBackend,
-    DtreeBackend, InitStrategy, MttkrpBackend, PhaseTimings, PpConfig, RecoveryAction,
-    ResumeOutcome, RunDiagnostics, StopReason, TuckerModel, TuckerOptions, TuckerResult,
-    UpdateRule,
+    check_rank_and_order, cp_opt, decompose, decompose_with, factor_match_score, hooi, ncp,
+    AdaptiveBackend, BreakdownEvent, BreakdownKind, CheckpointConfig, CheckpointError,
+    CheckpointMedium, CheckpointStore, CooBackend, CpAls, CpAlsError, CpAlsOptions, CpCheckpoint,
+    CpModel, CpOptOptions, CpOptResult, CpResult, CsfBackend, DtreeBackend, InitStrategy,
+    MttkrpBackend, PhaseTimings, PpConfig, RecoveryAction, ResumeOutcome, RunDiagnostics,
+    StopReason, TuckerModel, TuckerOptions, TuckerResult, UpdateRule,
 };
 #[cfg(feature = "fault-inject")]
 pub use adatm_core::{

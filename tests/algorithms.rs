@@ -43,8 +43,8 @@ fn cpopt_objective_consistent_across_backends() {
     let opts = CpOptOptions::new(3).max_iters(15).tol(0.0).seed(2);
     let mut coo = adatm::CooBackend::new(&t);
     let mut bdt = DtreeBackend::balanced_binary(&t, 3);
-    let a = cp_opt(&t, &mut coo, &opts);
-    let b = cp_opt(&t, &mut bdt, &opts);
+    let a = cp_opt(&t, &mut coo, &opts).unwrap();
+    let b = cp_opt(&t, &mut bdt, &opts).unwrap();
     assert_eq!(a.iters, b.iters);
     for (x, y) in a.objective_history.iter().zip(b.objective_history.iter()) {
         let denom = x.abs().max(1e-12);
@@ -81,7 +81,7 @@ fn three_algorithms_reduce_residual_on_same_data() {
     assert!(n.final_fit() > 0.05, "ncp fit {}", n.final_fit());
 
     let mut b3 = adatm::CooBackend::new(&t);
-    let g = cp_opt(&t, &mut b3, &CpOptOptions::new(4).max_iters(60).tol(0.0).seed(1));
+    let g = cp_opt(&t, &mut b3, &CpOptOptions::new(4).max_iters(60).tol(0.0).seed(1)).unwrap();
     let resid = (2.0 * g.objective_history.last().unwrap()).sqrt();
     assert!(resid < xnorm, "cpopt made no progress: {resid} vs {xnorm}");
 }

@@ -45,8 +45,6 @@ fn cpals_runs_fully_audited_on_every_backend() {
 #[test]
 fn audited_structures_validate_end_to_end() {
     use adatm::tensor::csf::CsfTensor;
-    use adatm::tensor::semisparse::ttm;
-    use adatm::Mat;
 
     let truth = low_rank_tensor(&[12, 15, 10], 2, 600, 0.05, 3);
     let t = &truth.tensor;
@@ -54,7 +52,6 @@ fn audited_structures_validate_end_to_end() {
     for m in 0..t.ndim() {
         CsfTensor::for_mode(t, m).validate().expect("csf");
     }
-    ttm(t, 0, &Mat::random(12, 2, 1)).validate().expect("semisparse");
 
     let tree = adatm::dtree::DimTree::from_shape(&adatm::TreeShape::balanced_binary(t.ndim()));
     tree.validate().expect("tree");

@@ -2,7 +2,7 @@
 //! `std::process` against a temp directory.
 
 use std::path::PathBuf;
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 fn adatm() -> Command {
     Command::new(env!("CARGO_BIN_EXE_adatm"))
@@ -214,7 +214,7 @@ fn decompose_ncp_and_cpopt_run() {
         .arg(&tns)
         .status()
         .unwrap();
-    for algo in ["ncp", "cpopt", "complete"] {
+    for algo in ["ncp", "cpopt"] {
         let out = adatm()
             .arg("decompose")
             .arg(&tns)
@@ -298,11 +298,9 @@ fn sweep_flags_are_a_usage_error_outside_als_and_ncp() {
         .status()
         .unwrap();
     let ckpt = dir.join("ckpt");
-    for (algo, flag, value) in [
-        ("cpopt", "--checkpoint-dir", ckpt.to_str().unwrap()),
-        ("complete", "--pp-tol", "0.02"),
-        ("tucker", "--drift-factor", "3"),
-    ] {
+    for (algo, flag, value) in
+        [("cpopt", "--checkpoint-dir", ckpt.to_str().unwrap()), ("tucker", "--drift-factor", "3")]
+    {
         let out = adatm()
             .arg("decompose")
             .arg(&tns)
@@ -403,4 +401,75 @@ fn ncp_negative_value_exits_with_solver_input_code() {
     assert_eq!(out.status.code(), Some(6), "{}", String::from_utf8_lossy(&out.stderr));
     assert!(String::from_utf8_lossy(&out.stderr).contains("nonnegative"));
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn bad_input_probes_exit_with_typed_codes_and_never_panic() {
+    let dir = tmpdir("probes");
+    std::fs::write(dir.join("s.tns"), "1 1 1 1.0\n5 4 3 2.0\n2 3 1 1.5\n4 2 2 3.0\n").unwrap();
+    std::fs::write(dir.join("b.tns"), "1 1 1 1e308\n2 2 2 1e308\n").unwrap();
+    std::fs::write(dir.join("o.tns"), "1 1.0\n3 2.0\n").unwrap();
+    let probes: [(&[&str], &[i32]); 16] = [
+        (&["decompose", "s.tns", "--algo", "tucker", "--ranks", "9x9x9"], &[6]),
+        (&["decompose", "s.tns", "--algo", "tucker", "--ranks", "0x2x2"], &[6]),
+        (&["decompose", "o.tns", "--algo", "tucker", "--ranks", "1"], &[6]),
+        (&["decompose", "b.tns", "--algo", "tucker", "--ranks", "1x1x1"], &[6, 7]),
+        (&["decompose", "b.tns", "--algo", "complete", "--rank", "2"], &[2]),
+        (&["decompose", "s.tns", "--algo", "cpopt", "--rank", "0", "--backend", "coo"], &[6]),
+        (&["decompose", "o.tns", "--algo", "cpopt", "--rank", "2", "--backend", "coo"], &[6]),
+        (&["decompose", "s.tns", "--rank", "0"], &[6]),
+        (&["plan", "s.tns", "--rank", "0"], &[6]),
+        (&["decompose", "o.tns", "--rank", "2"], &[6]),
+        (&["plan", "o.tns", "--rank", "2"], &[6]),
+        (&["decompose", "s.tns", "--rank", "2", "--shape", "(0 1)"], &[2]),
+        (&["decompose", "s.tns", "--rank", "2", "--shape", "(0 1 5)"], &[2]),
+        (&["generate", "--dims", "0x3", "--nnz", "5", "-o", "z.tns"], &[2]),
+        (&["generate", "--dims", "3x3", "--nnz", "5", "--skew", "-1", "-o", "z.tns"], &[2]),
+        (&["decompose", "s.tns", "--rnak", "2"], &[2]),
+    ];
+    for (args, codes) in probes {
+        let out = adatm().current_dir(&dir).args(args).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let code = out.status.code().unwrap_or(-1);
+        assert!(codes.contains(&code), "{args:?} exited {code}, want {codes:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+    assert!(!dir.join("z.tns").exists(), "a rejected generate must not write");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn closed_stdout_is_an_io_error_not_a_panic() {
+    let dir = tmpdir("closed_stdout");
+    let tns = dir.join("t.tns");
+    adatm()
+        .args(["generate", "--dims", "20x30x25x15", "--nnz", "1500", "-o"])
+        .arg(&tns)
+        .status()
+        .unwrap();
+    // A pipe whose read end is already closed: it belonged to a process
+    // that exited without reading.
+    let mut reader =
+        adatm().arg("--help").stdin(Stdio::piped()).stdout(Stdio::null()).spawn().unwrap();
+    let write_end = reader.stdin.take().unwrap();
+    reader.wait().unwrap();
+    let out = adatm().arg("plan").arg(&tns).stdout(write_end).output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(3), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn unknown_flags_are_a_usage_error_and_every_subcommand_takes_help() {
+    let out = adatm().args(["decompose", "t.tns", "--rnak", "2"]).output().unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--rnak"), "names the flag");
+    let out = adatm().args(["info", "t.tns", "--rank", "2"]).output().unwrap();
+    assert_eq!(out.status.code(), Some(2), "info takes no flags");
+    for sub in ["info", "convert", "generate", "plan", "decompose"] {
+        let out = adatm().args([sub, "--help"]).output().unwrap();
+        assert!(out.status.success(), "{sub} --help: {}", String::from_utf8_lossy(&out.stderr));
+        assert!(String::from_utf8_lossy(&out.stdout).contains("EXIT CODES"), "{sub} --help");
+    }
 }
