@@ -5,11 +5,12 @@
 //! sorted views / CSF trees, its per-(tensor, mode) `ModeSchedule`, and
 //! warmed its `Workspace`, a steady-state kernel call performs **zero**
 //! heap allocations on the sequential path, and the dimension-tree
-//! engine reuses its value buffers. The sweep loop's
-//! contract: after warm-up, an iteration allocates nothing of factor
-//! size — factors, Grams and snapshots are updated in place. Asserted
-//! with a counting global allocator, which is why this lives in its own
-//! test binary. The exact gates count the calling thread's allocations,
+//! engine reuses its value buffers. The sweep loop's contract: after
+//! warm-up, an iteration allocates nothing of factor size — factors,
+//! Grams and snapshots are updated in place — and the fused ALS and NCP
+//! mode updates allocate nothing at all on one thread. Asserted with a
+//! counting global allocator, which is why this lives in its own test
+//! binary. The exact gates count the calling thread's allocations,
 //! so the test harness's own threads never show up in them; the
 //! parallel-path bound counts every thread, since its kernel allocates on
 //! worker threads. Every test holds one lock, so no other test allocates
@@ -272,6 +273,46 @@ fn dtree_sweeps_allocate_nothing_large_after_the_first() {
             assert_eq!(n, 0, "{shape}: sweep {round} made {n} allocation(s) of {LARGE}+ bytes");
         }
     }
+}
+
+#[test]
+fn mode_updates_allocate_nothing_on_one_thread() {
+    use adatm_linalg::update::{ncp_into, normalize_gram, solve_into, ColNorm};
+    let _serial = serial();
+    // Both passes of the ALS update and the NCP update, over 5000 rows
+    // (past the 4096-row parallel threshold, which one thread ignores)
+    // at ranks with whole and partial register blocks and tiles.
+    let pool = rayon::ThreadPoolBuilder::new().num_threads(1).build().unwrap();
+    pool.install(|| {
+        for rank in [5, 16, 17] {
+            let rows = 5000;
+            let mut m = Mat::zeros(rows, rank);
+            for (i, v) in m.as_mut_slice().iter_mut().enumerate() {
+                // Every third row empty, as in a mode with empty slices.
+                if (i / rank) % 3 != 0 {
+                    *v = ((i * 31) % 23) as f64 * 0.1 - 1.0;
+                }
+            }
+            let p = Mat::random(rank, rank, 1);
+            let h = Mat::random(2 * rank, rank, 2).gram();
+            let mut u = Mat::zeros(rows, rank);
+            let mut lambda = vec![0.0; rank];
+            let mut gram = Mat::zeros(rank, rank);
+            let mut row = vec![0.0; rank];
+            for norm in [ColNorm::Two, ColNorm::Max] {
+                let n = allocs_during(|| {
+                    solve_into(&m, &p, norm, &mut u, &mut lambda);
+                    normalize_gram(&mut u, &lambda, &mut gram);
+                });
+                assert_eq!(n, 0, "ALS, rank {rank}, {norm:?}: {n} allocation(s)");
+            }
+            u.as_mut_slice().iter_mut().for_each(|x| *x = x.abs());
+            let n = allocs_during(|| {
+                ncp_into(&mut u, &m, &h, 1e-12, &mut gram, &mut row);
+            });
+            assert_eq!(n, 0, "NCP, rank {rank}: {n} allocation(s)");
+        }
+    });
 }
 
 /// A sequential COO backend that marks each iteration: at `begin_mode`

@@ -463,7 +463,7 @@ impl UpdateRule {
     ) -> Result<bool, BreakdownKind> {
         match self {
             UpdateRule::Als => als_solve(m, h, out, iter, mode, diag).map(|()| true),
-            UpdateRule::Ncp => Ok(update::ncp_into(out.u, m, h, ncp::MU_EPS, out.gram)),
+            UpdateRule::Ncp => Ok(update::ncp_into(out.u, m, h, ncp::MU_EPS, out.gram, out.row)),
         }
     }
 
@@ -515,11 +515,12 @@ impl UpdateRule {
 }
 
 /// What one mode update writes, in place: the factor, its cached Gram,
-/// and `lambda`.
+/// and `lambda`; and an `R`-length work row (NCP's `U H` row).
 struct ModeOut<'a> {
     u: &'a mut Mat,
     gram: &'a mut Mat,
     lambda: &'a mut [f64],
+    row: &'a mut [f64],
 }
 
 /// ALS solve, pass A of the fused update: `U = M pinv(H)` into `out.u`
@@ -920,9 +921,9 @@ struct Run<'a, B: MttkrpBackend + ?Sized> {
     /// reshaped within that capacity for each mode.
     m_buf: Mat,
     // Reusable work buffers: the R x R Hadamard-of-Grams system and fit
-    // Gram, and the fit's R column dots. Allocated once; with the factors
-    // updated in place, a steady-state iteration allocates nothing of
-    // factor size.
+    // Gram, and an R-length row: the fit's column dots, and NCP's `U H`
+    // row during a mode update. Allocated once; with the factors updated
+    // in place, a steady-state iteration allocates nothing of factor size.
     h_buf: Mat,
     g_buf: Mat,
     dots: Vec<f64>,
@@ -1250,6 +1251,7 @@ impl<'a, B: MttkrpBackend + ?Sized> Run<'a, B> {
             u: &mut self.factors[mode],
             gram: &mut self.grams[mode],
             lambda: &mut self.lambda,
+            row: &mut self.dots,
         };
         let solved = match self.rule.solve(m, &self.h_buf, &mut out, iter, mode, &mut self.diag) {
             Ok(finite) => finite,

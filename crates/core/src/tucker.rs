@@ -286,6 +286,11 @@ fn core_of(u0: &Mat, z0: &Mat) -> Mat {
 /// `V, S²` from `eig(z^T z)` and `U = z V S^{-1}`. Directions past `k`
 /// or with a vanishing singular value are filled at random and
 /// orthonormalized with the rest.
+///
+/// `U = z V S^{-1}` is one pass over the rows of `z`: each output row
+/// sums `z[c] * v[c]` over the selected eigenvector rows in `c` order
+/// from `0.0` (zero entries of `z` add nothing and are skipped), then
+/// takes `* (1 / sigma)` per column.
 fn leading_left_singular(z: &Mat, r: usize, seed: u64) -> Result<Mat, LinalgError> {
     let g = z.gram();
     let e = try_jacobi_eigh(&g)?;
@@ -293,30 +298,39 @@ fn leading_left_singular(z: &Mat, r: usize, seed: u64) -> Result<Mat, LinalgErro
     order.sort_by(|&a, &b| e.values[b].total_cmp(&e.values[a]));
     let lam = |j: usize| e.values[j].max(0.0);
     let scale = order.first().map_or(0.0, |&j| lam(j));
-    let mut u = Mat::zeros(z.nrows(), r);
-    for col in 0..r {
+    // The selected eigenvectors as the rows of a `k x r` matrix, and the
+    // inverse singular values; deficient columns stay zero.
+    let mut v = Mat::zeros(z.ncols(), r);
+    let mut inv = vec![0.0; r];
+    let mut deficient = Vec::new();
+    for (col, s) in inv.iter_mut().enumerate() {
         match order.get(col).filter(|&&j| lam(j) > 1e-14 * scale.max(1e-300) && lam(j) > 0.0) {
             Some(&j) => {
-                let inv = 1.0 / lam(j).sqrt();
-                // u(:, col) = z * v_j / sigma_j
-                for row in 0..z.nrows() {
-                    let mut acc = 0.0;
-                    let zrow = z.row(row);
-                    for (c, &zv) in zrow.iter().enumerate() {
-                        acc += zv * e.vectors.get(c, j);
-                    }
-                    u.set(row, col, acc * inv);
+                *s = 1.0 / lam(j).sqrt();
+                for c in 0..z.ncols() {
+                    v.set(c, col, e.vectors.get(c, j));
                 }
             }
-            None => {
-                // Deficient direction: fill with a random vector
-                // orthogonal enough for HOOI to proceed, then rely on the
-                // next sweep.
-                let fill = Mat::random(z.nrows(), 1, seed ^ 0xce11 ^ col as u64);
-                for row in 0..z.nrows() {
-                    u.set(row, col, fill.get(row, 0));
-                }
+            None => deficient.push(col),
+        }
+    }
+    let mut u = Mat::zeros(z.nrows(), r);
+    for (urow, zrow) in u.as_mut_slice().chunks_exact_mut(r).zip(z.rows()) {
+        for (&zv, vrow) in zrow.iter().zip(v.rows()) {
+            if zv != 0.0 {
+                axpy(urow, zv, vrow);
             }
+        }
+        for (x, &s) in urow.iter_mut().zip(&inv) {
+            *x *= s;
+        }
+    }
+    for col in deficient {
+        // Deficient direction: fill with a random vector orthogonal
+        // enough for HOOI to proceed, then rely on the next sweep.
+        let fill = Mat::random(z.nrows(), 1, seed ^ 0xce11 ^ col as u64);
+        for row in 0..z.nrows() {
+            u.set(row, col, fill.get(row, 0));
         }
     }
     // Re-orthonormalize (cheap; also fixes any random backfill).
@@ -483,6 +497,57 @@ mod tests {
         let f = &res.model.factors[0];
         assert!(f.gram().max_abs_diff(&Mat::eye(4)) < 1e-8);
         assert!(res.final_fit().is_finite());
+    }
+
+    /// `U = Z V S^{-1}` one entry at a time: a sum over `c` from `0.0` per
+    /// entry, then `* (1 / sigma)`; deficient directions filled as
+    /// `leading_left_singular` fills them.
+    fn left_singular_per_entry(z: &Mat, r: usize, seed: u64) -> Mat {
+        let e = try_jacobi_eigh(&z.gram()).unwrap();
+        let mut order: Vec<usize> = (0..z.ncols()).collect();
+        order.sort_by(|&a, &b| e.values[b].total_cmp(&e.values[a]));
+        let lam = |j: usize| e.values[j].max(0.0);
+        let scale = order.first().map_or(0.0, |&j| lam(j));
+        let mut u = Mat::zeros(z.nrows(), r);
+        for col in 0..r {
+            match order.get(col).filter(|&&j| lam(j) > 1e-14 * scale.max(1e-300) && lam(j) > 0.0) {
+                Some(&j) => {
+                    let inv = 1.0 / lam(j).sqrt();
+                    for row in 0..z.nrows() {
+                        let mut acc = 0.0;
+                        for (c, &zv) in z.row(row).iter().enumerate() {
+                            acc += zv * e.vectors.get(c, j);
+                        }
+                        u.set(row, col, acc * inv);
+                    }
+                }
+                None => {
+                    let fill = Mat::random(z.nrows(), 1, seed ^ 0xce11 ^ col as u64);
+                    for row in 0..z.nrows() {
+                        u.set(row, col, fill.get(row, 0));
+                    }
+                }
+            }
+        }
+        thin_qr(&u).q
+    }
+
+    #[test]
+    fn left_singular_vectors_match_the_per_entry_product_bitwise() {
+        // Unfoldings with zero rows (empty slices), negative zeros, and a
+        // rank past the column count, so directions are filled at random.
+        for (rows, k, r) in [(40, 6, 3), (300, 9, 9), (17, 2, 4), (5000, 16, 8)] {
+            let mut z = Mat::random(rows, k, rows as u64);
+            for i in (0..rows).step_by(3) {
+                z.row_mut(i).fill(0.0);
+            }
+            z.set(1, 0, -0.0);
+            z.set(2, k - 1, -1.5);
+            let got = leading_left_singular(&z, r, 9).unwrap();
+            let want = left_singular_per_entry(&z, r, 9);
+            let bits = |m: &Mat| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "{rows} x {k}, rank {r}");
+        }
     }
 
     /// Column of an unfolding for the other modes' ranks `r` (entry

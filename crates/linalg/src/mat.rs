@@ -156,46 +156,15 @@ impl Mat {
 
     /// Computes the Gram matrix `self^T * self` (`ncols x ncols`).
     ///
-    /// This is the `W^(n) = U^(n)^T U^(n)` step of CP-ALS. Parallelized by
-    /// reducing per-chunk partial Grams, which keeps the accumulation
-    /// deterministic enough for convergence checks (each chunk is summed in
-    /// a fixed order; the cross-chunk reduction order may vary but the
-    /// summands are identical).
+    /// This is the `W^(n) = U^(n)^T U^(n)` step of CP-ALS, through the one
+    /// Gram accumulator the fused mode updates use (see
+    /// [`crate::update`]): register tiles over the upper triangle, zero
+    /// rows skipped, and a fixed reduction shape, so every entry is the
+    /// same row-order sum at a given thread count.
     pub fn gram(&self) -> Mat {
-        let r = self.ncols;
-        let accumulate = |acc: &mut [f64], rows: &[f64]| {
-            for row in rows.chunks_exact(r) {
-                for (i, &a) in row.iter().enumerate() {
-                    let out = &mut acc[i * r..(i + 1) * r];
-                    crate::kernels::axpy(out, a, row);
-                }
-            }
-        };
-        let data = if self.nrows >= PAR_ROW_THRESHOLD {
-            self.data
-                .par_chunks(PAR_ROW_THRESHOLD * r)
-                .fold(
-                    || vec![0.0; r * r],
-                    |mut acc, rows| {
-                        accumulate(&mut acc, rows);
-                        acc
-                    },
-                )
-                .reduce(
-                    || vec![0.0; r * r],
-                    |mut a, b| {
-                        for (x, y) in a.iter_mut().zip(b) {
-                            *x += y;
-                        }
-                        a
-                    },
-                )
-        } else {
-            let mut acc = vec![0.0; r * r];
-            accumulate(&mut acc, &self.data);
-            acc
-        };
-        Mat::from_vec(r, r, data)
+        let mut g = Mat::zeros(self.ncols, self.ncols);
+        crate::update::gram_into(&self.data, self.ncols, &mut g.data);
+        g
     }
 
     /// Computes `self * other`.

@@ -318,7 +318,7 @@ fn fused_ncp_update_matches_chained_kernels_bitwise() {
                 let want_gram = want.gram();
                 let mut u = u0.clone();
                 let mut gram = Mat::random(r, r, 6);
-                let finite = ncp_into(&mut u, &m, &h, eps, &mut gram);
+                let finite = ncp_into(&mut u, &m, &h, eps, &mut gram, &mut vec![0.0; r]);
                 let at = format!("{threads} threads, rank {r}, {rows} rows");
                 assert!(finite, "{at}");
                 assert_eq!(bits(u.as_slice()), bits(want.as_slice()), "factor, {at}");
@@ -359,8 +359,171 @@ fn fused_updates_report_non_finite_entries() {
                 u.as_mut_slice().iter_mut().for_each(|x| *x = x.abs());
                 let want = ncp_update_ref(&u, &m, &h, 1e-12);
                 let mut gram = Mat::zeros(r, r);
-                let finite = ncp_into(&mut u, &m, &h, 1e-12, &mut gram);
+                let finite = ncp_into(&mut u, &m, &h, 1e-12, &mut gram, &mut vec![0.0; r]);
                 assert_eq!(finite, want.is_finite(), "ncp, {threads} threads, {rows} rows, {v}");
+            }
+        }
+    });
+}
+
+/// The ranks of the zero-row parity tests: pure edge tiles (1, 3), one
+/// tile plus an edge (5, 7), whole tiles and register blocks (16), and a
+/// 16-column block plus a tail (17, 33).
+const ZERO_ROW_RANKS: [usize; 7] = [1, 3, 5, 7, 16, 17, 33];
+
+/// Row counts for them: inside one 64-row tile block, just past it, and
+/// across the 4096-row chunks of the parallel reduction.
+const ZERO_ROW_ROWS: [usize; 6] = [1, 7, 64, 65, 4097, 9000];
+
+/// `det_mat` with long runs of all-zero rows: rows `50..100` of every
+/// 150, the rows around the 4096-row chunk boundary, and all of a
+/// one-row matrix's only row when `seed` is odd.
+fn zero_row_mat(rows: usize, cols: usize, seed: u64) -> Mat {
+    let mut a = det_mat(rows, cols, seed);
+    for i in 0..rows {
+        if (i % 150 >= 50 && i % 150 < 100)
+            || (4090..4100).contains(&i)
+            || rows == seed as usize % 2
+        {
+            a.row_mut(i).fill(0.0);
+        }
+    }
+    a
+}
+
+/// The Gram as the row-at-a-time kernel summed it: `acc[i][j] += row[i] *
+/// row[j]` for every row in order, over the whole square; above 4096 rows
+/// on two threads, 4096-row chunks folded per worker (one contiguous run
+/// of chunks each, as the thread runtime splits them) and the worker sums
+/// added to zeros in order.
+fn gram_reference(a: &Mat, threads: usize) -> Mat {
+    let r = a.ncols();
+    let row_order = |rows: &[f64]| {
+        let mut acc = vec![0.0; r * r];
+        for row in rows.chunks_exact(r) {
+            for i in 0..r {
+                for j in 0..r {
+                    acc[i * r + j] += row[i] * row[j];
+                }
+            }
+        }
+        acc
+    };
+    if a.nrows() < 4096 || threads == 1 {
+        return Mat::from_vec(r, r, row_order(a.as_slice()));
+    }
+    let chunks = a.nrows().div_ceil(4096);
+    let workers = threads.min(chunks);
+    let per = chunks.div_ceil(workers) * 4096 * r;
+    let mut total = vec![0.0; r * r];
+    for part in a.as_slice().chunks(per) {
+        for (t, p) in total.iter_mut().zip(row_order(part)) {
+            *t += p;
+        }
+    }
+    Mat::from_vec(r, r, total)
+}
+
+/// Bit equality that lets any NaN match any NaN.
+fn same_bits(a: &[f64], b: &[f64]) -> bool {
+    a.len() == b.len()
+        && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()))
+}
+
+/// `Mat::gram` — register tiles over the upper triangle, zero rows
+/// skipped, mirrored — equals the row-at-a-time sum bit for bit.
+#[test]
+fn gram_matches_the_row_order_reference_bitwise() {
+    at_1_and_2_threads(|threads| {
+        for r in ZERO_ROW_RANKS {
+            for rows in ZERO_ROW_ROWS {
+                for seed in [1, 2] {
+                    let a = zero_row_mat(rows, r, seed);
+                    let want = gram_reference(&a, threads);
+                    let got = a.gram();
+                    let at = format!("{threads} threads, rank {r}, {rows} rows, seed {seed}");
+                    assert_eq!(bits(got.as_slice()), bits(want.as_slice()), "{at}");
+                }
+            }
+        }
+    });
+}
+
+/// Puts the non-finite or huge entries of the parity cases into `m`.
+fn poison(m: &mut Mat, case: usize) {
+    let (rows, r) = (m.nrows(), m.ncols());
+    let entries = match case {
+        1 => [(0, 0, 1e300), (rows / 2, r - 1, -1e300)],
+        2 => [(rows - 1, r / 2, f64::NAN), (0, 0, 1.0)],
+        3 => [(rows / 3, 0, f64::INFINITY), (rows - 1, r - 1, f64::NEG_INFINITY)],
+        _ => return,
+    };
+    for (i, j, v) in entries {
+        m.set(i, j, v);
+    }
+}
+
+/// Both fused updates with all-zero rows in `M` and in `U`, and with
+/// `M` holding 1e300, NaN or infinities, against the row-at-a-time
+/// kernels and Gram. ALS leaves a zero row unscaled, so where its flag
+/// reports a non-finite factor only the rows with a nonzero entry must
+/// agree; a finite result agrees everywhere.
+#[test]
+fn fused_updates_skip_zero_rows_without_changing_a_bit() {
+    use adatm_linalg::update::{ncp_into, normalize_gram, solve_into, ColNorm};
+    let eps = 1e-12;
+    at_1_and_2_threads(|threads| {
+        for r in ZERO_ROW_RANKS {
+            let p = det_mat(r, r, 11 + r as u64);
+            let h = det_mat(2 * r, r, 3).gram();
+            for rows in ZERO_ROW_ROWS {
+                // The poisoned cases need one chunk boundary, not two.
+                let cases = if rows > 2 * 4096 { 0..1 } else { 0..4 };
+                for case in cases {
+                    let mut m = zero_row_mat(rows, r, rows as u64);
+                    poison(&mut m, case);
+                    let at = format!("{threads} threads, rank {r}, {rows} rows, case {case}");
+                    for norm in [ColNorm::Two, ColNorm::Max] {
+                        let unscaled = m.matmul(&p);
+                        let mut want = unscaled.clone();
+                        let want_lambda = match norm {
+                            ColNorm::Two => want.normalize_cols(),
+                            ColNorm::Max => want.normalize_cols_max(),
+                        };
+                        let mut u = Mat::random(rows, r, 5);
+                        let mut lambda = vec![7.0; r];
+                        let mut gram = Mat::random(r, r, 6);
+                        solve_into(&m, &p, norm, &mut u, &mut lambda);
+                        let finite = normalize_gram(&mut u, &lambda, &mut gram);
+                        assert_eq!(finite, want.is_finite(), "als flag, {at}, {norm:?}");
+                        assert!(same_bits(&lambda, &want_lambda), "lambda, {at}, {norm:?}");
+                        for i in 0..rows {
+                            if finite || unscaled.row(i).iter().any(|&x| x != 0.0) {
+                                assert!(
+                                    same_bits(u.row(i), want.row(i)),
+                                    "row {i}, {at}, {norm:?}"
+                                );
+                            }
+                        }
+                        if finite {
+                            let want_gram = gram_reference(&want, threads);
+                            assert_eq!(bits(gram.as_slice()), bits(want_gram.as_slice()), "{at}");
+                        }
+                    }
+                    let mut u0 = zero_row_mat(rows, r, 17 + rows as u64);
+                    u0.as_mut_slice().iter_mut().for_each(|x| *x = x.abs());
+                    for i in (0..rows).step_by(5) {
+                        u0.row_mut(i).fill(0.0);
+                    }
+                    let want = ncp_update_ref(&u0, &m, &h, eps);
+                    let want_gram = gram_reference(&want, threads);
+                    let mut u = u0.clone();
+                    let mut gram = Mat::random(r, r, 6);
+                    let finite = ncp_into(&mut u, &m, &h, eps, &mut gram, &mut vec![9.0; r]);
+                    assert_eq!(finite, want.is_finite(), "ncp flag, {at}");
+                    assert!(same_bits(u.as_slice(), want.as_slice()), "ncp factor, {at}");
+                    assert!(same_bits(gram.as_slice(), want_gram.as_slice()), "ncp gram, {at}");
+                }
             }
         }
     });

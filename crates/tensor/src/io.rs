@@ -7,6 +7,7 @@
 //! little-endian dump used by the harness to cache generated datasets.
 
 use crate::coo::{Idx, SparseTensor};
+use crate::text;
 use std::fs::File;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::path::Path;
@@ -164,16 +165,20 @@ pub fn read_tns_file<P: AsRef<Path>>(path: P) -> Result<SparseTensor, IoError> {
     read_tns(File::open(path)?)
 }
 
-/// Writes a tensor in FROSTT `.tns` format (1-based indices).
-pub fn write_tns<W: Write>(t: &SparseTensor, writer: W) -> Result<(), IoError> {
-    let mut w = BufWriter::new(writer);
+/// Writes a tensor in FROSTT `.tns` format (1-based indices), each
+/// number as `{}` prints it, through one [`text::CHUNK`]-sized buffer.
+pub fn write_tns<W: Write>(t: &SparseTensor, mut w: W) -> Result<(), IoError> {
+    let mut buf = Vec::with_capacity(2 * text::CHUNK);
     for k in 0..t.nnz() {
         for d in 0..t.ndim() {
-            write!(w, "{} ", t.mode_idx(d)[k] as u64 + 1)?;
+            text::push_u64(&mut buf, t.mode_idx(d)[k] as u64 + 1);
+            buf.push(b' ');
         }
-        writeln!(w, "{}", t.vals()[k])?;
+        text::push_f64(&mut buf, t.vals()[k]);
+        buf.push(b'\n');
+        text::spill(&mut w, &mut buf)?;
     }
-    w.flush()?;
+    text::finish(&mut w, &mut buf)?;
     Ok(())
 }
 

@@ -25,6 +25,8 @@
 //! * [`gen`] — synthetic tensor generators (uniform, Zipf-skewed,
 //!   low-rank-plus-noise) and shape-faithful proxies for the real datasets
 //!   used in the paper's line of work;
+//! * [`text`] — decimal text for model files and `.tns` output, byte for
+//!   byte what `{}` prints, through one reused buffer;
 //! * [`stats`] — dataset characteristics and projection-collapse
 //!   statistics used by the planner's experiments;
 //! * [`error`] — typed errors for the fallible construction entry
@@ -49,6 +51,7 @@ pub mod mttkrp;
 pub mod schedule;
 pub mod sorted;
 pub mod stats;
+pub mod text;
 
 pub use coo::SparseTensor;
 pub use csf::CsfTensor;

@@ -16,6 +16,7 @@ use adatm::tensor::io::{
     read_binary_file, read_tns_file, write_binary_file, write_tns_file, IoError,
 };
 use adatm::tensor::stats::TensorStats;
+use adatm::tensor::text;
 use adatm::{
     check_rank_and_order, cp_opt, hooi, AdaptiveBackend, AdmissionError, CheckpointConfig,
     CheckpointStore, CooBackend, CpAls, CpAlsError, CpAlsOptions, CpOptOptions, CsfBackend,
@@ -220,13 +221,16 @@ fn print_usage() -> Result<(), CliError> {
          [--trace FILE]\n  \
          adatm decompose <tensor> [--rank R] [--iters N] [--tol T] [--seed S]\n      \
          [--backend adaptive|coo|csf|tree2|tree3|bdt] [--shape '(0 (1 2))']\n      \
-         [--algo als|ncp|cpopt|tucker] [--ranks AxBxC (tucker)]\n      \
+         [--algo als|ncp|cpopt|tucker] [--ranks AxBxC (tucker only)]\n      \
          [--out DIR] [--trace FILE] [--drift-factor F]\n      \
          [--checkpoint-dir DIR] [--checkpoint-every N] [--resume] [--mem-budget MIB]\n      \
          [--pp-tol T] [--pp-every K]\n\n\
          Tensor files: FROSTT text (.tns) or adatm binary (.adtm), chosen by extension.\n\n\
          --trace FILE writes a structured NDJSON event log (planner decisions,\n\
          per-stage timings, recoveries); validate it with `cargo xtask trace-check`.\n\n\
+         --algo tucker (HOOI) runs on its own unfoldings: --backend, --shape,\n\
+         --mem-budget and --out are a usage error with it, as --ranks is with\n\
+         any other algorithm.\n\n\
          CP SWEEP (--algo als|ncp): ALS and nonnegative CP run the same loop, so both\n\
          take the flags below; with --algo cpopt|tucker they are a usage error.\n  \
          --drift-factor F        warn when measured kernel time per iteration exceeds\n                          \
@@ -523,37 +527,57 @@ fn make_backend(
     })
 }
 
-/// Writes `rows` as space-separated text lines through one buffered
-/// writer; any I/O failure, the final flush included, is [`EXIT_IO`].
-fn write_rows<'a>(path: &str, rows: impl Iterator<Item = &'a [f64]>) -> Result<(), CliError> {
-    use std::io::Write;
-    let mut w = std::io::BufWriter::new(std::fs::File::create(path).map_err(fs_err)?);
+/// Writes `rows` as space-separated text lines, each value as `{}` prints
+/// it, through `buf` (one buffer for every file of a model); any I/O
+/// failure, the final flush included, is [`EXIT_IO`].
+fn write_rows<'a>(
+    path: &str,
+    rows: impl Iterator<Item = &'a [f64]>,
+    buf: &mut Vec<u8>,
+) -> Result<(), CliError> {
+    let mut w = std::fs::File::create(path).map_err(fs_err)?;
     for row in rows {
-        for (j, x) in row.iter().enumerate() {
+        for (j, &x) in row.iter().enumerate() {
             if j > 0 {
-                w.write_all(b" ").map_err(fs_err)?;
+                buf.push(b' ');
             }
-            write!(w, "{x}").map_err(fs_err)?;
+            text::push_f64(buf, x);
         }
-        w.write_all(b"\n").map_err(fs_err)?;
+        buf.push(b'\n');
+        text::spill(&mut w, buf).map_err(fs_err)?;
     }
-    w.flush().map_err(fs_err)
+    text::finish(&mut w, buf).map_err(fs_err)
 }
 
 fn write_factors(dir: &str, model: &adatm::CpModel) -> Result<(), CliError> {
     std::fs::create_dir_all(dir).map_err(fs_err)?;
-    write_rows(&format!("{dir}/lambda.txt"), model.lambda.chunks(1))?;
+    let mut buf = Vec::with_capacity(2 * text::CHUNK);
+    write_rows(&format!("{dir}/lambda.txt"), model.lambda.chunks(1), &mut buf)?;
     for (d, f) in model.factors.iter().enumerate() {
-        write_rows(&format!("{dir}/factor_{d}.txt"), (0..f.nrows()).map(|i| f.row(i)))?;
+        write_rows(&format!("{dir}/factor_{d}.txt"), (0..f.nrows()).map(|i| f.row(i)), &mut buf)?;
     }
     say!("wrote lambda + {} factors under {dir}/", model.factors.len());
     Ok(())
 }
 
-/// Flags that configure the CP sweep loop, which only `--algo als|ncp`
-/// run; any other algorithm rejects them instead of ignoring them.
-const SWEEP_FLAGS: [&str; 6] =
-    ["checkpoint-dir", "checkpoint-every", "resume", "pp-tol", "pp-every", "drift-factor"];
+/// `decompose` flags that only some `--algo` values read, with those
+/// algorithms; any other algorithm rejects them instead of ignoring them.
+/// The sweep-loop flags configure the CP sweep loop, which only `als` and
+/// `ncp` run; HOOI takes its own `--ranks`, builds no MTTKRP backend and
+/// writes no factor files.
+const ALGO_FLAGS: [(&str, &str); 11] = [
+    ("checkpoint-dir", "als|ncp"),
+    ("checkpoint-every", "als|ncp"),
+    ("resume", "als|ncp"),
+    ("pp-tol", "als|ncp"),
+    ("pp-every", "als|ncp"),
+    ("drift-factor", "als|ncp"),
+    ("ranks", "tucker"),
+    ("backend", "als|ncp|cpopt"),
+    ("shape", "als|ncp|cpopt"),
+    ("mem-budget", "als|ncp|cpopt"),
+    ("out", "als|ncp|cpopt"),
+];
 
 /// Adds the sweep-loop flags — drift threshold, pairwise perturbation,
 /// checkpointing — to `o`.
@@ -587,10 +611,13 @@ fn cmd_decompose(pos: &[String], opts: &Opts) -> Result<(), CliError> {
     if !matches!(algo, "als" | "ncp" | "cpopt" | "tucker") {
         return Err(format!("unknown algorithm '{algo}'").into());
     }
-    if !matches!(algo, "als" | "ncp") {
-        if let Some(flag) = SWEEP_FLAGS.iter().find(|f| opts.contains_key(**f)) {
-            return Err(format!("--{flag} applies to --algo als|ncp only, not {algo}").into());
-        }
+    let ignored: Vec<String> = ALGO_FLAGS
+        .iter()
+        .filter(|(flag, algos)| opts.contains_key(*flag) && !algos.split('|').any(|a| a == algo))
+        .map(|(flag, algos)| format!("--{flag} applies to --algo {algos} only"))
+        .collect();
+    if !ignored.is_empty() {
+        return Err(format!("{}, not {algo}", ignored.join("; ")).into());
     }
     install_trace(opts)?;
     let path = pos.first().ok_or("decompose requires a tensor file")?;

@@ -409,7 +409,7 @@ fn bad_input_probes_exit_with_typed_codes_and_never_panic() {
     std::fs::write(dir.join("s.tns"), "1 1 1 1.0\n5 4 3 2.0\n2 3 1 1.5\n4 2 2 3.0\n").unwrap();
     std::fs::write(dir.join("b.tns"), "1 1 1 1e308\n2 2 2 1e308\n").unwrap();
     std::fs::write(dir.join("o.tns"), "1 1.0\n3 2.0\n").unwrap();
-    let probes: [(&[&str], &[i32]); 16] = [
+    let probes: [(&[&str], &[i32]); 18] = [
         (&["decompose", "s.tns", "--algo", "tucker", "--ranks", "9x9x9"], &[6]),
         (&["decompose", "s.tns", "--algo", "tucker", "--ranks", "0x2x2"], &[6]),
         (&["decompose", "o.tns", "--algo", "tucker", "--ranks", "1"], &[6]),
@@ -426,6 +426,24 @@ fn bad_input_probes_exit_with_typed_codes_and_never_panic() {
         (&["generate", "--dims", "0x3", "--nnz", "5", "-o", "z.tns"], &[2]),
         (&["generate", "--dims", "3x3", "--nnz", "5", "--skew", "-1", "-o", "z.tns"], &[2]),
         (&["decompose", "s.tns", "--rnak", "2"], &[2]),
+        (&["decompose", "s.tns", "--rank", "2", "--ranks", "9x9x9", "--backend", "coo"], &[2]),
+        (
+            &[
+                "decompose",
+                "s.tns",
+                "--algo",
+                "tucker",
+                "--backend",
+                "nosuch",
+                "--shape",
+                "(0 1)",
+                "--mem-budget",
+                "1",
+                "--out",
+                "tk",
+            ],
+            &[2],
+        ),
     ];
     for (args, codes) in probes {
         let out = adatm().current_dir(&dir).args(args).output().unwrap();
@@ -435,6 +453,38 @@ fn bad_input_probes_exit_with_typed_codes_and_never_panic() {
         assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
     }
     assert!(!dir.join("z.tns").exists(), "a rejected generate must not write");
+    assert!(!dir.join("tk").exists(), "a rejected decompose must not write");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn flags_the_chosen_algorithm_ignores_are_a_usage_error_naming_them() {
+    let dir = tmpdir("algoflags");
+    std::fs::write(dir.join("s.tns"), "1 1 1 1.0\n5 4 3 2.0\n2 3 1 1.5\n4 2 2 3.0\n").unwrap();
+    let cases: [(&[&str], &[&str]); 4] = [
+        (&["--ranks", "9x9x9", "--backend", "coo"], &["--ranks"]),
+        (&["--algo", "ncp", "--ranks", "2x2x2"], &["--ranks"]),
+        (&["--algo", "cpopt", "--ranks", "2x2x2", "--backend", "coo"], &["--ranks"]),
+        (
+            &["--algo", "tucker", "--backend", "coo", "--shape", "(0 1)", "--mem-budget", "1"],
+            &["--backend", "--shape", "--mem-budget"],
+        ),
+    ];
+    for (args, flags) in cases {
+        let out = adatm()
+            .current_dir(&dir)
+            .args(["decompose", "s.tns", "--rank", "2", "--iters", "1", "--out", "m"])
+            .args(args)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let tucker = args.contains(&"tucker");
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        for flag in flags.iter().chain(tucker.then_some(&"--out")) {
+            assert!(stderr.contains(flag), "{args:?}: names {flag}: {stderr}");
+        }
+        assert!(!dir.join("m").exists(), "{args:?}: a rejected run must not write");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
