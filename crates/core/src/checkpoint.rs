@@ -48,13 +48,31 @@
 //! [`CheckpointWarning`]. All file I/O goes through the
 //! [`CheckpointMedium`] seam so the `fault-inject` harness can inject
 //! torn writes, bit flips, `ENOSPC`, and rename failures.
+//!
+//! # Writer thread
+//!
+//! The solver only stages a generation: [`CheckpointStore::start_write`]
+//! copies the state into the store's one reused buffer (a bulk
+//! little-endian copy per factor) and hands the buffer and the medium to
+//! a writer thread, which checksums, writes, fsyncs, renames, syncs the
+//! directory and prunes. At most one write is in flight: the next
+//! [`CheckpointStore::start_write`] and [`CheckpointStore::join`] wait
+//! for it, and the driver joins at the next due boundary and at the end
+//! of the run (after the final watchdog write too). So a generation is
+//! durable by the next due boundary or by the end of the run, and a
+//! failed write surfaces at that join, tagged with its own iteration.
+//! The driver's `PhaseTimings::checkpoint` counts its own thread's time:
+//! staging plus joins. [`CheckpointStore::write`] is the same protocol
+//! run to completion at once.
 
 use crate::cpals::UpdateRule;
 use adatm_linalg::Mat;
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::time::Instant;
+use std::sync::mpsc;
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 /// File magic for checkpoint files.
 pub const CHECKPOINT_MAGIC: &[u8; 8] = b"ADTMCKPT";
@@ -72,16 +90,19 @@ const HEADER_LEN: usize = 24;
 const HISTORY_SLACK: usize = 4096;
 
 // ---------------------------------------------------------------------
-// CRC32 (IEEE 802.3, reflected). Slicing-by-8 over eight derived tables,
-// no dependencies; lookups use `get` + mask so the hot encode path has no
-// panicking indexing.
+// CRC32 (IEEE 802.3, reflected). Slicing-by-16 over sixteen derived
+// tables, no dependencies. Every lookup index is a byte, so it is always
+// below 256.
 // ---------------------------------------------------------------------
+
+/// Bytes one slicing step folds.
+const SLICE: usize = 16;
 
 /// `CRC_TABLES[0]` is the bytewise table; `CRC_TABLES[s][i]` advances
 /// entry `i` of table `s - 1` by one more zero byte, so one lookup in
-/// each table folds eight input bytes at once.
-const fn build_crc_tables() -> [[u32; 256]; 8] {
-    let mut tables = [[0u32; 256]; 8];
+/// each table folds sixteen input bytes at once.
+const fn build_crc_tables() -> [[u32; 256]; SLICE] {
+    let mut tables = [[0u32; 256]; SLICE];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -96,7 +117,7 @@ const fn build_crc_tables() -> [[u32; 256]; 8] {
     let mut i = 0;
     while i < 256 {
         let mut s = 1;
-        while s < 8 {
+        while s < SLICE {
             let prev = tables[s - 1][i];
             tables[s][i] = (prev >> 8) ^ tables[0][(prev & 0xff) as usize];
             s += 1;
@@ -106,36 +127,38 @@ const fn build_crc_tables() -> [[u32; 256]; 8] {
     tables
 }
 
-const CRC_TABLES: [[u32; 256]; 8] = build_crc_tables();
-
-/// Entry `byte & 0xff` of slicing table `table`. The mask keeps the index
-/// below 256; `get` + fallback avoids a panicking index in the hot write
-/// path.
-#[inline]
-fn crc_lookup(table: usize, byte: u32) -> u32 {
-    let row = CRC_TABLES.get(table);
-    row.and_then(|t| t.get((byte & 0xff) as usize)).copied().unwrap_or(0)
-}
+const CRC_TABLES: [[u32; 256]; SLICE] = build_crc_tables();
 
 /// CRC32 (IEEE) of `bytes`.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = 0xffff_ffffu32;
-    let mut words = bytes.chunks_exact(8);
-    for word in &mut words {
-        let v = u64::from_le_bytes(word.try_into().unwrap_or([0; 8]));
-        let lo = v as u32 ^ c;
-        let hi = (v >> 32) as u32;
-        c = crc_lookup(7, lo)
-            ^ crc_lookup(6, lo >> 8)
-            ^ crc_lookup(5, lo >> 16)
-            ^ crc_lookup(4, lo >> 24)
-            ^ crc_lookup(3, hi)
-            ^ crc_lookup(2, hi >> 8)
-            ^ crc_lookup(1, hi >> 16)
-            ^ crc_lookup(0, hi >> 24);
+    let mut blocks = bytes.chunks_exact(SLICE);
+    for block in &mut blocks {
+        let mut b = [0u8; SLICE];
+        b.copy_from_slice(block);
+        // The running CRC folds into the first four bytes; byte `k` of
+        // the block is then advanced by the `15 - k` bytes after it.
+        let head = (c ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]])).to_le_bytes();
+        c = t[15][head[0] as usize]
+            ^ t[14][head[1] as usize]
+            ^ t[13][head[2] as usize]
+            ^ t[12][head[3] as usize]
+            ^ t[11][b[4] as usize]
+            ^ t[10][b[5] as usize]
+            ^ t[9][b[6] as usize]
+            ^ t[8][b[7] as usize]
+            ^ t[7][b[8] as usize]
+            ^ t[6][b[9] as usize]
+            ^ t[5][b[10] as usize]
+            ^ t[4][b[11] as usize]
+            ^ t[3][b[12] as usize]
+            ^ t[2][b[13] as usize]
+            ^ t[1][b[14] as usize]
+            ^ t[0][b[15] as usize];
     }
-    for &b in words.remainder() {
-        c = crc_lookup(0, c ^ b as u32) ^ (c >> 8);
+    for &b in blocks.remainder() {
+        c = t[0][(c as u8 ^ b) as usize] ^ (c >> 8);
     }
     !c
 }
@@ -382,17 +405,36 @@ pub struct CheckpointView<'a> {
 // Codec
 // ---------------------------------------------------------------------
 
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
+/// Writes fields front to back into a buffer sized for them up front.
+struct Put<'a> {
+    rest: &'a mut [u8],
 }
 
-fn put_f64(buf: &mut Vec<u8>, v: f64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
+impl Put<'_> {
+    /// The next `n` bytes.
+    fn take(&mut self, n: usize) -> &mut [u8] {
+        let (head, tail) = std::mem::take(&mut self.rest).split_at_mut(n);
+        self.rest = tail;
+        head
+    }
 
-fn put_f64s(buf: &mut Vec<u8>, vs: &[f64]) {
-    for &v in vs {
-        buf.extend_from_slice(&v.to_le_bytes());
+    fn u8(&mut self, v: u8) {
+        self.take(1).copy_from_slice(&[v]);
+    }
+
+    fn u64(&mut self, v: u64) {
+        self.take(8).copy_from_slice(&v.to_le_bytes());
+    }
+
+    fn f64(&mut self, v: f64) {
+        self.u64(v.to_bits());
+    }
+
+    /// `vs` as little-endian bytes, in one pass over the slice.
+    fn f64s(&mut self, vs: &[f64]) {
+        for (out, v) in self.take(vs.len() * 8).chunks_exact_mut(8).zip(vs) {
+            out.copy_from_slice(&v.to_le_bytes());
+        }
     }
 }
 
@@ -408,56 +450,70 @@ fn payload_size(view: &CheckpointView<'_>) -> usize {
 }
 
 /// Serializes `view` into `buf` (header + checksummed payload),
-/// replacing its contents. The buffer is cleared, not shrunk, so a
-/// store reusing one buffer allocates nothing here once warm.
-#[adatm::hot]
+/// replacing its contents: [`stage_into`], then [`seal`].
 pub fn encode_into(view: &CheckpointView<'_>, buf: &mut Vec<u8>) {
+    stage_into(view, buf);
+    seal(buf);
+}
+
+/// Stages `view` into `buf`: the header's magic, version and length and
+/// the whole payload, everything but the checksum ([`seal`] adds it). The
+/// buffer is resized, never shrunk in capacity, so a store reusing one
+/// buffer allocates nothing here once warm.
+#[adatm::hot]
+pub fn stage_into(view: &CheckpointView<'_>, buf: &mut Vec<u8>) {
     debug_assert!(view.factors.iter().all(|m| m.ncols() == view.lambda.len()));
     let plen = payload_size(view);
-    buf.clear();
-    buf.reserve(HEADER_LEN + plen + HISTORY_SLACK);
-    buf.extend_from_slice(&[0u8; HEADER_LEN]);
-    buf.push(match view.rule {
+    if buf.capacity() < HEADER_LEN + plen {
+        buf.reserve(HEADER_LEN + plen + HISTORY_SLACK - buf.len());
+    }
+    // Only bytes past the previous length are zeroed; every byte is
+    // written below.
+    buf.resize(HEADER_LEN + plen, 0);
+    let (header, payload) = buf.split_at_mut(HEADER_LEN);
+    let mut h = Put { rest: header };
+    h.take(8).copy_from_slice(CHECKPOINT_MAGIC);
+    h.take(4).copy_from_slice(&CHECKPOINT_VERSION.to_le_bytes());
+    h.u64(plen as u64);
+    let mut p = Put { rest: payload };
+    p.u8(match view.rule {
         UpdateRule::Als => 0,
         UpdateRule::Ncp => 1,
     });
-    put_u64(buf, view.seed);
-    put_u64(buf, view.next_iter as u64);
-    put_u64(buf, view.lambda.len() as u64);
-    put_u64(buf, view.factors.len() as u64);
+    p.u64(view.seed);
+    p.u64(view.next_iter as u64);
+    p.u64(view.lambda.len() as u64);
+    p.u64(view.factors.len() as u64);
     for m in view.factors {
-        put_u64(buf, m.nrows() as u64);
-        put_f64s(buf, m.as_slice());
+        p.u64(m.nrows() as u64);
+        p.f64s(m.as_slice());
     }
-    put_f64s(buf, view.lambda);
-    put_u64(buf, view.fit_history.len() as u64);
-    put_f64s(buf, view.fit_history);
-    put_f64(buf, view.best_fit);
-    put_u64(buf, view.recoveries as u64);
-    put_u64(buf, view.rollbacks_left as u64);
-    buf.push(view.stall_recorded as u8);
-    put_u64(buf, view.elapsed_ns);
+    p.f64s(view.lambda);
+    p.u64(view.fit_history.len() as u64);
+    p.f64s(view.fit_history);
+    p.f64(view.best_fit);
+    p.u64(view.recoveries as u64);
+    p.u64(view.rollbacks_left as u64);
+    p.u8(view.stall_recorded as u8);
+    p.u64(view.elapsed_ns);
     match view.last_good {
-        None => buf.push(0),
+        None => p.u8(0),
         Some((l, fs)) => {
-            buf.push(1);
-            put_f64s(buf, l);
+            p.u8(1);
+            p.f64s(l);
             for m in fs {
-                put_f64s(buf, m.as_slice());
+                p.f64s(m.as_slice());
             }
         }
     }
-    debug_assert_eq!(buf.len(), HEADER_LEN + plen);
+    debug_assert!(p.rest.is_empty() && h.rest.len() == 4);
+}
+
+/// Completes a buffer [`stage_into`] filled: the CRC32 of its payload
+/// goes into the header's last four bytes.
+pub fn seal(buf: &mut [u8]) {
     let crc = crc32(buf.split_at(HEADER_LEN).1);
-    let plen64 = (buf.len() - HEADER_LEN) as u64;
-    let header = buf.split_at_mut(HEADER_LEN).0;
-    let (magic, rest) = header.split_at_mut(8);
-    magic.copy_from_slice(CHECKPOINT_MAGIC);
-    let (version, rest) = rest.split_at_mut(4);
-    version.copy_from_slice(&CHECKPOINT_VERSION.to_le_bytes());
-    let (len, crc_bytes) = rest.split_at_mut(8);
-    len.copy_from_slice(&plen64.to_le_bytes());
-    crc_bytes.copy_from_slice(&crc.to_le_bytes());
+    buf[HEADER_LEN - 4..HEADER_LEN].copy_from_slice(&crc.to_le_bytes());
 }
 
 /// Bounds-checked cursor over the (CRC-verified) payload.
@@ -779,14 +835,148 @@ pub struct ResumeOutcome {
 /// A rotated, atomically written store of checkpoint generations in one
 /// directory. Files are named `ckpt-<generation>.adtmc`; writes reuse
 /// one serialization buffer so the steady-state iteration-boundary path
-/// performs no per-checkpoint buffer allocation.
+/// performs no per-checkpoint buffer allocation. Writes finish on a
+/// writer thread, one at a time (see the module docs).
 #[derive(Debug)]
 pub struct CheckpointStore {
     dir: PathBuf,
     keep: usize,
     next_gen: u64,
+    /// The staging buffer; with the writer while a write is in flight.
+    buf: Vec<u8>,
+    /// The medium; with the writer while a write is in flight, and gone
+    /// only if the writer died holding it.
+    medium: Option<Box<dyn CheckpointMedium>>,
+    /// The writer thread, started by the first write.
+    writer: Option<Writer>,
+    /// The write handed out and not yet joined.
+    pending: Option<Ticket>,
+}
+
+/// How one checkpoint write ended, reported when it is joined.
+#[derive(Clone, Debug, PartialEq)]
+pub struct WriteReport {
+    /// The iteration counter the generation records
+    /// ([`CpCheckpoint::next_iter`]).
+    pub next_iter: usize,
+    /// The generation number it was written as.
+    pub generation: u64,
+    /// Encoded bytes.
+    pub bytes: usize,
+    /// Time spent staging plus the writer's time to make it durable.
+    pub elapsed: Duration,
+    /// `Ok` once durable; otherwise why it is not (earlier generations
+    /// are untouched).
+    pub result: Result<(), CheckpointError>,
+}
+
+/// A write handed to the writer: the staged bytes, the medium, and where
+/// the generation goes.
+struct Job {
     buf: Vec<u8>,
     medium: Box<dyn CheckpointMedium>,
+    tmp: PathBuf,
+    fin: PathBuf,
+    keep: usize,
+}
+
+/// A finished [`Job`]: the buffer and medium come back with the outcome.
+struct Landed {
+    buf: Vec<u8>,
+    medium: Box<dyn CheckpointMedium>,
+    result: Result<(), CheckpointError>,
+    elapsed: Duration,
+}
+
+impl Job {
+    /// Seals, persists (write + fsync) and renames the generation, then
+    /// prunes the store's `dir` to `keep` generations. A failure removes
+    /// the temp file (best-effort) and leaves earlier generations as they
+    /// were.
+    fn run(self, dir: &Path) -> Landed {
+        let t0 = Instant::now();
+        let Job { mut buf, mut medium, tmp, fin, keep } = self;
+        seal(&mut buf);
+        let result = medium
+            .persist(&tmp, &buf)
+            .map_err(|e| CheckpointError::io("persist", &tmp, &e))
+            .and_then(|()| {
+                medium.rename(&tmp, &fin).map_err(|e| CheckpointError::io("rename", &fin, &e))
+            });
+        match result {
+            Ok(()) => prune(dir, keep),
+            Err(_) => {
+                let _ = fs::remove_file(&tmp);
+            }
+        }
+        Landed { buf, medium, result, elapsed: t0.elapsed() }
+    }
+}
+
+/// The writer thread: jobs in, finished jobs out, in order.
+#[derive(Debug)]
+struct Writer {
+    jobs: mpsc::Sender<Job>,
+    done: mpsc::Receiver<Landed>,
+    handle: JoinHandle<()>,
+}
+
+impl Writer {
+    /// Starts the thread for the store over `dir`; `None` if the system
+    /// cannot start one.
+    fn spawn(dir: &Path) -> Option<Writer> {
+        let (jobs, inbox) = mpsc::channel::<Job>();
+        let (outbox, done) = mpsc::channel();
+        let dir = dir.to_path_buf();
+        let handle = std::thread::Builder::new()
+            .name("adatm-checkpoint".into())
+            .spawn(move || {
+                for job in inbox {
+                    if outbox.send(job.run(&dir)).is_err() {
+                        break;
+                    }
+                }
+            })
+            .ok()?;
+        Some(Writer { jobs, done, handle })
+    }
+}
+
+/// The write in flight: what its report will say, and its result when
+/// it already ran on the caller's thread (no writer could take it).
+#[derive(Debug)]
+struct Ticket {
+    next_iter: usize,
+    generation: u64,
+    bytes: usize,
+    staging: Duration,
+    landed: Option<(Result<(), CheckpointError>, Duration)>,
+}
+
+impl std::fmt::Debug for Job {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Job").field("tmp", &self.tmp).field("bytes", &self.buf.len()).finish()
+    }
+}
+
+impl std::fmt::Debug for Landed {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Landed").field("result", &self.result).finish()
+    }
+}
+
+/// Removes generations of `dir` beyond the retention count `keep`
+/// (best-effort: a prune failure never fails the write that triggered
+/// it).
+fn prune(dir: &Path, keep: usize) {
+    let Ok(gens) = scan_generations(dir) else { return };
+    let n = gens.len();
+    if n <= keep {
+        return;
+    }
+    for (_, path) in gens.iter().take(n - keep) {
+        let _ = fs::remove_file(path);
+    }
 }
 
 fn scan_generations(dir: &Path) -> Result<Vec<(u64, PathBuf)>, CheckpointError> {
@@ -821,7 +1011,15 @@ impl CheckpointStore {
     ) -> Result<Self, CheckpointError> {
         fs::create_dir_all(dir).map_err(|e| CheckpointError::io("create_dir", dir, &e))?;
         let next_gen = scan_generations(dir)?.last().map_or(0, |(g, _)| g + 1);
-        Ok(CheckpointStore { dir: dir.to_path_buf(), keep: 3, next_gen, buf: Vec::new(), medium })
+        Ok(CheckpointStore {
+            dir: dir.to_path_buf(),
+            keep: 3,
+            next_gen,
+            buf: Vec::new(),
+            medium: Some(medium),
+            writer: None,
+            pending: None,
+        })
     }
 
     /// Sets the retention count (minimum 1).
@@ -846,52 +1044,118 @@ impl CheckpointStore {
         (tmp, fin)
     }
 
-    /// Writes one generation: encode into the reused buffer, persist to
-    /// a temp file (write + fsync), rename into place, prune old
-    /// generations. Returns `(generation, encoded_bytes)`.
+    /// Writes one generation and waits until it is durable (or failed):
+    /// [`CheckpointStore::start_write`], then [`CheckpointStore::join`].
+    /// Returns `(generation, encoded_bytes)`. A write already in flight
+    /// is waited for first; its report is not returned here.
     ///
     /// A failed write leaves previous generations untouched (the temp
     /// file is removed best-effort) — the caller can treat the error as
     /// non-fatal and keep iterating.
-    #[adatm::hot]
     pub fn write(&mut self, view: &CheckpointView<'_>) -> Result<(u64, usize), CheckpointError> {
-        let t0 = Instant::now();
-        encode_into(view, &mut self.buf);
-        let generation = self.next_gen;
-        let (tmp, fin) = self.paths(generation);
-        if let Err(e) = self.medium.persist(&tmp, &self.buf) {
-            let err = CheckpointError::io("persist", &tmp, &e);
-            let _ = fs::remove_file(&tmp);
-            return Err(err);
+        self.start_write(view);
+        match self.join() {
+            Some(r) => r.result.map(|()| (r.generation, r.bytes)),
+            None => Err(CheckpointError::Malformed { what: "no write in flight" }),
         }
-        if let Err(e) = self.medium.rename(&tmp, &fin) {
-            let err = CheckpointError::io("rename", &fin, &e);
-            let _ = fs::remove_file(&tmp);
-            return Err(err);
-        }
-        self.next_gen += 1;
-        self.prune();
-        adatm_trace::event!(
-            "checkpoint.write",
-            iter: view.next_iter as u64,
-            gen: generation,
-            bytes: self.buf.len() as u64,
-            elapsed_ns: t0.elapsed().as_nanos() as u64
-        );
-        Ok((generation, self.buf.len()))
     }
 
-    /// Removes generations beyond the retention count (best-effort: a
-    /// prune failure never fails the write that triggered it).
-    fn prune(&mut self) {
-        let Ok(gens) = scan_generations(&self.dir) else { return };
-        let n = gens.len();
-        if n <= self.keep {
-            return;
+    /// Stages one generation into the reused buffer and hands it to the
+    /// writer thread, which seals, persists (write + fsync), renames,
+    /// syncs the directory and prunes. Waits first for the write in
+    /// flight, if any, and returns its report. Where no thread can be
+    /// started, the write runs to completion here instead.
+    #[adatm::hot]
+    pub fn start_write(&mut self, view: &CheckpointView<'_>) -> Option<WriteReport> {
+        let previous = self.join();
+        let t0 = Instant::now();
+        let generation = self.next_gen;
+        let (tmp, fin) = self.paths(generation);
+        let mut ticket = Ticket {
+            next_iter: view.next_iter,
+            generation,
+            bytes: 0,
+            staging: Duration::ZERO,
+            landed: None,
+        };
+        let Some(medium) = self.medium.take() else {
+            let lost = CheckpointError::Io {
+                op: "write",
+                path: tmp,
+                kind: std::io::ErrorKind::BrokenPipe,
+                msg: "the checkpoint writer thread died holding the medium".into(),
+            };
+            ticket.landed = Some((Err(lost), Duration::ZERO));
+            self.pending = Some(ticket);
+            return previous;
+        };
+        let mut buf = std::mem::take(&mut self.buf);
+        stage_into(view, &mut buf);
+        ticket.bytes = buf.len();
+        ticket.staging = t0.elapsed();
+        let job = Job { buf, medium, tmp, fin, keep: self.keep };
+        if self.writer.is_none() {
+            self.writer = Writer::spawn(&self.dir);
         }
-        for (_, path) in gens.iter().take(n - self.keep) {
-            let _ = fs::remove_file(path);
+        let unsent = match &self.writer {
+            Some(w) => w.jobs.send(job).err().map(|e| e.0),
+            None => Some(job),
+        };
+        if let Some(job) = unsent {
+            // No writer to take it: finish it on this thread.
+            let landed = job.run(&self.dir);
+            self.buf = landed.buf;
+            self.medium = Some(landed.medium);
+            ticket.landed = Some((landed.result, landed.elapsed));
         }
+        self.pending = Some(ticket);
+        previous
+    }
+
+    /// Waits for the write in flight, if any, and reports how it ended;
+    /// `None` when nothing was in flight.
+    pub fn join(&mut self) -> Option<WriteReport> {
+        let ticket = self.pending.take()?;
+        let (result, elapsed) = match ticket.landed {
+            Some(done) => done,
+            None => match self.writer.as_ref().map(|w| w.done.recv()) {
+                Some(Ok(landed)) => {
+                    self.buf = landed.buf;
+                    self.medium = Some(landed.medium);
+                    (landed.result, landed.elapsed)
+                }
+                _ => {
+                    // The writer died with the job (a panicking medium).
+                    self.writer = None;
+                    let (_, fin) = self.paths(ticket.generation);
+                    let lost = CheckpointError::Io {
+                        op: "write",
+                        path: fin,
+                        kind: std::io::ErrorKind::BrokenPipe,
+                        msg: "the checkpoint writer thread died".into(),
+                    };
+                    (Err(lost), Duration::ZERO)
+                }
+            },
+        };
+        if result.is_ok() {
+            self.next_gen = ticket.generation + 1;
+        }
+        let elapsed = ticket.staging + elapsed;
+        adatm_trace::event!(
+            "checkpoint.write",
+            iter: ticket.next_iter as u64,
+            gen: ticket.generation,
+            bytes: ticket.bytes as u64,
+            elapsed_ns: elapsed.as_nanos() as u64
+        );
+        Some(WriteReport {
+            next_iter: ticket.next_iter,
+            generation: ticket.generation,
+            bytes: ticket.bytes,
+            elapsed,
+            result,
+        })
     }
 
     /// Loads the newest decodable generation from `dir`, falling back
@@ -933,6 +1197,17 @@ impl CheckpointStore {
     #[cfg(test)]
     fn buf_capacity(&self) -> usize {
         self.buf.capacity()
+    }
+}
+
+impl Drop for CheckpointStore {
+    /// Waits for the write in flight, then stops the writer thread.
+    fn drop(&mut self) {
+        let _ = self.join();
+        if let Some(Writer { jobs, done, handle }) = self.writer.take() {
+            drop((jobs, done));
+            let _ = handle.join();
+        }
     }
 }
 
@@ -1169,6 +1444,71 @@ mod tests {
             store.write(&ck.as_view()).unwrap();
         }
         assert_eq!(store.buf_capacity(), cap, "serialization buffer must be reused");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A medium whose persists wait for a go-ahead on a channel (and fail
+    /// on request), so a test controls when a write in flight finishes.
+    #[derive(Debug)]
+    struct GatedMedium {
+        go: std::sync::Mutex<mpsc::Receiver<bool>>,
+    }
+
+    impl CheckpointMedium for GatedMedium {
+        fn persist(&mut self, path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+            let ok = self.go.lock().expect("test medium lock").recv().unwrap_or(false);
+            if !ok {
+                return Err(std::io::Error::new(std::io::ErrorKind::StorageFull, "gated"));
+            }
+            FsMedium.persist(path, bytes)
+        }
+
+        fn rename(&mut self, from: &Path, to: &Path) -> std::io::Result<()> {
+            FsMedium.rename(from, to)
+        }
+    }
+
+    #[test]
+    fn writes_finish_on_the_writer_and_report_at_the_join() {
+        let dir = tmp_dir("writer");
+        let (go, gate) = mpsc::channel();
+        let medium = Box::new(GatedMedium { go: std::sync::Mutex::new(gate) });
+        let mut store = CheckpointStore::with_medium(&dir, medium).unwrap();
+        let mut ck = sample_checkpoint(&[6, 5], 2, 9, 3);
+        assert_eq!(store.start_write(&ck.as_view()), None, "nothing was in flight");
+        // Staged but held at the gate: not durable yet.
+        assert!(scan_generations(&dir).unwrap().is_empty());
+        go.send(true).unwrap();
+        ck.next_iter = 4;
+        go.send(false).unwrap();
+        // The second write joins the first and reports it.
+        let first = store.start_write(&ck.as_view()).expect("the first write was in flight");
+        assert_eq!((first.next_iter, first.generation, first.result.clone()), (3, 0, Ok(())));
+        assert_eq!(scan_generations(&dir).unwrap().len(), 1);
+        let second = store.join().expect("the second write was in flight");
+        assert_eq!(second.next_iter, 4);
+        assert_eq!(second.generation, 1);
+        assert!(matches!(second.result, Err(CheckpointError::Io { op: "persist", .. })));
+        assert_eq!(store.join(), None);
+        // A failed generation number is reused by the next write.
+        go.send(true).unwrap();
+        assert_eq!(store.write(&ck.as_view()), Ok((1, first.bytes)));
+        drop(store);
+        let out = CheckpointStore::load_latest(&dir).unwrap();
+        assert_eq!((out.generation, out.checkpoint), (1, ck));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn dropping_the_store_waits_for_the_write_in_flight() {
+        let dir = tmp_dir("drop");
+        let (go, gate) = mpsc::channel();
+        let medium = Box::new(GatedMedium { go: std::sync::Mutex::new(gate) });
+        let mut store = CheckpointStore::with_medium(&dir, medium).unwrap();
+        store.start_write(&sample_checkpoint(&[4, 4], 2, 1, 1).as_view());
+        go.send(true).unwrap();
+        drop(store);
+        assert_eq!(scan_generations(&dir).unwrap().len(), 1);
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -28,10 +28,11 @@
 //! # Run state and phases
 //!
 //! A run is one `Run` value holding everything the loop carries from one
-//! iteration to the next: factors, cached Grams, `lambda`, the fit
-//! history and best fit, the last-good snapshot, the recovery counters,
-//! the checkpoint context, the pairwise-perturbation controller, the
-//! `R x R` work buffers and the drift accounting. Its phases, in order:
+//! iteration to the next: factors with a spare buffer per mode (see
+//! `Buffers`) and each mode's support, cached Grams, `lambda`, the fit
+//! history and best fit, the last-good state, the recovery counters, the
+//! checkpoint context, the pairwise-perturbation controller, the `R x R`
+//! work buffers and the drift accounting. Its phases, in order:
 //!
 //! * **start / resume** — `Run::new` builds fresh state for
 //!   [`CpAls::run_from`]; `Run::restore` overwrites it from a checkpoint
@@ -42,20 +43,24 @@
 //!   reusable buffer (sized for the tallest mode), the finiteness scan of
 //!   `M^(n)`, the Hadamard system, then the rule's solve and normalize.
 //!   Those run the fused kernels of [`adatm_linalg::update`], which write
-//!   `U^(n)`, `W^(n)` and `lambda` in place in at most two row passes —
-//!   no factor-sized allocation, bit-for-bit the result of the chained
-//!   `matmul` / `normalize_cols` / `gram` kernels. A detector firing after
-//!   the write goes through `Run::breakdown`, which restores or reseeds
-//!   every factor and Gram, so the half-written state never survives;
+//!   the new `U^(n)` into the mode's spare buffer, and `W^(n)` and
+//!   `lambda` in place, in at most two passes over the support rows — no
+//!   factor-sized allocation, bit-for-bit the result of the chained
+//!   `matmul` / `normalize_cols` / `gram` kernels over every row — and the
+//!   buffers are then swapped. A detector firing after the write goes
+//!   through `Run::breakdown`, which restores or reseeds every factor and
+//!   Gram, so the half-written state never survives;
 //! * **breakdown** — `Run::breakdown`, the one rollback path every
 //!   mode-local detector takes;
 //! * **fit** — `Run::iteration` measures the fit (one row pass for the
 //!   `R` inner products) and runs the divergence, stall and convergence
-//!   checks; a new best fit refreshes the last-good snapshot by copying
-//!   into its buffers;
-//! * **checkpoint** — `Run::write_checkpoint`, on the configured cadence;
-//! * **finish** — `Run::finish`: final watchdog checkpoint, drift check,
-//!   and the [`CpResult`].
+//!   checks; the boundary then moves the base (`Run::advance_base`): the
+//!   spare set already holds the previous boundary's factors, so a new
+//!   best fit makes the live set the last-good state without a copy;
+//! * **checkpoint** — `Run::write_checkpoint`, on the configured cadence:
+//!   stages the state and hands it to the store's writer thread;
+//! * **finish** — `Run::finish`: final watchdog checkpoint, the join of
+//!   the checkpoint writer, drift check, and the [`CpResult`].
 //!
 //! # Resilience
 //!
@@ -85,7 +90,7 @@
 
 use crate::backend::MttkrpBackend;
 use crate::checkpoint::{
-    CheckpointConfig, CheckpointError, CheckpointStore, CheckpointView, CpCheckpoint,
+    CheckpointConfig, CheckpointError, CheckpointStore, CheckpointView, CpCheckpoint, WriteReport,
 };
 use crate::diagnostics::{
     BreakdownEvent, BreakdownKind, RecoveryAction, RunDiagnostics, StopReason,
@@ -95,9 +100,9 @@ use crate::init::{init_factors, InitStrategy};
 use crate::model::CpModel;
 use crate::ncp;
 use adatm_dtree::PpState;
-use adatm_linalg::pinv::{ridge_inv_gram, try_pinv_gram};
+use adatm_linalg::pinv::{ridge_inv_gram, try_pinv_gram_into, PinvWork};
 use adatm_linalg::update::{self, ColNorm};
-use adatm_linalg::Mat;
+use adatm_linalg::{Mat, RowSet};
 use adatm_tensor::SparseTensor;
 use std::time::{Duration, Instant};
 
@@ -330,9 +335,10 @@ pub struct PhaseTimings {
     pub dense: Duration,
     /// Time computing the fit.
     pub fit: Duration,
-    /// Time serializing and persisting checkpoints (zero when
-    /// checkpointing is disabled). The bench suite gates this phase's
-    /// overhead relative to the rest of the iteration.
+    /// Time the solver thread spends on checkpoints: staging each
+    /// generation and waiting for the writer thread that makes it
+    /// durable (zero when checkpointing is disabled). The bench suite
+    /// gates this phase's overhead relative to the rest of the iteration.
     pub checkpoint: Duration,
 }
 
@@ -446,12 +452,11 @@ impl UpdateRule {
         }
     }
 
-    /// Writes the new factor for `mode` over `out.u` in place, from its
-    /// MTTKRP `m` and the Hadamard-of-Grams system `h`. ALS leaves it
-    /// unnormalized with its column norms in `out.lambda`; NCP finishes
-    /// the update and its Gram. Returns whether every entry the rule
-    /// finished is finite; `Err` names a breakdown the rule could not
-    /// repair in place.
+    /// Writes the new factor for `mode` into `out.u`, from its MTTKRP `m`
+    /// and the Hadamard-of-Grams system `h`. ALS leaves it unnormalized
+    /// with its column norms in `out.lambda`; NCP finishes the update and
+    /// its Gram. Returns whether every entry the rule finished is finite;
+    /// `Err` names a breakdown the rule could not repair in place.
     fn solve(
         self,
         m: &Mat,
@@ -463,7 +468,16 @@ impl UpdateRule {
     ) -> Result<bool, BreakdownKind> {
         match self {
             UpdateRule::Als => als_solve(m, h, out, iter, mode, diag).map(|()| true),
-            UpdateRule::Ncp => Ok(update::ncp_into(out.u, m, h, ncp::MU_EPS, out.gram, out.row)),
+            UpdateRule::Ncp => Ok(update::ncp_rows_into(
+                out.u,
+                out.from,
+                m,
+                h,
+                ncp::MU_EPS,
+                out.gram,
+                out.row,
+                out.rows,
+            )),
         }
     }
 
@@ -483,7 +497,9 @@ impl UpdateRule {
         if self == UpdateRule::Ncp {
             return true;
         }
-        let mut finite = update::normalize_gram(out.u, out.lambda, out.gram);
+        // Pass A left every row outside the support at `+0.0`.
+        let mut finite =
+            update::normalize_gram_rows(out.u, out.lambda, out.gram, Some(out.support));
         // Guard: a zero column (rank deficiency) would poison the model;
         // re-seed it with noise so ALS can recover.
         let u = &mut *out.u;
@@ -499,7 +515,8 @@ impl UpdateRule {
         }
         if reseeded > 0 {
             // The noise replaced whatever the zero scale left in those
-            // columns (a NaN times zero included).
+            // columns (a NaN times zero included), on every row.
+            out.settled = false;
             finite = finite || u.is_finite();
             *out.gram = u.gram();
             diag.record(BreakdownEvent {
@@ -514,19 +531,31 @@ impl UpdateRule {
     }
 }
 
-/// What one mode update writes, in place: the factor, its cached Gram,
-/// and `lambda`; and an `R`-length work row (NCP's `U H` row).
+/// What one mode update writes: the new factor `u` over `rows` (`None`:
+/// every row), read from `from` (`None`: `u` itself, in place), its cached
+/// Gram and `lambda`. Beside them: the mode's support, an `R`-length work
+/// row (NCP's `U H` row), and the pseudoinverse with its workspace (ALS).
 struct ModeOut<'a> {
     u: &'a mut Mat,
+    from: Option<&'a Mat>,
+    rows: Option<&'a RowSet>,
+    support: &'a RowSet,
     gram: &'a mut Mat,
     lambda: &'a mut [f64],
     row: &'a mut [f64],
+    pinv: &'a mut Mat,
+    work: &'a mut PinvWork,
+    /// Cleared when the rule wrote rows outside the support (a zero
+    /// column reseed), which then no longer hold the update's fixed point.
+    settled: bool,
 }
 
 /// ALS solve, pass A of the fused update: `U = M pinv(H)` into `out.u`
-/// with the column norms in `out.lambda`. A degenerate system or a failed
-/// pseudoinverse is re-solved with a Tikhonov ridge instead; `Err` only
-/// when even the ridge inverse fails.
+/// with the column norms in `out.lambda`. The pseudoinverse goes into
+/// `out.pinv` over the run's workspace, so a healthy solve allocates
+/// nothing. A degenerate system or a failed pseudoinverse is re-solved
+/// with a Tikhonov ridge instead; `Err` only when even the ridge inverse
+/// fails.
 fn als_solve(
     m: &Mat,
     h: &Mat,
@@ -535,8 +564,8 @@ fn als_solve(
     mode: usize,
     diag: &mut RunDiagnostics,
 ) -> Result<(), BreakdownKind> {
-    let inverse = match try_pinv_gram(h) {
-        Ok((pinv, info)) if info.rank_deficient() || info.cond() > COND_LIMIT => {
+    match try_pinv_gram_into(h, out.work, out.pinv) {
+        Ok(info) if info.rank_deficient() || info.cond() > COND_LIMIT => {
             // Detector: degenerate Gram system, condition estimate read
             // straight off the Jacobi eigenvalues the pseudoinverse
             // computed. Recovery: Tikhonov ridge re-solve.
@@ -553,9 +582,11 @@ fn als_solve(
                 },
                 recovery_time: rt.elapsed(),
             });
-            repaired.unwrap_or(pinv)
+            if let Some(ridge_inv) = repaired {
+                out.pinv.copy_from(&ridge_inv);
+            }
         }
-        Ok((pinv, _)) => pinv,
+        Ok(_) => {}
         Err(_) => {
             // Detector: the dense solve itself failed. Recovery: ridge
             // re-solve; if even that fails, the caller rolls back.
@@ -570,20 +601,143 @@ fn als_solve(
                 recovery: RecoveryAction::RidgeResolve { ridge },
                 recovery_time: rt.elapsed(),
             });
-            inverse
+            out.pinv.copy_from(&inverse);
         }
-    };
+    }
     let norm = if iter == 0 { ColNorm::Two } else { ColNorm::Max };
-    update::solve_into(m, &inverse, norm, out.u, out.lambda);
+    update::solve_rows_into(m, out.pinv, norm, out.u, out.lambda, out.rows);
     Ok(())
 }
 
-/// Last-known-good solver state for rollback recoveries.
+/// Where the last-good factors are held.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+enum Held {
+    /// No good state yet.
+    #[default]
+    None,
+    /// The base ([`Buffers`]): the factors of the last completed boundary.
+    Base,
+    /// The set moved aside.
+    Aside,
+}
+
+/// Last-known-good solver state for rollback recoveries: where its
+/// factors are held, and copies of its Grams and `lambda` (`R x R` and
+/// `R`, cheap to copy).
 #[derive(Default)]
-struct Snapshot {
-    factors: Vec<Mat>,
+struct LastGood {
+    held: Held,
     grams: Vec<Mat>,
     lambda: Vec<f64>,
+}
+
+/// The factor buffers beside the live set (`Run::factors`, which the
+/// backend reads): each mode's spare buffer, which the update writes into
+/// before it is swapped in, and a set moved aside to hold an older
+/// last-good state (allocated on first need).
+///
+/// The *base* is the live set of the last completed boundary: the
+/// movement reference of pairwise perturbation and, while it is the last
+/// good state, the rollback target. Mode `d`'s base sits in `spare[d]`
+/// once `parked[d]` — its update in this sweep swapped it out, or a
+/// recovery parked it — and in live `d` otherwise. A parked mode is
+/// updated in place, so its base survives the sweep. After a complete
+/// sweep every mode is parked and the spare set holds the base, so no
+/// factor is copied at the boundary.
+struct Buffers {
+    spare: Vec<Mat>,
+    aside: Vec<Mat>,
+    parked: Vec<bool>,
+    /// Per buffer of the live, spare and aside sets: whether its rows
+    /// outside the mode's support hold the update's fixed point (see
+    /// [`adatm_linalg::update`]), so an update writing it may skip them.
+    /// Every settled buffer of a mode holds the same values there.
+    live_settled: Vec<bool>,
+    spare_settled: Vec<bool>,
+    aside_settled: Vec<bool>,
+}
+
+impl Buffers {
+    /// Spare buffers shaped like `live`; nothing is settled yet.
+    fn new(live: &[Mat]) -> Self {
+        let n = live.len();
+        Buffers {
+            spare: live.iter().map(|f| Mat::zeros(f.nrows(), f.ncols())).collect(),
+            aside: Vec::new(),
+            parked: vec![false; n],
+            live_settled: vec![false; n],
+            spare_settled: vec![false; n],
+            aside_settled: Vec::new(),
+        }
+    }
+
+    /// Exchanges live `d` and `spare[d]`.
+    fn swap(&mut self, live: &mut [Mat], d: usize) {
+        std::mem::swap(&mut live[d], &mut self.spare[d]);
+        std::mem::swap(&mut self.live_settled[d], &mut self.spare_settled[d]);
+    }
+
+    /// Moves mode `d`'s base into `spare[d]` (a no-op when parked).
+    fn park(&mut self, live: &mut [Mat], d: usize) {
+        if !self.parked[d] {
+            self.swap(live, d);
+            self.parked[d] = true;
+        }
+    }
+
+    /// Moves mode `d`'s base back into live `d` (a no-op unless parked).
+    fn unpark(&mut self, live: &mut [Mat], d: usize) {
+        if self.parked[d] {
+            self.swap(live, d);
+            self.parked[d] = false;
+        }
+    }
+
+    /// Takes in mode `d`'s new factor, which the update wrote into
+    /// `spare[d]` (or into live `d`, in place, for a parked mode), and
+    /// parks the base. `from_settled`: the update read a settled factor;
+    /// `settled`: it left the written buffer settled.
+    fn take_update(&mut self, live: &mut [Mat], d: usize, from_settled: bool, settled: bool) {
+        self.park(live, d);
+        self.live_settled[d] = settled;
+        if !from_settled {
+            // Rows outside the support now hold the fixed point of a new
+            // source, which the mode's other buffers may not share.
+            self.spare_settled[d] = false;
+            if let Some(s) = self.aside_settled.get_mut(d) {
+                *s = false;
+            }
+        }
+    }
+
+    /// Swaps the spare set (the base, after a complete sweep) with the
+    /// aside set, allocating the latter on first need.
+    fn move_base_aside(&mut self) {
+        debug_assert!(self.parked.iter().all(|&p| p), "the base is in the spare set");
+        if self.aside.is_empty() {
+            self.aside = self.spare.iter().map(|f| Mat::zeros(f.nrows(), f.ncols())).collect();
+            self.aside_settled = vec![false; self.spare.len()];
+        }
+        std::mem::swap(&mut self.spare, &mut self.aside);
+        std::mem::swap(&mut self.spare_settled, &mut self.aside_settled);
+    }
+
+    /// Copies the base into the aside set (allocating it on first need).
+    fn copy_base_aside(&mut self, live: &[Mat]) {
+        if self.aside.is_empty() {
+            self.aside = live.iter().map(|f| Mat::zeros(f.nrows(), f.ncols())).collect();
+            self.aside_settled = vec![false; live.len()];
+        }
+        for (d, f) in live.iter().enumerate() {
+            let (base, settled) = if self.parked[d] {
+                (&self.spare[d], self.spare_settled[d])
+            } else {
+                (f, self.live_settled[d])
+            };
+            self.aside[d].clone_from(base);
+            self.aside_settled[d] = settled;
+        }
+    }
 }
 
 /// Live checkpointing state for one run: the open store plus cadence
@@ -619,16 +773,22 @@ impl CkptCtx {
 }
 
 /// Relative factor movement between two factor sets:
-/// `sqrt(sum_n ||cur^(n) - prev^(n)||^2 / sum_n ||cur^(n)||^2)`.
-fn rel_factor_delta(prev: &[Mat], cur: &[Mat]) -> f64 {
+/// `sqrt(sum_n ||cur^(n) - prev^(n)||^2 / sum_n ||cur^(n)||^2)`, over the
+/// support rows of each mode whose two buffers are both settled (`±0.0`
+/// elsewhere, so the skipped terms are `+0.0`), over every row otherwise.
+fn rel_factor_delta(prev: (&[Mat], &[bool]), cur: (&[Mat], &[bool]), support: &[RowSet]) -> f64 {
     let mut dn = 0.0;
     let mut cn = 0.0;
-    for (p, c) in prev.iter().zip(cur) {
-        for (&a, &b) in p.as_slice().iter().zip(c.as_slice()) {
-            let d = b - a;
-            dn += d * d;
-            cn += b * b;
-        }
+    for (d, (p, c)) in prev.0.iter().zip(cur.0).enumerate() {
+        let rows = (prev.1[d] && cur.1[d]).then_some(&support[d]);
+        let (r, a, b) = (c.ncols(), p.as_slice(), c.as_slice());
+        adatm_linalg::rows::for_runs(rows, 0, c.nrows(), |s, e| {
+            for (&x, &y) in a[s * r..e * r].iter().zip(&b[s * r..e * r]) {
+                let dy = y - x;
+                dn += dy * dy;
+                cn += y * y;
+            }
+        });
     }
     if cn > 0.0 {
         (dn / cn).sqrt()
@@ -645,14 +805,12 @@ struct PpCtl {
     cfg: PpConfig,
     /// Built lazily at the first entry (the symbolic pair analysis and
     /// memo buffers are only worth paying for once PP actually arms).
+    /// The entry threshold's movement reference is the run's base (see
+    /// [`Buffers`]).
     state: Option<PpState>,
-    /// Factors at the end of the previous completed iteration, for the
-    /// entry threshold on relative movement.
-    prev: Vec<Mat>,
-    have_prev: bool,
     /// Whether approximate sweeps are currently enabled.
     armed: bool,
-    /// `diag.events.len()` when the baseline was captured: any growth
+    /// `Run::solver_events()` when the baseline was captured: any growth
     /// means a detector fired and the baseline no longer describes the
     /// live state.
     baseline_events: usize,
@@ -888,7 +1046,12 @@ struct Run<'a, B: MttkrpBackend + ?Sized> {
     rule: UpdateRule,
     tensor: &'a SparseTensor,
     backend: &'a mut B,
+    /// The live factor set, which the backend reads.
     factors: Vec<Mat>,
+    /// The spare and aside factor sets, and where the base is.
+    bufs: Buffers,
+    /// Each mode's support: the rows holding a tensor nonzero.
+    support: Vec<RowSet>,
     /// Cached Gram matrices `W^(d) = U^(d)^T U^(d)`.
     grams: Vec<Mat>,
     lambda: Vec<f64>,
@@ -897,7 +1060,7 @@ struct Run<'a, B: MttkrpBackend + ?Sized> {
     iters: usize,
     fit_history: Vec<f64>,
     best_fit: f64,
-    last_good: Option<Snapshot>,
+    last_good: LastGood,
     rollbacks_left: usize,
     stall_recorded: bool,
     converged: bool,
@@ -915,6 +1078,9 @@ struct Run<'a, B: MttkrpBackend + ?Sized> {
     // makes the same arm/sweep decisions at the same iterations as the
     // uninterrupted one.
     ckpt: Option<CkptCtx>,
+    /// Checkpoint-write failures among `diag.events`: observation only,
+    /// so the clean-iteration and PP-baseline accounting leave them out.
+    io_events: usize,
     pp: Option<PpCtl>,
     xnorm2: f64,
     /// Reusable MTTKRP output buffer, allocated for the tallest mode and
@@ -927,6 +1093,9 @@ struct Run<'a, B: MttkrpBackend + ?Sized> {
     h_buf: Mat,
     g_buf: Mat,
     dots: Vec<f64>,
+    // The ALS pseudoinverse and its eigensolver workspace.
+    pinv: Mat,
+    pinv_work: PinvWork,
     // Drift accounting: only iterations that completed without any
     // detector firing — and whose MTTKRP phase was an exact sweep —
     // measure what the cost model priced.
@@ -954,12 +1123,15 @@ impl<'a, B: MttkrpBackend + ?Sized> Run<'a, B> {
             tensor,
             backend,
             grams: factors.iter().map(Mat::gram).collect(),
+            bufs: Buffers::new(&factors),
             factors,
+            support: (0..tensor.ndim()).map(|d| tensor.support(d)).collect(),
             lambda: vec![1.0; rank],
             iters: 0,
-            fit_history: Vec::new(),
+            // Room for the usual run, so pushing a fit seldom allocates.
+            fit_history: Vec::with_capacity(opts.max_iters.min(64)),
             best_fit: f64::NEG_INFINITY,
-            last_good: None,
+            last_good: LastGood::default(),
             rollbacks_left: opts.recovery_budget,
             stall_recorded: false,
             converged: false,
@@ -968,12 +1140,15 @@ impl<'a, B: MttkrpBackend + ?Sized> Run<'a, B> {
             start,
             elapsed_base_ns: 0,
             ckpt,
+            io_events: 0,
             pp: opts.pp.clone().map(PpCtl::new),
             xnorm2: tensor.fro_norm_sq(),
             m_buf: Mat::zeros(tensor.dims().iter().copied().max().unwrap_or(0), rank),
             h_buf: Mat::zeros(rank, rank),
             g_buf: Mat::zeros(rank, rank),
             dots: vec![0.0; rank],
+            pinv: Mat::zeros(rank, rank),
+            pinv_work: PinvWork::default(),
             clean_kernel_ns: 0,
             clean_iters: 0,
         })
@@ -987,27 +1162,24 @@ impl<'a, B: MttkrpBackend + ?Sized> Run<'a, B> {
         self.lambda = ck.lambda;
         self.fit_history = ck.fit_history;
         self.best_fit = ck.best_fit;
-        self.last_good = ck.last_good.map(|(lambda, factors)| Snapshot {
-            grams: factors.iter().map(Mat::gram).collect(),
-            factors,
-            lambda,
-        });
+        if let Some((lambda, factors)) = ck.last_good {
+            let grams = factors.iter().map(Mat::gram).collect();
+            self.bufs.aside_settled = vec![false; factors.len()];
+            self.bufs.aside = factors;
+            self.last_good = LastGood { held: Held::Aside, grams, lambda };
+        }
         self.rollbacks_left = ck.rollbacks_left;
         // Restoring the recovery count keeps the rollback `attempt`
         // counters — and so every reseed stream — aligned with the
         // uninterrupted trajectory.
         self.diag.recoveries = ck.recoveries;
         self.stall_recorded = ck.stall_recorded;
+        // Checkpoints are only written right after PP disarms (or while
+        // it never armed), so the restored factors — the base — are the
+        // movement reference an uninterrupted run would carry here, and
+        // PP starts disarmed, exactly like the uninterrupted trajectory
+        // at this boundary.
         self.elapsed_base_ns = ck.elapsed_ns;
-        if let Some(ctl) = self.pp.as_mut().filter(|_| ck.next_iter > 0) {
-            // Checkpoints are only written right after PP disarms (or
-            // while it never armed), so the restored factors are the
-            // movement reference an uninterrupted run would carry here —
-            // and PP starts disarmed, exactly like the uninterrupted
-            // trajectory at this boundary.
-            ctl.prev.clone_from(&self.factors);
-            ctl.have_prev = true;
-        }
     }
 
     /// Iterates until a stop condition or `max_iters`, then finishes.
@@ -1046,7 +1218,10 @@ impl<'a, B: MttkrpBackend + ?Sized> Run<'a, B> {
     /// last-good snapshot, the checkpoint, and the end-of-iteration
     /// accounting.
     fn iteration(&mut self, iter: usize, order: &[usize]) -> Flow {
-        let events0 = self.diag.events.len();
+        // The base is a completed boundary's factors (PP's movement
+        // reference) once a boundary has completed or been restored.
+        let had_boundary = self.iters > 0;
+        let events0 = self.solver_events();
         let (mttkrp0, dense0) = (self.timings.mttkrp, self.timings.dense);
         let pp_iter = self.pp_phase(iter);
         for &mode in order {
@@ -1073,14 +1248,11 @@ impl<'a, B: MttkrpBackend + ?Sized> Run<'a, B> {
         // nothing about the post-sweep factors, and last_good is the
         // state a divergence recovery falls back to — it must only ever
         // hold exactly-measured iterates.
-        if !pp_iter && fit >= self.best_fit {
+        let refresh = !pp_iter && fit >= self.best_fit;
+        if refresh {
             self.best_fit = fit;
-            // Refreshed in place: `Mat::clone_from` reuses the buffers.
-            let snap = self.last_good.get_or_insert_with(Snapshot::default);
-            snap.factors.clone_from(&self.factors);
-            snap.grams.clone_from(&self.grams);
-            snap.lambda.clone_from(&self.lambda);
         }
+        let base_aside = self.advance_base(refresh);
         // Iteration-boundary checkpoint. Cadence is keyed on the absolute
         // iteration number, so a resumed run writes at the same
         // boundaries as the uninterrupted one; aborted (rolled-back)
@@ -1093,13 +1265,14 @@ impl<'a, B: MttkrpBackend + ?Sized> Run<'a, B> {
         // recoveries re-do work the model never priced, and PP sweeps run
         // a kernel class the exact prediction does not cover — both would
         // make an honest prediction look drifted.
-        let clean = self.diag.events.len() == events0;
+        let clean = self.solver_events() == events0;
         let sweep_ns = (self.timings.mttkrp - mttkrp0).as_nanos();
         if clean && !pp_iter {
             self.clean_kernel_ns += sweep_ns + (self.timings.dense - dense0).as_nanos();
             self.clean_iters += 1;
         }
-        self.pp_bookkeeping(iter, pp_iter, clean, sweep_ns, wrote_ckpt);
+        let reference = had_boundary.then_some(base_aside);
+        self.pp_bookkeeping(iter, pp_iter, clean, sweep_ns, wrote_ckpt, reference);
         // Convergence is only ever declared from an exactly-measured fit:
         // on approximate sweeps `fit` is the carried previous entry and
         // the difference would be spuriously zero.
@@ -1118,8 +1291,9 @@ impl<'a, B: MttkrpBackend + ?Sized> Run<'a, B> {
     /// resumed runs agree) and whenever any detector fired since the
     /// baseline was captured.
     fn pp_phase(&mut self, iter: usize) -> bool {
+        let events = self.solver_events();
         let Some(ctl) = self.pp.as_mut() else { return false };
-        if ctl.armed && self.diag.events.len() != ctl.baseline_events {
+        if ctl.armed && events != ctl.baseline_events {
             // A recovery restored state the memoized baseline no longer
             // describes.
             ctl.disarm(iter, "recovery");
@@ -1212,7 +1386,7 @@ impl<'a, B: MttkrpBackend + ?Sized> Run<'a, B> {
         // here is salvageable for this mode — roll back. (Runs before the
         // audit hook: a non-finite output is a recoverable breakdown
         // here, not an invariant violation.)
-        if !m.is_finite() {
+        if !update::rows_finite(m, Some(&self.support[mode])) {
             return self.breakdown(BreakdownKind::NonFiniteMttkrp, iter, mode, None);
         }
         #[cfg(feature = "audit")]
@@ -1239,19 +1413,36 @@ impl<'a, B: MttkrpBackend + ?Sized> Run<'a, B> {
             return self.breakdown(BreakdownKind::NonFiniteGram, iter, mode, Some(t1));
         }
 
-        // The rule writes the factor, its Gram and `lambda` in place: every
-        // breakdown below goes through `breakdown`, which restores all of
-        // them from the last-good snapshot or reseeds all of them.
+        // The rule writes the new factor into the mode's spare buffer (in
+        // place for a parked mode), and its Gram and `lambda` in place:
+        // every breakdown below goes through `breakdown`, which restores
+        // all of them from the last-good state or reseeds all of them.
+        // Rows outside the support are visited only while a buffer
+        // involved may not hold the update's fixed point there.
         let t_solve = Instant::now();
         let m = match (pp_iter, &self.pp) {
             (true, Some(ctl)) => &ctl.outs[mode],
             _ => &self.m_buf,
         };
+        let parked = self.bufs.parked[mode];
+        let from_settled = self.bufs.live_settled[mode];
+        let (u, from, settled) = if parked {
+            (&mut self.factors[mode], None, from_settled)
+        } else {
+            let spare = &mut self.bufs.spare[mode];
+            (spare, Some(&self.factors[mode]), from_settled && self.bufs.spare_settled[mode])
+        };
         let mut out = ModeOut {
-            u: &mut self.factors[mode],
+            u,
+            from,
+            rows: settled.then_some(&self.support[mode]),
+            support: &self.support[mode],
             gram: &mut self.grams[mode],
             lambda: &mut self.lambda,
             row: &mut self.dots,
+            pinv: &mut self.pinv,
+            work: &mut self.pinv_work,
+            settled: true,
         };
         let solved = match self.rule.solve(m, &self.h_buf, &mut out, iter, mode, &mut self.diag) {
             Ok(finite) => finite,
@@ -1266,11 +1457,13 @@ impl<'a, B: MttkrpBackend + ?Sized> Run<'a, B> {
         );
         let t_norm = Instant::now();
         let normalized = self.rule.normalize(&mut out, iter, mode, self.opts.seed, &mut self.diag);
+        let settled = out.settled;
         // Detector: the updated factor or its scales went non-finite
         // despite a finite system (overflow).
         if !(solved && normalized && self.lambda.iter().all(|l| l.is_finite())) {
             return self.breakdown(BreakdownKind::NonFiniteFactor, iter, mode, Some(t1));
         }
+        self.bufs.take_update(&mut self.factors, mode, from_settled, settled);
         if let Some(st) = self.pp.as_mut().and_then(|c| c.state.as_mut()) {
             st.note_factor_updated(mode);
         }
@@ -1357,6 +1550,26 @@ impl<'a, B: MttkrpBackend + ?Sized> Run<'a, B> {
         let rt = Instant::now();
         let (dims, rank) = (self.tensor.dims(), self.opts.rank);
         let attempt = self.diag.recoveries as u64;
+        // The update's output buffer may be half written.
+        if self.bufs.parked[mode] {
+            self.bufs.live_settled[mode] = false;
+        } else {
+            self.bufs.spare_settled[mode] = false;
+        }
+        let n = self.factors.len();
+        if self.last_good.held == Held::Base {
+            // The modes this sweep already updated hold their last-good
+            // factor in the spare set: swap them back.
+            for d in 0..n {
+                self.bufs.unpark(&mut self.factors, d);
+            }
+        } else {
+            // The live set is about to be overwritten: keep the base,
+            // which stays PP's movement reference, in the spare set.
+            for d in 0..n {
+                self.bufs.park(&mut self.factors, d);
+            }
+        }
         if !self.restore_last_good() {
             // No good state yet: reseed every factor from a
             // recovery-derived seed so the restart is deterministic but
@@ -1365,6 +1578,7 @@ impl<'a, B: MttkrpBackend + ?Sized> Run<'a, B> {
             for (d, f) in self.factors.iter_mut().enumerate() {
                 *f = Mat::random(dims[d], rank, seed ^ ((d as u64) << 16));
             }
+            self.bufs.live_settled.fill(false);
             self.grams = self.factors.iter().map(Mat::gram).collect();
             self.lambda = vec![1.0; rank];
         }
@@ -1381,7 +1595,9 @@ impl<'a, B: MttkrpBackend + ?Sized> Run<'a, B> {
                 ^ ((iter as u64) << 24)
                 ^ ((mode as u64) << 8)
                 ^ attempt;
+            self.bufs.park(&mut self.factors, mode);
             self.factors[mode] = Mat::random(dims[mode], rank, reseed);
+            self.bufs.live_settled[mode] = false;
             self.grams[mode] = self.factors[mode].gram();
             (RecoveryAction::Rollback { reseeded_cols: rank }, Flow::Retry)
         };
@@ -1398,16 +1614,50 @@ impl<'a, B: MttkrpBackend + ?Sized> Run<'a, B> {
         flow
     }
 
-    /// Restores the FULL last-good snapshot — factors, Grams and
-    /// `lambda` together, so no consumer of this state (the PP baseline
-    /// capture included) sees a factor/Gram pair that never coexisted.
-    /// `false` when no snapshot exists yet.
+    /// Restores the FULL last-good state — factors, Grams and `lambda`
+    /// together, so no consumer of this state (the PP baseline capture
+    /// included) sees a factor/Gram pair that never coexisted. `false`
+    /// when no good state exists yet. A caller restoring the base has
+    /// swapped it back into the live set already; an older state is
+    /// copied from the aside set.
     fn restore_last_good(&mut self) -> bool {
-        let Some(snap) = &self.last_good else { return false };
-        self.factors.clone_from(&snap.factors);
-        self.grams.clone_from(&snap.grams);
-        self.lambda.clone_from(&snap.lambda);
+        let lg = &self.last_good;
+        match lg.held {
+            Held::None => return false,
+            Held::Base => {}
+            Held::Aside => {
+                for (d, f) in self.factors.iter_mut().enumerate() {
+                    f.clone_from(&self.bufs.aside[d]);
+                    self.bufs.live_settled[d] = self.bufs.aside_settled[d];
+                }
+            }
+        }
+        self.grams.clone_from(&lg.grams);
+        self.lambda.clone_from(&lg.lambda);
         true
+    }
+
+    /// Moves the base to this boundary's factors after a complete sweep.
+    /// A refreshed last-good state is that new base. One that stays
+    /// behind while held as the old base — now the spare set — is moved
+    /// aside by swapping sets, since the next sweep writes the spare set.
+    /// Returns whether the old base, PP's movement reference here, was
+    /// moved aside.
+    fn advance_base(&mut self, refresh: bool) -> bool {
+        let lg = &mut self.last_good;
+        let moved = !refresh && lg.held == Held::Base;
+        if moved {
+            self.bufs.move_base_aside();
+            lg.held = Held::Aside;
+        }
+        if refresh {
+            // Refreshed in place: `Mat::clone_from` reuses the buffers.
+            lg.held = Held::Base;
+            lg.grams.clone_from(&self.grams);
+            lg.lambda.clone_from(&self.lambda);
+        }
+        self.bufs.parked.fill(false);
+        moved
     }
 
     /// Efficient fit from the last subiteration: with `lambda` holding
@@ -1425,7 +1675,9 @@ impl<'a, B: MttkrpBackend + ?Sized> Run<'a, B> {
         let fit = if pp_iter {
             self.fit_history.last().copied().unwrap_or(0.0)
         } else {
-            self.m_buf.col_dots(&self.factors[last], &mut self.dots);
+            // `M` is `+0.0` outside the support and the factor finite.
+            let rows = Some(&self.support[last]);
+            update::col_dots_rows(&self.m_buf, &self.factors[last], &mut self.dots, rows);
             let mut inner = 0.0;
             for (&l, &dot) in self.lambda.iter().zip(&self.dots) {
                 inner += l * dot;
@@ -1461,7 +1713,30 @@ impl<'a, B: MttkrpBackend + ?Sized> Run<'a, B> {
     /// repair), and keep running; otherwise stop degraded.
     fn diverged(&mut self, iter: usize, pp_induced: bool) -> Flow {
         let rt = Instant::now();
-        self.restore_last_good();
+        // After the complete sweep every mode is parked: the base (the
+        // last completed boundary) is the spare set.
+        for d in 0..self.factors.len() {
+            match self.last_good.held {
+                Held::Base => self.bufs.unpark(&mut self.factors, d),
+                Held::Aside => {
+                    std::mem::swap(&mut self.factors[d], &mut self.bufs.aside[d]);
+                    let settled = &mut self.bufs.aside_settled[d];
+                    std::mem::swap(&mut self.bufs.live_settled[d], settled);
+                }
+                Held::None => {}
+            }
+        }
+        // The restored state (or, with none, the diverged one) becomes the
+        // base, and PP's movement reference.
+        if self.last_good.held == Held::Aside {
+            self.last_good.held = Held::Base;
+        }
+        self.bufs.parked.fill(false);
+        let lg = &self.last_good;
+        if lg.held == Held::Base {
+            self.grams.clone_from(&lg.grams);
+            self.lambda.clone_from(&lg.lambda);
+        }
         self.diag.record(BreakdownEvent {
             iter,
             mode: None,
@@ -1472,7 +1747,6 @@ impl<'a, B: MttkrpBackend + ?Sized> Run<'a, B> {
         if pp_induced {
             if let Some(ctl) = self.pp.as_mut() {
                 ctl.disarm(iter, "divergence");
-                ctl.prev.clone_from(&self.factors);
             }
             return Flow::Retry;
         }
@@ -1504,8 +1778,10 @@ impl<'a, B: MttkrpBackend + ?Sized> Run<'a, B> {
     }
 
     /// Pairwise-perturbation bookkeeping at the iteration boundary:
-    /// movement tracking, sweep-phase timing split, and the
-    /// arm/re-baseline decisions.
+    /// sweep-phase timing split, and the arm/re-baseline decisions. The
+    /// movement since the previous base (`reference`: whether it was
+    /// moved aside, `None` before any boundary) is measured only where
+    /// the arming decision reads it.
     fn pp_bookkeeping(
         &mut self,
         iter: usize,
@@ -1513,15 +1789,22 @@ impl<'a, B: MttkrpBackend + ?Sized> Run<'a, B> {
         clean: bool,
         sweep_ns: u128,
         wrote_ckpt: bool,
+        reference: Option<bool>,
     ) {
+        let events = self.solver_events();
         let Some(ctl) = self.pp.as_mut() else { return };
         let (tensor, rank) = (self.tensor, self.opts.rank);
         if clean && !pp_iter {
             ctl.exact_ns += sweep_ns;
             ctl.exact_sweeps += 1;
         }
-        let rel =
-            if ctl.have_prev { rel_factor_delta(&ctl.prev, &self.factors) } else { f64::INFINITY };
+        let b = &self.bufs;
+        let cur = (self.factors.as_slice(), b.live_settled.as_slice());
+        let rel = || match reference {
+            None => f64::INFINITY,
+            Some(false) => rel_factor_delta((&b.spare, &b.spare_settled), cur, &self.support),
+            Some(true) => rel_factor_delta((&b.aside, &b.aside_settled), cur, &self.support),
+        };
         if wrote_ckpt {
             // A durable checkpoint was just written; a run resumed from
             // it starts with exact intermediates and a disarmed
@@ -1530,7 +1813,8 @@ impl<'a, B: MttkrpBackend + ?Sized> Run<'a, B> {
             ctl.disarm(iter, "checkpoint");
         } else if clean && !pp_iter {
             if !ctl.armed {
-                if ctl.cfg.every != 1 && rel <= ctl.cfg.tol {
+                let rel = if ctl.cfg.every != 1 { rel() } else { f64::INFINITY };
+                if rel <= ctl.cfg.tol {
                     // Enter approximate mode: capture the baseline at
                     // exactly the factors this exact sweep produced.
                     let t0 = Instant::now();
@@ -1543,7 +1827,7 @@ impl<'a, B: MttkrpBackend + ?Sized> Run<'a, B> {
                     self.timings.mttkrp += t0.elapsed();
                     ctl.refreshes += 1;
                     ctl.armed = true;
-                    ctl.baseline_events = self.diag.events.len();
+                    ctl.baseline_events = events;
                     adatm_trace::event!(
                         "pp.enter",
                         iter: iter as u64,
@@ -1561,19 +1845,19 @@ impl<'a, B: MttkrpBackend + ?Sized> Run<'a, B> {
                     st.refresh(tensor, &self.factors);
                     self.timings.mttkrp += t0.elapsed();
                     ctl.refreshes += 1;
-                    ctl.baseline_events = self.diag.events.len();
+                    ctl.baseline_events = events;
                 }
             }
         }
-        ctl.prev.clone_from(&self.factors);
-        ctl.have_prev = true;
     }
 
-    /// Writes one checkpoint generation from the live state (no-op
-    /// without a store). Write failures are non-fatal: durability
-    /// degrades (earlier generations stay intact), correctness does not,
-    /// so the run records a [`BreakdownKind::CheckpointWriteFailed`]
-    /// diagnostic and keeps iterating.
+    /// Starts one checkpoint generation from the live state (no-op
+    /// without a store): the state is staged on this thread and made
+    /// durable by the store's writer thread, after the write before it
+    /// is joined. Write failures are non-fatal: durability degrades
+    /// (earlier generations stay intact), correctness does not, so the
+    /// run records a [`BreakdownKind::CheckpointWriteFailed`] diagnostic
+    /// when the failed write is joined, and keeps iterating.
     fn write_checkpoint(&mut self, next_iter: usize) {
         let Some(ck) = self.ckpt.as_mut() else { return };
         let t0 = Instant::now();
@@ -1589,19 +1873,44 @@ impl<'a, B: MttkrpBackend + ?Sized> Run<'a, B> {
             rollbacks_left: self.rollbacks_left,
             stall_recorded: self.stall_recorded,
             elapsed_ns: self.elapsed_base_ns + self.start.elapsed().as_nanos() as u64,
-            last_good: self.last_good.as_ref().map(|s| (s.lambda.as_slice(), s.factors.as_slice())),
+            last_good: match self.last_good.held {
+                Held::None => None,
+                Held::Base => Some((&self.last_good.lambda, &self.factors)),
+                Held::Aside => Some((&self.last_good.lambda, &self.bufs.aside)),
+            },
         };
-        if ck.store.write(&view).is_err() {
-            self.diag.record(BreakdownEvent {
-                iter: next_iter.saturating_sub(1),
-                mode: None,
-                kind: BreakdownKind::CheckpointWriteFailed,
-                recovery: RecoveryAction::None,
-                recovery_time: t0.elapsed(),
-            });
-        }
+        let previous = ck.store.start_write(&view);
         ck.last_write = Instant::now();
         self.timings.checkpoint += t0.elapsed();
+        self.record_write(previous);
+    }
+
+    /// Waits for the checkpoint write in flight, if any.
+    fn join_checkpoint(&mut self) {
+        let Some(ck) = self.ckpt.as_mut() else { return };
+        let t0 = Instant::now();
+        let report = ck.store.join();
+        self.timings.checkpoint += t0.elapsed();
+        self.record_write(report);
+    }
+
+    /// Records a joined write that failed, tagged with its own iteration.
+    fn record_write(&mut self, report: Option<WriteReport>) {
+        let Some(r) = report.filter(|r| r.result.is_err()) else { return };
+        self.io_events += 1;
+        self.diag.record(BreakdownEvent {
+            iter: r.next_iter.saturating_sub(1),
+            mode: None,
+            kind: BreakdownKind::CheckpointWriteFailed,
+            recovery: RecoveryAction::None,
+            recovery_time: r.elapsed,
+        });
+    }
+
+    /// Events recorded by the solver's own detectors: every event but the
+    /// checkpoint-write failures.
+    fn solver_events(&self) -> usize {
+        self.diag.events.len() - self.io_events
     }
 
     /// Finish: the final watchdog checkpoint, the drift check, and the
@@ -1612,8 +1921,17 @@ impl<'a, B: MttkrpBackend + ?Sized> Run<'a, B> {
         // mid-iteration would otherwise lose everything since the last
         // cadence hit. Persist the best-so-far state before returning.
         if self.diag.stop == StopReason::TimeBudget {
+            if self.last_good.held == Held::Base && self.bufs.parked.iter().any(|&p| p) {
+                // Stopped mid-sweep: the base is split between the live
+                // and spare sets, and the checkpoint needs it whole.
+                self.bufs.copy_base_aside(&self.factors);
+                self.last_good.held = Held::Aside;
+            }
             self.write_checkpoint(self.iters);
         }
+        // Every generation is durable (or reported failed) by the end of
+        // the run.
+        self.join_checkpoint();
         // A degraded run may still hold non-finite working state if no
         // last-good snapshot existed; the rollback path guarantees the
         // factors it leaves behind are finite, so this is belt and

@@ -24,9 +24,11 @@ use std::time::Duration;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FaultKind {
     /// Overwrite one entry with NaN (poisons the factor update and, for
-    /// memoizing backends, any cached intermediate derived from it).
+    /// memoizing backends, any cached intermediate derived from it). The
+    /// entry is the middle one of the output; on a row outside the mode's
+    /// support, which the driver never reads, it perturbs nothing.
     PoisonNan,
-    /// Overwrite one entry with +Inf.
+    /// Overwrite one entry with +Inf (the first, on row 0).
     PoisonInf,
     /// Zero the entire output, collapsing every factor column.
     ZeroOutput,

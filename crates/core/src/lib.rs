@@ -54,7 +54,7 @@ pub use backend::{
 };
 pub use checkpoint::{
     CheckpointConfig, CheckpointError, CheckpointMedium, CheckpointStore, CheckpointWarning,
-    CpCheckpoint, FsMedium, ResumeOutcome,
+    CpCheckpoint, FsMedium, ResumeOutcome, WriteReport,
 };
 pub use cpals::{CpAls, CpAlsOptions, CpResult, PhaseTimings, PpConfig, UpdateRule};
 pub use cpopt::{cp_opt, CpOptOptions, CpOptResult};

@@ -44,6 +44,7 @@
 //! point regardless of thread count.
 
 use crate::symbolic::{build_node, SymbolicNode};
+use adatm_linalg::rows::{for_runs, RowSet};
 use adatm_linalg::{kernels, Mat};
 use adatm_tensor::coo::Idx;
 use adatm_tensor::SparseTensor;
@@ -106,6 +107,10 @@ pub struct PpState {
     baseline_mttkrp: Vec<Mat>,
     /// The baseline factors `U_p` themselves.
     baseline_factors: Vec<Mat>,
+    /// Each mode's support: the rows holding a tensor nonzero. Only they
+    /// enter an MTTKRP, so factor movement — the deltas, their block
+    /// norms and the drift — is measured over them alone.
+    support: Vec<RowSet>,
     /// Per-mode, per-column-block Frobenius norms of the baseline.
     baseline_norms: Vec<Vec<f64>>,
     /// Current deltas `U - U_p`, recomputed lazily per mode.
@@ -139,22 +144,39 @@ fn num_blocks(rank: usize) -> usize {
     rank.div_ceil(PP_COL_BLOCK)
 }
 
-/// Per-column-block Frobenius norms of `m` into `out`.
-fn block_norms(m: &Mat, out: &mut [f64]) {
+/// Per-column-block Frobenius norms of the rows of `m` in `rows` into
+/// `out`.
+fn block_norms(m: &Mat, rows: &RowSet, out: &mut [f64]) {
     let rank = m.ncols();
     out.fill(0.0);
-    for row in m.as_slice().chunks(rank) {
-        for (b, cols) in row.chunks(PP_COL_BLOCK).enumerate() {
-            let mut s = 0.0;
-            for &v in cols {
-                s += v * v;
+    let data = m.as_slice();
+    for_runs(Some(rows), 0, m.nrows(), |lo, hi| {
+        for row in data[lo * rank..hi * rank].chunks(rank) {
+            for (b, cols) in row.chunks(PP_COL_BLOCK).enumerate() {
+                let mut s = 0.0;
+                for &v in cols {
+                    s += v * v;
+                }
+                out[b] += s;
             }
-            out[b] += s;
         }
-    }
+    });
     for v in out.iter_mut() {
         *v = v.sqrt();
     }
+}
+
+/// `m.fro_norm()` over the rows of `m` in `rows`: their squares summed in
+/// row order from `-0.0`, as `Iterator::sum` does.
+fn rows_fro_norm(m: &Mat, rows: &RowSet) -> f64 {
+    let (rank, data) = (m.ncols(), m.as_slice());
+    let mut sum = -0.0;
+    for_runs(Some(rows), 0, m.nrows(), |lo, hi| {
+        for &x in &data[lo * rank..hi * rank] {
+            sum += x * x;
+        }
+    });
+    sum.sqrt()
 }
 
 /// One correction (or baseline-build) scan of a pair memo: for every
@@ -336,6 +358,7 @@ impl PpState {
         let nb = num_blocks(rank);
         PpState {
             rank,
+            support: (0..n).map(|d| t.support(d)).collect(),
             baseline_mttkrp: dims.iter().map(|&d| Mat::zeros(d, rank)).collect(),
             baseline_factors: dims.iter().map(|&d| Mat::zeros(d, rank)).collect(),
             baseline_norms: vec![vec![0.0; nb]; n],
@@ -503,7 +526,7 @@ impl PpState {
         }
         for (mode, f) in factors.iter().enumerate() {
             self.baseline_factors[mode].clone_from(f);
-            block_norms(f, &mut self.baseline_norms[mode]);
+            block_norms(f, &self.support[mode], &mut self.baseline_norms[mode]);
             self.deltas[mode].fill_zero();
             self.delta_norms[mode].fill(0.0);
             self.dirty[mode] = false;
@@ -512,9 +535,9 @@ impl PpState {
     }
 
     /// Relative drift of `factors` from the baseline:
-    /// `sqrt(Σ_n ‖U^(n) - U_p^(n)‖² / Σ_n ‖U^(n)‖²)`. The driver uses it
-    /// to decide when a cadence-forced exact sweep should also
-    /// re-capture the baseline.
+    /// `sqrt(Σ_n ‖U^(n) - U_p^(n)‖² / Σ_n ‖U^(n)‖²)`, over the rows that
+    /// hold a tensor nonzero. The driver uses it to decide when a
+    /// cadence-forced exact sweep should also re-capture the baseline.
     pub fn baseline_drift(&mut self, factors: &[Mat]) -> f64 {
         self.check_factors(factors);
         let mut dn = 0.0;
@@ -522,7 +545,7 @@ impl PpState {
         for mode in 0..self.dims.len() {
             self.ensure_delta(factors, mode);
             dn += self.delta_norms[mode].iter().map(|&x| x * x).sum::<f64>();
-            fnorm += factors[mode].fro_norm().powi(2);
+            fnorm += rows_fro_norm(&factors[mode], &self.support[mode]).powi(2);
         }
         if fnorm > 0.0 {
             (dn / fnorm).sqrt()
@@ -643,14 +666,19 @@ impl PpState {
         if !self.dirty[mode] {
             return;
         }
-        let delta = &mut self.deltas[mode];
-        let base = &self.baseline_factors[mode];
-        for ((d, &f), &b) in
-            delta.as_mut_slice().iter_mut().zip(factors[mode].as_slice()).zip(base.as_slice())
-        {
-            *d = f - b;
-        }
-        block_norms(delta, &mut self.delta_norms[mode]);
+        let (delta, rows) = (&mut self.deltas[mode], &self.support[mode]);
+        let (r, cur, base) =
+            (self.rank, factors[mode].as_slice(), self.baseline_factors[mode].as_slice());
+        // Rows outside the support are never read: corrections gather
+        // delta rows at the indices of tensor entries.
+        let d = delta.as_mut_slice();
+        for_runs(Some(rows), 0, cur.len() / r, |lo, hi| {
+            let (a, b) = (lo * r, hi * r);
+            for ((d, &f), &p) in d[a..b].iter_mut().zip(&cur[a..b]).zip(&base[a..b]) {
+                *d = f - p;
+            }
+        });
+        block_norms(delta, rows, &mut self.delta_norms[mode]);
         self.dirty[mode] = false;
     }
 

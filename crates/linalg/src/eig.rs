@@ -54,6 +54,15 @@ pub fn jacobi_eigh(a: &Mat) -> EigH {
 /// [`MAX_SWEEPS`] sweeps and hand back an all-NaN "decomposition" that
 /// poisons everything downstream.
 pub fn try_jacobi_eigh(a: &Mat) -> Result<EigH, LinalgError> {
+    let mut e = EigH { values: Vec::new(), vectors: Mat::zeros(0, 0) };
+    try_jacobi_eigh_into(a, &mut Mat::zeros(0, 0), &mut e)?;
+    Ok(e)
+}
+
+/// [`try_jacobi_eigh`] into `out`, with `m` as the rotated working copy
+/// of `a`: the same rotations and bits, and no allocation once the
+/// buffers have held an `n x n` problem.
+pub fn try_jacobi_eigh_into(a: &Mat, m: &mut Mat, out: &mut EigH) -> Result<(), LinalgError> {
     if a.nrows() != a.ncols() {
         return Err(LinalgError::NotSquare { nrows: a.nrows(), ncols: a.ncols() });
     }
@@ -61,10 +70,20 @@ pub fn try_jacobi_eigh(a: &Mat) -> Result<EigH, LinalgError> {
         return Err(LinalgError::NonFinite { what: "eigensolver input matrix" });
     }
     let n = a.nrows();
-    let mut m = a.clone();
-    let mut v = Mat::eye(n);
+    m.copy_from(a);
+    let v = &mut out.vectors;
+    v.reshape(n, n);
+    v.fill_zero();
+    for i in 0..n {
+        v.set(i, i, 1.0);
+    }
+    let diagonal = |m: &Mat, values: &mut Vec<f64>| {
+        values.clear();
+        values.extend((0..n).map(|i| m.get(i, i)));
+    };
     if n <= 1 {
-        return Ok(EigH { values: (0..n).map(|i| m.get(i, i)).collect(), vectors: v });
+        diagonal(m, &mut out.values);
+        return Ok(());
     }
     let total_norm = m.fro_norm().max(f64::MIN_POSITIVE);
     let tol = 1e-14 * total_norm;
@@ -79,7 +98,8 @@ pub fn try_jacobi_eigh(a: &Mat) -> Result<EigH, LinalgError> {
         }
         off_norm = (2.0 * off).sqrt();
         if off_norm <= tol {
-            return Ok(EigH { values: (0..n).map(|i| m.get(i, i)).collect(), vectors: v });
+            diagonal(m, &mut out.values);
+            return Ok(());
         }
         for p in 0..n {
             for q in (p + 1)..n {

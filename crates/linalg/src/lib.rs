@@ -25,12 +25,17 @@ pub mod kernels;
 pub mod mat;
 pub mod pinv;
 pub mod qr;
+pub mod rows;
 pub mod update;
 
-pub use eig::{jacobi_eigh, try_jacobi_eigh, EigH};
+pub use eig::{jacobi_eigh, try_jacobi_eigh, try_jacobi_eigh_into, EigH};
 pub use mat::Mat;
-pub use pinv::{pinv_sym, ridge_inv_gram, solve_gram, try_pinv_gram, GramSolveInfo};
+pub use pinv::{
+    pinv_sym, ridge_inv_gram, solve_gram, try_pinv_gram, try_pinv_gram_into, GramSolveInfo,
+    PinvWork,
+};
 pub use qr::{thin_qr, ThinQr};
+pub use rows::RowSet;
 
 /// Machine-epsilon-scale tolerance used when truncating near-zero
 /// eigenvalues in pseudoinverse computations.

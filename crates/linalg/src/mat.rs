@@ -176,9 +176,21 @@ impl Mat {
     /// # Panics
     /// Panics on an inner-dimension mismatch.
     pub fn matmul(&self, other: &Mat) -> Mat {
+        let mut out = Mat::zeros(0, 0);
+        self.matmul_into(other, &mut out);
+        out
+    }
+
+    /// [`Mat::matmul`] into `out`, reshaped within its capacity: the same
+    /// kernel and bits, without an allocation once `out` is large enough.
+    ///
+    /// # Panics
+    /// Panics on an inner-dimension mismatch.
+    pub fn matmul_into(&self, other: &Mat, out: &mut Mat) {
         assert_eq!(self.ncols, other.nrows, "matmul dimension mismatch");
         let (n, k, m) = (self.nrows, self.ncols, other.ncols);
-        let mut out = Mat::zeros(n, m);
+        out.reshape(n, m);
+        out.fill_zero();
         let kernel = |row: &[f64], orow: &mut [f64]| {
             for (l, &a) in row.iter().enumerate() {
                 if a == 0.0 {
@@ -198,18 +210,30 @@ impl Mat {
                 kernel(row, orow);
             }
         }
-        out
     }
 
     /// Returns the transpose.
     pub fn transpose(&self) -> Mat {
-        let mut out = Mat::zeros(self.ncols, self.nrows);
+        let mut out = Mat::zeros(0, 0);
+        self.transpose_into(&mut out);
+        out
+    }
+
+    /// [`Mat::transpose`] into `out`, reshaped within its capacity.
+    pub fn transpose_into(&self, out: &mut Mat) {
+        out.reshape(self.ncols, self.nrows);
         for i in 0..self.nrows {
             for j in 0..self.ncols {
                 out.data[j * self.nrows + i] = self.data[i * self.ncols + j];
             }
         }
-        out
+    }
+
+    /// Overwrites `self` with a copy of `other`, reusing its allocation
+    /// when it is large enough.
+    pub fn copy_from(&mut self, other: &Mat) {
+        self.reshape(other.nrows, other.ncols);
+        self.data.copy_from_slice(&other.data);
     }
 
     /// In-place element-wise (Hadamard) product with `other`.

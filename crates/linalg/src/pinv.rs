@@ -7,7 +7,7 @@
 //! `U^(n) = M^(n) * pinv(H^(n))`, which this module provides via the Jacobi
 //! eigendecomposition.
 
-use crate::eig::{jacobi_eigh, try_jacobi_eigh, EigH};
+use crate::eig::{jacobi_eigh, try_jacobi_eigh, try_jacobi_eigh_into, EigH};
 use crate::mat::Mat;
 use crate::{LinalgError, PINV_RCOND};
 
@@ -69,8 +69,22 @@ fn spectral_info(e: &EigH, cutoff: f64) -> GramSolveInfo {
 
 /// `V diag(f(w_i)) V^T` for an eigendecomposition and a spectral map `f`.
 fn spectral_apply(e: &EigH, f: impl Fn(f64) -> f64) -> Mat {
+    let mut out = Mat::zeros(0, 0);
+    spectral_apply_into(e, f, &mut Mat::zeros(0, 0), &mut Mat::zeros(0, 0), &mut out);
+    out
+}
+
+/// [`spectral_apply`] into `out`, with `scaled` and `vt` as work
+/// matrices.
+fn spectral_apply_into(
+    e: &EigH,
+    f: impl Fn(f64) -> f64,
+    scaled: &mut Mat,
+    vt: &mut Mat,
+    out: &mut Mat,
+) {
     let n = e.values.len();
-    let mut scaled = e.vectors.clone(); // columns scaled by f(eigenvalue)
+    scaled.copy_from(&e.vectors); // columns scaled by f(eigenvalue)
     for (j, &w) in e.values.iter().enumerate() {
         let fw = f(w);
         for i in 0..n {
@@ -78,7 +92,32 @@ fn spectral_apply(e: &EigH, f: impl Fn(f64) -> f64) -> Mat {
             scaled.set(i, j, v);
         }
     }
-    scaled.matmul(&e.vectors.transpose())
+    e.vectors.transpose_into(vt);
+    scaled.matmul_into(vt, out);
+}
+
+/// The reusable buffers of [`try_pinv_gram_into`]: the eigensolver's
+/// working copy and decomposition, and the spectral product's operands.
+#[derive(Clone, Debug)]
+pub struct PinvWork {
+    m: Mat,
+    eig: EigH,
+    scaled: Mat,
+    vt: Mat,
+}
+
+impl Default for PinvWork {
+    fn default() -> Self {
+        let z = || Mat::zeros(0, 0);
+        PinvWork { m: z(), eig: EigH { values: Vec::new(), vectors: z() }, scaled: z(), vt: z() }
+    }
+}
+
+impl PinvWork {
+    /// The eigendecomposition the last [`try_pinv_gram_into`] computed.
+    pub fn eig(&self) -> &EigH {
+        &self.eig
+    }
 }
 
 /// Computes the pseudoinverse of a symmetric matrix.
@@ -118,12 +157,27 @@ pub fn solve_gram(m: &Mat, h: &Mat) -> Mat {
 /// [`GramSolveInfo`] comes from the eigenvalues the pseudoinverse computed
 /// anyway, so the condition estimate costs nothing extra.
 pub fn try_pinv_gram(h: &Mat) -> Result<(Mat, GramSolveInfo), LinalgError> {
-    let e = try_jacobi_eigh(h)?;
+    let mut pinv = Mat::zeros(0, 0);
+    let info = try_pinv_gram_into(h, &mut PinvWork::default(), &mut pinv)?;
+    Ok((pinv, info))
+}
+
+/// [`try_pinv_gram`] into `out`, over a caller-owned workspace: the same
+/// bits, and no allocation once `work` and `out` have held an `R x R`
+/// problem. On `Err`, `out` is unspecified.
+pub fn try_pinv_gram_into(
+    h: &Mat,
+    work: &mut PinvWork,
+    out: &mut Mat,
+) -> Result<GramSolveInfo, LinalgError> {
+    try_jacobi_eigh_into(h, &mut work.m, &mut work.eig)?;
+    let e = &work.eig;
     let wmax = e.values.iter().fold(0.0_f64, |mx, &w| mx.max(w.abs()));
     let cutoff = PINV_RCOND * wmax;
-    let info = spectral_info(&e, cutoff);
-    let pinv = spectral_apply(&e, |w| if w.abs() > cutoff { 1.0 / w } else { 0.0 });
-    Ok((pinv, info))
+    let info = spectral_info(e, cutoff);
+    let f = |w: f64| if w.abs() > cutoff { 1.0 / w } else { 0.0 };
+    spectral_apply_into(e, f, &mut work.scaled, &mut work.vt, out);
+    Ok(info)
 }
 
 /// Tikhonov-regularized Gram inverse `(H + ridge I)^-1`, which a solver

@@ -18,7 +18,23 @@
 //!   each row through the caller's `R`-length work row and accumulates the
 //!   Gram.
 //!
-//! Neither allocates on one thread.
+//! Neither allocates on one thread. NCP's update also has an out-of-place
+//! form that reads the old factor from another buffer, so a driver can
+//! keep the previous iterate in its second buffer instead of copying it.
+//!
+//! # Support rows
+//!
+//! Each kernel takes the rows it visits: `None` for every row, or the
+//! mode's support (the rows that hold a tensor nonzero, see
+//! [`crate::rows`]). Outside the support `M` is exactly `+0.0`, so one
+//! update leaves each such row of `U` at a fixed point of the rule — ALS
+//! writes `+0.0`, NCP gives `u * 0 / (u h + eps) = u` for the `±0.0` it
+//! wrote — and a sum that starts at `+0.0` is not changed by its `±0.0`
+//! products. A caller may pass the support once the output buffer's rows
+//! outside it already hold those values (and, for NCP, so do the source
+//! rows); the first write into any other buffer visits every row.
+//! Parallel chunks stay defined by row index, rows outside the support
+//! included, so the reduction shape below does not change.
 //!
 //! # Register tiles
 //!
@@ -67,6 +83,7 @@
 //!   zeros in worker order.
 
 use crate::mat::{Mat, PAR_ROW_THRESHOLD};
+use crate::rows::{for_runs, RowIter, RowSet};
 use rayon::prelude::*;
 
 /// Widest block of output columns a row kernel holds in registers.
@@ -96,21 +113,38 @@ pub enum ColNorm {
 ///
 /// # Panics
 /// Panics on a shape mismatch.
-#[adatm::hot]
 pub fn solve_into(m: &Mat, p: &Mat, norm: ColNorm, u: &mut Mat, lambda: &mut [f64]) {
+    solve_rows_into(m, p, norm, u, lambda, None);
+}
+
+/// [`solve_into`] over `rows` only (`None`: every row); `u` is left as it
+/// is elsewhere.
+///
+/// # Panics
+/// Panics on a shape mismatch.
+#[adatm::hot]
+pub fn solve_rows_into(
+    m: &Mat,
+    p: &Mat,
+    norm: ColNorm,
+    u: &mut Mat,
+    lambda: &mut [f64],
+    rows: Option<&RowSet>,
+) {
     let r = u.ncols();
     assert!(
         m.nrows() == u.nrows()
             && m.ncols() == r
             && p.nrows() == r
             && p.ncols() == r
-            && lambda.len() == r,
-        "solve_into shape mismatch"
+            && lambda.len() == r
+            && rows.is_none_or(|s| s.len() == u.nrows()),
+        "solve_rows_into shape mismatch"
     );
     if r == 0 {
         return;
     }
-    solve_rows(m.as_slice(), p.as_slice(), norm, u.as_mut_slice(), lambda);
+    solve_rows(m.as_slice(), p.as_slice(), norm, u.as_mut_slice(), lambda, rows);
     if norm == ColNorm::Two {
         lambda.iter_mut().for_each(|n| *n = n.sqrt());
     }
@@ -124,14 +158,31 @@ pub fn solve_into(m: &Mat, p: &Mat, norm: ColNorm, u: &mut Mat, lambda: &mut [f6
 ///
 /// # Panics
 /// Panics on a shape mismatch.
-#[adatm::hot]
 pub fn normalize_gram(u: &mut Mat, lambda: &[f64], gram: &mut Mat) -> bool {
+    normalize_gram_rows(u, lambda, gram, None)
+}
+
+/// [`normalize_gram`] over `rows` only (`None`: every row); the rows of
+/// `u` outside `rows` must be zero.
+///
+/// # Panics
+/// Panics on a shape mismatch.
+#[adatm::hot]
+pub fn normalize_gram_rows(
+    u: &mut Mat,
+    lambda: &[f64],
+    gram: &mut Mat,
+    rows: Option<&RowSet>,
+) -> bool {
     let r = u.ncols();
     assert!(
-        lambda.len() == r && gram.nrows() == r && gram.ncols() == r,
+        lambda.len() == r
+            && gram.nrows() == r
+            && gram.ncols() == r
+            && rows.is_none_or(|s| s.len() == u.nrows()),
         "normalize_gram shape mismatch"
     );
-    r == 0 || normalize_rows(u.as_mut_slice(), lambda, gram.as_mut_slice())
+    r == 0 || normalize_rows(u.as_mut_slice(), lambda, gram.as_mut_slice(), rows)
 }
 
 /// The NCP multiplicative update in place: each row of `u` becomes
@@ -141,20 +192,87 @@ pub fn normalize_gram(u: &mut Mat, lambda: &[f64], gram: &mut Mat) -> bool {
 ///
 /// # Panics
 /// Panics on a shape mismatch.
-#[adatm::hot]
 pub fn ncp_into(u: &mut Mat, m: &Mat, h: &Mat, eps: f64, gram: &mut Mat, uh: &mut [f64]) -> bool {
+    ncp_rows_into(u, None, m, h, eps, gram, uh, None)
+}
+
+/// The NCP update with its source and rows chosen: each row of `u` in
+/// `rows` (`None`: every row) becomes `old .* max(m, 0) ./ (old h + eps)`,
+/// where `old` is that row of `from` (`None`: of `u` itself, as
+/// [`ncp_into`]) — the same arithmetic per entry. `gram` becomes the Gram
+/// of all of `u`, whose rows outside `rows` must already hold the update's
+/// fixed point (see the module docs).
+///
+/// # Panics
+/// Panics on a shape mismatch.
+#[adatm::hot]
+#[allow(clippy::too_many_arguments)]
+pub fn ncp_rows_into(
+    u: &mut Mat,
+    from: Option<&Mat>,
+    m: &Mat,
+    h: &Mat,
+    eps: f64,
+    gram: &mut Mat,
+    uh: &mut [f64],
+    rows: Option<&RowSet>,
+) -> bool {
     let r = u.ncols();
     assert!(
         m.nrows() == u.nrows()
             && m.ncols() == r
+            && from.is_none_or(|f| f.nrows() == u.nrows() && f.ncols() == r)
             && h.nrows() == r
             && h.ncols() == r
             && gram.nrows() == r
             && gram.ncols() == r
-            && uh.len() == r,
-        "ncp_into shape mismatch"
+            && uh.len() == r
+            && rows.is_none_or(|s| s.len() == u.nrows()),
+        "ncp_rows_into shape mismatch"
     );
-    r == 0 || ncp_rows(u.as_mut_slice(), m.as_slice(), h.as_slice(), eps, gram.as_mut_slice(), uh)
+    let step = NcpStep { from: from.map(Mat::as_slice), m: m.as_slice(), h: h.as_slice(), eps };
+    r == 0 || ncp_rows(u.as_mut_slice(), &step, gram.as_mut_slice(), uh, rows)
+}
+
+/// Whether every entry of `m` in `rows` (`None`: every row) is finite.
+pub fn rows_finite(m: &Mat, rows: Option<&RowSet>) -> bool {
+    let (r, data) = (m.ncols(), m.as_slice());
+    let mut finite = true;
+    for_runs(rows, 0, m.nrows(), |s, e| {
+        finite &= data[s * r..e * r].iter().all(|x| x.is_finite());
+    });
+    finite
+}
+
+/// [`Mat::col_dots`] over `rows` only: `out[j]` sums `m[i][j] * u[i][j]`
+/// in row order from `-0.0`. Where `m` is `+0.0` outside `rows` and `u`
+/// is finite, each skipped product is a zero, so a nonzero result is
+/// bitwise [`Mat::col_dots`]'s and a zero one differs at most in its sign.
+///
+/// # Panics
+/// Panics on a shape mismatch.
+pub fn col_dots_rows(m: &Mat, u: &Mat, out: &mut [f64], rows: Option<&RowSet>) {
+    assert!(
+        (m.nrows(), m.ncols()) == (u.nrows(), u.ncols()) && out.len() == m.ncols(),
+        "col_dots_rows shape mismatch"
+    );
+    out.fill(-0.0);
+    let r = m.ncols().max(1);
+    let (a, b) = (m.as_slice(), u.as_slice());
+    for_runs(rows, 0, m.nrows(), |s, e| {
+        for (x, y) in a[s * r..e * r].chunks_exact(r).zip(b[s * r..e * r].chunks_exact(r)) {
+            crate::kernels::muladd_assign(out, x, y);
+        }
+    });
+}
+
+/// The operands of an NCP update: the old factor (`None`: in place), the
+/// MTTKRP, the Hadamard system and the denominator guard.
+struct NcpStep<'a> {
+    from: Option<&'a [f64]>,
+    m: &'a [f64],
+    h: &'a [f64],
+    eps: f64,
 }
 
 /// Whether `rows` rows take the parallel path: the row threshold of the
@@ -163,23 +281,36 @@ fn parallel(rows: usize) -> bool {
     rows >= PAR_ROW_THRESHOLD && rayon::current_num_threads() > 1
 }
 
-/// Pass A over all rows (rank `lambda.len()`).
+/// Pass A over `rows` (rank `lambda.len()`).
 #[adatm::hot]
-fn solve_rows(m: &[f64], p: &[f64], norm: ColNorm, u: &mut [f64], lambda: &mut [f64]) {
+fn solve_rows(
+    m: &[f64],
+    p: &[f64],
+    norm: ColNorm,
+    u: &mut [f64],
+    lambda: &mut [f64],
+    rows: Option<&RowSet>,
+) {
     let r = lambda.len();
     lambda.fill(0.0);
+    // Pass A over the runs of `rows` inside rows `lo..` of this block.
+    let runs = |lo: usize, uc: &mut [f64], norms: &mut [f64]| {
+        for_runs(rows, lo, lo + uc.len() / r, |s, e| {
+            let out = &mut uc[(s - lo) * r..(e - lo) * r];
+            solve_block(&m[s * r..e * r], p, norm, out, norms);
+        });
+    };
     // Max norms are order-free, so workers may combine theirs; a 2-norm is
     // a floating-point sum and stays one row-order pass (on the first
     // iteration only).
     if norm == ColNorm::Max && parallel(u.len() / r) {
-        let chunk = PAR_ROW_THRESHOLD * r;
         let maxes = u
-            .par_chunks_mut(chunk)
-            .zip(m.par_chunks(chunk))
+            .par_chunks_mut(PAR_ROW_THRESHOLD * r)
+            .enumerate()
             .fold(
                 || vec![0.0; r],
-                |mut acc, (uc, mc)| {
-                    solve_block(mc, p, norm, uc, &mut acc);
+                |mut acc, (c, uc)| {
+                    runs(c * PAR_ROW_THRESHOLD, uc, &mut acc);
                     acc
                 },
             )
@@ -194,7 +325,7 @@ fn solve_rows(m: &[f64], p: &[f64], norm: ColNorm, u: &mut [f64], lambda: &mut [
             );
         lambda.copy_from_slice(&maxes);
     } else {
-        solve_block(m, p, norm, u, lambda);
+        runs(0, u, lambda);
     }
 }
 
@@ -267,21 +398,23 @@ fn row_block<const W: usize>(row: &[f64], p: &[f64], c0: usize, out: &mut [f64])
     W
 }
 
-/// Pass B over all rows: scale the nonzero rows by the inverse scales,
+/// Pass B over `rows`: scale the nonzero rows by the inverse scales,
 /// check them, accumulate their Gram.
 #[adatm::hot]
-fn normalize_rows(u: &mut [f64], lambda: &[f64], gram: &mut [f64]) -> bool {
+fn normalize_rows(u: &mut [f64], lambda: &[f64], gram: &mut [f64], rows: Option<&RowSet>) -> bool {
     let r = lambda.len();
-    gram_fold(u, r, gram, &mut [], |_, rows, acc, _| {
+    gram_fold(u, r, gram, &mut [], |row0, block, acc, _| {
         let mut starts = [0; BLOCK];
-        let mut next = 0;
+        let mut visit = RowIter::new(rows, row0, row0 + block.len() / r);
         let mut finite = true;
-        while next < rows.len() {
-            let n = nonzero_rows(rows, r, &mut next, &mut starts);
-            finite &= scale_rows(rows, lambda, &starts[..n]);
-            add_tiles(acc, r, rows, &starts[..n]);
+        loop {
+            let n = nonzero_rows(block, r, row0, &mut visit, &mut starts);
+            if n == 0 {
+                return finite;
+            }
+            finite &= scale_rows(block, lambda, &starts[..n]);
+            add_tiles(acc, r, block, &starts[..n]);
         }
-        finite
     })
 }
 
@@ -306,49 +439,69 @@ fn scale_rows(rows: &mut [f64], lambda: &[f64], starts: &[usize]) -> bool {
     finite
 }
 
-/// The NCP update over all rows (rank `uh.len()`), accumulating the Gram
-/// of the result.
+/// The NCP update over `rows` (rank `uh.len()`), accumulating the Gram of
+/// the result.
 #[adatm::hot]
 fn ncp_rows(
     u: &mut [f64],
-    m: &[f64],
-    h: &[f64],
-    eps: f64,
+    step: &NcpStep<'_>,
     gram: &mut [f64],
     uh: &mut [f64],
+    rows: Option<&RowSet>,
 ) -> bool {
     let r = uh.len();
-    gram_fold(u, r, gram, uh, |row0, rows, acc, uh| {
-        let m = &m[row0 * r..];
+    gram_fold(u, r, gram, uh, |row0, block, acc, uh| {
         let mut starts = [0; BLOCK];
-        let mut next = 0;
+        let mut visit = RowIter::new(rows, row0, row0 + block.len() / r);
         let mut finite = true;
-        while next < rows.len() {
+        let mut more = true;
+        while more {
             let mut n = 0;
-            while n < BLOCK && next < rows.len() {
-                let (urow, mrow) = (&mut rows[next..next + r], &m[next..next + r]);
+            while n < BLOCK {
+                let Some(i) = visit.next() else {
+                    more = false;
+                    break;
+                };
+                let (at, s) = (i * r, (i - row0) * r);
+                let (urow, mrow) = (&mut block[s..s + r], &step.m[at..at + r]);
                 // `u h` needs the whole old row, so it goes through `uh`.
-                row_times(urow, h, uh);
-                ncp_quotient(urow, mrow, uh, eps);
+                match step.from {
+                    Some(old) => {
+                        let orow = &old[at..at + r];
+                        row_times(orow, step.h, uh);
+                        ncp_quotient(urow, orow, mrow, uh, step.eps);
+                    }
+                    None => {
+                        row_times(urow, step.h, uh);
+                        ncp_quotient_in_place(urow, mrow, uh, step.eps);
+                    }
+                }
                 finite &= urow.iter().fold(true, |ok, x| ok & x.is_finite());
                 if !is_zero(urow) {
-                    starts[n] = next;
+                    starts[n] = s;
                     n += 1;
                 }
-                next += r;
             }
-            add_tiles(acc, r, rows, &starts[..n]);
+            add_tiles(acc, r, block, &starts[..n]);
         }
         finite
     })
 }
 
-/// `u = u * (max(m, 0) / (uh + eps))`, elementwise, in the association the
-/// unfused update used.
+/// `u = old * (max(m, 0) / (uh + eps))`, elementwise, in the association
+/// the unfused update used.
 #[inline(always)]
-fn ncp_quotient(u: &mut [f64], m: &[f64], uh: &[f64], eps: f64) {
-    for ((x, &mv), &o) in u.iter_mut().zip(m).zip(uh) {
-        *x *= mv.max(0.0) / (o + eps);
+fn ncp_quotient(u: &mut [f64], old: &[f64], m: &[f64], uh: &[f64], eps: f64) {
+    for (((x, &o), &mv), &d) in u.iter_mut().zip(old).zip(m).zip(uh) {
+        *x = o * (mv.max(0.0) / (d + eps));
+    }
+}
+
+/// [`ncp_quotient`] with `old` the row itself.
+#[inline(always)]
+fn ncp_quotient_in_place(u: &mut [f64], m: &[f64], uh: &[f64], eps: f64) {
+    for ((x, &mv), &d) in u.iter_mut().zip(m).zip(uh) {
+        *x *= mv.max(0.0) / (d + eps);
     }
 }
 
@@ -425,25 +578,35 @@ fn sum(mut a: Vec<f64>, b: &[f64], n: usize) -> Vec<f64> {
 #[inline(always)]
 fn add_rows(acc: &mut [f64], r: usize, rows: &[f64]) {
     let mut starts = [0; BLOCK];
-    let mut next = 0;
-    while next < rows.len() {
-        let n = nonzero_rows(rows, r, &mut next, &mut starts);
+    let mut visit = 0..rows.len() / r;
+    loop {
+        let n = nonzero_rows(rows, r, 0, &mut visit, &mut starts);
+        if n == 0 {
+            return;
+        }
         add_tiles(acc, r, rows, &starts[..n]);
     }
 }
 
-/// Fills `starts` with the offsets of up to [`BLOCK`] rows that hold a
-/// nonzero entry, scanning from offset `*next` and leaving it past the
-/// last row scanned; returns how many it found.
+/// Fills `starts` with the offsets into `block` (whose first row is row
+/// `row0`) of up to [`BLOCK`] rows from `visit` that hold a nonzero
+/// entry; returns how many it found, 0 once `visit` is exhausted.
 #[inline(always)]
-fn nonzero_rows(rows: &[f64], r: usize, next: &mut usize, starts: &mut [usize; BLOCK]) -> usize {
+fn nonzero_rows(
+    block: &[f64],
+    r: usize,
+    row0: usize,
+    visit: &mut impl Iterator<Item = usize>,
+    starts: &mut [usize; BLOCK],
+) -> usize {
     let mut n = 0;
-    while n < BLOCK && *next < rows.len() {
-        if !is_zero(&rows[*next..*next + r]) {
-            starts[n] = *next;
+    while n < BLOCK {
+        let Some(i) = visit.next() else { break };
+        let s = (i - row0) * r;
+        if !is_zero(&block[s..s + r]) {
+            starts[n] = s;
             n += 1;
         }
-        *next += r;
     }
     n
 }

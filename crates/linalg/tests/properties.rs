@@ -528,3 +528,86 @@ fn fused_updates_skip_zero_rows_without_changing_a_bit() {
         }
     });
 }
+
+/// The support-row forms of both updates against the every-row forms: a
+/// support holding every row whose `M` row is nonzero plus some zero-by-
+/// value rows, an output buffer that holds `+0.0` outside the support and
+/// garbage inside it, and (NCP) the old factor read from another buffer.
+/// Factors, flags, `lambda` and Grams agree bit for bit at one and two
+/// threads, across the parallel chunk boundary, with `M` holding 1e300,
+/// NaN or infinities.
+#[test]
+fn support_row_updates_match_every_row_updates_bitwise() {
+    use adatm_linalg::update::{
+        ncp_into, ncp_rows_into, normalize_gram, normalize_gram_rows, solve_into, solve_rows_into,
+        ColNorm,
+    };
+    use adatm_linalg::RowSet;
+    let eps = 1e-12;
+    // Garbage inside `support`, `+0.0` outside it.
+    let settled = |rows: usize, r: usize, support: &RowSet, seed: u64| {
+        let mut u = Mat::random(rows, r, seed);
+        for i in (0..rows).filter(|&i| !support.contains(i)) {
+            u.row_mut(i).fill(0.0);
+        }
+        u
+    };
+    at_1_and_2_threads(|threads| {
+        for r in [1, 5, 16, 17] {
+            let p = det_mat(r, r, 11 + r as u64);
+            let h = det_mat(2 * r, r, 3).gram();
+            for rows in ZERO_ROW_ROWS {
+                for case in 0..4 {
+                    let mut m = zero_row_mat(rows, r, rows as u64);
+                    poison(&mut m, case);
+                    let live =
+                        |i: usize| m.row(i).iter().any(|&x| x != 0.0) || i.is_multiple_of(11);
+                    let support = RowSet::from_indices(rows, (0..rows).filter(|&i| live(i)));
+                    let at = format!("{threads} threads, rank {r}, {rows} rows, case {case}");
+                    for norm in [ColNorm::Two, ColNorm::Max] {
+                        let (mut u1, mut l1, mut g1) =
+                            (Mat::random(rows, r, 5), vec![0.0; r], h.clone());
+                        solve_into(&m, &p, norm, &mut u1, &mut l1);
+                        let f1 = normalize_gram(&mut u1, &l1, &mut g1);
+                        let mut u2 = settled(rows, r, &support, 8);
+                        let (mut l2, mut g2) = (vec![7.0; r], p.clone());
+                        solve_rows_into(&m, &p, norm, &mut u2, &mut l2, Some(&support));
+                        let f2 = normalize_gram_rows(&mut u2, &l2, &mut g2, Some(&support));
+                        assert_eq!(f1, f2, "als flag, {at}, {norm:?}");
+                        assert!(same_bits(&l1, &l2), "lambda, {at}, {norm:?}");
+                        if f1 {
+                            assert!(same_bits(u1.as_slice(), u2.as_slice()), "als, {at}, {norm:?}");
+                            assert!(
+                                same_bits(g1.as_slice(), g2.as_slice()),
+                                "gram, {at}, {norm:?}"
+                            );
+                        }
+                    }
+                    let mut u0 = settled(rows, r, &support, 17 + rows as u64);
+                    u0.as_mut_slice().iter_mut().for_each(|x| *x = x.abs());
+                    let (mut want, mut g1) = (u0.clone(), p.clone());
+                    let f1 = ncp_into(&mut want, &m, &h, eps, &mut g1, &mut vec![9.0; r]);
+                    for rows_of in [None, Some(&support)] {
+                        let mut u = settled(rows, r, &support, 23);
+                        let mut g2 = h.clone();
+                        let mut uh = vec![3.0; r];
+                        let f2 = ncp_rows_into(
+                            &mut u,
+                            Some(&u0),
+                            &m,
+                            &h,
+                            eps,
+                            &mut g2,
+                            &mut uh,
+                            rows_of,
+                        );
+                        let at = format!("{at}, support {}", rows_of.is_some());
+                        assert_eq!(f1, f2, "ncp flag, {at}");
+                        assert!(same_bits(u.as_slice(), want.as_slice()), "ncp factor, {at}");
+                        assert!(same_bits(g1.as_slice(), g2.as_slice()), "ncp gram, {at}");
+                    }
+                }
+            }
+        }
+    });
+}

@@ -20,7 +20,6 @@
 use crate::cost::gather_miss_per_elem;
 use crate::estimate::EstimatorCache;
 use adatm_dtree::TreeShape;
-use std::collections::HashMap;
 
 /// The named baseline strategies with their table labels.
 pub fn named_shapes(n: usize) -> Vec<(&'static str, TreeShape)> {
@@ -126,91 +125,88 @@ pub fn interval_dp_weighted(
     assert!(n >= 2, "need at least 2 modes");
     assert!(beta >= 0.0 && lambda_per_byte >= 0.0, "weights must be nonnegative");
     let r = rank as f64;
-    // elems[a][b] for intervals [a, b).
-    let mut elems = vec![vec![0.0f64; n + 1]; n];
+    // Interval tables, flat: entry `at(a, b)` is interval [a, b).
+    let at = |a: usize, b: usize| a * (n + 1) + b;
+    let cells = n * (n + 1);
+    let mut elems = vec![0.0f64; cells];
     for a in 0..n {
         for b in (a + 1)..=n {
-            elems[a][b] = cache.elems(&perm[a..b]);
+            elems[at(a, b)] = cache.elems(&perm[a..b]);
         }
     }
     // Factor rows touched by an interval's modes, for the gather misses
     // of a child whose delta set is that interval.
-    let mut rows = vec![vec![0.0f64; n + 1]; n];
-    for (a, row) in rows.iter_mut().enumerate() {
+    let mut rows = vec![0.0f64; cells];
+    for a in 0..n {
         for b in (a + 1)..=n {
-            row[b] = row[b - 1] + elems[b - 1][b];
+            rows[at(a, b)] = rows[at(a, b - 1)] + elems[at(b - 1, b)];
         }
     }
-    let gather = |a: usize, b: usize| gather_miss_per_elem(b - a, rows[a][b], rank);
+    let gather = |a: usize, b: usize| gather_miss_per_elem(b - a, rows[at(a, b)], rank);
     // Value-matrix write bytes of an interval.
-    let write = |a: usize, b: usize| elems[a][b] * r * 8.0;
+    let write = |a: usize, b: usize| elems[at(a, b)] * r * 8.0;
     // Read bytes of consuming an interval as a parent: root streams the
     // tensor (values + index columns); inner nodes stream R-wide rows.
     let read = |a: usize, b: usize| {
         if b - a == n {
-            elems[a][b] * (8.0 + n as f64 * 4.0)
+            elems[at(a, b)] * (8.0 + n as f64 * 4.0)
         } else {
-            elems[a][b] * r * 8.0
+            elems[at(a, b)] * r * 8.0
         }
     };
-    // g[a][b]: min objective of the subtree on [a, b), including the
+    // g[at(a, b)]: min objective of the subtree on [a, b), including the
     // write of [a, b) itself (charged to every non-root interval) but
     // excluding the read of its parent.
-    let mut g = vec![vec![0.0f64; n + 1]; n];
-    let mut split = vec![vec![0usize; n + 1]; n];
+    let mut g = vec![0.0f64; cells];
+    let mut split = vec![0usize; cells];
     for len in 2..=n {
         for a in 0..=(n - len) {
             let b = a + len;
-            let flops = elems[a][b] * r * (len as f64 + 2.0);
+            let flops = elems[at(a, b)] * r * (len as f64 + 2.0);
             // Two children are computed from this node: two reads.
             let own = flops
                 + beta * 2.0 * read(a, b)
                 + if len == n { 0.0 } else { (beta + lambda_per_byte) * write(a, b) };
             let (mut best, mut best_s) = (f64::INFINITY, a + 1);
-            for (s, gs) in g.iter().enumerate().take(b).skip(a + 1) {
+            for s in a + 1..b {
                 // Child [a, s) multiplies in [s, b), and [s, b) in [a, s).
-                let misses = beta * elems[a][b] * (gather(s, b) + gather(a, s));
-                let c = g[a][s] + gs[b] + misses;
+                let misses = beta * elems[at(a, b)] * (gather(s, b) + gather(a, s));
+                let c = g[at(a, s)] + g[at(s, b)] + misses;
                 if c < best {
                     best = c;
                     best_s = s;
                 }
             }
-            g[a][b] = own + best;
-            split[a][b] = best_s;
+            g[at(a, b)] = own + best;
+            split[at(a, b)] = best_s;
         }
     }
     // Leaves contribute their own writes. They are the same for every
     // tree over the permutation, so they stay out of g and join only the
     // reported objective.
     let leaf_writes: f64 = (0..n).map(|a| write(a, a + 1)).sum();
-    let shape = TreeShape::from_splits(perm, 0, n, &|lo, hi| split[lo][hi]);
+    let shape = TreeShape::from_splits(perm, 0, n, &|lo, hi| split[at(lo, hi)]);
     // Report unweighted flops for the chosen shape so callers compare
     // like for like.
     let flops = if beta == 0.0 && lambda_per_byte == 0.0 {
-        g[0][n]
+        g[at(0, n)]
     } else {
         shape_flops(&shape, perm, r, &elems_lookup(perm, &elems))
     };
-    SearchResult { shape, flops, objective: g[0][n] + beta * leaf_writes }
+    SearchResult { shape, flops, objective: g[at(0, n)] + beta * leaf_writes }
 }
 
-/// Lookup closure from a mode interval's *sorted mode set* to its
-/// estimated element count, backed by the DP's interval table.
-fn elems_lookup<'a>(perm: &'a [usize], elems: &'a [Vec<f64>]) -> impl Fn(&[usize]) -> f64 + 'a {
+/// Lookup closure from a mode interval's mode set to its estimated
+/// element count, backed by the DP's flat interval table.
+fn elems_lookup<'a>(perm: &'a [usize], elems: &'a [f64]) -> impl Fn(&[usize]) -> f64 + 'a {
+    let set = |modes: &[usize]| modes.iter().fold(0u64, |s, &m| s | 1 << m);
     move |modes: &[usize]| {
         // Find the contiguous interval of `perm` with this mode set.
-        let n = perm.len();
+        let (n, target) = (perm.len(), set(modes));
         for a in 0..n {
             for b in (a + 1)..=n {
-                if b - a == modes.len() {
-                    let mut window: Vec<usize> = perm[a..b].to_vec();
-                    window.sort_unstable();
-                    let mut target = modes.to_vec();
-                    target.sort_unstable();
-                    if window == target {
-                        return elems[a][b];
-                    }
+                if b - a == modes.len() && set(&perm[a..b]) == target {
+                    return elems[a * (n + 1) + b];
                 }
             }
         }
@@ -262,7 +258,6 @@ pub fn subset_dp_weighted(
     assert!(beta >= 0.0, "weight must be nonnegative");
     let r = rank as f64;
     let full: u32 = if n == 32 { u32::MAX } else { (1u32 << n) - 1 };
-    let modes_of = |mask: u32| -> Vec<usize> { (0..n).filter(|&m| mask & (1 << m) != 0).collect() };
     let single: Vec<f64> = (0..n).map(|m| cache.elems(&[m])).collect();
     // Per mask: gather misses per parent element of a child whose delta
     // set is that mask (a child's delta set is its sibling's modes).
@@ -274,20 +269,19 @@ pub fn subset_dp_weighted(
         gather[mask as usize] =
             gather_miss_per_elem(mask.count_ones() as usize, rows[mask as usize], rank);
     }
-    // Masks ordered by popcount so children are solved before parents.
-    let mut masks: Vec<u32> = (1..=full).collect();
-    masks.sort_by_key(|m| m.count_ones());
-    let mut g: HashMap<u32, f64> = HashMap::new();
-    let mut best_split: HashMap<u32, u32> = HashMap::new();
-    let mut pure_flops: HashMap<u32, f64> = HashMap::new();
-    for &mask in &masks {
+    // Flat tables indexed by mask (leaves stay 0), and one scratch list
+    // of a mask's modes.
+    let mut g = vec![0.0f64; full as usize + 1];
+    let mut best_split = vec![0u32; full as usize + 1];
+    let mut pure_flops = vec![0.0f64; full as usize + 1];
+    let mut modes = Vec::with_capacity(n);
+    // Masks by popcount, ascending within one, so children are solved
+    // (and sized) before parents.
+    for mask in (2..=n as u32).flat_map(|k| (1..=full).filter(move |m| m.count_ones() == k)) {
         let k = mask.count_ones();
-        if k == 1 {
-            g.insert(mask, 0.0);
-            pure_flops.insert(mask, 0.0);
-            continue;
-        }
-        let e = cache.elems(&modes_of(mask));
+        modes.clear();
+        modes.extend((0..n).filter(|&m| mask & (1 << m) != 0));
+        let e = cache.elems(&modes);
         let flops = e * r * (k as f64 + 2.0);
         // Two children read this node; non-root nodes also pay their own
         // value-matrix write.
@@ -304,7 +298,7 @@ pub fn subset_dp_weighted(
             if sub & low != 0 {
                 let rest = mask ^ sub;
                 let misses = beta * e * (gather[rest as usize] + gather[sub as usize]);
-                let c = g[&sub] + g[&rest] + misses;
+                let c = g[sub as usize] + g[rest as usize] + misses;
                 if c < best {
                     best = c;
                     arg = sub;
@@ -312,16 +306,16 @@ pub fn subset_dp_weighted(
             }
             sub = (sub - 1) & mask;
         }
-        g.insert(mask, own + best);
-        let pf = flops + pure_flops[&arg] + pure_flops[&(mask ^ arg)];
-        pure_flops.insert(mask, pf);
-        best_split.insert(mask, arg);
+        g[mask as usize] = own + best;
+        pure_flops[mask as usize] =
+            flops + pure_flops[arg as usize] + pure_flops[(mask ^ arg) as usize];
+        best_split[mask as usize] = arg;
     }
-    fn rebuild(mask: u32, split: &HashMap<u32, u32>) -> TreeShape {
+    fn rebuild(mask: u32, split: &[u32]) -> TreeShape {
         if mask.count_ones() == 1 {
             return TreeShape::Leaf(mask.trailing_zeros() as usize);
         }
-        let a = split[&mask];
+        let a = split[mask as usize];
         TreeShape::internal(vec![rebuild(a, split), rebuild(mask ^ a, split)])
     }
     // Leaf writes are the same for every tree; they join only the
@@ -329,8 +323,8 @@ pub fn subset_dp_weighted(
     let leaf_writes: f64 = single.iter().map(|&e| e * r * 8.0).sum();
     SearchResult {
         shape: rebuild(full, &best_split),
-        flops: pure_flops[&full],
-        objective: g[&full] + beta * leaf_writes,
+        flops: pure_flops[full as usize],
+        objective: g[full as usize] + beta * leaf_writes,
     }
 }
 

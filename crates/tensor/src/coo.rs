@@ -146,6 +146,12 @@ impl SparseTensor {
         &self.inds[d]
     }
 
+    /// The support of mode `d`: the indices that hold at least one entry,
+    /// as a bitset over `0..dims[d]`.
+    pub fn support(&self, d: usize) -> adatm_linalg::RowSet {
+        adatm_linalg::RowSet::from_indices(self.dims[d], self.inds[d].iter().map(|&i| i as usize))
+    }
+
     /// The value array (length `nnz`).
     #[inline]
     pub fn vals(&self) -> &[f64] {

@@ -432,6 +432,50 @@ fn io_faults_do_not_perturb_the_model() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+#[test]
+fn io_faults_do_not_perturb_a_pp_run() {
+    // The same observation-only guarantee with pairwise perturbation on.
+    // A checkpoint write disarms PP by design (a resumed run starts with
+    // exact intermediates), so the reference is the same checkpointed run
+    // on a healthy medium. PP arms at iteration 10 and sweeps iteration
+    // 11; the write at that boundary (the third, after iterations 3 and
+    // 7) fails, and nothing but its diagnostic may differ.
+    let t = spread_truth();
+    let run = |name: &str, sched: IoFaultSchedule| {
+        let dir = tmp_dir(name);
+        let log = IoFaultLog::default();
+        let log_for_factory = Arc::clone(&log);
+        let cfg = CheckpointConfig::new(&dir).every_iters(4).keep(10).medium_factory(Arc::new(
+            move || {
+                Box::new(FaultyMedium::with_log(sched.clone(), Arc::clone(&log_for_factory)))
+                    as Box<dyn adatm::CheckpointMedium>
+            },
+        ));
+        let opts = CpAlsOptions::new(3).max_iters(24).tol(0.0).seed(7);
+        let res = CpAls::new(opts.pp(adatm::PpConfig::new().tol(0.02)).checkpoint(cfg))
+            .run(&t, &mut CooBackend::with_parallel(&t, false))
+            .unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        let faults = log.lock().unwrap().len();
+        (res, faults)
+    };
+    let (healthy, _) = run("pp-healthy", IoFaultSchedule::new());
+    let (faulted, faults) =
+        run("pp-faulted", IoFaultSchedule::new().at_write(2, IoFaultKind::Enospc));
+    assert_eq!(faults, 1, "the scheduled write fault must fire");
+    assert!(healthy.diagnostics.pp_sweeps > 0, "PP must arm");
+    let carried =
+        |i: usize| healthy.fit_history[i].to_bits() == healthy.fit_history[i - 1].to_bits();
+    assert!(carried(11), "iteration 11 must be an approximate sweep");
+    assert!(healthy.diagnostics.clean(), "{:?}", healthy.diagnostics.events);
+    assert_eq!(event_trail(&faulted), [(11, None, BreakdownKind::CheckpointWriteFailed)]);
+    assert_eq!(
+        (faulted.diagnostics.pp_sweeps, faulted.diagnostics.pp_refreshes),
+        (healthy.diagnostics.pp_sweeps, healthy.diagnostics.pp_refreshes)
+    );
+    assert_models_bitwise_equal(&healthy, &faulted);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -662,4 +706,136 @@ fn fault_during_armed_pp_disarms_and_recovers_to_exact_sweeps() {
     assert!(!res.diagnostics.degraded);
     assert_model_finite(&res);
     assert!(res.final_fit() > 0.9, "run must re-converge after the fault, fit {}", res.final_fit());
+}
+
+/// `ground_truth()` with its mode-0 indices spread to every third row and
+/// its mode-2 indices to every second row: still exactly low rank and
+/// nonnegative, but two of its modes have empty slices (row 0 of every
+/// mode holds entries, so `PoisonInf` always lands on a live row).
+fn spread_truth() -> adatm::SparseTensor {
+    let t = ground_truth();
+    let stride = [3, 1, 2];
+    let inds = (0..3).map(|d| t.mode_idx(d).iter().map(|&i| i * stride[d]).collect()).collect();
+    let dims = t.dims().iter().zip(stride).map(|(&n, s)| n * s as usize).collect();
+    adatm::SparseTensor::new(dims, inds, t.vals().to_vec())
+}
+
+/// FNV-1a over the bits of everything a run hands back: `lambda`, every
+/// factor entry, every cached Gram entry and the fit history.
+fn run_digest(res: &adatm::CpResult) -> u64 {
+    let words = res
+        .model
+        .lambda
+        .iter()
+        .chain(res.model.factors.iter().flat_map(|f| f.as_slice()))
+        .chain(res.grams.iter().flat_map(|g| g.as_slice()))
+        .chain(&res.fit_history);
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for w in words {
+        for b in w.to_bits().to_le_bytes() {
+            h = (h ^ b as u64).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// `(iter, mode, kind)` of every recorded event.
+fn event_trail(res: &adatm::CpResult) -> Vec<(usize, Option<usize>, BreakdownKind)> {
+    res.diagnostics.events.iter().map(|e| (e.iter, e.mode, e.kind)).collect()
+}
+
+#[test]
+fn breakdown_at_the_last_mode_restores_every_swapped_mode_bitwise() {
+    // The sequential COO backend sweeps modes 0, 1, 2, so call 11 is the
+    // last mode of iteration 3: modes 0 and 1 already hold this sweep's
+    // update when the poison forces the rollback. Recorded at the
+    // in-place solver, for ALS and NCP.
+    let t = spread_truth();
+    let opts = CpAlsOptions::new(3).max_iters(12).tol(0.0).seed(5);
+    let sched = || FaultSchedule::new().at_call(11, FaultKind::PoisonInf);
+    let mut b = FaultInjectingBackend::new(CooBackend::with_parallel(&t, false), sched());
+    let als = CpAls::new(opts.clone()).run(&t, &mut b).unwrap();
+    assert_eq!(event_trail(&als), [(3, Some(2), BreakdownKind::NonFiniteMttkrp)]);
+    assert_eq!(run_digest(&als), 0xcbf565cf27994f98, "als digest {:#x}", run_digest(&als));
+    let mut b = FaultInjectingBackend::new(CooBackend::with_parallel(&t, false), sched());
+    let ncp = CpAls::ncp(opts).run(&t, &mut b).unwrap();
+    assert_eq!(event_trail(&ncp), [(3, Some(2), BreakdownKind::NonFiniteMttkrp)]);
+    assert_eq!(run_digest(&ncp), 0xd657139ad42543e3, "ncp digest {:#x}", run_digest(&ncp));
+}
+
+#[test]
+fn pp_divergence_restores_a_last_good_state_older_than_the_last_boundary() {
+    // PP arms early; iteration 7 is an approximate sweep, so its boundary
+    // keeps iteration 6 as the last-good state. Iteration 8 is a forced
+    // exact sweep whose zeroed last-mode output collapses the fit: the
+    // PP-induced divergence restores iteration 6's state and the run
+    // carries on with exact sweeps. Recorded at the in-place solver.
+    let t = spread_truth();
+    let sched = FaultSchedule::new().at_call(23, FaultKind::ZeroOutput);
+    let mut b = FaultInjectingBackend::new(CooBackend::with_parallel(&t, false), sched);
+    let opts = CpAlsOptions::new(3).max_iters(40).tol(0.0).seed(7);
+    let res =
+        CpAls::new(opts.pp(adatm::PpConfig::new().tol(0.05).every(4))).run(&t, &mut b).unwrap();
+    assert_eq!(
+        event_trail(&res),
+        [(8, Some(2), BreakdownKind::ZeroColumns), (8, None, BreakdownKind::FitDivergence)]
+    );
+    assert_eq!(res.diagnostics.events[1].recovery, RecoveryAction::None);
+    assert_eq!((res.diagnostics.pp_sweeps, res.diagnostics.pp_refreshes), (23, 5));
+    assert_eq!(run_digest(&res), 0x332b61fbb2e77029, "digest {:#x}", run_digest(&res));
+}
+
+#[test]
+fn breakdown_while_pp_is_armed_keeps_the_last_boundary_as_movement_reference() {
+    // Call 22 is mode 1 of iteration 8, a forced exact sweep while PP is
+    // armed. The rollback disarms PP; re-arming later compares against
+    // the factors of the last completed boundary. Recorded at the
+    // in-place solver.
+    let t = spread_truth();
+    let sched = FaultSchedule::new().at_call(22, FaultKind::PoisonInf);
+    let mut b = FaultInjectingBackend::new(CooBackend::with_parallel(&t, false), sched);
+    let opts = CpAlsOptions::new(3).max_iters(40).tol(0.0).seed(7);
+    let res =
+        CpAls::new(opts.pp(adatm::PpConfig::new().tol(0.05).every(4))).run(&t, &mut b).unwrap();
+    assert_eq!(event_trail(&res), [(8, Some(1), BreakdownKind::NonFiniteMttkrp)]);
+    assert_eq!((res.diagnostics.pp_sweeps, res.diagnostics.pp_refreshes), (19, 5));
+    assert_eq!(run_digest(&res), 0x3130c2084e540e65, "digest {:#x}", run_digest(&res));
+}
+
+#[test]
+fn runs_stopped_before_a_mode_update_return_the_initial_factors_untouched() {
+    // Initial factors that are nonzero on the empty slices too: a stop
+    // before the first update must hand them back bit for bit.
+    let t = spread_truth();
+    let init: Vec<adatm::Mat> = t
+        .dims()
+        .iter()
+        .enumerate()
+        .map(|(d, &n)| adatm::Mat::random(n, 3, 90 + d as u64))
+        .collect();
+    let same = |res: &adatm::CpResult, modes: std::ops::Range<usize>| {
+        for d in modes {
+            let (got, want) = (res.model.factors[d].as_slice(), init[d].as_slice());
+            assert!(got.iter().zip(want).all(|(a, b)| a.to_bits() == b.to_bits()), "mode {d}");
+        }
+    };
+    let opts = CpAlsOptions::new(3).tol(0.0).seed(5);
+    let run = |opts: CpAlsOptions, sched: FaultSchedule| {
+        let mut b = FaultInjectingBackend::new(CooBackend::with_parallel(&t, false), sched);
+        CpAls::new(opts).run_from(&t, &mut b, init.clone()).unwrap()
+    };
+    let res = run(opts.clone().max_iters(0), FaultSchedule::new());
+    assert_eq!(res.diagnostics.stop, StopReason::MaxIters);
+    same(&res, 0..3);
+    let res = run(opts.clone().time_budget(Duration::ZERO), FaultSchedule::new());
+    assert_eq!(res.diagnostics.stop, StopReason::TimeBudget);
+    same(&res, 0..3);
+    // A budget that expires inside iteration 0, in mode 1's MTTKRP: mode
+    // 0 holds its first update, modes 1 and 2 their initial factors.
+    let stall = FaultSchedule::new().at_call(1, FaultKind::StallMs(100));
+    let res = run(opts.time_budget(Duration::from_millis(40)), stall);
+    assert_eq!(res.diagnostics.stop, StopReason::TimeBudget);
+    assert_eq!(res.iters, 0);
+    same(&res, 1..3);
+    assert_eq!(run_digest(&res), 0x7eb9939cb70cb09e, "digest {:#x}", run_digest(&res));
 }
