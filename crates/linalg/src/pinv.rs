@@ -113,13 +113,6 @@ impl Default for PinvWork {
     }
 }
 
-impl PinvWork {
-    /// The eigendecomposition the last [`try_pinv_gram_into`] computed.
-    pub fn eig(&self) -> &EigH {
-        &self.eig
-    }
-}
-
 /// Computes the pseudoinverse of a symmetric matrix.
 ///
 /// Eigenvalues with magnitude below `rcond * max|eigenvalue|` are treated
