@@ -138,8 +138,9 @@ fn measure_rates(t: &SparseTensor, rank: usize, threads: usize, reps: usize) -> 
         // current factors, then every factor perturbed so no correction
         // block is skipped — the steady-state (worst-case) sweep the
         // planner prices as `pp_update` units.
+        let support: Vec<_> = (0..n).map(|d| t.support(d)).collect();
         let mut pp = PpState::new(t, rank);
-        pp.refresh(t, &factors);
+        pp.refresh(t, &factors, &support);
         let perturbed: Vec<Mat> = factors
             .iter()
             .enumerate()
@@ -157,7 +158,7 @@ fn measure_rates(t: &SparseTensor, rank: usize, threads: usize, reps: usize) -> 
             for m in 0..n {
                 pp.note_factor_updated(m);
             }
-            pp.pp_sweep_into(&perturbed, &mut outs);
+            pp.pp_sweep_into(&perturbed, &support, &mut outs);
             std::hint::black_box(&outs);
         };
         run();

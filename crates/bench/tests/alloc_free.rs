@@ -398,7 +398,7 @@ fn sweep_loop_allocates_nothing_after_warmup() {
     let _serial = serial();
     // Without checkpoints or PP a steady iteration allocates nothing at
     // all on one thread: the scheduled MTTKRP, the pseudoinverse and its
-    // Jacobi workspace, the fused updates, the buffer swap and the fit
+    // Jacobi workspace, the fused updates, the snapshot copy and the fit
     // reuse the run's buffers. (The sequential reference kernel allocates
     // one scratch row per call.)
     sweep_loop_marks(true, |rule, marks| {

@@ -28,11 +28,11 @@
 //! # Run state and phases
 //!
 //! A run is one `Run` value holding everything the loop carries from one
-//! iteration to the next: factors with a spare buffer per mode (see
-//! `Buffers`) and each mode's support, cached Grams, `lambda`, the fit
-//! history and best fit, the last-good state, the recovery counters, the
-//! checkpoint context, the pairwise-perturbation controller, the `R x R`
-//! work buffers and the drift accounting. Its phases, in order:
+//! iteration to the next: factors with their settled flags and each
+//! mode's support (see `Run::settled`), cached Grams, `lambda`, the fit
+//! history and best fit, the last-good snapshot, the recovery counters,
+//! the checkpoint context, the pairwise-perturbation controller, the
+//! `R x R` work buffers and the drift accounting. Its phases, in order:
 //!
 //! * **start / resume** — `Run::new` builds fresh state for
 //!   [`CpAls::run_from`]; `Run::restore` overwrites it from a checkpoint
@@ -43,20 +43,20 @@
 //!   reusable buffer (sized for the tallest mode), the finiteness scan of
 //!   `M^(n)`, the Hadamard system, then the rule's solve and normalize.
 //!   Those run the fused kernels of [`adatm_linalg::update`], which write
-//!   the new `U^(n)` into the mode's spare buffer, and `W^(n)` and
-//!   `lambda` in place, in at most two passes over the support rows — no
-//!   factor-sized allocation, bit-for-bit the result of the chained
-//!   `matmul` / `normalize_cols` / `gram` kernels over every row — and the
-//!   buffers are then swapped. A detector firing after the write goes
-//!   through `Run::breakdown`, which restores or reseeds every factor and
-//!   Gram, so the half-written state never survives;
+//!   `U^(n)`, `W^(n)` and `lambda` in place in at most two passes over
+//!   the mode's support rows once `U^(n)` is settled — no factor-sized
+//!   allocation, bit-for-bit the result of the chained `matmul` /
+//!   `normalize_cols` / `gram` kernels over every row. A detector firing
+//!   after the write goes through `Run::breakdown`, which restores or
+//!   reseeds every factor and Gram, so the half-written state never
+//!   survives;
 //! * **breakdown** — `Run::breakdown`, the one rollback path every
 //!   mode-local detector takes;
-//! * **fit** — `Run::iteration` measures the fit (one row pass for the
-//!   `R` inner products) and runs the divergence, stall and convergence
-//!   checks; the boundary then moves the base (`Run::advance_base`): the
-//!   spare set already holds the previous boundary's factors, so a new
-//!   best fit makes the live set the last-good state without a copy;
+//! * **fit** — `Run::iteration` measures the fit (one pass over the last
+//!   mode's support rows for the `R` inner products) and runs the
+//!   divergence, stall and convergence checks; a new best fit refreshes
+//!   the last-good snapshot by copying into its buffers (support rows
+//!   only, where both sides are settled);
 //! * **checkpoint** — `Run::write_checkpoint`, on the configured cadence:
 //!   stages the state and hands it to the store's writer thread;
 //! * **finish** — `Run::finish`: final watchdog checkpoint, the join of
@@ -101,6 +101,7 @@ use crate::model::CpModel;
 use crate::ncp;
 use adatm_dtree::PpState;
 use adatm_linalg::pinv::{ridge_inv_gram, try_pinv_gram_into, PinvWork};
+use adatm_linalg::rows::for_runs;
 use adatm_linalg::update::{self, ColNorm};
 use adatm_linalg::{Mat, RowSet};
 use adatm_tensor::SparseTensor;
@@ -452,11 +453,12 @@ impl UpdateRule {
         }
     }
 
-    /// Writes the new factor for `mode` into `out.u`, from its MTTKRP `m`
-    /// and the Hadamard-of-Grams system `h`. ALS leaves it unnormalized
-    /// with its column norms in `out.lambda`; NCP finishes the update and
-    /// its Gram. Returns whether every entry the rule finished is finite;
-    /// `Err` names a breakdown the rule could not repair in place.
+    /// Writes the new factor for `mode` over `out.u` in place, from its
+    /// MTTKRP `m` and the Hadamard-of-Grams system `h`. ALS leaves it
+    /// unnormalized with its column norms in `out.lambda`; NCP finishes the
+    /// update and its Gram. Returns whether every entry the rule finished
+    /// is finite; `Err` names a breakdown the rule could not repair in
+    /// place.
     fn solve(
         self,
         m: &Mat,
@@ -468,16 +470,9 @@ impl UpdateRule {
     ) -> Result<bool, BreakdownKind> {
         match self {
             UpdateRule::Als => als_solve(m, h, out, iter, mode, diag).map(|()| true),
-            UpdateRule::Ncp => Ok(update::ncp_rows_into(
-                out.u,
-                out.from,
-                m,
-                h,
-                ncp::MU_EPS,
-                out.gram,
-                out.row,
-                out.rows,
-            )),
+            UpdateRule::Ncp => {
+                Ok(update::ncp_rows_into(out.u, m, h, ncp::MU_EPS, out.gram, out.row, out.rows))
+            }
         }
     }
 
@@ -531,13 +526,12 @@ impl UpdateRule {
     }
 }
 
-/// What one mode update writes: the new factor `u` over `rows` (`None`:
-/// every row), read from `from` (`None`: `u` itself, in place), its cached
-/// Gram and `lambda`. Beside them: the mode's support, an `R`-length work
-/// row (NCP's `U H` row), and the pseudoinverse with its workspace (ALS).
+/// What one mode update writes, in place: the factor `u` over `rows`
+/// (`None`: every row), its cached Gram and `lambda`. Beside them: the
+/// mode's support, an `R`-length work row (NCP's `U H` row), and the
+/// pseudoinverse with its workspace (ALS).
 struct ModeOut<'a> {
     u: &'a mut Mat,
-    from: Option<&'a Mat>,
     rows: Option<&'a RowSet>,
     support: &'a RowSet,
     gram: &'a mut Mat,
@@ -609,135 +603,57 @@ fn als_solve(
     Ok(())
 }
 
-/// Where the last-good factors are held.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-enum Held {
-    /// No good state yet.
-    #[default]
-    None,
-    /// The base ([`Buffers`]): the factors of the last completed boundary.
-    Base,
-    /// The set moved aside.
-    Aside,
+/// A copy of a factor set with each factor's settled flag (see
+/// `Run::settled`).
+#[derive(Default)]
+struct FactorCopy {
+    factors: Vec<Mat>,
+    settled: Vec<bool>,
 }
 
-/// Last-known-good solver state for rollback recoveries: where its
-/// factors are held, and copies of its Grams and `lambda` (`R x R` and
-/// `R`, cheap to copy).
+impl FactorCopy {
+    /// Marks mode `d` unsettled (no-op before the first copy).
+    fn unsettle(&mut self, d: usize) {
+        if let Some(s) = self.settled.get_mut(d) {
+            *s = false;
+        }
+    }
+
+    /// Makes this the copy of `factors` (allocating on first use).
+    fn assign(&mut self, factors: &[Mat], settled: &[bool], support: &[RowSet]) {
+        if self.factors.is_empty() {
+            self.factors = factors.to_vec();
+            self.settled = settled.to_vec();
+        } else {
+            copy_factors(&mut self.factors, &mut self.settled, factors, settled, support);
+        }
+    }
+}
+
+/// Copies the factor set `src` over `dst` (same shapes), settled flags
+/// included. A mode settled on both sides copies only its support rows:
+/// its other rows hold the same zeros in both (see `Run::settled`).
+fn copy_factors(
+    dst: &mut [Mat],
+    dst_settled: &mut [bool],
+    src: &[Mat],
+    src_settled: &[bool],
+    support: &[RowSet],
+) {
+    for (d, (to, from)) in dst.iter_mut().zip(src).enumerate() {
+        let rows = (dst_settled[d] && src_settled[d]).then_some(&support[d]);
+        let (r, a, b) = (from.ncols(), to.as_mut_slice(), from.as_slice());
+        for_runs(rows, 0, from.nrows(), |s, e| a[s * r..e * r].copy_from_slice(&b[s * r..e * r]));
+    }
+    dst_settled.copy_from_slice(src_settled);
+}
+
+/// Last-known-good solver state for rollback recoveries.
 #[derive(Default)]
-struct LastGood {
-    held: Held,
+struct Snapshot {
+    factors: FactorCopy,
     grams: Vec<Mat>,
     lambda: Vec<f64>,
-}
-
-/// The factor buffers beside the live set (`Run::factors`, which the
-/// backend reads): each mode's spare buffer, which the update writes into
-/// before it is swapped in, and a set moved aside to hold an older
-/// last-good state (allocated on first need).
-///
-/// The *base* is the live set of the last completed boundary: the
-/// movement reference of pairwise perturbation and, while it is the last
-/// good state, the rollback target. Mode `d`'s base sits in `spare[d]`
-/// once `parked[d]` — its update in this sweep swapped it out, or a
-/// recovery parked it — and in live `d` otherwise. A parked mode is
-/// updated in place, so its base survives the sweep. After a complete
-/// sweep every mode is parked and the spare set holds the base, so no
-/// factor is copied at the boundary.
-struct Buffers {
-    spare: Vec<Mat>,
-    aside: Vec<Mat>,
-    parked: Vec<bool>,
-    /// Per buffer of the live, spare and aside sets: whether its rows
-    /// outside the mode's support hold the update's fixed point (see
-    /// [`adatm_linalg::update`]), so an update writing it may skip them.
-    /// Every settled buffer of a mode holds the same values there.
-    live_settled: Vec<bool>,
-    spare_settled: Vec<bool>,
-    aside_settled: Vec<bool>,
-}
-
-impl Buffers {
-    /// Spare buffers shaped like `live`; nothing is settled yet.
-    fn new(live: &[Mat]) -> Self {
-        let n = live.len();
-        Buffers {
-            spare: live.iter().map(|f| Mat::zeros(f.nrows(), f.ncols())).collect(),
-            aside: Vec::new(),
-            parked: vec![false; n],
-            live_settled: vec![false; n],
-            spare_settled: vec![false; n],
-            aside_settled: Vec::new(),
-        }
-    }
-
-    /// Exchanges live `d` and `spare[d]`.
-    fn swap(&mut self, live: &mut [Mat], d: usize) {
-        std::mem::swap(&mut live[d], &mut self.spare[d]);
-        std::mem::swap(&mut self.live_settled[d], &mut self.spare_settled[d]);
-    }
-
-    /// Moves mode `d`'s base into `spare[d]` (a no-op when parked).
-    fn park(&mut self, live: &mut [Mat], d: usize) {
-        if !self.parked[d] {
-            self.swap(live, d);
-            self.parked[d] = true;
-        }
-    }
-
-    /// Moves mode `d`'s base back into live `d` (a no-op unless parked).
-    fn unpark(&mut self, live: &mut [Mat], d: usize) {
-        if self.parked[d] {
-            self.swap(live, d);
-            self.parked[d] = false;
-        }
-    }
-
-    /// Takes in mode `d`'s new factor, which the update wrote into
-    /// `spare[d]` (or into live `d`, in place, for a parked mode), and
-    /// parks the base. `from_settled`: the update read a settled factor;
-    /// `settled`: it left the written buffer settled.
-    fn take_update(&mut self, live: &mut [Mat], d: usize, from_settled: bool, settled: bool) {
-        self.park(live, d);
-        self.live_settled[d] = settled;
-        if !from_settled {
-            // Rows outside the support now hold the fixed point of a new
-            // source, which the mode's other buffers may not share.
-            self.spare_settled[d] = false;
-            if let Some(s) = self.aside_settled.get_mut(d) {
-                *s = false;
-            }
-        }
-    }
-
-    /// Swaps the spare set (the base, after a complete sweep) with the
-    /// aside set, allocating the latter on first need.
-    fn move_base_aside(&mut self) {
-        debug_assert!(self.parked.iter().all(|&p| p), "the base is in the spare set");
-        if self.aside.is_empty() {
-            self.aside = self.spare.iter().map(|f| Mat::zeros(f.nrows(), f.ncols())).collect();
-            self.aside_settled = vec![false; self.spare.len()];
-        }
-        std::mem::swap(&mut self.spare, &mut self.aside);
-        std::mem::swap(&mut self.spare_settled, &mut self.aside_settled);
-    }
-
-    /// Copies the base into the aside set (allocating it on first need).
-    fn copy_base_aside(&mut self, live: &[Mat]) {
-        if self.aside.is_empty() {
-            self.aside = live.iter().map(|f| Mat::zeros(f.nrows(), f.ncols())).collect();
-            self.aside_settled = vec![false; live.len()];
-        }
-        for (d, f) in live.iter().enumerate() {
-            let (base, settled) = if self.parked[d] {
-                (&self.spare[d], self.spare_settled[d])
-            } else {
-                (f, self.live_settled[d])
-            };
-            self.aside[d].clone_from(base);
-            self.aside_settled[d] = settled;
-        }
-    }
 }
 
 /// Live checkpointing state for one run: the open store plus cadence
@@ -774,15 +690,20 @@ impl CkptCtx {
 
 /// Relative factor movement between two factor sets:
 /// `sqrt(sum_n ||cur^(n) - prev^(n)||^2 / sum_n ||cur^(n)||^2)`, over the
-/// support rows of each mode whose two buffers are both settled (`±0.0`
+/// support rows of each mode settled in both sets (the same zeros
 /// elsewhere, so the skipped terms are `+0.0`), over every row otherwise.
-fn rel_factor_delta(prev: (&[Mat], &[bool]), cur: (&[Mat], &[bool]), support: &[RowSet]) -> f64 {
+fn rel_factor_delta(
+    prev: &FactorCopy,
+    cur: &[Mat],
+    cur_settled: &[bool],
+    support: &[RowSet],
+) -> f64 {
     let mut dn = 0.0;
     let mut cn = 0.0;
-    for (d, (p, c)) in prev.0.iter().zip(cur.0).enumerate() {
-        let rows = (prev.1[d] && cur.1[d]).then_some(&support[d]);
+    for (d, (p, c)) in prev.factors.iter().zip(cur).enumerate() {
+        let rows = (prev.settled[d] && cur_settled[d]).then_some(&support[d]);
         let (r, a, b) = (c.ncols(), p.as_slice(), c.as_slice());
-        adatm_linalg::rows::for_runs(rows, 0, c.nrows(), |s, e| {
+        for_runs(rows, 0, c.nrows(), |s, e| {
             for (&x, &y) in a[s * r..e * r].iter().zip(&b[s * r..e * r]) {
                 let dy = y - x;
                 dn += dy * dy;
@@ -805,9 +726,10 @@ struct PpCtl {
     cfg: PpConfig,
     /// Built lazily at the first entry (the symbolic pair analysis and
     /// memo buffers are only worth paying for once PP actually arms).
-    /// The entry threshold's movement reference is the run's base (see
-    /// [`Buffers`]).
     state: Option<PpState>,
+    /// Factors at the end of the previous completed iteration, for the
+    /// entry threshold on relative movement (empty before the first).
+    prev: FactorCopy,
     /// Whether approximate sweeps are currently enabled.
     armed: bool,
     /// `Run::solver_events()` when the baseline was captured: any growth
@@ -1046,10 +968,16 @@ struct Run<'a, B: MttkrpBackend + ?Sized> {
     rule: UpdateRule,
     tensor: &'a SparseTensor,
     backend: &'a mut B,
-    /// The live factor set, which the backend reads.
     factors: Vec<Mat>,
-    /// The spare and aside factor sets, and where the base is.
-    bufs: Buffers,
+    /// Per factor: whether it is *settled* — its rows outside the mode's
+    /// support hold zeros, the fixed point one update leaves there (see
+    /// [`adatm_linalg::update`]) — so updates may skip them. Initial,
+    /// reseeded and restored factors are not settled until their next
+    /// update, which visits every row and unsettles the mode in the
+    /// copies (`FactorCopy`) taken before it. All settled copies of a mode
+    /// thus hold the same zeros there, so copies between them may skip
+    /// those rows too.
+    settled: Vec<bool>,
     /// Each mode's support: the rows holding a tensor nonzero.
     support: Vec<RowSet>,
     /// Cached Gram matrices `W^(d) = U^(d)^T U^(d)`.
@@ -1060,7 +988,7 @@ struct Run<'a, B: MttkrpBackend + ?Sized> {
     iters: usize,
     fit_history: Vec<f64>,
     best_fit: f64,
-    last_good: LastGood,
+    last_good: Option<Snapshot>,
     rollbacks_left: usize,
     stall_recorded: bool,
     converged: bool,
@@ -1123,7 +1051,7 @@ impl<'a, B: MttkrpBackend + ?Sized> Run<'a, B> {
             tensor,
             backend,
             grams: factors.iter().map(Mat::gram).collect(),
-            bufs: Buffers::new(&factors),
+            settled: vec![false; factors.len()],
             factors,
             support: (0..tensor.ndim()).map(|d| tensor.support(d)).collect(),
             lambda: vec![1.0; rank],
@@ -1131,7 +1059,7 @@ impl<'a, B: MttkrpBackend + ?Sized> Run<'a, B> {
             // Room for the usual run, so pushing a fit seldom allocates.
             fit_history: Vec::with_capacity(opts.max_iters.min(64)),
             best_fit: f64::NEG_INFINITY,
-            last_good: LastGood::default(),
+            last_good: None,
             rollbacks_left: opts.recovery_budget,
             stall_recorded: false,
             converged: false,
@@ -1162,24 +1090,26 @@ impl<'a, B: MttkrpBackend + ?Sized> Run<'a, B> {
         self.lambda = ck.lambda;
         self.fit_history = ck.fit_history;
         self.best_fit = ck.best_fit;
-        if let Some((lambda, factors)) = ck.last_good {
-            let grams = factors.iter().map(Mat::gram).collect();
-            self.bufs.aside_settled = vec![false; factors.len()];
-            self.bufs.aside = factors;
-            self.last_good = LastGood { held: Held::Aside, grams, lambda };
-        }
+        self.last_good = ck.last_good.map(|(lambda, factors)| Snapshot {
+            grams: factors.iter().map(Mat::gram).collect(),
+            factors: FactorCopy { settled: vec![false; factors.len()], factors },
+            lambda,
+        });
         self.rollbacks_left = ck.rollbacks_left;
         // Restoring the recovery count keeps the rollback `attempt`
         // counters — and so every reseed stream — aligned with the
         // uninterrupted trajectory.
         self.diag.recoveries = ck.recoveries;
         self.stall_recorded = ck.stall_recorded;
-        // Checkpoints are only written right after PP disarms (or while
-        // it never armed), so the restored factors — the base — are the
-        // movement reference an uninterrupted run would carry here, and
-        // PP starts disarmed, exactly like the uninterrupted trajectory
-        // at this boundary.
         self.elapsed_base_ns = ck.elapsed_ns;
+        if let Some(ctl) = self.pp.as_mut().filter(|_| ck.next_iter > 0) {
+            // Checkpoints are only written right after PP disarms (or
+            // while it never armed), so the restored factors are the
+            // movement reference an uninterrupted run would carry here —
+            // and PP starts disarmed, exactly like the uninterrupted
+            // trajectory at this boundary.
+            ctl.prev.assign(&self.factors, &self.settled, &self.support);
+        }
     }
 
     /// Iterates until a stop condition or `max_iters`, then finishes.
@@ -1218,9 +1148,6 @@ impl<'a, B: MttkrpBackend + ?Sized> Run<'a, B> {
     /// last-good snapshot, the checkpoint, and the end-of-iteration
     /// accounting.
     fn iteration(&mut self, iter: usize, order: &[usize]) -> Flow {
-        // The base is a completed boundary's factors (PP's movement
-        // reference) once a boundary has completed or been restored.
-        let had_boundary = self.iters > 0;
         let events0 = self.solver_events();
         let (mttkrp0, dense0) = (self.timings.mttkrp, self.timings.dense);
         let pp_iter = self.pp_phase(iter);
@@ -1248,11 +1175,14 @@ impl<'a, B: MttkrpBackend + ?Sized> Run<'a, B> {
         // nothing about the post-sweep factors, and last_good is the
         // state a divergence recovery falls back to — it must only ever
         // hold exactly-measured iterates.
-        let refresh = !pp_iter && fit >= self.best_fit;
-        if refresh {
+        if !pp_iter && fit >= self.best_fit {
             self.best_fit = fit;
+            // Refreshed in place: the copies reuse the buffers.
+            let snap = self.last_good.get_or_insert_with(Snapshot::default);
+            snap.factors.assign(&self.factors, &self.settled, &self.support);
+            snap.grams.clone_from(&self.grams);
+            snap.lambda.clone_from(&self.lambda);
         }
-        let base_aside = self.advance_base(refresh);
         // Iteration-boundary checkpoint. Cadence is keyed on the absolute
         // iteration number, so a resumed run writes at the same
         // boundaries as the uninterrupted one; aborted (rolled-back)
@@ -1271,8 +1201,7 @@ impl<'a, B: MttkrpBackend + ?Sized> Run<'a, B> {
             self.clean_kernel_ns += sweep_ns + (self.timings.dense - dense0).as_nanos();
             self.clean_iters += 1;
         }
-        let reference = had_boundary.then_some(base_aside);
-        self.pp_bookkeeping(iter, pp_iter, clean, sweep_ns, wrote_ckpt, reference);
+        self.pp_bookkeeping(iter, pp_iter, clean, sweep_ns, wrote_ckpt);
         // Convergence is only ever declared from an exactly-measured fit:
         // on approximate sweeps `fit` is the carried previous entry and
         // the difference would be spuriously zero.
@@ -1309,7 +1238,7 @@ impl<'a, B: MttkrpBackend + ?Sized> Run<'a, B> {
         // sweep regardless of the cadence.
         if pp {
             let st = ctl.state.as_mut().expect("armed implies a built state");
-            if st.baseline_drift(&self.factors) > ctl.cfg.tol {
+            if st.baseline_drift(&self.factors, &self.support) > ctl.cfg.tol {
                 pp = false;
             }
         }
@@ -1323,7 +1252,7 @@ impl<'a, B: MttkrpBackend + ?Sized> Run<'a, B> {
             let t0 = Instant::now();
             let st = ctl.state.as_mut().expect("armed implies a built state");
             st.reset_sweep_stats();
-            st.pp_sweep_into(&self.factors, &mut ctl.outs);
+            st.pp_sweep_into(&self.factors, &self.support, &mut ctl.outs);
             let d = t0.elapsed();
             self.timings.mttkrp += d;
             ctl.pp_ns += d.as_nanos();
@@ -1382,11 +1311,15 @@ impl<'a, B: MttkrpBackend + ?Sized> Run<'a, B> {
             (true, Some(ctl)) => &ctl.outs[mode],
             _ => &self.m_buf,
         };
-        // Detector: a poisoned MTTKRP output. Nothing downstream of a NaN
-        // here is salvageable for this mode — roll back. (Runs before the
-        // audit hook: a non-finite output is a recoverable breakdown
-        // here, not an invariant violation.)
-        if !update::rows_finite(m, Some(&self.support[mode])) {
+        // Rows outside the support are visited only once the factor is
+        // settled: until then the update reads and writes every row.
+        let rows = self.settled[mode].then_some(&self.support[mode]);
+        // Detector: a poisoned MTTKRP output, over every row the update
+        // reads. Nothing downstream of a NaN here is salvageable for this
+        // mode — roll back. (Runs before the audit hook: a non-finite
+        // output is a recoverable breakdown here, not an invariant
+        // violation.)
+        if !update::rows_finite(m, rows) {
             return self.breakdown(BreakdownKind::NonFiniteMttkrp, iter, mode, None);
         }
         #[cfg(feature = "audit")]
@@ -1413,29 +1346,17 @@ impl<'a, B: MttkrpBackend + ?Sized> Run<'a, B> {
             return self.breakdown(BreakdownKind::NonFiniteGram, iter, mode, Some(t1));
         }
 
-        // The rule writes the new factor into the mode's spare buffer (in
-        // place for a parked mode), and its Gram and `lambda` in place:
-        // every breakdown below goes through `breakdown`, which restores
-        // all of them from the last-good state or reseeds all of them.
-        // Rows outside the support are visited only while a buffer
-        // involved may not hold the update's fixed point there.
+        // The rule writes the factor, its Gram and `lambda` in place: every
+        // breakdown below goes through `breakdown`, which restores all of
+        // them from the last-good snapshot or reseeds all of them.
         let t_solve = Instant::now();
         let m = match (pp_iter, &self.pp) {
             (true, Some(ctl)) => &ctl.outs[mode],
             _ => &self.m_buf,
         };
-        let parked = self.bufs.parked[mode];
-        let from_settled = self.bufs.live_settled[mode];
-        let (u, from, settled) = if parked {
-            (&mut self.factors[mode], None, from_settled)
-        } else {
-            let spare = &mut self.bufs.spare[mode];
-            (spare, Some(&self.factors[mode]), from_settled && self.bufs.spare_settled[mode])
-        };
         let mut out = ModeOut {
-            u,
-            from,
-            rows: settled.then_some(&self.support[mode]),
+            u: &mut self.factors[mode],
+            rows,
             support: &self.support[mode],
             gram: &mut self.grams[mode],
             lambda: &mut self.lambda,
@@ -1457,13 +1378,23 @@ impl<'a, B: MttkrpBackend + ?Sized> Run<'a, B> {
         );
         let t_norm = Instant::now();
         let normalized = self.rule.normalize(&mut out, iter, mode, self.opts.seed, &mut self.diag);
-        let settled = out.settled;
+        if !self.settled[mode] {
+            // This update gave the rows outside the support their values
+            // (NCP keeps the sign of the zeros it started from), which
+            // copies of the mode taken before may not share.
+            if let Some(snap) = self.last_good.as_mut() {
+                snap.factors.unsettle(mode);
+            }
+            if let Some(ctl) = self.pp.as_mut() {
+                ctl.prev.unsettle(mode);
+            }
+        }
+        self.settled[mode] = out.settled;
         // Detector: the updated factor or its scales went non-finite
         // despite a finite system (overflow).
         if !(solved && normalized && self.lambda.iter().all(|l| l.is_finite())) {
             return self.breakdown(BreakdownKind::NonFiniteFactor, iter, mode, Some(t1));
         }
-        self.bufs.take_update(&mut self.factors, mode, from_settled, settled);
         if let Some(st) = self.pp.as_mut().and_then(|c| c.state.as_mut()) {
             st.note_factor_updated(mode);
         }
@@ -1550,26 +1481,6 @@ impl<'a, B: MttkrpBackend + ?Sized> Run<'a, B> {
         let rt = Instant::now();
         let (dims, rank) = (self.tensor.dims(), self.opts.rank);
         let attempt = self.diag.recoveries as u64;
-        // The update's output buffer may be half written.
-        if self.bufs.parked[mode] {
-            self.bufs.live_settled[mode] = false;
-        } else {
-            self.bufs.spare_settled[mode] = false;
-        }
-        let n = self.factors.len();
-        if self.last_good.held == Held::Base {
-            // The modes this sweep already updated hold their last-good
-            // factor in the spare set: swap them back.
-            for d in 0..n {
-                self.bufs.unpark(&mut self.factors, d);
-            }
-        } else {
-            // The live set is about to be overwritten: keep the base,
-            // which stays PP's movement reference, in the spare set.
-            for d in 0..n {
-                self.bufs.park(&mut self.factors, d);
-            }
-        }
         if !self.restore_last_good() {
             // No good state yet: reseed every factor from a
             // recovery-derived seed so the restart is deterministic but
@@ -1578,7 +1489,7 @@ impl<'a, B: MttkrpBackend + ?Sized> Run<'a, B> {
             for (d, f) in self.factors.iter_mut().enumerate() {
                 *f = Mat::random(dims[d], rank, seed ^ ((d as u64) << 16));
             }
-            self.bufs.live_settled.fill(false);
+            self.settled.fill(false);
             self.grams = self.factors.iter().map(Mat::gram).collect();
             self.lambda = vec![1.0; rank];
         }
@@ -1595,9 +1506,8 @@ impl<'a, B: MttkrpBackend + ?Sized> Run<'a, B> {
                 ^ ((iter as u64) << 24)
                 ^ ((mode as u64) << 8)
                 ^ attempt;
-            self.bufs.park(&mut self.factors, mode);
             self.factors[mode] = Mat::random(dims[mode], rank, reseed);
-            self.bufs.live_settled[mode] = false;
+            self.settled[mode] = false;
             self.grams[mode] = self.factors[mode].gram();
             (RecoveryAction::Rollback { reseeded_cols: rank }, Flow::Retry)
         };
@@ -1614,50 +1524,17 @@ impl<'a, B: MttkrpBackend + ?Sized> Run<'a, B> {
         flow
     }
 
-    /// Restores the FULL last-good state — factors, Grams and `lambda`
-    /// together, so no consumer of this state (the PP baseline capture
-    /// included) sees a factor/Gram pair that never coexisted. `false`
-    /// when no good state exists yet. A caller restoring the base has
-    /// swapped it back into the live set already; an older state is
-    /// copied from the aside set.
+    /// Restores the FULL last-good snapshot — factors, Grams and
+    /// `lambda` together, so no consumer of this state (the PP baseline
+    /// capture included) sees a factor/Gram pair that never coexisted.
+    /// `false` when no snapshot exists yet.
     fn restore_last_good(&mut self) -> bool {
-        let lg = &self.last_good;
-        match lg.held {
-            Held::None => return false,
-            Held::Base => {}
-            Held::Aside => {
-                for (d, f) in self.factors.iter_mut().enumerate() {
-                    f.clone_from(&self.bufs.aside[d]);
-                    self.bufs.live_settled[d] = self.bufs.aside_settled[d];
-                }
-            }
-        }
-        self.grams.clone_from(&lg.grams);
-        self.lambda.clone_from(&lg.lambda);
+        let Some(snap) = &self.last_good else { return false };
+        let (f, settled) = (&snap.factors.factors, &snap.factors.settled);
+        copy_factors(&mut self.factors, &mut self.settled, f, settled, &self.support);
+        self.grams.clone_from(&snap.grams);
+        self.lambda.clone_from(&snap.lambda);
         true
-    }
-
-    /// Moves the base to this boundary's factors after a complete sweep.
-    /// A refreshed last-good state is that new base. One that stays
-    /// behind while held as the old base — now the spare set — is moved
-    /// aside by swapping sets, since the next sweep writes the spare set.
-    /// Returns whether the old base, PP's movement reference here, was
-    /// moved aside.
-    fn advance_base(&mut self, refresh: bool) -> bool {
-        let lg = &mut self.last_good;
-        let moved = !refresh && lg.held == Held::Base;
-        if moved {
-            self.bufs.move_base_aside();
-            lg.held = Held::Aside;
-        }
-        if refresh {
-            // Refreshed in place: `Mat::clone_from` reuses the buffers.
-            lg.held = Held::Base;
-            lg.grams.clone_from(&self.grams);
-            lg.lambda.clone_from(&self.lambda);
-        }
-        self.bufs.parked.fill(false);
-        moved
     }
 
     /// Efficient fit from the last subiteration: with `lambda` holding
@@ -1713,30 +1590,7 @@ impl<'a, B: MttkrpBackend + ?Sized> Run<'a, B> {
     /// repair), and keep running; otherwise stop degraded.
     fn diverged(&mut self, iter: usize, pp_induced: bool) -> Flow {
         let rt = Instant::now();
-        // After the complete sweep every mode is parked: the base (the
-        // last completed boundary) is the spare set.
-        for d in 0..self.factors.len() {
-            match self.last_good.held {
-                Held::Base => self.bufs.unpark(&mut self.factors, d),
-                Held::Aside => {
-                    std::mem::swap(&mut self.factors[d], &mut self.bufs.aside[d]);
-                    let settled = &mut self.bufs.aside_settled[d];
-                    std::mem::swap(&mut self.bufs.live_settled[d], settled);
-                }
-                Held::None => {}
-            }
-        }
-        // The restored state (or, with none, the diverged one) becomes the
-        // base, and PP's movement reference.
-        if self.last_good.held == Held::Aside {
-            self.last_good.held = Held::Base;
-        }
-        self.bufs.parked.fill(false);
-        let lg = &self.last_good;
-        if lg.held == Held::Base {
-            self.grams.clone_from(&lg.grams);
-            self.lambda.clone_from(&lg.lambda);
-        }
+        self.restore_last_good();
         self.diag.record(BreakdownEvent {
             iter,
             mode: None,
@@ -1747,6 +1601,7 @@ impl<'a, B: MttkrpBackend + ?Sized> Run<'a, B> {
         if pp_induced {
             if let Some(ctl) = self.pp.as_mut() {
                 ctl.disarm(iter, "divergence");
+                ctl.prev.assign(&self.factors, &self.settled, &self.support);
             }
             return Flow::Retry;
         }
@@ -1778,10 +1633,8 @@ impl<'a, B: MttkrpBackend + ?Sized> Run<'a, B> {
     }
 
     /// Pairwise-perturbation bookkeeping at the iteration boundary:
-    /// sweep-phase timing split, and the arm/re-baseline decisions. The
-    /// movement since the previous base (`reference`: whether it was
-    /// moved aside, `None` before any boundary) is measured only where
-    /// the arming decision reads it.
+    /// movement tracking (measured only where the arming decision reads
+    /// it), sweep-phase timing split, and the arm/re-baseline decisions.
     fn pp_bookkeeping(
         &mut self,
         iter: usize,
@@ -1789,7 +1642,6 @@ impl<'a, B: MttkrpBackend + ?Sized> Run<'a, B> {
         clean: bool,
         sweep_ns: u128,
         wrote_ckpt: bool,
-        reference: Option<bool>,
     ) {
         let events = self.solver_events();
         let Some(ctl) = self.pp.as_mut() else { return };
@@ -1798,13 +1650,6 @@ impl<'a, B: MttkrpBackend + ?Sized> Run<'a, B> {
             ctl.exact_ns += sweep_ns;
             ctl.exact_sweeps += 1;
         }
-        let b = &self.bufs;
-        let cur = (self.factors.as_slice(), b.live_settled.as_slice());
-        let rel = || match reference {
-            None => f64::INFINITY,
-            Some(false) => rel_factor_delta((&b.spare, &b.spare_settled), cur, &self.support),
-            Some(true) => rel_factor_delta((&b.aside, &b.aside_settled), cur, &self.support),
-        };
         if wrote_ckpt {
             // A durable checkpoint was just written; a run resumed from
             // it starts with exact intermediates and a disarmed
@@ -1813,14 +1658,18 @@ impl<'a, B: MttkrpBackend + ?Sized> Run<'a, B> {
             ctl.disarm(iter, "checkpoint");
         } else if clean && !pp_iter {
             if !ctl.armed {
-                let rel = if ctl.cfg.every != 1 { rel() } else { f64::INFINITY };
+                let rel = if ctl.cfg.every != 1 && !ctl.prev.factors.is_empty() {
+                    rel_factor_delta(&ctl.prev, &self.factors, &self.settled, &self.support)
+                } else {
+                    f64::INFINITY
+                };
                 if rel <= ctl.cfg.tol {
                     // Enter approximate mode: capture the baseline at
                     // exactly the factors this exact sweep produced.
                     let t0 = Instant::now();
                     let st = ctl.state.get_or_insert_with(|| PpState::new(tensor, rank));
                     st.set_skip_tol(ctl.cfg.skip_tol);
-                    st.refresh(tensor, &self.factors);
+                    st.refresh(tensor, &self.factors, &self.support);
                     if ctl.outs.len() != tensor.ndim() {
                         ctl.outs = tensor.dims().iter().map(|&d| Mat::zeros(d, rank)).collect();
                     }
@@ -1840,15 +1689,16 @@ impl<'a, B: MttkrpBackend + ?Sized> Run<'a, B> {
                 // guard): re-capture the baseline only once the factors
                 // have drifted past the entry threshold.
                 let st = ctl.state.as_mut().expect("armed implies a built state");
-                if st.baseline_drift(&self.factors) > ctl.cfg.tol {
+                if st.baseline_drift(&self.factors, &self.support) > ctl.cfg.tol {
                     let t0 = Instant::now();
-                    st.refresh(tensor, &self.factors);
+                    st.refresh(tensor, &self.factors, &self.support);
                     self.timings.mttkrp += t0.elapsed();
                     ctl.refreshes += 1;
                     ctl.baseline_events = events;
                 }
             }
         }
+        ctl.prev.assign(&self.factors, &self.settled, &self.support);
     }
 
     /// Starts one checkpoint generation from the live state (no-op
@@ -1873,11 +1723,10 @@ impl<'a, B: MttkrpBackend + ?Sized> Run<'a, B> {
             rollbacks_left: self.rollbacks_left,
             stall_recorded: self.stall_recorded,
             elapsed_ns: self.elapsed_base_ns + self.start.elapsed().as_nanos() as u64,
-            last_good: match self.last_good.held {
-                Held::None => None,
-                Held::Base => Some((&self.last_good.lambda, &self.factors)),
-                Held::Aside => Some((&self.last_good.lambda, &self.bufs.aside)),
-            },
+            last_good: self
+                .last_good
+                .as_ref()
+                .map(|s| (s.lambda.as_slice(), s.factors.factors.as_slice())),
         };
         let previous = ck.store.start_write(&view);
         ck.last_write = Instant::now();
@@ -1921,12 +1770,6 @@ impl<'a, B: MttkrpBackend + ?Sized> Run<'a, B> {
         // mid-iteration would otherwise lose everything since the last
         // cadence hit. Persist the best-so-far state before returning.
         if self.diag.stop == StopReason::TimeBudget {
-            if self.last_good.held == Held::Base && self.bufs.parked.iter().any(|&p| p) {
-                // Stopped mid-sweep: the base is split between the live
-                // and spare sets, and the checkpoint needs it whole.
-                self.bufs.copy_base_aside(&self.factors);
-                self.last_good.held = Held::Aside;
-            }
             self.write_checkpoint(self.iters);
         }
         // Every generation is durable (or reported failed) by the end of

@@ -25,8 +25,12 @@ use std::time::Duration;
 pub enum FaultKind {
     /// Overwrite one entry with NaN (poisons the factor update and, for
     /// memoizing backends, any cached intermediate derived from it). The
-    /// entry is the middle one of the output; on a row outside the mode's
-    /// support, which the driver never reads, it perturbs nothing.
+    /// entry is the middle one of the output. It may fall on a row outside
+    /// the mode's support: the driver reads such rows only in a factor's
+    /// first update after its initialisation, a reseed or a restore, and
+    /// reports the NaN there; any other update never reads it, so it
+    /// perturbs nothing and nothing is reported (an `audit` build's check
+    /// of the whole output panics on it).
     PoisonNan,
     /// Overwrite one entry with +Inf (the first, on row 0).
     PoisonInf,

@@ -42,6 +42,16 @@
 //! exact sweeps, invalidation on recoveries and checkpoints); this module
 //! is pure state + kernels and is deterministic for a fixed refresh
 //! point regardless of thread count.
+//!
+//! # Support rows
+//!
+//! The caller passes each mode's support (the rows holding a tensor
+//! nonzero, [`SparseTensor::support`]) with the factors. Only those rows
+//! enter an MTTKRP, so the deltas, their block norms and the drift are
+//! measured over them alone, and the reconstruction never reads the
+//! others. Where every factor set passed holds zeros outside the
+//! support — as a sweep driver's factors do once each mode has been
+//! updated — these measures equal the ones over every row bit for bit.
 
 use crate::symbolic::{build_node, SymbolicNode};
 use adatm_linalg::rows::{for_runs, RowSet};
@@ -107,10 +117,6 @@ pub struct PpState {
     baseline_mttkrp: Vec<Mat>,
     /// The baseline factors `U_p` themselves.
     baseline_factors: Vec<Mat>,
-    /// Each mode's support: the rows holding a tensor nonzero. Only they
-    /// enter an MTTKRP, so factor movement — the deltas, their block
-    /// norms and the drift — is measured over them alone.
-    support: Vec<RowSet>,
     /// Per-mode, per-column-block Frobenius norms of the baseline.
     baseline_norms: Vec<Vec<f64>>,
     /// Current deltas `U - U_p`, recomputed lazily per mode.
@@ -358,7 +364,6 @@ impl PpState {
         let nb = num_blocks(rank);
         PpState {
             rank,
-            support: (0..n).map(|d| t.support(d)).collect(),
             baseline_mttkrp: dims.iter().map(|&d| Mat::zeros(d, rank)).collect(),
             baseline_factors: dims.iter().map(|&d| Mat::zeros(d, rank)).collect(),
             baseline_norms: vec![vec![0.0; nb]; n],
@@ -456,13 +461,14 @@ impl PpState {
 
     /// Recaptures the baseline at the current factors: recomputes every
     /// pair memo from the tensor, the exact baseline MTTKRPs, and the
-    /// baseline block norms; zeroes the deltas. Must be called while the
-    /// factors are exactly the ones an exact sweep just produced.
+    /// baseline block norms (over `support`, see the module docs); zeroes
+    /// the deltas. Must be called while the factors are exactly the ones
+    /// an exact sweep just produced.
     ///
     /// # Panics
-    /// Panics on factor shape mismatch.
-    pub fn refresh(&mut self, t: &SparseTensor, factors: &[Mat]) {
-        self.check_factors(factors);
+    /// Panics on factor or support shape mismatch.
+    pub fn refresh(&mut self, t: &SparseTensor, factors: &[Mat], support: &[RowSet]) {
+        self.check_factors(factors, support);
         let n = self.dims.len();
         let rank = self.rank;
         for p in &mut self.pairs {
@@ -526,7 +532,7 @@ impl PpState {
         }
         for (mode, f) in factors.iter().enumerate() {
             self.baseline_factors[mode].clone_from(f);
-            block_norms(f, &self.support[mode], &mut self.baseline_norms[mode]);
+            block_norms(f, &support[mode], &mut self.baseline_norms[mode]);
             self.deltas[mode].fill_zero();
             self.delta_norms[mode].fill(0.0);
             self.dirty[mode] = false;
@@ -535,17 +541,20 @@ impl PpState {
     }
 
     /// Relative drift of `factors` from the baseline:
-    /// `sqrt(Σ_n ‖U^(n) - U_p^(n)‖² / Σ_n ‖U^(n)‖²)`, over the rows that
-    /// hold a tensor nonzero. The driver uses it to decide when a
-    /// cadence-forced exact sweep should also re-capture the baseline.
-    pub fn baseline_drift(&mut self, factors: &[Mat]) -> f64 {
-        self.check_factors(factors);
+    /// `sqrt(Σ_n ‖U^(n) - U_p^(n)‖² / Σ_n ‖U^(n)‖²)`, over the `support`
+    /// rows. The driver uses it to decide when a cadence-forced exact
+    /// sweep should also re-capture the baseline.
+    ///
+    /// # Panics
+    /// Panics on factor or support shape mismatch.
+    pub fn baseline_drift(&mut self, factors: &[Mat], support: &[RowSet]) -> f64 {
+        self.check_factors(factors, support);
         let mut dn = 0.0;
         let mut fnorm = 0.0;
         for mode in 0..self.dims.len() {
-            self.ensure_delta(factors, mode);
+            self.ensure_delta(factors, support, mode);
             dn += self.delta_norms[mode].iter().map(|&x| x * x).sum::<f64>();
-            fnorm += rows_fro_norm(&factors[mode], &self.support[mode]).powi(2);
+            fnorm += rows_fro_norm(&factors[mode], &support[mode]).powi(2);
         }
         if fnorm > 0.0 {
             (dn / fnorm).sqrt()
@@ -562,9 +571,15 @@ impl PpState {
     /// Panics if the state is stale ([`PpState::is_fresh`] is false) or
     /// on shape mismatch.
     #[adatm::hot]
-    pub fn pp_mttkrp_into(&mut self, factors: &[Mat], mode: usize, out: &mut Mat) {
+    pub fn pp_mttkrp_into(
+        &mut self,
+        factors: &[Mat],
+        support: &[RowSet],
+        mode: usize,
+        out: &mut Mat,
+    ) {
         assert!(self.fresh, "pp_mttkrp_into needs a fresh baseline (call refresh)");
-        self.check_factors(factors);
+        self.check_factors(factors, support);
         assert!(mode < self.dims.len(), "mode {mode} out of range");
         assert_eq!(
             (out.nrows(), out.ncols()),
@@ -574,7 +589,7 @@ impl PpState {
         out.as_mut_slice().copy_from_slice(self.baseline_mttkrp[mode].as_slice());
         let n = self.dims.len();
         for j in (0..n).filter(|&j| j != mode) {
-            self.ensure_delta(factors, j);
+            self.ensure_delta(factors, support, j);
             self.active_runs(j);
             if self.runs.is_empty() {
                 continue;
@@ -597,9 +612,9 @@ impl PpState {
     /// # Panics
     /// Panics if the state is stale or on shape mismatch.
     #[adatm::hot]
-    pub fn pp_sweep_into(&mut self, factors: &[Mat], outs: &mut [Mat]) {
+    pub fn pp_sweep_into(&mut self, factors: &[Mat], support: &[RowSet], outs: &mut [Mat]) {
         assert!(self.fresh, "pp_sweep_into needs a fresh baseline (call refresh)");
-        self.check_factors(factors);
+        self.check_factors(factors, support);
         let n = self.dims.len();
         assert_eq!(outs.len(), n, "one output per mode required");
         for (mode, out) in outs.iter_mut().enumerate() {
@@ -611,7 +626,7 @@ impl PpState {
             out.as_mut_slice().copy_from_slice(self.baseline_mttkrp[mode].as_slice());
         }
         for mode in 0..n {
-            self.ensure_delta(factors, mode);
+            self.ensure_delta(factors, support, mode);
         }
         let nb = num_blocks(self.rank) as u64;
         for pid in 0..self.pairs.len() {
@@ -660,13 +675,14 @@ impl PpState {
         }
     }
 
-    /// Recomputes `mode`'s delta and block norms if its factor changed.
+    /// Recomputes `mode`'s delta and block norms over its `support` rows
+    /// if its factor changed (the delta's other rows are stale).
     #[adatm::hot]
-    fn ensure_delta(&mut self, factors: &[Mat], mode: usize) {
+    fn ensure_delta(&mut self, factors: &[Mat], support: &[RowSet], mode: usize) {
         if !self.dirty[mode] {
             return;
         }
-        let (delta, rows) = (&mut self.deltas[mode], &self.support[mode]);
+        let (delta, rows) = (&mut self.deltas[mode], &support[mode]);
         let (r, cur, base) =
             (self.rank, factors[mode].as_slice(), self.baseline_factors[mode].as_slice());
         // Rows outside the support are never read: corrections gather
@@ -725,14 +741,16 @@ impl PpState {
         self.stats.skipped += nb - active;
     }
 
-    fn check_factors(&self, factors: &[Mat]) {
+    fn check_factors(&self, factors: &[Mat], support: &[RowSet]) {
         assert_eq!(factors.len(), self.dims.len(), "one factor per mode required");
+        assert_eq!(support.len(), self.dims.len(), "one support per mode required");
         for (d, f) in factors.iter().enumerate() {
             assert_eq!(
                 (f.nrows(), f.ncols()),
                 (self.dims[d], self.rank),
                 "factor {d} shape mismatch"
             );
+            assert_eq!(support[d].len(), self.dims[d], "support {d} length mismatch");
         }
     }
 }
@@ -743,6 +761,11 @@ mod tests {
     use adatm_tensor::gen::zipf_tensor;
     use adatm_tensor::mttkrp::mttkrp_seq;
     use proptest::prelude::*;
+
+    /// Every mode's support.
+    fn support(t: &SparseTensor) -> Vec<RowSet> {
+        (0..t.ndim()).map(|d| t.support(d)).collect()
+    }
 
     fn factors_for(t: &SparseTensor, rank: usize, seed: u64) -> Vec<Mat> {
         t.dims().iter().enumerate().map(|(d, &n)| Mat::random(n, rank, seed + d as u64)).collect()
@@ -770,7 +793,7 @@ mod tests {
         }
         for mode in 0..t.ndim() {
             let mut out = Mat::zeros(t.dims()[mode], rank);
-            pp.pp_mttkrp_into(factors, mode, &mut out);
+            pp.pp_mttkrp_into(factors, &support(t), mode, &mut out);
             let exact = mttkrp_seq(t, factors, mode);
             worst = worst.max(out.max_abs_diff(&exact));
         }
@@ -796,14 +819,14 @@ mod tests {
         }
         for mode in 0..t.ndim() {
             let mut out = Mat::zeros(t.dims()[mode], rank);
-            pp.pp_mttkrp_into(factors, mode, &mut out);
+            pp.pp_mttkrp_into(factors, &support(t), mode, &mut out);
             let ex_cur = mttkrp_seq(t, factors, mode);
             let ex_base = mttkrp_seq(t, base, mode);
             let mut pp_base = Mat::zeros(t.dims()[mode], rank);
             for m in 0..t.ndim() {
                 pp.note_factor_updated(m);
             }
-            pp.pp_mttkrp_into(base, mode, &mut pp_base);
+            pp.pp_mttkrp_into(base, &support(t), mode, &mut pp_base);
             for m in 0..t.ndim() {
                 pp.note_factor_updated(m);
             }
@@ -824,7 +847,7 @@ mod tests {
         let t = zipf_tensor(&[9, 14, 11, 7], 400, &[0.4, 0.8, 0.6, 0.9], 21);
         let factors = factors_for(&t, 5, 7);
         let mut pp = PpState::new(&t, 5);
-        pp.refresh(&t, &factors);
+        pp.refresh(&t, &factors, &support(&t));
         // With zero deltas every correction block is skipped and the
         // reconstruction is the memoized baseline itself — exact up to
         // the single-precision memo storage the baseline is built from.
@@ -842,7 +865,7 @@ mod tests {
         let dir = factors_for(&t, 4, 77);
         let cur = perturb(&base, &dir, 1e-5);
         let mut pp = PpState::new(&t, 4);
-        pp.refresh(&t, &base);
+        pp.refresh(&t, &base, &support(&t));
         let err = pp_error(&mut pp, &t, &cur);
         assert!(err < 1e-5, "small-delta reconstruction error {err}");
     }
@@ -855,15 +878,15 @@ mod tests {
         let dir = factors_for(&t, rank, 42);
         let cur = perturb(&base, &dir, 1e-3);
         let mut pp = PpState::new(&t, rank);
-        pp.refresh(&t, &base);
+        pp.refresh(&t, &base, &support(&t));
         let mut fused: Vec<Mat> = t.dims().iter().map(|&n| Mat::zeros(n, rank)).collect();
         for m in 0..t.ndim() {
             pp.note_factor_updated(m);
         }
-        pp.pp_sweep_into(&cur, &mut fused);
+        pp.pp_sweep_into(&cur, &support(&t), &mut fused);
         for (mode, f) in fused.iter().enumerate() {
             let mut single = Mat::zeros(t.dims()[mode], rank);
-            pp.pp_mttkrp_into(&cur, mode, &mut single);
+            pp.pp_mttkrp_into(&cur, &support(&t), mode, &mut single);
             // Same per-row accumulation order => bitwise equality.
             assert_eq!(
                 single.max_abs_diff(f),
@@ -878,20 +901,20 @@ mod tests {
         let t = zipf_tensor(&[12, 10, 8], 300, &[0.5; 3], 9);
         let base = factors_for(&t, 3, 1);
         let mut pp = PpState::new(&t, 3);
-        pp.refresh(&t, &base);
-        assert_eq!(pp.baseline_drift(&base), 0.0);
+        pp.refresh(&t, &base, &support(&t));
+        assert_eq!(pp.baseline_drift(&base, &support(&t)), 0.0);
         let dir = factors_for(&t, 3, 2);
         let moved = perturb(&base, &dir, 1e-4);
         for m in 0..t.ndim() {
             pp.note_factor_updated(m);
         }
-        let d1 = pp.baseline_drift(&moved);
+        let d1 = pp.baseline_drift(&moved, &support(&t));
         assert!(d1 > 0.0);
         let moved2 = perturb(&base, &dir, 2e-4);
         for m in 0..t.ndim() {
             pp.note_factor_updated(m);
         }
-        let d2 = pp.baseline_drift(&moved2);
+        let d2 = pp.baseline_drift(&moved2, &support(&t));
         // Linear in the step up to the (second-order) change in the
         // normalizing factor norm.
         assert!((d2 / d1 - 2.0).abs() < 1e-3, "drift must be linear in the step: {d1} {d2}");
@@ -904,10 +927,10 @@ mod tests {
         let dir = factors_for(&t, 8, 4);
         let cur = perturb(&base, &dir, 1e-3);
         let mut strict = PpState::new(&t, 8);
-        strict.refresh(&t, &base);
+        strict.refresh(&t, &base, &support(&t));
         let err_strict = pp_error(&mut strict, &t, &cur);
         let mut lax = PpState::new(&t, 8);
-        lax.refresh(&t, &base);
+        lax.refresh(&t, &base, &support(&t));
         lax.set_skip_tol(1.0); // skip everything that moved
         let err_lax = pp_error(&mut lax, &t, &cur);
         assert!(lax.sweep_stats().applied == 0 && lax.sweep_stats().skipped > 0);
@@ -922,16 +945,16 @@ mod tests {
         let t = zipf_tensor(&[6, 7, 8], 100, &[0.3; 3], 2);
         let factors = factors_for(&t, 2, 5);
         let mut pp = PpState::new(&t, 2);
-        pp.refresh(&t, &factors);
+        pp.refresh(&t, &factors, &support(&t));
         assert!(pp.is_fresh());
         pp.invalidate();
         assert!(!pp.is_fresh());
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let mut out = Mat::zeros(t.dims()[0], 2);
-            pp.pp_mttkrp_into(&factors, 0, &mut out);
+            pp.pp_mttkrp_into(&factors, &support(&t), 0, &mut out);
         }));
         assert!(result.is_err(), "stale pp_mttkrp_into must panic");
-        pp.refresh(&t, &factors);
+        pp.refresh(&t, &factors, &support(&t));
         assert!(pp.is_fresh());
     }
 
@@ -957,7 +980,7 @@ mod tests {
         let dir = factors_for(&t, 3, 12);
         let cur = perturb(&base, &dir, 1e-5);
         let mut pp = PpState::new(&t, 3);
-        pp.refresh(&t, &base);
+        pp.refresh(&t, &base, &support(&t));
         let err = pp_error(&mut pp, &t, &cur);
         assert!(err < 1e-7, "order-5 reconstruction error {err}");
     }
@@ -974,7 +997,7 @@ mod tests {
             let base = factors_for(&t, rank, seed);
             let dir = factors_for(&t, rank, seed ^ 0x5a5a);
             let mut pp = PpState::new(&t, rank);
-            pp.refresh(&t, &base);
+            pp.refresh(&t, &base, &support(&t));
             let eps = 1e-4;
             let e1 = pp_correction_error(&mut pp, &t, &base, &perturb(&base, &dir, eps));
             let e2 = pp_correction_error(&mut pp, &t, &base, &perturb(&base, &dir, 2.0 * eps));
@@ -1004,7 +1027,7 @@ mod tests {
             let rank = 3;
             let base = factors_for(&t, rank, seed);
             let mut pp = PpState::new(&t, rank);
-            pp.refresh(&t, &base);
+            pp.refresh(&t, &base, &support(&t));
             let dir = factors_for(&t, rank, seed ^ 0x77);
             let mut cur: Vec<Mat> = base.clone();
             for (x, &y) in cur[mode].as_mut_slice().iter_mut().zip(dir[mode].as_slice()) {

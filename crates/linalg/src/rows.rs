@@ -12,7 +12,6 @@
 pub struct RowSet {
     words: Vec<u64>,
     len: usize,
-    count: usize,
 }
 
 impl RowSet {
@@ -26,8 +25,7 @@ impl RowSet {
             assert!(i < len, "row {i} out of range for {len} rows");
             words[i / 64] |= 1 << (i % 64);
         }
-        let count = words.iter().map(|w| w.count_ones() as usize).sum();
-        RowSet { words, len, count }
+        RowSet { words, len }
     }
 
     /// Rows in the universe (members or not).
@@ -38,11 +36,6 @@ impl RowSet {
     /// Whether the universe is empty.
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// Number of member rows.
-    pub fn count(&self) -> usize {
-        self.count
     }
 
     /// Whether row `i` is a member.
@@ -141,7 +134,6 @@ mod tests {
     fn runs_and_rows_match_membership() {
         let members = [0, 1, 2, 63, 64, 65, 100, 127, 128, 190, 191];
         let set = RowSet::from_indices(192, members.iter().copied().chain([2, 64]));
-        assert_eq!(set.count(), members.len());
         for lo in [0, 1, 3, 63, 64, 66, 120, 128, 191] {
             for hi in [lo, lo + 1, 64, 65, 128, 150, 192, 300] {
                 let want: Vec<usize> =

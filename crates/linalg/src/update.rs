@@ -18,9 +18,7 @@
 //!   each row through the caller's `R`-length work row and accumulates the
 //!   Gram.
 //!
-//! Neither allocates on one thread. NCP's update also has an out-of-place
-//! form that reads the old factor from another buffer, so a driver can
-//! keep the previous iterate in its second buffer instead of copying it.
+//! Neither allocates on one thread.
 //!
 //! # Support rows
 //!
@@ -28,11 +26,12 @@
 //! mode's support (the rows that hold a tensor nonzero, see
 //! [`crate::rows`]). Outside the support `M` is exactly `+0.0`, so one
 //! update leaves each such row of `U` at a fixed point of the rule — ALS
-//! writes `+0.0`, NCP gives `u * 0 / (u h + eps) = u` for the `±0.0` it
-//! wrote — and a sum that starts at `+0.0` is not changed by its `±0.0`
-//! products. A caller may pass the support once the output buffer's rows
-//! outside it already hold those values (and, for NCP, so do the source
-//! rows); the first write into any other buffer visits every row.
+//! writes `+0.0` for a zero row of `M`, NCP gives `u * 0 / (u h + eps)`,
+//! a zero with the sign of `u` — and a sum that starts at `+0.0` is not
+//! changed by its `±0.0` products. A caller may pass the support once the
+//! factor's rows outside it hold that fixed point (the factor is
+//! *settled*); the first update of any other factor (initial, reseeded or
+//! restored) visits every row.
 //! Parallel chunks stay defined by row index, rows outside the support
 //! included, so the reduction shape below does not change.
 //!
@@ -193,23 +192,18 @@ pub fn normalize_gram_rows(
 /// # Panics
 /// Panics on a shape mismatch.
 pub fn ncp_into(u: &mut Mat, m: &Mat, h: &Mat, eps: f64, gram: &mut Mat, uh: &mut [f64]) -> bool {
-    ncp_rows_into(u, None, m, h, eps, gram, uh, None)
+    ncp_rows_into(u, m, h, eps, gram, uh, None)
 }
 
-/// The NCP update with its source and rows chosen: each row of `u` in
-/// `rows` (`None`: every row) becomes `old .* max(m, 0) ./ (old h + eps)`,
-/// where `old` is that row of `from` (`None`: of `u` itself, as
-/// [`ncp_into`]) — the same arithmetic per entry. `gram` becomes the Gram
-/// of all of `u`, whose rows outside `rows` must already hold the update's
-/// fixed point (see the module docs).
+/// [`ncp_into`] over `rows` only (`None`: every row). `gram` becomes the
+/// Gram of all of `u`, whose rows outside `rows` must already be zero
+/// (see the module docs).
 ///
 /// # Panics
 /// Panics on a shape mismatch.
 #[adatm::hot]
-#[allow(clippy::too_many_arguments)]
 pub fn ncp_rows_into(
     u: &mut Mat,
-    from: Option<&Mat>,
     m: &Mat,
     h: &Mat,
     eps: f64,
@@ -221,7 +215,6 @@ pub fn ncp_rows_into(
     assert!(
         m.nrows() == u.nrows()
             && m.ncols() == r
-            && from.is_none_or(|f| f.nrows() == u.nrows() && f.ncols() == r)
             && h.nrows() == r
             && h.ncols() == r
             && gram.nrows() == r
@@ -230,8 +223,16 @@ pub fn ncp_rows_into(
             && rows.is_none_or(|s| s.len() == u.nrows()),
         "ncp_rows_into shape mismatch"
     );
-    let step = NcpStep { from: from.map(Mat::as_slice), m: m.as_slice(), h: h.as_slice(), eps };
-    r == 0 || ncp_rows(u.as_mut_slice(), &step, gram.as_mut_slice(), uh, rows)
+    r == 0
+        || ncp_rows(
+            u.as_mut_slice(),
+            m.as_slice(),
+            h.as_slice(),
+            eps,
+            gram.as_mut_slice(),
+            uh,
+            rows,
+        )
 }
 
 /// Whether every entry of `m` in `rows` (`None`: every row) is finite.
@@ -239,7 +240,8 @@ pub fn rows_finite(m: &Mat, rows: Option<&RowSet>) -> bool {
     let (r, data) = (m.ncols(), m.as_slice());
     let mut finite = true;
     for_runs(rows, 0, m.nrows(), |s, e| {
-        finite &= data[s * r..e * r].iter().all(|x| x.is_finite());
+        // No early exit, so the scan vectorizes.
+        finite &= data[s * r..e * r].iter().fold(true, |ok, x| ok & x.is_finite());
     });
     finite
 }
@@ -264,15 +266,6 @@ pub fn col_dots_rows(m: &Mat, u: &Mat, out: &mut [f64], rows: Option<&RowSet>) {
             crate::kernels::muladd_assign(out, x, y);
         }
     });
-}
-
-/// The operands of an NCP update: the old factor (`None`: in place), the
-/// MTTKRP, the Hadamard system and the denominator guard.
-struct NcpStep<'a> {
-    from: Option<&'a [f64]>,
-    m: &'a [f64],
-    h: &'a [f64],
-    eps: f64,
 }
 
 /// Whether `rows` rows take the parallel path: the row threshold of the
@@ -444,7 +437,9 @@ fn scale_rows(rows: &mut [f64], lambda: &[f64], starts: &[usize]) -> bool {
 #[adatm::hot]
 fn ncp_rows(
     u: &mut [f64],
-    step: &NcpStep<'_>,
+    m: &[f64],
+    h: &[f64],
+    eps: f64,
     gram: &mut [f64],
     uh: &mut [f64],
     rows: Option<&RowSet>,
@@ -463,19 +458,10 @@ fn ncp_rows(
                     break;
                 };
                 let (at, s) = (i * r, (i - row0) * r);
-                let (urow, mrow) = (&mut block[s..s + r], &step.m[at..at + r]);
+                let (urow, mrow) = (&mut block[s..s + r], &m[at..at + r]);
                 // `u h` needs the whole old row, so it goes through `uh`.
-                match step.from {
-                    Some(old) => {
-                        let orow = &old[at..at + r];
-                        row_times(orow, step.h, uh);
-                        ncp_quotient(urow, orow, mrow, uh, step.eps);
-                    }
-                    None => {
-                        row_times(urow, step.h, uh);
-                        ncp_quotient_in_place(urow, mrow, uh, step.eps);
-                    }
-                }
+                row_times(urow, h, uh);
+                ncp_quotient(urow, mrow, uh, eps);
                 finite &= urow.iter().fold(true, |ok, x| ok & x.is_finite());
                 if !is_zero(urow) {
                     starts[n] = s;
@@ -488,20 +474,12 @@ fn ncp_rows(
     })
 }
 
-/// `u = old * (max(m, 0) / (uh + eps))`, elementwise, in the association
-/// the unfused update used.
+/// `u = u * (max(m, 0) / (uh + eps))`, elementwise, in the association the
+/// unfused update used.
 #[inline(always)]
-fn ncp_quotient(u: &mut [f64], old: &[f64], m: &[f64], uh: &[f64], eps: f64) {
-    for (((x, &o), &mv), &d) in u.iter_mut().zip(old).zip(m).zip(uh) {
-        *x = o * (mv.max(0.0) / (d + eps));
-    }
-}
-
-/// [`ncp_quotient`] with `old` the row itself.
-#[inline(always)]
-fn ncp_quotient_in_place(u: &mut [f64], m: &[f64], uh: &[f64], eps: f64) {
-    for ((x, &mv), &d) in u.iter_mut().zip(m).zip(uh) {
-        *x *= mv.max(0.0) / (d + eps);
+fn ncp_quotient(u: &mut [f64], m: &[f64], uh: &[f64], eps: f64) {
+    for ((x, &mv), &o) in u.iter_mut().zip(m).zip(uh) {
+        *x *= mv.max(0.0) / (o + eps);
     }
 }
 

@@ -532,8 +532,8 @@ fn fused_updates_skip_zero_rows_without_changing_a_bit() {
 /// The support-row forms of both updates against the every-row forms: a
 /// support holding every row whose `M` row is nonzero plus some zero-by-
 /// value rows, an output buffer that holds `+0.0` outside the support and
-/// garbage inside it, and (NCP) the old factor read from another buffer.
-/// Factors, flags, `lambda` and Grams agree bit for bit at one and two
+/// garbage inside it, and (NCP) an old factor that holds `+0.0` outside
+/// the support. Factors, flags, `lambda` and Grams agree bit for bit at one and two
 /// threads, across the parallel chunk boundary, with `M` holding 1e300,
 /// NaN or infinities.
 #[test]
@@ -588,19 +588,8 @@ fn support_row_updates_match_every_row_updates_bitwise() {
                     let (mut want, mut g1) = (u0.clone(), p.clone());
                     let f1 = ncp_into(&mut want, &m, &h, eps, &mut g1, &mut vec![9.0; r]);
                     for rows_of in [None, Some(&support)] {
-                        let mut u = settled(rows, r, &support, 23);
-                        let mut g2 = h.clone();
-                        let mut uh = vec![3.0; r];
-                        let f2 = ncp_rows_into(
-                            &mut u,
-                            Some(&u0),
-                            &m,
-                            &h,
-                            eps,
-                            &mut g2,
-                            &mut uh,
-                            rows_of,
-                        );
+                        let (mut u, mut g2, mut uh) = (u0.clone(), h.clone(), vec![3.0; r]);
+                        let f2 = ncp_rows_into(&mut u, &m, &h, eps, &mut g2, &mut uh, rows_of);
                         let at = format!("{at}, support {}", rows_of.is_some());
                         assert_eq!(f1, f2, "ncp flag, {at}");
                         assert!(same_bits(u.as_slice(), want.as_slice()), "ncp factor, {at}");

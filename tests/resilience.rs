@@ -745,11 +745,11 @@ fn event_trail(res: &adatm::CpResult) -> Vec<(usize, Option<usize>, BreakdownKin
 }
 
 #[test]
-fn breakdown_at_the_last_mode_restores_every_swapped_mode_bitwise() {
+fn breakdown_at_the_last_mode_restores_every_updated_mode_bitwise() {
     // The sequential COO backend sweeps modes 0, 1, 2, so call 11 is the
     // last mode of iteration 3: modes 0 and 1 already hold this sweep's
-    // update when the poison forces the rollback. Recorded at the
-    // in-place solver, for ALS and NCP.
+    // update when the poison forces the rollback. Recorded with the
+    // every-row solver, for ALS and NCP.
     let t = spread_truth();
     let opts = CpAlsOptions::new(3).max_iters(12).tol(0.0).seed(5);
     let sched = || FaultSchedule::new().at_call(11, FaultKind::PoisonInf);
@@ -769,7 +769,7 @@ fn pp_divergence_restores_a_last_good_state_older_than_the_last_boundary() {
     // keeps iteration 6 as the last-good state. Iteration 8 is a forced
     // exact sweep whose zeroed last-mode output collapses the fit: the
     // PP-induced divergence restores iteration 6's state and the run
-    // carries on with exact sweeps. Recorded at the in-place solver.
+    // carries on with exact sweeps. Recorded with the every-row solver.
     let t = spread_truth();
     let sched = FaultSchedule::new().at_call(23, FaultKind::ZeroOutput);
     let mut b = FaultInjectingBackend::new(CooBackend::with_parallel(&t, false), sched);
@@ -789,8 +789,8 @@ fn pp_divergence_restores_a_last_good_state_older_than_the_last_boundary() {
 fn breakdown_while_pp_is_armed_keeps_the_last_boundary_as_movement_reference() {
     // Call 22 is mode 1 of iteration 8, a forced exact sweep while PP is
     // armed. The rollback disarms PP; re-arming later compares against
-    // the factors of the last completed boundary. Recorded at the
-    // in-place solver.
+    // the factors of the last completed boundary. Recorded with the
+    // every-row solver.
     let t = spread_truth();
     let sched = FaultSchedule::new().at_call(22, FaultKind::PoisonInf);
     let mut b = FaultInjectingBackend::new(CooBackend::with_parallel(&t, false), sched);
@@ -838,4 +838,75 @@ fn runs_stopped_before_a_mode_update_return_the_initial_factors_untouched() {
     assert_eq!(res.iters, 0);
     same(&res, 1..3);
     assert_eq!(run_digest(&res), 0x7eb9939cb70cb09e, "digest {:#x}", run_digest(&res));
+}
+
+#[test]
+fn nan_on_an_empty_row_is_reported_wherever_an_update_reads_it() {
+    // Mode 2 of `spread_truth()` holds entries on even rows only, and the
+    // middle entry of its 22 x 3 output, which `PoisonNan` poisons, lies
+    // on empty row 11. The sequential COO backend sweeps modes 0, 1, 2.
+    let t = spread_truth();
+    let opts = CpAlsOptions::new(3).max_iters(12).tol(0.0).seed(5);
+    let run = |sched: FaultSchedule| {
+        let mut b = FaultInjectingBackend::new(CooBackend::with_parallel(&t, false), sched);
+        CpAls::new(opts.clone()).run(&t, &mut b).unwrap()
+    };
+    // Call 5 updates mode 2 in iteration 1, a settled factor: the update
+    // reads only the support rows, so the NaN perturbs nothing. (An
+    // `audit` build's check of the whole MTTKRP output panics on it.)
+    #[cfg(not(feature = "audit"))]
+    {
+        let healthy = run(FaultSchedule::new());
+        let unread = run(FaultSchedule::new().at_call(5, FaultKind::PoisonNan));
+        assert!(unread.diagnostics.clean(), "{:?}", unread.diagnostics.events);
+        assert_models_bitwise_equal(&healthy, &unread);
+    }
+    // A `PoisonInf` (row 0) at call 5 rolls back and reseeds mode 2. Its
+    // next update, call 8, is the reseeded factor's first and reads every
+    // row, so the NaN there is reported before it can reach the factor.
+    // Recorded with the every-row solver.
+    let res =
+        run(FaultSchedule::new().at_call(5, FaultKind::PoisonInf).at_call(8, FaultKind::PoisonNan));
+    assert_eq!(
+        event_trail(&res),
+        [
+            (1, Some(2), BreakdownKind::NonFiniteMttkrp),
+            (2, Some(2), BreakdownKind::NonFiniteMttkrp)
+        ]
+    );
+    assert_model_finite(&res);
+    assert_eq!(run_digest(&res), 0xda8ae9a253f4687b, "digest {:#x}", run_digest(&res));
+}
+
+#[test]
+fn copies_take_the_zeros_a_first_update_leaves_on_empty_rows() {
+    // NCP keeps the sign of a factor's zeros on its empty rows: from an
+    // init holding -0.0 on mode 2's empty (odd) rows they stay -0.0 until
+    // call 5's poison reseeds mode 2, whose next update leaves +0.0 there.
+    // Every later copy of the last-good state must take the new zeros, as
+    // a copy of every row does.
+    let t = spread_truth();
+    let mut init: Vec<adatm::Mat> = t
+        .dims()
+        .iter()
+        .enumerate()
+        .map(|(d, &n)| adatm::Mat::random(n, 3, 40 + d as u64))
+        .collect();
+    for i in (1..t.dims()[2]).step_by(2) {
+        init[2].row_mut(i).fill(-0.0);
+    }
+    let dir = tmp_dir("zero-signs");
+    let sched = FaultSchedule::new().at_call(5, FaultKind::PoisonInf);
+    let mut b = FaultInjectingBackend::new(CooBackend::with_parallel(&t, false), sched);
+    let opts = CpAlsOptions::new(3).max_iters(12).tol(0.0).seed(5);
+    let res = CpAls::ncp(opts.checkpoint(CheckpointConfig::new(&dir).every_iters(1)))
+        .run_from(&t, &mut b, init)
+        .unwrap();
+    assert_eq!(event_trail(&res), [(1, Some(2), BreakdownKind::NonFiniteMttkrp)]);
+    let ck = CheckpointStore::load_latest(&dir).unwrap().checkpoint;
+    let (_, good) = ck.last_good.expect("a last-good state");
+    for i in (1..t.dims()[2]).step_by(2) {
+        assert!(good[2].row(i).iter().all(|x| x.to_bits() == 0), "row {i}: {:?}", good[2].row(i));
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
