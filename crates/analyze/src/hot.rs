@@ -11,7 +11,8 @@
 //! *Allocation lint* — hot functions must not allocate: the kernels'
 //! steady-state contract (see `schedule::Workspace`) is zero heap
 //! traffic, and an allocation inside a rayon region also serializes on
-//! the global allocator. Denied: `Vec::new`-style constructors,
+//! the global allocator. Denied: `Vec::new`-style constructors (and
+//! `Mat::zeros`/`Mat::from_vec`),
 //! `with_capacity`, `collect`/`to_vec`/`to_owned`/`to_string`/`clone`,
 //! `Box::new`, and the `vec!`/`format!`/print-family macros.
 //!
@@ -24,7 +25,8 @@ use crate::tree::CallSite;
 use crate::{apply_allowances, CrateModel, Finding, FnInfo, LintOutcome};
 use std::collections::BTreeSet;
 
-/// Constructor paths whose tail means "fresh heap allocation".
+/// Constructor paths whose tail means "fresh heap allocation" (the
+/// workspace's own `Mat` constructors included).
 const ALLOC_PATH_TAILS: &[&str] = &[
     "Vec::new",
     "Vec::from",
@@ -36,6 +38,8 @@ const ALLOC_PATH_TAILS: &[&str] = &[
     "HashSet::new",
     "BTreeMap::new",
     "BTreeSet::new",
+    "Mat::zeros",
+    "Mat::from_vec",
 ];
 
 /// Method names that allocate on the common container/str types.
@@ -303,6 +307,17 @@ mod tests {
         // One finding for kernel's Vec::new; S::new stays cold.
         assert_eq!(out.findings.len(), 1);
         assert!(out.findings[0].message.contains("kernel"));
+    }
+
+    #[test]
+    fn mat_constructors_count_as_allocations() {
+        let src = "
+            #[adatm::hot]
+            fn kernel(n: usize) { let _m = Mat::zeros(n, 4); let _v = Mat::from_vec(1, 1, v); }
+        ";
+        let out = alloc_lint(&model(src));
+        assert_eq!(out.findings.len(), 2);
+        assert!(out.findings.iter().any(|f| f.message.contains("Mat::zeros")));
     }
 
     #[test]

@@ -500,7 +500,7 @@ pub fn prove_scatter_exhaustive(max_p: usize, max_c: usize) -> ProverReport {
                     x /= c as u64;
                 }
                 for &threads in THREADS {
-                    let s = adatm_dtree::sched::ScatterSchedule::build(&pmap, c, threads);
+                    let s = adatm_dtree::sched::ScatterSchedule::from_map(&pmap, c, threads);
                     rep.scatter_builds += 1;
                     if let Err(e) = verify_scatter_parts(&ScatterParts::of(&s), &pmap, c) {
                         rep.fail(format!(
@@ -539,7 +539,8 @@ pub fn prove_scatter_structured() -> ProverReport {
                     })
                     .collect();
                 for &threads in &[2usize, 4, 8] {
-                    let s = adatm_dtree::sched::ScatterSchedule::build(&pmap, child_len, threads);
+                    let s =
+                        adatm_dtree::sched::ScatterSchedule::from_map(&pmap, child_len, threads);
                     rep.scatter_builds += 1;
                     if let Err(e) = verify_scatter_parts(&ScatterParts::of(&s), &pmap, child_len) {
                         rep.fail(format!(
@@ -616,7 +617,7 @@ mod tests {
     #[test]
     fn corrupted_scatter_cmap_is_rejected() {
         let pmap: Vec<u32> = (0..64).map(|j| (j % 3) as u32).collect();
-        let s = adatm_dtree::sched::ScatterSchedule::build(&pmap, 3, 2);
+        let s = adatm_dtree::sched::ScatterSchedule::from_map(&pmap, 3, 2);
         let mut parts = ScatterParts::of(&s);
         assert!(verify_scatter_parts(&parts, &pmap, 3).is_ok());
         // Re-route one element to the wrong accumulator row.
@@ -627,7 +628,7 @@ mod tests {
     #[test]
     fn duplicated_scatter_row_is_rejected() {
         let pmap: Vec<u32> = (0..64).map(|j| (j % 5) as u32).collect();
-        let s = adatm_dtree::sched::ScatterSchedule::build(&pmap, 5, 2);
+        let s = adatm_dtree::sched::ScatterSchedule::from_map(&pmap, 5, 2);
         let mut parts = ScatterParts::of(&s);
         if parts.rows.len() >= 2 {
             parts.rows[1] = parts.rows[0];

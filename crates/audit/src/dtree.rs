@@ -113,10 +113,9 @@ impl Validate for DimTree {
 
 /// Validates a symbolic structure against its tree: per non-root node the
 /// reduction sets must partition the parent's elements (CSR-shaped
-/// `rptr`, no empty sets, `rperm` a permutation of `0..parent_len`), the
-/// per-mode index arrays must match the element count, and a `pmap`, if
-/// present, must map every parent element to a valid element. These are
-/// the invariants that make the numeric pass's per-element parallelism
+/// `rptr`, no empty sets, `rperm` a permutation of `0..parent_len`) and
+/// the per-mode index arrays must match the element count. These are the
+/// invariants that make the numeric pass's per-element parallelism
 /// race-free.
 ///
 /// This is the `Result`-returning counterpart of the assertion-style
@@ -169,26 +168,6 @@ pub fn validate_symbolic(sym: &SymbolicTree, tree: &DimTree) -> Result<(), Audit
                     expected: node.len,
                     got: col.len(),
                 });
-            }
-        }
-        if let Some(pmap) = &node.pmap {
-            if pmap.len() != parent_len {
-                return Err(AuditError::LengthMismatch {
-                    what: "symbolic pmap",
-                    expected: parent_len,
-                    got: pmap.len(),
-                });
-            }
-            for (pos, &e) in pmap.iter().enumerate() {
-                if (e as usize) >= node.len {
-                    return Err(AuditError::IndexOutOfBounds {
-                        what: "symbolic pmap",
-                        mode: 0,
-                        pos,
-                        index: e as usize,
-                        bound: node.len,
-                    });
-                }
             }
         }
     }

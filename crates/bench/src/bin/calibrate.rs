@@ -109,13 +109,14 @@ fn measure_rates(t: &SparseTensor, rank: usize, threads: usize, reps: usize) -> 
             csf_units += csf.node_counts().iter().skip(1).sum::<usize>() as f64 * r;
         }
         // Tree pull/scatter: per-node recomputes attributed to the class
-        // the engine actually runs. Two tree populations, so the pull
-        // rate averages over both node kinds the planner will price: the
-        // balanced binary tree contributes internal (R-wide-parent)
-        // pulls, the flat tree contributes root-children, whose
-        // tensor-streaming leaves are markedly slower per unit — a
-        // bdt-only sample would underprice exactly the shallow trees the
-        // traffic term favors.
+        // the engine actually runs at this thread count. Two tree
+        // populations, so the pull rate averages over both node kinds the
+        // planner will price: the balanced binary tree contributes
+        // internal (R-wide-parent) pulls, the flat tree contributes
+        // root-children, whose tensor-streaming leaves are markedly slower
+        // per unit — a bdt-only sample would underprice exactly the
+        // shallow trees the traffic term favors. Nodes are visited parents
+        // first, so a leaf's MTTKRP recomputes only the leaf.
         let mut class_ns = [0u64; 2];
         let mut class_units = [0.0f64; 2];
         for shape in [TreeShape::balanced_binary(n), TreeShape::two_level(n)] {
@@ -123,7 +124,13 @@ fn measure_rates(t: &SparseTensor, rank: usize, threads: usize, reps: usize) -> 
             for id in 1..eng.tree().len() {
                 let Some(class) = eng.node_kernel_class(id) else { continue };
                 let Some(units) = eng.node_work_units(id) else { continue };
-                let mut run = || eng.recompute_node(t, &factors, id);
+                let node = eng.tree().node(id);
+                let leaf_mode = node.is_leaf().then(|| node.modes[0]);
+                let mut out = Mat::zeros(leaf_mode.map_or(0, |m| t.dims()[m]), rank);
+                let mut run = || match leaf_mode {
+                    Some(mode) => eng.mttkrp_into(t, &factors, mode, &mut out),
+                    None => eng.recompute_node(t, &factors, id),
+                };
                 run();
                 let ns = time_best(reps, &mut run).as_nanos() as u64;
                 let slot = match class {

@@ -4,8 +4,8 @@
 //! The perf contract of the scheduling work: once a backend has built its
 //! sorted views / CSF trees, its per-(tensor, mode) `ModeSchedule`, and
 //! warmed its `Workspace`, a steady-state kernel call performs **zero**
-//! heap allocations on the sequential path, and the dimension-tree
-//! engine reuses its value buffers. The sweep loop's contract: after
+//! heap allocations on the sequential path, and so does a steady
+//! dimension-tree sweep on one thread. The sweep loop's contract: after
 //! warm-up, an iteration allocates nothing of factor size — factors,
 //! Grams and snapshots are updated in place — and the fused ALS and NCP
 //! mode updates allocate nothing at all on one thread. Asserted with a
@@ -21,8 +21,8 @@
 // (the other is the bench driver's identical shim).
 #![allow(unsafe_code)]
 
-use adatm_core::{CooBackend, CpAls, CpAlsOptions, MttkrpBackend};
-use adatm_dtree::{DtreeEngine, NodeKernelClass, TreeShape};
+use adatm_core::{AdaptiveBackend, CooBackend, CpAls, CpAlsOptions, MttkrpBackend};
+use adatm_dtree::{scatter_eligible, DtreeEngine, NodeKernelClass, TreeShape};
 use adatm_linalg::Mat;
 use adatm_model::Planner;
 use adatm_tensor::csf::CsfTensor;
@@ -202,12 +202,13 @@ fn parallel_path_allocations_stay_bounded() {
     let pool = rayon::ThreadPoolBuilder::new().num_threads(8).build().unwrap();
     pool.install(|| {
         let mut engine = DtreeEngine::new(&t, &TreeShape::balanced_binary(3), 8);
-        let pull = (1..engine.tree().len())
-            .filter(|&id| engine.node_kernel_class(id) == Some(NodeKernelClass::Pull));
+        let pull = (1..engine.tree().len()).filter(|&id| {
+            engine.node_kernel_class(id) == Some(NodeKernelClass::Pull)
+                && !engine.tree().node(id).is_leaf()
+        });
         let id = pull.max_by_key(|&id| engine.symbolic().node(id).len).unwrap();
         let node = engine.symbolic().node(id);
-        let weights: Vec<usize> = node.rptr.windows(2).map(|w| w[1] - w[0]).collect();
-        let sched = ModeSchedule::build(&weights, 8);
+        let sched = ModeSchedule::for_offsets(&node.rptr, 8);
         let bound = 16 * sched.num_tasks() as u64 + 64;
         // 4096 elements is the engine's threshold for going parallel.
         assert!(node.len >= 4096 && sched.num_tasks() > 1, "{} elements", node.len);
@@ -219,26 +220,49 @@ fn parallel_path_allocations_stay_bounded() {
 }
 
 #[test]
-fn dtree_scatter_reuses_pooled_buffers() {
+fn dtree_mttkrp_allocates_nothing_after_warmup() {
     let _serial = serial();
-    // The dimension-tree engine recycles value buffers per tree depth;
-    // a steady-state recompute+scatter must stay within a small constant
-    // of bookkeeping allocations rather than reallocating intermediates.
+    // On one thread a steady protocol sweep of the dimension-tree engine
+    // allocates nothing: internal nodes reuse their depth's value buffer,
+    // leaves land in the caller's M, and every TTMV resolves its operands
+    // on the stack. The flat tree's later leaves are scatter-eligible
+    // (small children of the whole tensor), which one thread pulls.
     let t = test_tensor();
     let rank = 8;
     let factors = factors_for(&t, rank);
-    let shape = TreeShape::balanced_binary(t.ndim());
-    let mut engine = DtreeEngine::new(&t, &shape, rank);
-    let mut out = Mat::zeros(t.dims()[1], rank);
-    for _ in 0..2 {
-        engine.invalidate_all();
-        engine.mttkrp_into(&t, &factors, 1, &mut out);
+    let pool = rayon::ThreadPoolBuilder::new().num_threads(1).build().unwrap();
+    let mut scatter_leaves = 0;
+    for shape in [
+        TreeShape::two_level(t.ndim()),
+        TreeShape::three_level(t.ndim()),
+        TreeShape::balanced_binary(t.ndim()),
+    ] {
+        let mut engine = DtreeEngine::new(&t, &shape, rank);
+        let (tree, sym) = (engine.tree(), engine.symbolic());
+        scatter_leaves += (1..tree.len())
+            .filter(|&id| {
+                let (node, s) = (tree.node(id), sym.node(id));
+                let parent_len = node.parent.map_or(0, |p| sym.node(p).len);
+                node.is_leaf() && !s.sequential && scatter_eligible(s.len, parent_len)
+            })
+            .count();
+        let mut outs: Vec<Mat> = t.dims().iter().map(|&n| Mat::zeros(n, rank)).collect();
+        let order = shape.modes();
+        let mut sweep = |engine: &mut DtreeEngine| {
+            for &mode in &order {
+                engine.invalidate_mode(mode);
+                engine.mttkrp_into(&t, &factors, mode, &mut outs[mode]);
+            }
+        };
+        pool.install(|| {
+            sweep(&mut engine);
+            for round in 0..2 {
+                let n = allocs_during(|| sweep(&mut engine));
+                assert_eq!(n, 0, "{shape}: steady sweep {round} made {n} allocation(s)");
+            }
+        });
     }
-    engine.invalidate_all();
-    let n = allocs_during(|| {
-        engine.mttkrp_into(&t, &factors, 1, &mut out);
-    });
-    assert!(n <= 256, "dtree steady-state recompute made {n} allocations");
+    assert!(scatter_leaves > 0, "no scatter-eligible leaf was exercised");
 }
 
 #[test]
@@ -315,11 +339,11 @@ fn mode_updates_allocate_nothing_on_one_thread() {
     });
 }
 
-/// A sequential COO backend that marks each iteration: at `begin_mode`
-/// of mode 0, the first of its (natural) sweep order, it records this
-/// thread's counts of large allocations and of all allocations so far.
+/// A backend that marks each iteration: at `begin_mode` of mode 0 it
+/// records this thread's counts of large allocations and of all
+/// allocations so far.
 struct MarkingBackend {
-    inner: CooBackend,
+    inner: Box<dyn MttkrpBackend>,
     marks: Vec<(u64, u64)>,
 }
 
@@ -336,6 +360,10 @@ impl MttkrpBackend for MarkingBackend {
         self.inner.begin_mode(mode);
     }
 
+    fn mode_order(&self, ndim: usize) -> Vec<usize> {
+        self.inner.mode_order(ndim)
+    }
+
     fn mttkrp_into(&mut self, tensor: &SparseTensor, factors: &[Mat], mode: usize, out: &mut Mat) {
         self.inner.mttkrp_into(tensor, factors, mode, out);
     }
@@ -345,48 +373,65 @@ impl MttkrpBackend for MarkingBackend {
     }
 
     fn name(&self) -> &'static str {
-        "marking-coo"
+        "marking"
+    }
+}
+
+/// The backends the sweep gates run: COO with its sequential reference
+/// kernel, COO with its scheduled kernel, and the adaptive backend (the
+/// CLI's default), which plans the dimension-tree engine here.
+const SWEEP_BACKENDS: [&str; 3] = ["coo-seq", "coo", "adaptive"];
+
+fn sweep_backend(name: &str, t: &SparseTensor, rank: usize) -> Box<dyn MttkrpBackend> {
+    match name {
+        "coo-seq" => Box::new(CooBackend::with_parallel(t, false)),
+        "coo" => Box::new(CooBackend::with_parallel(t, true)),
+        _ => {
+            let adaptive = AdaptiveBackend::plan(t, rank);
+            assert!(adaptive.tree_engine().is_some(), "the plan must pick the tree engine");
+            Box::new(adaptive)
+        }
     }
 }
 
 /// Runs ALS and NCP on one thread for `iters` iterations with a marking
-/// COO backend (`scheduled`: its scheduled kernel, else the sequential
-/// reference kernel) and hands each rule's per-iteration allocation
-/// counts (`(large, all)` marks at the start of each iteration, then the
-/// counts at the end of the run) to `check`.
-fn sweep_loop_marks(scheduled: bool, check: impl Fn(&str, &[(u64, u64)])) {
+/// `backend` (one of [`SWEEP_BACKENDS`]) and hands each rule's
+/// per-iteration allocation counts (`(large, all)` marks at the start of
+/// each iteration, then the counts at the end of the run) to `check`.
+fn sweep_loop_marks(backend: &str, check: impl Fn(&str, &[(u64, u64)])) {
     // Every mode at least 4096 rows, so every factor is >= 512 KiB.
     let t = zipf_tensor(&[4096, 5000, 4500], 20_000, &[0.5, 0.4, 0.6], 3);
     let iters = 6;
     let opts = CpAlsOptions::new(16).max_iters(iters).tol(0.0).seed(2);
     let pool = rayon::ThreadPoolBuilder::new().num_threads(1).build().unwrap();
     for (rule, solver) in [("als", CpAls::new(opts.clone())), ("ncp", CpAls::ncp(opts))] {
-        let mut backend = MarkingBackend {
-            inner: CooBackend::with_parallel(&t, scheduled),
+        let what = format!("{backend} {rule}");
+        let mut marking = MarkingBackend {
+            inner: sweep_backend(backend, &t, 16),
             // Room for every mark up front: the marks must not allocate.
             marks: Vec::with_capacity(iters + 1),
         };
-        let res = pool.install(|| solver.run(&t, &mut backend)).unwrap();
+        let res = pool.install(|| solver.run(&t, &mut marking)).unwrap();
         let end = thread_counts();
-        assert_eq!(res.iters, iters, "{rule}");
-        assert!(res.diagnostics.clean(), "{rule}: {:?}", res.diagnostics.events);
-        let mut marks = backend.marks;
-        assert_eq!(marks.len(), iters, "{rule}: one mark per iteration");
+        assert_eq!(res.iters, iters, "{what}");
+        assert!(res.diagnostics.clean(), "{what}: {:?}", res.diagnostics.events);
+        let mut marks = marking.marks;
+        assert_eq!(marks.len(), iters, "{what}: one mark per iteration");
         marks.push(end);
-        check(rule, &marks);
+        check(&what, &marks);
     }
 }
 
 #[test]
 fn sweep_loop_allocates_nothing_factor_sized_after_warmup() {
     let _serial = serial();
-    sweep_loop_marks(false, |rule, marks| {
+    sweep_loop_marks("coo-seq", |what, marks| {
         // Iterations 0 and 1 warm up (the first last-good snapshot).
         for (iter, w) in marks.windows(2).enumerate().skip(2) {
             assert_eq!(
                 w[1].0 - w[0].0,
                 0,
-                "{rule}: iteration {iter} made {} allocation(s) of {LARGE}+ bytes",
+                "{what}: iteration {iter} made {} allocation(s) of {LARGE}+ bytes",
                 w[1].0 - w[0].0
             );
         }
@@ -397,16 +442,18 @@ fn sweep_loop_allocates_nothing_factor_sized_after_warmup() {
 fn sweep_loop_allocates_nothing_after_warmup() {
     let _serial = serial();
     // Without checkpoints or PP a steady iteration allocates nothing at
-    // all on one thread: the scheduled MTTKRP, the pseudoinverse and its
+    // all on one thread: the MTTKRP (either COO kernel, or the tree
+    // engine the adaptive backend plans), the pseudoinverse and its
     // Jacobi workspace, the fused updates, the snapshot copy and the fit
-    // reuse the run's buffers. (The sequential reference kernel allocates
-    // one scratch row per call.)
-    sweep_loop_marks(true, |rule, marks| {
-        for (iter, w) in marks.windows(2).enumerate().skip(2) {
-            let n = w[1].1 - w[0].1;
-            assert_eq!(n, 0, "{rule}: iteration {iter} made {n} allocation(s)");
-        }
-    });
+    // reuse the run's buffers.
+    for backend in SWEEP_BACKENDS {
+        sweep_loop_marks(backend, |what, marks| {
+            for (iter, w) in marks.windows(2).enumerate().skip(2) {
+                let n = w[1].1 - w[0].1;
+                assert_eq!(n, 0, "{what}: iteration {iter} made {n} allocation(s)");
+            }
+        });
+    }
 }
 
 #[test]

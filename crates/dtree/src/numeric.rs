@@ -2,11 +2,11 @@
 //! Numeric TTMV: the per-iteration kernels of dimension-tree CP-ALS.
 //!
 //! A [`DtreeEngine`] binds a tree's symbolic structure to a rank `R` and
-//! caches, per node, the node's *value matrix* — the `|elements| x R`
-//! matrix holding all `R` partial-TTV tensors at once (they share one
-//! nonzero pattern, so the index structure is stored once and the values
-//! are updated "thick", all `R` columns per element). The engine
-//! implements the dimension-tree CP-ALS protocol:
+//! caches, per internal node, the node's *value matrix* — the
+//! `|elements| x R` matrix holding all `R` partial-TTV tensors at once
+//! (they share one nonzero pattern, so the index structure is stored once
+//! and the values are updated "thick", all `R` columns per element). The
+//! engine implements the dimension-tree CP-ALS protocol:
 //!
 //! 1. at the start of subiteration `n`, [`DtreeEngine::invalidate_mode`]
 //!    destroys every node whose tensors were multiplied by `U^(n)`
@@ -18,19 +18,35 @@
 //!
 //! Every node is therefore computed exactly once per iteration, and at
 //! most one root-to-leaf path of value matrices is live at any instant —
-//! the `O(log N)` memory bound of the balanced binary tree. The engine
-//! holds value buffers to match: one per tree depth, sized once for the
-//! largest node at that depth and reshaped for the others, so a run keeps
-//! about one root-to-leaf path of value matrices allocated and steady
-//! iterations allocate none.
+//! the `O(log N)` memory bound of the balanced binary tree. A leaf's
+//! values *are* the MTTKRP, so a leaf has no value matrix:
+//! [`DtreeEngine::mttkrp_into`] writes it straight into the caller's `M`
+//! through the leaf's row map `idx[0]` and zeroes only the rows no
+//! element lands on. The engine holds the internal nodes' value buffers:
+//! one per tree depth, sized once for the largest internal node at that
+//! depth and reshaped for the others, so a run keeps about one
+//! root-to-leaf path of value matrices allocated and steady iterations
+//! allocate none.
+//!
+//! Every TTMV without a schedule — one thread, or a node under
+//! [`PAR_THRESHOLD`] elements — runs the pull kernel: each node element's
+//! reduction set is summed in a register block of up to 16 columns (then
+//! 8, 4 and 1 for the rest of the rank) and stored once. The delta index
+//! columns and factors are resolved once per call into a fixed-arity
+//! array: `|δ|` is a const parameter up to eight, and the parent is the
+//! tensor's scalars or a value matrix's rows. Under a schedule,
+//! scatter-eligible nodes stream the parent into per-chunk accumulators
+//! ([`crate::sched`]) and the rest pull under an nnz-balanced schedule.
+//! The kernels' bits do not depend on which one runs: every element sums
+//! its reduction set from `+0.0` in ascending parent order, and such a sum
+//! is never `−0.0`, so storing it equals adding it to a zeroed row.
 
 use crate::error::DtreeError;
 use crate::sched::{run_scatter, ScatterSchedule};
 use crate::shape::TreeShape;
 use crate::stats::{MemoryStats, OpStats};
-use crate::symbolic::{SymbolicNode, SymbolicTree};
+use crate::symbolic::{scatter_scheduled, SymbolicNode, SymbolicTree, PAR_THRESHOLD};
 use crate::tree::DimTree;
-use adatm_linalg::kernels;
 use adatm_linalg::Mat;
 use adatm_tensor::coo::Idx;
 use adatm_tensor::schedule::{run_schedule, ModeSchedule, ScheduleCache, Workspace};
@@ -41,15 +57,20 @@ use std::sync::Arc;
 
 /// Elements per parallel task in the (unscheduled) column-wise kernel.
 const PAR_CHUNK: usize = 512;
-/// Minimum node size before the kernels go parallel.
-const PAR_THRESHOLD: usize = 4096;
+
+/// Widest `|δ|` with its own fully unrolled kernel; wider deltas (trees
+/// over tensors of more than nine modes) resolve each operand per access.
+const MAX_FUSED: usize = 8;
+
+/// Widest block of columns the pull kernel sums in registers.
+const LANES: usize = 16;
 
 /// The value buffers of one tree depth.
 #[derive(Debug, Default)]
 struct DepthBuffer {
-    /// Element count of the largest node at this depth. Every value
-    /// buffer for the depth is allocated at this many rows and reshaped
-    /// to the node it holds, so it never grows.
+    /// Element count of the largest internal node at this depth. Every
+    /// value buffer for the depth is allocated at this many rows and
+    /// reshaped to the node it holds, so it never grows.
     rows: usize,
     /// One retired buffer, reused by the next node computed at this depth.
     spare: Option<Mat>,
@@ -113,6 +134,8 @@ pub struct DtreeEngine {
     /// ranks or initializations).
     sym: Arc<SymbolicTree>,
     rank: usize,
+    /// Value matrices of the valid internal nodes (leaves stay `None`:
+    /// they are written into the caller's `M`).
     vals: Vec<Option<Mat>>,
     /// Value buffers by tree depth (index 0, the root's, stays empty).
     /// Under the protocol at most one node per depth is live, so
@@ -124,25 +147,17 @@ pub struct DtreeEngine {
     /// thread count changes or the caches are reset.
     pull: ScheduleCache<ModeSchedule>,
     scatter: ScheduleCache<ScatterSchedule>,
-    /// Reusable kernel scratch (per-task Hadamard rows + slot rows).
+    /// Reusable kernel scratch (split and scatter slot rows).
     ws: Workspace,
     opts: EngineOptions,
     ops: OpStats,
     mem: MemoryStats,
 }
 
-/// Where a node's parent values come from: the tensor itself (children of
-/// the root — every one of the `R` root tensors is the input tensor, so
-/// the "row" is the scalar value broadcast) or the parent's value matrix.
-enum ParentVals<'a> {
-    Scalars(&'a [f64]),
-    Rows(&'a Mat),
-}
-
-/// Which numeric kernel computes a given non-root node — mirrors the
-/// dispatch in the engine's per-node compute: nodes with an inverse
-/// reduction map run the streaming *scatter* ("push") kernel, everything
-/// else the *pull* ("thick" gather) kernel. Exposed so benches and the
+/// Which numeric kernel computes a given non-root node — the engine's own
+/// choice at the current thread count: nodes that [`scatter_scheduled`]
+/// admits run the streaming *scatter* ("push") kernel, everything else
+/// the *pull* ("thick" gather) kernel. Exposed so benches and the
 /// calibration probe can attribute per-node TTMV timings to the kernel
 /// class the cost model prices.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -200,7 +215,7 @@ impl DtreeEngine {
         let n_nodes = tree.len();
         let mut depths: Vec<DepthBuffer> = Vec::new();
         depths.resize_with(tree.shape().height() + 1, DepthBuffer::default);
-        for id in 1..n_nodes {
+        for id in (1..n_nodes).filter(|&id| !tree.node(id).is_leaf()) {
             if let Some(buf) = depths.get_mut(depth_of(&tree, id)) {
                 buf.rows = buf.rows.max(sym.node(id).len);
             }
@@ -245,7 +260,7 @@ impl DtreeEngine {
         self.ops
     }
 
-    /// Memory counters.
+    /// Memory counters (internal nodes' value matrices).
     pub fn mem(&self) -> MemoryStats {
         self.mem
     }
@@ -262,7 +277,7 @@ impl DtreeEngine {
         self.mem.peak_live_nodes = cur.1;
     }
 
-    /// Number of nodes with live value matrices.
+    /// Number of internal nodes with live value matrices.
     pub fn live_nodes(&self) -> usize {
         self.vals.iter().filter(|v| v.is_some()).count()
     }
@@ -316,8 +331,8 @@ impl DtreeEngine {
     /// Bytes allocated for value buffers, live and spare: the heap the
     /// engine's intermediates occupy. [`DtreeEngine::mem`] counts only
     /// the valid nodes' `len x R` views of these buffers. After a
-    /// protocol sweep it is the largest node of each depth times `R * 8`,
-    /// summed over depths.
+    /// protocol sweep it is the largest internal node of each depth times
+    /// `R * 8`, summed over depths.
     pub fn value_buffer_bytes(&self) -> usize {
         let spares = self.depths.iter().map(|d| &d.spare);
         let held = self.vals.iter().chain(spares).flatten();
@@ -344,8 +359,9 @@ impl DtreeEngine {
         out
     }
 
-    /// [`DtreeEngine::mttkrp`] into a caller-provided buffer (zeroed
-    /// first).
+    /// [`DtreeEngine::mttkrp`] into a caller-provided buffer, whose
+    /// previous contents are ignored: the leaf's TTMV writes each of its
+    /// elements' rows, and the rows of empty slices are zeroed.
     #[adatm::hot]
     pub fn mttkrp_into(
         &mut self,
@@ -359,30 +375,32 @@ impl DtreeEngine {
         assert_eq!(out.nrows(), tensor.dims()[mode], "output rows mismatch");
         assert_eq!(out.ncols(), self.rank, "output rank mismatch");
         let leaf = self.tree.leaf_of(mode);
-        self.ensure(leaf, tensor, factors)
+        self.compute_leaf(leaf, tensor, factors, out)
             .unwrap_or_else(|e| panic!("dimension-tree invariant violated: {e}"));
-        out.fill_zero();
-        let node = self.sym.node(leaf);
-        let Some(vals) = self.vals[leaf].as_ref() else {
-            unreachable!("leaf {leaf} is valid right after ensure")
-        };
-        for (e, &i) in node.idx[0].iter().enumerate() {
-            out.row_mut(i as usize).copy_from_slice(vals.row(e));
-        }
     }
 
-    /// The kernel class the engine will use for non-root node `id`, or
-    /// `None` for the root (which is never computed). See
-    /// [`NodeKernelClass`].
+    /// The kernel class the engine uses for non-root node `id` at the
+    /// current thread count, or `None` for the root (which is never
+    /// computed). See [`NodeKernelClass`].
     pub fn node_kernel_class(&self, id: usize) -> Option<NodeKernelClass> {
         if id == 0 || id >= self.tree.len() {
             return None;
         }
-        if self.opts.thick && self.sym.node(id).pmap.is_some() {
+        let parent = self.tree.node(id).parent?;
+        if self.scatters(id, parent, rayon::current_num_threads()) {
             Some(NodeKernelClass::Scatter)
         } else {
             Some(NodeKernelClass::Pull)
         }
+    }
+
+    /// Whether node `id` (child of `parent`) runs the scatter kernel at
+    /// `threads` workers. First children stream their parent in order and
+    /// always pull.
+    fn scatters(&self, id: usize, parent: usize, threads: usize) -> bool {
+        let node = self.sym.node(id);
+        let parent_len = self.sym.node(parent).len;
+        self.opts.thick && !node.sequential && scatter_scheduled(node.len, parent_len, threads)
     }
 
     /// Work units of one TTMV recompute of node `id` — the quantity the
@@ -400,32 +418,28 @@ impl DtreeEngine {
         Some(parent_len * (delta + 1) * self.rank as u64)
     }
 
-    /// Drops node `id` and recomputes it from its parent (ancestors are
-    /// ensured first). Bench/calibration hook: timing this call in
-    /// steady state measures exactly one TTMV of the node's kernel class,
-    /// with schedules and value buffers warm. Other nodes stay live, so a
-    /// depth may hold several buffers while this is used.
+    /// Drops internal node `id` and recomputes it from its parent
+    /// (ancestors are ensured first). Bench/calibration hook: timing this
+    /// call in steady state measures exactly one TTMV of the node's kernel
+    /// class, with schedules and value buffers warm. Other nodes stay
+    /// live, so a depth may hold several buffers while this is used. A
+    /// leaf's TTMV is timed through [`DtreeEngine::mttkrp_into`], which
+    /// recomputes only the leaf while its ancestors are valid.
     ///
     /// # Panics
-    /// Panics if `id` is the root or out of range, or on a broken tree
-    /// invariant.
+    /// Panics if `id` is the root, a leaf or out of range, or on a broken
+    /// tree invariant.
     pub fn recompute_node(&mut self, tensor: &SparseTensor, factors: &[Mat], id: usize) {
-        assert!(id > 0 && id < self.tree.len(), "recompute_node: invalid node {id}");
+        assert!(
+            id > 0 && id < self.tree.len() && !self.tree.node(id).is_leaf(),
+            "recompute_node: {id} is not an internal non-root node"
+        );
         self.drop_node(id);
         self.ensure(id, tensor, factors)
             .unwrap_or_else(|e| panic!("dimension-tree invariant violated: {e}"));
     }
 
-    /// Borrows the computed leaf values for `mode` as `(indices, values)`
-    /// without scattering into a dense row space. `None` if the leaf is
-    /// not currently valid.
-    pub fn leaf_values(&self, mode: usize) -> Option<(&[Idx], &Mat)> {
-        let leaf = self.tree.leaf_of(mode);
-        let vals = self.vals[leaf].as_ref()?;
-        Some((&self.sym.node(leaf).idx[0], vals))
-    }
-
-    /// Makes node `id` and all its ancestors valid.
+    /// Makes internal node `id` and all its ancestors valid.
     ///
     /// Recursive (tree height is `O(log N)`): ascends to the closest
     /// valid ancestor, then computes downward — no path vector.
@@ -441,106 +455,95 @@ impl DtreeEngine {
         if let Some(parent) = self.tree.node(id).parent {
             self.ensure(parent, tensor, factors)?;
         }
-        self.compute_node(id, tensor, factors)
+        self.compute_node(id, tensor, factors, None)
     }
 
-    /// Computes one node's value matrix from its (already valid) parent.
+    /// Ensures `leaf`'s ancestors, then computes the leaf into `out`.
+    fn compute_leaf(
+        &mut self,
+        leaf: usize,
+        tensor: &SparseTensor,
+        factors: &[Mat],
+        out: &mut Mat,
+    ) -> Result<(), DtreeError> {
+        let parent = self.tree.node(leaf).parent.ok_or(DtreeError::MissingParent { node: leaf })?;
+        self.ensure(parent, tensor, factors)?;
+        self.compute_node(leaf, tensor, factors, Some(out))
+    }
+
+    /// Computes one node from its (already valid) parent: a leaf into
+    /// `leaf_out` through its row map, an internal node into its value
+    /// matrix.
     fn compute_node(
         &mut self,
         id: usize,
         tensor: &SparseTensor,
         factors: &[Mat],
+        leaf_out: Option<&mut Mat>,
     ) -> Result<(), DtreeError> {
         let parent = self.tree.node(id).parent.ok_or(DtreeError::MissingParent { node: id })?;
-        debug_assert!(parent == 0 || self.vals[parent].is_some(), "parent must be valid");
         // Work through a local handle so `node` does not pin `self`.
         let sym = Arc::clone(&self.sym);
         let node = sym.node(id);
-        let delta = &self.tree.node(id).delta;
-        // Resolve each delta mode's index column on the parent's elements.
-        let delta_cols: Vec<&[Idx]> = delta
-            .iter()
-            .map(|&d| {
-                if parent == 0 {
-                    Ok(tensor.mode_idx(d))
-                } else {
-                    let pos = self
-                        .tree
-                        .node(parent)
-                        .modes
-                        .iter()
-                        .position(|&m| m == d)
-                        .ok_or(DtreeError::ModeNotInParent { node: id, mode: d })?;
-                    Ok(sym.node(parent).idx[pos].as_slice())
-                }
-            })
-            .collect::<Result<_, _>>()?;
-        let delta_facs: Vec<&Mat> = delta.iter().map(|&d| &factors[d]).collect();
-        let parent_vals = if parent == 0 {
-            ParentVals::Scalars(tensor.vals())
+        let rank = self.rank;
+        // The kernels go parallel, and only then get a schedule, with more
+        // than one thread and enough elements to stream.
+        let threads = rayon::current_num_threads();
+        let scatters = self.scatters(id, parent, threads);
+        let kernel = if !self.opts.thick {
+            Kernel::Colwise { parallel: threads > 1 && node.len >= PAR_THRESHOLD }
+        } else if scatters {
+            let build = || ScatterSchedule::build(&node.rptr, &node.rperm, threads);
+            Kernel::Scatter(self.scatter.get_or_build(id, threads, build))
         } else {
-            match self.vals[parent].as_ref() {
-                Some(m) => ParentVals::Rows(m),
-                None => return Err(DtreeError::NodeNotComputed { node: parent }),
+            let build = || ModeSchedule::for_offsets(&node.rptr, threads);
+            let par = threads > 1 && node.len >= PAR_THRESHOLD;
+            Kernel::Pull(par.then(|| self.pull.get_or_build(id, threads, build)))
+        };
+        // An internal node reuses its depth's spare buffer, else allocates
+        // one sized for the depth's largest internal node; either way it
+        // never reallocates. Every kernel writes every row it owns.
+        let mut own = None;
+        let (out, rows) = match leaf_out {
+            // A leaf has one index array; an empty map would fail loudly.
+            Some(m) => (m, Some(node.idx.first().map_or(&[][..], Vec::as_slice))),
+            None => {
+                let depth = &mut self.depths[depth_of(&self.tree, id)];
+                let mut buf = depth.spare.take().unwrap_or_else(|| Mat::zeros(depth.rows, rank));
+                buf.reshape(node.len, rank);
+                (own.insert(buf), None)
             }
         };
-        // Reuse the depth's spare buffer, else allocate one sized for the
-        // depth's largest node; either way it never reallocates. Only the
-        // scatter kernel accumulates into the buffer as handed over, so
-        // only it gets the buffer emptied first for the reshape to zero
-        // every entry; the pull runner zeroes its own rows, and the
-        // column-wise kernel assigns every entry.
-        let rank = self.rank;
-        let pmap = if self.opts.thick { node.pmap.as_deref() } else { None };
-        let depth = &mut self.depths[depth_of(&self.tree, id)];
-        let mut out = depth.spare.take().unwrap_or_else(|| Mat::zeros(depth.rows, rank));
-        if pmap.is_some() {
-            out.reshape(0, rank);
+        let parent_vals = match parent {
+            0 => None,
+            p => Some(self.vals[p].as_ref().ok_or(DtreeError::NodeNotComputed { node: p })?),
+        };
+        let delta = &self.tree.node(id).delta;
+        let parent_idx = (self.tree.node(parent).modes.as_slice(), sym.node(parent).idx.as_slice());
+        let operands = Resolver { delta, factors, tensor, parent: parent_vals.map(|_| parent_idx) };
+        for (k, &mode) in delta.iter().enumerate() {
+            operands.get(k).ok_or(DtreeError::ModeNotInParent { node: id, mode })?;
         }
-        out.reshape(node.len, rank);
-        // The kernels go parallel, and only then get a schedule, with more
-        // than one thread and at least PAR_THRESHOLD elements to stream.
-        let threads = rayon::current_num_threads();
-        let par = |len: usize| threads > 1 && len >= PAR_THRESHOLD;
-        if let Some(pmap) = pmap {
-            // Push schedule: stream the (much larger) parent and
-            // accumulate into the cache-resident child.
-            let build = || ScatterSchedule::build(pmap, node.len, threads);
-            let sched =
-                par(sym.node(parent).len).then(|| self.scatter.get_or_build(id, threads, build));
-            let ws = &mut self.ws;
-            kernel_scatter(&mut out, rank, pmap, &delta_cols, &delta_facs, &parent_vals, sched, ws);
-        } else if self.opts.thick {
-            let weights = || node.rptr.windows(2).map(|w| w[1] - w[0]).collect::<Vec<_>>();
-            let build = || ModeSchedule::build(&weights(), threads);
-            let sched = par(node.len).then(|| self.pull.get_or_build(id, threads, build));
-            let ws = &mut self.ws;
-            kernel_pull(&mut out, rank, node, &delta_cols, &delta_facs, &parent_vals, sched, ws);
-        } else {
-            kernel_colwise(
-                &mut out,
-                rank,
-                &node.rptr,
-                &node.rperm,
-                &delta_cols,
-                &delta_facs,
-                &parent_vals,
-                par(node.len),
-            );
+        let call = Call { node, rank, out: &mut *out, rows, kernel, ws: &mut self.ws };
+        match parent_vals {
+            None => call.dispatch(Scalars(tensor.vals()), &operands),
+            Some(m) => call.dispatch(Rows(m.as_slice()), &operands),
         }
         // Stage-boundary audit: a TTMV output contaminated by NaN/Inf
         // would silently poison every descendant's memoized values.
         #[cfg(feature = "audit")]
-        audit_finite(&out, id);
+        audit_finite(out, id);
         // Exact operation accounting: every parent element is visited
         // once, multiplied by |delta| factor rows, and added once.
-        let parent_len = self.sym.node(parent).len as u64;
+        let parent_len = sym.node(parent).len as u64;
         self.ops.ttmv_calls += 1;
         self.ops.hadamard_row_mults += parent_len * delta.len() as u64;
         self.ops.row_adds += parent_len;
-        self.ops.flops += parent_len * (delta.len() as u64 + 1) * self.rank as u64;
-        self.mem.alloc(value_bytes(&out));
-        self.vals[id] = Some(out);
+        self.ops.flops += parent_len * (delta.len() as u64 + 1) * rank as u64;
+        if let Some(m) = own {
+            self.mem.alloc(value_bytes(&m));
+            self.vals[id] = Some(m);
+        }
         Ok(())
     }
 
@@ -557,7 +560,8 @@ fn value_bytes(m: &Mat) -> usize {
     m.nrows() * m.ncols() * std::mem::size_of::<f64>()
 }
 
-/// Audit hook: every entry of a freshly computed value matrix is finite.
+/// Audit hook: every entry of a freshly computed value matrix (or `M`)
+/// is finite.
 #[cfg(feature = "audit")]
 fn audit_finite(m: &Mat, node: usize) {
     for (i, &v) in m.as_slice().iter().enumerate() {
@@ -568,178 +572,372 @@ fn audit_finite(m: &Mat, node: usize) {
     }
 }
 
-/// Computes one parent element's contribution (`parent row ⊙ delta
-/// factor rows`) into `row`. Shared by every thick/scatter variant so
-/// their arithmetic order is identical.
-///
-/// The common small-delta cases (up to three factor rows over a scalar
-/// parent, up to two over a row parent) take fused single-pass kernels
-/// that never touch `scratch`; the general case falls back to the
-/// scratch-row form. Every path multiplies parent-first then delta rows
-/// in slice order, left-to-right, so all are bitwise identical.
-#[inline]
-fn contrib(
-    parent: &ParentVals<'_>,
-    delta_cols: &[&[Idx]],
-    delta_facs: &[&Mat],
+/// The parent values of one TTMV.
+trait Parent: Copy + Sync {
+    /// Columns `c0..c0 + W` of parent element `j`'s row.
+    fn load<const W: usize>(self, j: usize, rank: usize, c0: usize) -> [f64; W];
+}
+
+/// Children of the root: every one of the `R` root tensors is the input
+/// tensor, so an element's row is its value broadcast.
+#[derive(Clone, Copy)]
+struct Scalars<'a>(&'a [f64]);
+
+impl Parent for Scalars<'_> {
+    #[inline(always)]
+    fn load<const W: usize>(self, j: usize, _rank: usize, _c0: usize) -> [f64; W] {
+        [self.0[j]; W]
+    }
+}
+
+/// The parent's value matrix, `R` values per element.
+#[derive(Clone, Copy)]
+struct Rows<'a>(&'a [f64]);
+
+impl Parent for Rows<'_> {
+    #[inline(always)]
+    fn load<const W: usize>(self, j: usize, rank: usize, c0: usize) -> [f64; W] {
+        let at = j * rank + c0;
+        let mut p = [0.0; W];
+        p.copy_from_slice(&self.0[at..at + W]);
+        p
+    }
+}
+
+/// One delta mode of a TTMV: its index column over the parent's elements
+/// and its factor's values.
+#[derive(Clone, Copy)]
+struct Operand<'a> {
+    col: &'a [Idx],
+    fac: &'a [f64],
+}
+
+impl Operand<'_> {
+    const EMPTY: Operand<'static> = Operand { col: &[], fac: &[] };
+}
+
+/// The delta operands of one TTMV.
+trait Operands: Sync {
+    /// `p` times each delta factor's row of parent element `j`, columns
+    /// `c0..c0 + W`, multiplied in delta order.
+    fn product<const W: usize>(&self, j: usize, rank: usize, c0: usize, p: [f64; W]) -> [f64; W];
+}
+
+impl<const D: usize> Operands for [Operand<'_>; D] {
+    #[inline(always)]
+    fn product<const W: usize>(
+        &self,
+        j: usize,
+        rank: usize,
+        c0: usize,
+        mut p: [f64; W],
+    ) -> [f64; W] {
+        for op in self {
+            let at = op.col[j] as usize * rank + c0;
+            for (x, &f) in p.iter_mut().zip(&op.fac[at..at + W]) {
+                *x *= f;
+            }
+        }
+        p
+    }
+}
+
+/// Resolves a node's delta operands: mode `delta[k]`'s index column comes
+/// from the tensor (children of the root) or from the parent's index
+/// arrays (`(parent modes, parent idx)`), its factor from `factors`.
+#[derive(Clone, Copy)]
+struct Resolver<'a> {
+    delta: &'a [usize],
+    factors: &'a [Mat],
+    tensor: &'a SparseTensor,
+    parent: Option<(&'a [usize], &'a [Vec<Idx>])>,
+}
+
+impl<'a> Resolver<'a> {
+    /// Operand `k`, or `None` if `delta[k]` is not a mode of the parent.
+    fn get(&self, k: usize) -> Option<Operand<'a>> {
+        let d = *self.delta.get(k)?;
+        let col = match self.parent {
+            None => self.tensor.mode_idx(d),
+            Some((modes, idx)) => idx.get(modes.binary_search(&d).ok()?)?.as_slice(),
+        };
+        Some(Operand { col, fac: self.factors.get(d)?.as_slice() })
+    }
+
+    /// The operands as a fixed-arity array (all resolvable: checked by
+    /// the caller).
+    fn fixed<const D: usize>(&self) -> [Operand<'a>; D] {
+        std::array::from_fn(|k| self.get(k).unwrap_or(Operand::EMPTY))
+    }
+}
+
+/// Deltas wider than [`MAX_FUSED`]: each operand is resolved per access.
+impl Operands for Resolver<'_> {
+    fn product<const W: usize>(&self, j: usize, rank: usize, c0: usize, p: [f64; W]) -> [f64; W] {
+        (0..self.delta.len())
+            .fold(p, |p, k| [self.get(k).unwrap_or(Operand::EMPTY)].product(j, rank, c0, p))
+    }
+}
+
+/// The kernel one TTMV call runs.
+enum Kernel<'s> {
+    /// Pull, inline or under the node's nnz-balanced schedule.
+    Pull(Option<&'s ModeSchedule>),
+    /// Scatter under the node's parent-chunk schedule.
+    Scatter(&'s ScatterSchedule),
+    /// The column-at-a-time ablation kernel.
+    Colwise {
+        /// Whether it runs in parallel element blocks.
+        parallel: bool,
+    },
+}
+
+/// One TTMV call: the node, where it writes (`rows`: the leaf's row map
+/// into `M`, or `None` for the node's own value rows), and its kernel.
+struct Call<'a, 's> {
+    node: &'a SymbolicNode,
+    rank: usize,
+    out: &'a mut Mat,
+    rows: Option<&'a [Idx]>,
+    kernel: Kernel<'s>,
+    ws: &'a mut Workspace,
+}
+
+impl Call<'_, '_> {
+    /// Runs the call with the operands resolved once into a fixed-arity
+    /// array for `|δ|` up to [`MAX_FUSED`].
+    fn dispatch<P: Parent>(self, parent: P, ops: &Resolver<'_>) {
+        match ops.delta.len() {
+            1 => self.run(parent, &ops.fixed::<1>()),
+            2 => self.run(parent, &ops.fixed::<2>()),
+            3 => self.run(parent, &ops.fixed::<3>()),
+            4 => self.run(parent, &ops.fixed::<4>()),
+            5 => self.run(parent, &ops.fixed::<5>()),
+            6 => self.run(parent, &ops.fixed::<6>()),
+            7 => self.run(parent, &ops.fixed::<7>()),
+            8 => self.run(parent, &ops.fixed::<MAX_FUSED>()),
+            _ => self.run(parent, ops),
+        }
+    }
+
+    fn run<P: Parent, O: Operands>(self, parent: P, ops: &O) {
+        let Call { node, rank, out, rows, kernel, ws } = self;
+        let row_of = |e: usize| rows.map_or(e, |r| r[e] as usize);
+        match kernel {
+            Kernel::Pull(sched) => kernel_pull(out, rank, node, row_of, parent, ops, sched, ws),
+            Kernel::Scatter(sched) => {
+                let out = out.as_mut_slice();
+                kernel_scatter(out, rank, row_of, parent, ops, sched, ws);
+            }
+            Kernel::Colwise { parallel } => {
+                let out = out.as_mut_slice();
+                kernel_colwise(out, rank, node, rows, parent, ops, parallel);
+            }
+        }
+    }
+}
+
+/// Sums the parent elements `set()` yields (one reduction set, or a run
+/// of one) into `row`, block of columns by block: a block's sums stay in
+/// registers across the whole set and are stored once. Each sum starts
+/// from `+0.0` and adds the contributions `parent ⊙ U_δ1 ⊙ U_δ2 ⊙ ...`
+/// (multiplied left to right) in set order.
+#[inline(always)]
+fn sum_row<P, O, S, I>(set: S, parent: P, ops: &O, rank: usize, row: &mut [f64])
+where
+    P: Parent,
+    O: Operands,
+    S: Fn() -> I,
+    I: Iterator<Item = usize>,
+{
+    let mut c0 = 0;
+    while c0 < rank {
+        c0 += match rank - c0 {
+            w if w >= LANES => sum_block::<LANES, P, O>(set(), parent, ops, rank, c0, row),
+            w if w >= 8 => sum_block::<8, P, O>(set(), parent, ops, rank, c0, row),
+            w if w >= 4 => sum_block::<4, P, O>(set(), parent, ops, rank, c0, row),
+            _ => sum_block::<1, P, O>(set(), parent, ops, rank, c0, row),
+        };
+    }
+}
+
+/// Columns `c0..c0 + W` of [`sum_row`]; returns `W`.
+#[inline(always)]
+fn sum_block<const W: usize, P: Parent, O: Operands>(
+    set: impl Iterator<Item = usize>,
+    parent: P,
+    ops: &O,
+    rank: usize,
+    c0: usize,
+    row: &mut [f64],
+) -> usize {
+    let mut acc = [0.0; W];
+    for j in set {
+        let p = ops.product(j, rank, c0, parent.load::<W>(j, rank, c0));
+        for (a, x) in acc.iter_mut().zip(p) {
+            *a += x;
+        }
+    }
+    row[c0..c0 + W].copy_from_slice(&acc);
+    W
+}
+
+/// Adds parent element `j`'s contribution into `row`, block of columns by
+/// block, with [`sum_row`]'s arithmetic.
+#[inline(always)]
+fn add_contrib<P: Parent, O: Operands>(j: usize, parent: P, ops: &O, rank: usize, row: &mut [f64]) {
+    let mut c0 = 0;
+    while c0 < rank {
+        c0 += match rank - c0 {
+            w if w >= LANES => add_block::<LANES, P, O>(j, parent, ops, rank, c0, row),
+            w if w >= 8 => add_block::<8, P, O>(j, parent, ops, rank, c0, row),
+            w if w >= 4 => add_block::<4, P, O>(j, parent, ops, rank, c0, row),
+            _ => add_block::<1, P, O>(j, parent, ops, rank, c0, row),
+        };
+    }
+}
+
+/// Columns `c0..c0 + W` of [`add_contrib`]; returns `W`.
+#[inline(always)]
+fn add_block<const W: usize, P: Parent, O: Operands>(
     j: usize,
-    scratch: &mut [f64],
+    parent: P,
+    ops: &O,
+    rank: usize,
+    c0: usize,
     row: &mut [f64],
-) {
-    let frow = |d: usize| delta_facs[d].row(delta_cols[d][j] as usize);
-    match (parent, delta_cols.len()) {
-        (ParentVals::Scalars(v), 1) => kernels::axpy(row, v[j], frow(0)),
-        (ParentVals::Scalars(v), 2) => kernels::axpy2(row, v[j], frow(0), frow(1)),
-        (ParentVals::Scalars(v), 3) => kernels::axpy3(row, v[j], frow(0), frow(1), frow(2)),
-        (ParentVals::Rows(m), 1) => kernels::muladd_assign(row, m.row(j), frow(0)),
-        (ParentVals::Rows(m), 2) => kernels::muladd3(row, m.row(j), frow(0), frow(1)),
-        _ => {
-            match parent {
-                ParentVals::Scalars(v) => scratch.iter_mut().for_each(|s| *s = v[j]),
-                ParentVals::Rows(m) => scratch.copy_from_slice(m.row(j)),
-            }
-            for (col, fac) in delta_cols.iter().zip(delta_facs.iter()) {
-                kernels::mul_assign(scratch, fac.row(col[j] as usize));
-            }
-            kernels::add_assign(row, scratch);
-        }
+) -> usize {
+    let p = ops.product(j, rank, c0, parent.load::<W>(j, rank, c0));
+    for (a, x) in row[c0..c0 + W].iter_mut().zip(p) {
+        *a += x;
     }
+    W
 }
 
-/// Accumulates parent elements `span` of the reduction-set order into
-/// `row`: the elements `rperm[span]`, or `span` itself when `rperm` is
-/// `None` (the reduction sets are the identity partition of the parent —
-/// the first-child layout — so the parent streams without indirection).
-#[inline]
-fn reduce_span(
-    span: Range<usize>,
-    rperm: Option<&[u32]>,
-    delta_cols: &[&[Idx]],
-    delta_facs: &[&Mat],
-    parent: &ParentVals<'_>,
-    scratch: &mut [f64],
-    row: &mut [f64],
-) {
-    match rperm {
-        Some(perm) => {
-            for &j in &perm[span] {
-                contrib(parent, delta_cols, delta_facs, j as usize, scratch, row);
-            }
-        }
-        None => {
-            for j in span {
-                contrib(parent, delta_cols, delta_facs, j, scratch, row);
-            }
-        }
-    }
-}
-
-/// The vectorized ("thick") pull TTMV kernel: per node element,
-/// accumulate all `R` columns at once from each parent element in its
-/// reduction set. Elements are output rows, so [`run_schedule`] runs it
-/// with the node's nnz-balanced schedule (or inline, with none) and
-/// zeroes the rows; a split reduction set's sub-tasks each take a run of
-/// its parent elements.
+/// The pull TTMV kernel: per node element, sum its reduction set in
+/// registers and store the row, `row_of(e)` of `out`. Elements are
+/// output rows, so [`run_schedule`] runs it with the node's nnz-balanced
+/// schedule (or inline, with none) and zeroes the rows no element owns; a
+/// split reduction set's sub-tasks each sum a run of its parent elements
+/// into a slot row. The first child's reduction sets are contiguous
+/// parent ranges and stream without `rperm`.
 #[adatm::hot]
 #[allow(clippy::too_many_arguments)]
-fn kernel_pull(
+fn kernel_pull<R, P, O>(
     out: &mut Mat,
     rank: usize,
     node: &SymbolicNode,
-    delta_cols: &[&[Idx]],
-    delta_facs: &[&Mat],
-    parent: &ParentVals<'_>,
+    row_of: R,
+    parent: P,
+    ops: &O,
     sched: Option<&ModeSchedule>,
     ws: &mut Workspace,
-) {
-    let rperm = if node.sequential { None } else { Some(node.rperm.as_slice()) };
+) where
+    R: Fn(usize) -> usize + Sync,
+    P: Parent,
+    O: Operands,
+{
+    let rperm = (!node.sequential).then_some(node.rperm.as_slice());
     let rptr = &node.rptr;
     run_schedule(
         sched,
         ws,
-        rank,
+        0,
         out,
         node.len,
-        |i| i,
+        row_of,
         #[inline(always)]
-        |i, elems, row, scratch| {
+        |i, elems, row, _| {
             let (lo, hi) = (rptr[i], rptr[i + 1]);
-            let span = elems.map_or(lo..hi, |e| lo + e.start..lo + e.end);
-            reduce_span(span, rperm, delta_cols, delta_facs, parent, scratch, row);
+            let (lo, hi) = elems.map_or((lo, hi), |e| (lo + e.start, lo + e.end));
+            match rperm {
+                Some(perm) => {
+                    let set = &perm[lo..hi];
+                    sum_row(|| set.iter().map(|&j| j as usize), parent, ops, rank, row);
+                }
+                None => sum_row(|| lo..hi, parent, ops, rank, row),
+            }
         },
     );
 }
 
-/// The push ("scatter") TTMV kernel: stream the parent and accumulate
-/// each contribution into the child row given by the inverse reduction
-/// map. Used when the child is far smaller than the parent, so the child
-/// accumulator stays cache-resident while the parent streams.
-/// [`run_scatter`] runs it over the whole parent straight into `out`
-/// (zeroed by the caller), or chunk by chunk into compact touched-row
-/// accumulators merged afterwards.
+/// The push ("scatter") TTMV kernel: stream the parent, chunk by chunk in
+/// parallel, and accumulate each contribution into the chunk's compact
+/// row for its child element; [`run_scatter`] merges the chunks into
+/// `out` through `row_of`. Used under a schedule when the child is far
+/// smaller than the parent, so the accumulators stay cache-resident while
+/// the parent streams.
 #[adatm::hot]
-#[allow(clippy::too_many_arguments)]
-fn kernel_scatter(
-    out: &mut Mat,
+fn kernel_scatter<R, P, O>(
+    out: &mut [f64],
     rank: usize,
-    pmap: &[u32],
-    delta_cols: &[&[Idx]],
-    delta_facs: &[&Mat],
-    parent: &ParentVals<'_>,
-    sched: Option<&ScatterSchedule>,
+    row_of: R,
+    parent: P,
+    ops: &O,
+    sched: &ScatterSchedule,
     ws: &mut Workspace,
-) {
-    run_scatter(sched, pmap, out.as_mut_slice(), rank, ws, |j0, map, acc, scratch| {
+) where
+    R: Fn(usize) -> usize,
+    P: Parent,
+    O: Operands,
+{
+    run_scatter(sched, out, rank, row_of, ws, |j0, map, acc| {
         for (j, &e) in (j0..).zip(map) {
             let e = e as usize * rank;
-            contrib(parent, delta_cols, delta_facs, j, scratch, &mut acc[e..e + rank]);
+            add_contrib(j, parent, ops, rank, &mut acc[e..e + rank]);
         }
     });
 }
 
 /// The column-at-a-time kernel: one full pass over the reduction sets per
 /// rank column (E12 ablation baseline; same arithmetic, `R`x the index
-/// traffic).
+/// traffic), over blocks of [`PAR_CHUNK`] elements in parallel. Element
+/// `e` writes row `e`, or `rows[e]` of `M` (whose other rows are zeroed).
 #[adatm::hot]
-#[allow(clippy::too_many_arguments)]
-fn kernel_colwise(
-    out: &mut Mat,
+fn kernel_colwise<P: Parent, O: Operands>(
+    out: &mut [f64],
     rank: usize,
-    rptr: &[usize],
-    rperm: &[u32],
-    delta_cols: &[&[Idx]],
-    delta_facs: &[&Mat],
-    parent: &ParentVals<'_>,
+    node: &SymbolicNode,
+    rows: Option<&[Idx]>,
+    parent: P,
+    ops: &O,
     parallel: bool,
 ) {
-    let body = |base: usize, block: &mut [f64]| {
+    let (rptr, rperm) = (&node.rptr, &node.rperm);
+    let row_of = |e: usize| rows.map_or(e, |r| r[e] as usize);
+    let block = |elems: Range<usize>, row0: usize, span: &mut [f64]| {
+        if rows.is_some() {
+            span.fill(0.0);
+        }
         for r in 0..rank {
-            for (e, row) in block.chunks_mut(rank).enumerate() {
-                let i = base + e;
+            for e in elems.start..elems.end {
                 let mut acc = 0.0f64;
-                for &j in &rperm[rptr[i]..rptr[i + 1]] {
+                for &j in &rperm[rptr[e]..rptr[e + 1]] {
                     let j = j as usize;
-                    let mut p = match parent {
-                        ParentVals::Scalars(v) => v[j],
-                        ParentVals::Rows(m) => m.get(j, r),
-                    };
-                    for (col, fac) in delta_cols.iter().zip(delta_facs.iter()) {
-                        p *= fac.get(col[j] as usize, r);
-                    }
+                    let [p] = ops.product(j, rank, r, parent.load::<1>(j, rank, r));
                     acc += p;
                 }
-                row[r] = acc;
+                span[(row_of(e) - row0) * rank + r] = acc;
             }
         }
     };
-    if parallel {
-        out.as_mut_slice()
-            .par_chunks_mut(rank * PAR_CHUNK)
-            .enumerate()
-            .for_each(|(ci, block)| body(ci * PAR_CHUNK, block));
-    } else {
-        body(0, out.as_mut_slice());
+    if !parallel {
+        block(0..node.len, 0, out);
+        return;
     }
+    // Element blocks own the rows from the first not yet claimed through
+    // their last element's row; rows past the last block are zeroed here.
+    let mut parts = Vec::new();
+    let (mut rest, mut next) = (out, 0);
+    for lo in (0..node.len).step_by(PAR_CHUNK) {
+        let hi = (lo + PAR_CHUNK).min(node.len);
+        let end = row_of(hi - 1) + 1;
+        let (span, tail) = std::mem::take(&mut rest).split_at_mut((end - next) * rank);
+        parts.push((lo..hi, next, span));
+        (rest, next) = (tail, end);
+    }
+    rest.fill(0.0);
+    parts.into_par_iter().for_each(|(elems, row0, span)| block(elems, row0, span));
 }
 
 #[cfg(test)]
@@ -878,20 +1076,82 @@ mod tests {
         assert!(eng.mem().peak_live_nodes <= height);
     }
 
+    /// Asserts two matrices agree bit for bit.
+    fn assert_bits(a: &Mat, b: &Mat, what: &str) {
+        let bits = |m: &Mat| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(a), bits(b), "{what}");
+    }
+
     #[test]
     fn colwise_matches_thick() {
-        let t = zipf_tensor(&[14, 11, 13, 9], 350, &[0.5; 4], 13);
-        let factors = factors_for(&t, 6, 70);
-        let opts = EngineOptions { thick: false };
-        let mut thin = DtreeEngine::with_options(&t, &TreeShape::balanced_binary(4), 6, opts);
-        let mut thick = DtreeEngine::new(&t, &TreeShape::balanced_binary(4), 6);
+        // |delta| 1 to 5 over the tensor's scalars and 1 to 4 over value
+        // rows (the 6-mode shapes), 9 over scalars (past MAX_FUSED, the
+        // 10-mode flat tree), at ranks covering every register block.
+        let t6 = zipf_tensor(&[14, 11, 13, 9, 12, 6], 500, &[0.5; 6], 13);
+        let t10 = zipf_tensor(&[5; 10], 300, &[0.4; 10], 17);
+        let cases = [
+            (&t6, "((0 (1 (2 (3 4)))) 5)"),
+            (&t6, "((0 1 2 3) (4 5))"),
+            (&t6, "((0 1 2) (3 4 5))"),
+            (&t10, "(0 1 2 3 4 5 6 7 8 9)"),
+        ];
         let one = pool(1);
-        for mode in 0..4 {
-            thin.invalidate_mode(mode);
-            thick.invalidate_mode(mode);
-            let a = one.install(|| thin.mttkrp(&t, &factors, mode));
-            let b = thick.mttkrp(&t, &factors, mode);
-            assert!(a.max_abs_diff(&b) < 1e-10, "mode {mode}");
+        for (t, spec) in cases {
+            let shape: TreeShape = spec.parse().unwrap();
+            for rank in [1, 3, 5, 16, 17, 33] {
+                let factors = factors_for(t, rank, 70);
+                let opts = EngineOptions { thick: false };
+                let mut thin = DtreeEngine::with_options(t, &shape, rank, opts);
+                let mut thick = DtreeEngine::new(t, &shape, rank);
+                for mode in 0..t.ndim() {
+                    thin.invalidate_mode(mode);
+                    thick.invalidate_mode(mode);
+                    let a = one.install(|| thin.mttkrp(t, &factors, mode));
+                    let b = one.install(|| thick.mttkrp(t, &factors, mode));
+                    assert_bits(&a, &b, &format!("{spec} rank {rank} mode {mode}"));
+                    let want = mttkrp_seq(t, &factors, mode);
+                    assert!(b.max_abs_diff(&want) < 1e-10, "{spec} rank {rank} mode {mode}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn mttkrp_into_overwrites_m_and_zeroes_empty_slices() {
+        // Mode 1 is skewed over 20000 indices, so most of its rows are
+        // empty slices; its leaf is never the first child here, so it is
+        // scatter-eligible, and at two threads its 20000-element parent
+        // streams under the scatter schedule.
+        let t = zipf_tensor(&[300, 20_000, 300], 20_000, &[0.2, 1.3, 0.2], 23);
+        let hits = t.distinct_in_mode(1);
+        assert!(hits < 4_000, "{hits} rows hit");
+        let rank = 5;
+        let factors = factors_for(&t, rank, 31);
+        for thick in [true, false] {
+            for threads in [1, 2] {
+                for spec in ["(0 1 2)", "(0 (2 1))"] {
+                    let shape: TreeShape = spec.parse().unwrap();
+                    let opts = EngineOptions { thick };
+                    let mut eng = DtreeEngine::with_options(&t, &shape, rank, opts);
+                    let leaf = eng.tree().leaf_of(1);
+                    let hit: Vec<usize> =
+                        eng.symbolic().node(leaf).idx[0].iter().map(|&i| i as usize).collect();
+                    let what = format!("thick {thick}, {threads} thread(s), {shape}");
+                    let class = pool(threads).install(|| eng.node_kernel_class(leaf));
+                    let scatter = thick && threads > 1;
+                    assert_eq!(class == Some(NodeKernelClass::Scatter), scatter, "{what}");
+                    pool(threads).install(|| {
+                        let want = eng.mttkrp(&t, &factors, 1);
+                        let mut m = Mat::from_vec(20_000, rank, vec![f64::NAN; 20_000 * rank]);
+                        eng.invalidate_mode(1);
+                        eng.mttkrp_into(&t, &factors, 1, &mut m);
+                        assert_bits(&m, &want, &what);
+                        for i in (0..20_000).filter(|i| hit.binary_search(i).is_err()) {
+                            assert!(m.row(i).iter().all(|x| x.to_bits() == 0), "{what}: row {i}");
+                        }
+                    });
+                }
+            }
         }
     }
 
@@ -1012,7 +1272,8 @@ mod tests {
     #[test]
     fn protocol_holds_one_buffer_per_depth_sized_for_its_largest_node() {
         // Mode sizes and skews differ, so nodes at one depth differ in
-        // length and each depth's buffer must fit the largest of them.
+        // length and each depth's buffer must fit the largest internal
+        // node of them; leaves hold none (they land in M).
         let t = zipf_tensor(&[30, 8, 40, 12, 25, 18], 2_000, &[0.9, 0.2, 0.7, 0.4, 1.0, 0.5], 41);
         let rank = 4;
         let factors = factors_for(&t, rank, 5);
@@ -1023,7 +1284,7 @@ mod tests {
             sweep(&mut eng, &t, &factors);
             let tree = eng.tree();
             let mut largest = vec![0usize; shape.height() + 1];
-            for id in 1..tree.len() {
+            for id in (1..tree.len()).filter(|&id| !tree.node(id).is_leaf()) {
                 let depth = tree.path_to_root(id).len() - 1;
                 largest[depth] = largest[depth].max(eng.symbolic().node(id).len);
             }
@@ -1037,37 +1298,25 @@ mod tests {
     #[test]
     fn second_live_node_at_a_depth_gets_its_own_buffer() {
         // Outside the protocol, recompute_node never evicts a live node:
-        // two live leaves of the flat tree hold two buffers, and dropping
-        // both keeps one as the depth's spare.
-        let t = zipf_tensor(&[20, 20, 20], 500, &[0.5; 3], 3);
+        // the two internal nodes of the balanced binary tree share depth
+        // 1 and hold two buffers, and dropping both keeps one as the
+        // depth's spare.
+        let t = zipf_tensor(&[20, 20, 20, 20], 500, &[0.5; 4], 3);
         let factors = factors_for(&t, 2, 9);
-        let mut eng = DtreeEngine::new(&t, &TreeShape::two_level(3), 2);
+        let mut eng = DtreeEngine::new(&t, &TreeShape::balanced_binary(4), 2);
+        let (a, b) = (eng.tree().node(0).children[0], eng.tree().node(0).children[1]);
         let one = eng.depths[1].rows * 2 * 8;
-        eng.recompute_node(&t, &factors, 1);
-        eng.recompute_node(&t, &factors, 2);
+        eng.recompute_node(&t, &factors, a);
+        eng.recompute_node(&t, &factors, b);
         assert_eq!(eng.live_nodes(), 2);
         assert_eq!(eng.value_buffer_bytes(), 2 * one);
         // Recomputing a live node reuses its own buffer.
-        eng.recompute_node(&t, &factors, 2);
+        eng.recompute_node(&t, &factors, b);
         assert_eq!(eng.value_buffer_bytes(), 2 * one);
         eng.invalidate_all();
         assert_eq!(eng.value_buffer_bytes(), one);
         let m = eng.mttkrp(&t, &factors, 0);
         assert!(m.max_abs_diff(&mttkrp_seq(&t, &factors, 0)) < 1e-10);
-    }
-
-    #[test]
-    fn leaf_values_expose_compact_result() {
-        let t = SparseTensor::from_entries(vec![6, 3], &[(vec![1, 0], 2.0), (vec![4, 2], 3.0)]);
-        let factors = factors_for(&t, 2, 6);
-        let mut eng = DtreeEngine::new(&t, &TreeShape::two_level(2), 2);
-        assert!(eng.leaf_values(0).is_none());
-        let m = eng.mttkrp(&t, &factors, 0);
-        let (idx, vals) = eng.leaf_values(0).expect("leaf valid after mttkrp");
-        assert_eq!(idx, &[1, 4]);
-        for (e, &i) in idx.iter().enumerate() {
-            assert_eq!(vals.row(e), m.row(i as usize));
-        }
     }
 
     #[test]

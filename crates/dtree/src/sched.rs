@@ -2,16 +2,18 @@
 //! Persistent schedule for the parallel scatter ("push") TTMV kernel.
 //!
 //! The scatter kernel streams the parent's elements and accumulates each
-//! contribution into the child row given by the inverse reduction map
-//! `pmap`. Its parallel form privatizes accumulators per parent chunk;
-//! the old implementation privatized a *dense* `child_len x R` matrix per
-//! chunk and tree-reduced them — quadratic-ish waste when the child is
-//! small but wide. A [`ScatterSchedule`] is computed once per (node,
-//! thread count) and records, for each parent chunk, exactly the child
-//! rows the chunk touches plus a compact per-element index into them, so
-//! the parallel phase accumulates into `touched x R` buffers and the
-//! merge is a cheap per-row reduction. [`run_scatter`] runs one kernel
-//! call over it.
+//! contribution into the child row its reduction set puts it in. It runs
+//! only under a schedule, on more than one thread (see
+//! [`crate::symbolic::scatter_scheduled`]); without one, the engine pulls
+//! every node, which adds each child row's contributions in the same
+//! ascending parent order. The parallel form privatizes accumulators per
+//! parent chunk: a [`ScatterSchedule`] is computed once per (node, thread
+//! count) and records, for each parent chunk, exactly the child rows the
+//! chunk touches plus a compact per-element index into them, so the
+//! parallel phase accumulates into `touched x R` buffers and the merge is
+//! a cheap per-row reduction. The inverse reduction map it needs is
+//! derived from the node's `rptr`/`rperm` while building and not kept.
+//! [`run_scatter`] runs one kernel call over it.
 
 use adatm_linalg::kernels;
 use adatm_tensor::schedule::Workspace;
@@ -35,14 +37,31 @@ pub struct ScatterSchedule {
     /// `rows[row_ptr[c]..row_ptr[c + 1]]`, in first-touch order.
     row_ptr: Vec<usize>,
     rows: Vec<u32>,
-    /// `cmap[j]`: index of `pmap[j]` within its chunk's touched-row list.
+    /// `cmap[j]`: index of the child row parent element `j` reduces into,
+    /// within its chunk's touched-row list.
     cmap: Vec<u32>,
 }
 
 impl ScatterSchedule {
-    /// Builds the schedule for a node with inverse reduction map `pmap`
-    /// (`pmap[j] < child_len`), balanced for `threads` workers.
-    pub fn build(pmap: &[u32], child_len: usize, threads: usize) -> Self {
+    /// Builds the schedule for a node whose element `e` reduces parent
+    /// elements `rperm[rptr[e]..rptr[e + 1]]`, balanced for `threads`
+    /// workers.
+    pub fn build(rptr: &[usize], rperm: &[u32], threads: usize) -> Self {
+        // The inverse reduction map: pmap[j] is the element parent
+        // element j reduces into.
+        let mut pmap = vec![0u32; rperm.len()];
+        for (e, w) in rptr.windows(2).enumerate() {
+            for &j in &rperm[w[0]..w[1]] {
+                pmap[j as usize] = e as u32;
+            }
+        }
+        Self::from_map(&pmap, rptr.len().saturating_sub(1), threads)
+    }
+
+    /// Builds the schedule from an inverse reduction map (`pmap[j]` is
+    /// the child row parent element `j` reduces into, `< child_len`),
+    /// balanced for `threads` workers.
+    pub fn from_map(pmap: &[u32], child_len: usize, threads: usize) -> Self {
         let parent_len = pmap.len();
         let max_chunks = parent_len.div_ceil(MIN_CHUNK).max(1);
         let nchunks = (threads.max(1) * CHUNKS_PER_THREAD).min(max_chunks);
@@ -120,55 +139,46 @@ impl ScatterSchedule {
     }
 }
 
-/// Runs one scatter kernel call: `body(j0, map, acc, scratch)` adds the
-/// contribution of parent element `j0 + k` into row `map[k]` of `acc`, a
-/// buffer of `width`-value rows, for every `k` in `map`; `scratch` is
-/// `width` values private to the chunk.
+/// Runs one scatter kernel call over `sched`: `body(j0, map, acc)` adds
+/// the contribution of parent element `j0 + k` into row `map[k]` of
+/// `acc`, a buffer of `width`-value rows, for every `k` in `map`.
 ///
-/// With no schedule, or one chunk, the whole parent accumulates straight
-/// into `out` through `pmap`, allocation-free once `ws` has grown.
-/// Otherwise each chunk accumulates into its compact touched rows (`ws`
-/// slot rows, zeroed) in parallel, and the merge adds them into `out`
-/// chunk by chunk. `out` must be zeroed by the caller.
+/// Each chunk accumulates into its compact touched rows (`ws` slot rows,
+/// zeroed) in parallel. Then `out` is zeroed and the merge adds the slot
+/// rows into it chunk by chunk, child element `e`'s into row `row_of(e)`:
+/// the node's own value rows, or a leaf's rows of `M`. Per-call
+/// allocation is the chunk list: O(chunks), never O(parent).
 #[adatm::hot]
-pub(crate) fn run_scatter<B>(
-    sched: Option<&ScatterSchedule>,
-    pmap: &[u32],
+pub(crate) fn run_scatter<R, B>(
+    sched: &ScatterSchedule,
     out: &mut [f64],
     width: usize,
+    row_of: R,
     ws: &mut Workspace,
     body: B,
 ) where
-    B: Fn(usize, &[u32], &mut [f64], &mut [f64]) + Sync,
+    R: Fn(usize) -> usize,
+    B: Fn(usize, &[u32], &mut [f64]) + Sync,
 {
-    let sched = match sched {
-        Some(s) if !s.is_sequential() => s,
-        _ => {
-            let (scratch, _) = ws.ensure(width, 0);
-            body(0, pmap, out, scratch);
-            return;
-        }
-    };
     let nchunks = sched.num_chunks();
-    let (mut scratch_rest, slots) = ws.ensure(nchunks * width, sched.total_rows() * width);
+    let (_, slots) = ws.ensure(0, sched.total_rows() * width);
     let mut parts = Vec::with_capacity(nchunks);
     let mut acc_rest = &mut *slots;
     for c in 0..nchunks {
-        let (scr, tail) = std::mem::take(&mut scratch_rest).split_at_mut(width);
-        scratch_rest = tail;
         let (acc, tail) =
             std::mem::take(&mut acc_rest).split_at_mut(sched.chunk_rows(c).len() * width);
         acc_rest = tail;
-        parts.push((c, acc, scr));
+        parts.push((c, acc));
     }
-    parts.into_par_iter().for_each(|(c, acc, scr)| {
+    parts.into_par_iter().for_each(|(c, acc)| {
         let js = sched.chunk(c);
-        body(js.start, &sched.cmap[js], acc, scr);
+        body(js.start, &sched.cmap[js], acc);
     });
     // Touched-row lists and slot rows share one layout: chunk by chunk,
     // each chunk's rows in first-touch order.
+    out.fill(0.0);
     for (&e, srow) in sched.rows.iter().zip(slots.chunks_exact(width)) {
-        let r = e as usize * width;
+        let r = row_of(e as usize) * width;
         kernels::add_assign(&mut out[r..r + width], srow);
     }
 }
@@ -180,7 +190,7 @@ mod tests {
     #[test]
     fn chunks_cover_parent_exactly() {
         let pmap: Vec<u32> = (0..10_000).map(|j| (j % 37) as u32).collect();
-        let s = ScatterSchedule::build(&pmap, 37, 4);
+        let s = ScatterSchedule::from_map(&pmap, 37, 4);
         assert!(s.num_chunks() > 1);
         let mut seen = 0usize;
         for c in 0..s.num_chunks() {
@@ -194,7 +204,7 @@ mod tests {
     #[test]
     fn cmap_points_at_the_right_row() {
         let pmap: Vec<u32> = (0..8_192).map(|j| ((j * 7) % 5) as u32).collect();
-        let s = ScatterSchedule::build(&pmap, 5, 2);
+        let s = ScatterSchedule::from_map(&pmap, 5, 2);
         for c in 0..s.num_chunks() {
             let rows = s.chunk_rows(c);
             for j in s.chunk(c) {
@@ -206,7 +216,7 @@ mod tests {
     #[test]
     fn touched_rows_are_distinct_within_a_chunk() {
         let pmap: Vec<u32> = (0..6_000).map(|j| (j % 11) as u32).collect();
-        let s = ScatterSchedule::build(&pmap, 11, 3);
+        let s = ScatterSchedule::from_map(&pmap, 11, 3);
         for c in 0..s.num_chunks() {
             let mut rows = s.chunk_rows(c).to_vec();
             rows.sort_unstable();
@@ -220,7 +230,7 @@ mod tests {
         // The point of the schedule: a 4-row child touched by a huge
         // parent must not privatize more than 4 rows per chunk.
         let pmap: Vec<u32> = (0..100_000).map(|j| (j % 4) as u32).collect();
-        let s = ScatterSchedule::build(&pmap, 4, 8);
+        let s = ScatterSchedule::from_map(&pmap, 4, 8);
         for c in 0..s.num_chunks() {
             assert!(s.chunk_rows(c).len() <= 4);
         }
@@ -230,15 +240,33 @@ mod tests {
     #[test]
     fn single_thread_is_sequential() {
         let pmap: Vec<u32> = (0..5_000).map(|j| (j % 9) as u32).collect();
-        let s = ScatterSchedule::build(&pmap, 9, 1);
+        let s = ScatterSchedule::from_map(&pmap, 9, 1);
         // 5000 elements < 4 * MIN_CHUNK, so few chunks; with 1 thread the
         // chunk count is bounded by CHUNKS_PER_THREAD anyway.
         assert!(s.num_chunks() <= 4);
     }
 
     #[test]
+    fn build_derives_the_inverse_map_from_the_reduction_sets() {
+        // Element e reduces the parent elements j with j % 3 == e.
+        let rperm: Vec<u32> = (0..3u32).flat_map(|e| (e..5_000).step_by(3)).collect();
+        let sizes = [1667usize, 1667, 1666];
+        let rptr: Vec<usize> = std::iter::once(0)
+            .chain(sizes.iter().scan(0, |at, n| Some(std::mem::replace(at, *at + n) + n)))
+            .collect();
+        let pmap: Vec<u32> = (0..5_000u32).map(|j| j % 3).collect();
+        let (a, b) =
+            (ScatterSchedule::build(&rptr, &rperm, 2), ScatterSchedule::from_map(&pmap, 3, 2));
+        assert!(a.num_chunks() > 1);
+        assert_eq!(
+            (a.chunk_ptr, a.row_ptr, a.rows, a.cmap),
+            (b.chunk_ptr, b.row_ptr, b.rows, b.cmap)
+        );
+    }
+
+    #[test]
     fn empty_parent_is_harmless() {
-        let s = ScatterSchedule::build(&[], 3, 4);
+        let s = ScatterSchedule::from_map(&[], 3, 4);
         assert_eq!(s.num_chunks(), 1);
         assert!(s.is_sequential());
         assert_eq!(s.total_rows(), 0);

@@ -13,7 +13,9 @@
 //!
 //! The numeric pass then updates each node element independently — the
 //! reduction sets are disjoint by construction, which is what makes the
-//! per-element parallelism race-free.
+//! per-element parallelism race-free. No inverse map is stored: the
+//! scatter kernel's schedule derives one from `rptr`/`rperm` when it is
+//! built (see [`crate::sched::ScatterSchedule`]).
 
 use crate::error::DtreeError;
 use crate::tree::DimTree;
@@ -41,26 +43,36 @@ pub struct SymbolicNode {
     /// child of every non-root node under the sort-key layout, letting
     /// the numeric kernel stream the parent without indirection.
     pub sequential: bool,
-    /// Inverse reduction map (`pmap[j]` = the element parent-element `j`
-    /// reduces into), built only for nodes much smaller than their parent
-    /// where the scatter ("push") schedule pays: the parent streams
-    /// sequentially while the child accumulator stays cache-resident.
-    pub pmap: Option<Vec<u32>>,
 }
 
-/// Build `pmap` when the child is at most this many elements ...
+/// A node is eligible for the scatter ("push") kernel when it has at most
+/// this many elements ...
 const SCATTER_MAX_CHILD: usize = 1 << 16;
-/// ... and the parent is at least this factor larger.
+/// ... and its parent is at least this factor larger.
 const SCATTER_MIN_RATIO: usize = 4;
 
+/// Minimum elements a TTMV streams before it gets a parallel schedule:
+/// a pull node's own elements, a scatter node's parent elements.
+pub const PAR_THRESHOLD: usize = 4096;
+
 /// Whether a node of `child_elems` elements computed from a parent of
-/// `parent_elems` is eligible for the scatter ("push") schedule rather
-/// than the pull schedule. Exposed so the calibrated cost model can
-/// classify predicted nodes with the same thresholds the symbolic pass
-/// applies to real ones (modulo the first-child sequential case, which
-/// the model cannot see from element counts alone).
+/// `parent_elems` is eligible for the scatter ("push") kernel: the child
+/// is small enough to stay cache-resident while the much larger parent
+/// streams.
 pub fn scatter_eligible(child_elems: usize, parent_elems: usize) -> bool {
     child_elems <= SCATTER_MAX_CHILD && parent_elems >= SCATTER_MIN_RATIO * child_elems.max(1)
+}
+
+/// Whether a node of `child_elems` elements computed from a parent of
+/// `parent_elems` runs the scatter kernel at `threads` workers: it is
+/// eligible and its parent streams under a schedule (more than one
+/// thread, at least [`PAR_THRESHOLD`] parent elements). Every other TTMV,
+/// an eligible node without a schedule included, runs the pull kernel.
+/// The engine, its [`crate::NodeKernelClass`] report and the calibrated
+/// cost model all classify nodes with this one rule (the model cannot
+/// see the first-child sequential case, which always pulls).
+pub fn scatter_scheduled(child_elems: usize, parent_elems: usize, threads: usize) -> bool {
+    threads > 1 && parent_elems >= PAR_THRESHOLD && scatter_eligible(child_elems, parent_elems)
 }
 
 /// Symbolic structure for every node of a dimension tree over one tensor.
@@ -233,13 +245,6 @@ impl SymbolicTree {
             for (k, col) in node.idx.iter().enumerate() {
                 assert_eq!(col.len(), node.len, "audit: node {id}: idx array {k} length mismatch");
             }
-            if let Some(pmap) = &node.pmap {
-                assert_eq!(pmap.len(), parent_len, "audit: node {id}: pmap length mismatch");
-                assert!(
-                    pmap.iter().all(|&e| (e as usize) < node.len),
-                    "audit: node {id}: pmap targets out of range"
-                );
-            }
         }
     }
 }
@@ -290,18 +295,7 @@ pub(crate) fn build_node(
         rptr.push(start);
     }
     let sequential = perm.iter().enumerate().all(|(i, &p)| p as usize == i);
-    let pmap = if !sequential && scatter_eligible(len, parent_len) {
-        let mut map = vec![0u32; parent_len];
-        for e in 0..len {
-            for &j in &perm[rptr[e]..rptr[e + 1]] {
-                map[j as usize] = e as u32;
-            }
-        }
-        Some(map)
-    } else {
-        None
-    };
-    SymbolicNode { idx, rptr, rperm: perm, len, sequential, pmap }
+    SymbolicNode { idx, rptr, rperm: perm, len, sequential }
 }
 
 #[cfg(test)]

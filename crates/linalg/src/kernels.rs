@@ -131,21 +131,6 @@ pub fn axpy3(acc: &mut [f64], alpha: f64, a: &[f64], b: &[f64], c: &[f64]) {
     }
 }
 
-/// `acc[i] += a[i] * b[i] * c[i]` — the fused two-delta dimension-tree
-/// contribution (`parent row ⊙ u_1 ⊙ u_2`), left-to-right.
-#[adatm::hot]
-#[inline]
-pub fn muladd3(acc: &mut [f64], a: &[f64], b: &[f64], c: &[f64]) {
-    debug_assert_eq!(acc.len(), a.len());
-    debug_assert_eq!(acc.len(), b.len());
-    debug_assert_eq!(acc.len(), c.len());
-    match acc.len() {
-        n if n >= 16 => muladd3_b::<16>(acc, a, b, c),
-        n if n >= 8 => muladd3_b::<8>(acc, a, b, c),
-        _ => muladd3_b::<4>(acc, a, b, c),
-    }
-}
-
 #[inline(always)]
 fn mul_assign_b<const B: usize>(acc: &mut [f64], src: &[f64]) {
     let mut ac = acc.chunks_exact_mut(B);
@@ -262,24 +247,6 @@ fn axpy3_b<const B: usize>(acc: &mut [f64], alpha: f64, a: &[f64], b: &[f64], c:
         oc.into_remainder().iter_mut().zip(ac.remainder()).zip(bc.remainder()).zip(cc.remainder())
     {
         *o += alpha * *x * *y * *z;
-    }
-}
-
-#[inline(always)]
-fn muladd3_b<const B: usize>(acc: &mut [f64], a: &[f64], b: &[f64], c: &[f64]) {
-    let mut oc = acc.chunks_exact_mut(B);
-    let mut ac = a.chunks_exact(B);
-    let mut bc = b.chunks_exact(B);
-    let mut cc = c.chunks_exact(B);
-    for (((o, x), y), z) in oc.by_ref().zip(ac.by_ref()).zip(bc.by_ref()).zip(cc.by_ref()) {
-        for i in 0..B {
-            o[i] += x[i] * y[i] * z[i];
-        }
-    }
-    for (((o, x), y), z) in
-        oc.into_remainder().iter_mut().zip(ac.remainder()).zip(bc.remainder()).zip(cc.remainder())
-    {
-        *o += *x * *y * *z;
     }
 }
 
@@ -400,17 +367,6 @@ mod tests {
             let mut got3 = vec![0.0; n];
             axpy3(&mut got3, alpha, &a, &b, &c);
             assert_eq!(got3, want3, "axpy3 len {n}");
-
-            // muladd3: acc += a*b*c, left-to-right.
-            let acc0 = v(n, 36);
-            let mut want4 = acc0.clone();
-            let mut s = a.clone();
-            mul_assign(&mut s, &b);
-            mul_assign(&mut s, &c);
-            add_assign(&mut want4, &s);
-            let mut got4 = acc0.clone();
-            muladd3(&mut got4, &a, &b, &c);
-            assert_eq!(got4, want4, "muladd3 len {n}");
         }
     }
 

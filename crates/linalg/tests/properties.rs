@@ -186,10 +186,6 @@ proptest! {
         let w: Vec<f64> = (0..n).map(|i| acc0[i] + alpha * a[i] * b[i] * c[i]).collect();
         kernels::axpy3(&mut g, alpha, &a, &b, &c);
         check(&g, &w, "axpy3")?;
-        let mut g = acc0.clone();
-        let w: Vec<f64> = (0..n).map(|i| acc0[i] + a[i] * b[i] * c[i]).collect();
-        kernels::muladd3(&mut g, &a, &b, &c);
-        check(&g, &w, "muladd3")?;
     }
 
     /// The remainder path touches only the tail: a kernel applied to a

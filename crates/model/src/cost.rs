@@ -28,7 +28,8 @@
 
 use crate::estimate::EstimatorCache;
 use crate::profile::{KernelClass, KernelProfile};
-use adatm_dtree::{scatter_eligible, DimTree, TreeShape};
+use adatm_dtree::symbolic::scatter_scheduled;
+use adatm_dtree::{DimTree, TreeShape};
 
 /// Predicted costs of one memoization strategy.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -181,9 +182,10 @@ pub fn predict(shape: &TreeShape, rank: usize, cache: &mut EstimatorCache<'_>) -
 /// (`elems(parent) * (|δ| + 1) * R`) plus value-stream traffic and
 /// gather-miss bytes, all counted exactly as [`predict`] does — are
 /// converted at the
-/// measured rate of the kernel class the engine would run it with:
-/// scatter when the node passes the engine's [`scatter_eligible`]
-/// thresholds, pull otherwise. Scatter costing more per unit than pull,
+/// measured rate of the kernel class the engine would run it with at
+/// `threads` workers: scatter when [`scatter_scheduled`] admits the node
+/// (eligible, and its parent streamed under a schedule), pull otherwise.
+/// Scatter costing more per unit than pull,
 /// and each class carrying its own parallel efficiency, is exactly what
 /// the machine-independent flop model cannot see — two trees with equal
 /// flops can differ 2x in wall time when one funnels its work through
@@ -224,7 +226,7 @@ pub fn predict_time_ns(
         let gather = parent_elems
             * gather_miss_per_elem(node.delta.len(), touched_rows(&node.delta, cache), rank);
         let units = flops + read + own_elems * r * VAL_BYTES + gather;
-        let class = if scatter_eligible(own_elems as usize, parent_elems as usize) {
+        let class = if scatter_scheduled(own_elems as usize, parent_elems as usize, threads) {
             KernelClass::TreeScatter
         } else {
             KernelClass::TreePull

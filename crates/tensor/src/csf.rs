@@ -240,11 +240,11 @@ impl CsfTensor {
     ///
     /// `sched` must come from [`CsfTensor::root_schedule`]; `ws` provides
     /// all scratch memory (one `N x R` evaluation stack per task plus one
-    /// privatized slot row per split sub-task). Each root slice sums its
-    /// level-1 subtrees into its output row through [`run_schedule`]; a
-    /// split slice's sub-tasks each take a run of those subtrees. Zero
-    /// heap allocations when the schedule has one task; O(tasks)
-    /// otherwise.
+    /// privatized slot row per split sub-task). Each root slice zeroes its
+    /// output row and sums its level-1 subtrees into it through
+    /// [`run_schedule`]; a split slice's sub-tasks each take a run of
+    /// those subtrees. Zero heap allocations when the schedule has one
+    /// task; O(tasks) otherwise.
     #[adatm::hot]
     pub fn mttkrp_root_into(
         &self,
@@ -268,6 +268,7 @@ impl CsfTensor {
             |s, elems, row, scr| {
                 let (lo, hi) = (children[s], children[s + 1]);
                 let span = elems.map_or(lo..hi, |e| lo + e.start..lo + e.end);
+                row.fill(0.0);
                 self.eval_root_children(span, factors, rank, scr, row);
             },
         );

@@ -51,7 +51,9 @@ pub fn mttkrp_seq_into(t: &SparseTensor, factors: &[Mat], mode: usize, out: &mut
     assert_eq!(out.nrows(), t.dims()[mode], "output rows mismatch");
     assert_eq!(out.ncols(), rank, "output rank mismatch");
     out.fill_zero();
-    let mut scratch = vec![0.0f64; rank];
+    // Only orders of 5 and up run through a scratch row; an empty Vec
+    // does not allocate.
+    let mut scratch = vec![0.0f64; if t.ndim() >= 5 { rank } else { 0 }];
     for k in 0..t.nnz() {
         let orow = out.row_mut(t.mode_idx(mode)[k] as usize);
         accumulate_entry(t, factors, mode, k, &mut scratch, orow);
@@ -157,10 +159,10 @@ pub fn mttkrp_par(t: &SparseTensor, factors: &[Mat], mode: usize, view: &SortedM
 ///
 /// `sched` must have been built from `view`'s group weights (see
 /// [`schedule_for_view`]); `ws` provides all scratch memory. Each group
-/// accumulates its entries, in view order, into its output row through
-/// [`run_schedule`], which zeroes the rows, runs the tasks and merges
-/// split groups: no heap allocation when the schedule has one task,
-/// O(tasks) (never O(nnz)) otherwise.
+/// zeroes its output row and accumulates its entries into it, in view
+/// order, through [`run_schedule`], which zeroes the rows no group owns,
+/// runs the tasks and merges split groups: no heap allocation when the
+/// schedule has one task, O(tasks) (never O(nnz)) otherwise.
 ///
 /// # Panics
 /// Panics if `view.mode() != mode`, on factor-shape mismatch, or if
@@ -189,6 +191,7 @@ pub fn mttkrp_par_into(
         #[inline(always)]
         |g, elems, row, srow| {
             let entries = view.group(g);
+            row.fill(0.0);
             for &e in elems.map_or(entries, |r| &entries[r]) {
                 accumulate_entry(t, factors, mode, e as usize, srow, row);
             }

@@ -88,6 +88,13 @@ impl ModeSchedule {
         Self::build_weighted(weights, threads, |g| UniformElems(weights[g]))
     }
 
+    /// [`ModeSchedule::build`] for groups given as CSR offsets: group `g`
+    /// owns elements `ptr[g]..ptr[g + 1]`.
+    pub fn for_offsets(ptr: &[usize], threads: usize) -> Self {
+        let weights: Vec<usize> = ptr.windows(2).map(|w| w[1] - w[0]).collect();
+        Self::build(&weights, threads)
+    }
+
     /// [`ModeSchedule::build`] with an explicit per-task weight target
     /// (testing hook: forces splits on small inputs).
     pub fn build_with_target(weights: &[usize], threads: usize, target: usize) -> Self {
@@ -350,24 +357,27 @@ impl<S> ScheduleCache<S> {
 ///
 /// Group `g` of `groups` owns output row `row_of(g)`, strictly ascending
 /// in `g`; rows no group owns come out zero. `body(g, elems, row,
-/// scratch)` accumulates elements `elems` of group `g` (a sub-range
-/// within the group, or `None` for all of them) into `row`; `scratch` is
-/// `scratch_len` values private to the task. The contract every
-/// scheduled kernel shares:
+/// scratch)` writes the sum of elements `elems` of group `g` (a sub-range
+/// within the group, or `None` for all of them) into `row`, overwriting
+/// it; `scratch` is `scratch_len` values private to the task. The
+/// contract every scheduled kernel shares:
 ///
-/// * Callers do not pre-zero. Each output row is zeroed once, inside the
-///   task that owns it, so every row is `0 + c0 + c1 + ...` in group and
-///   element order.
+/// * Callers do not pre-zero, and neither does the runner for the rows
+///   groups own: `body` writes every value of its row, either by
+///   zeroing it first and accumulating (every row is then
+///   `0 + c0 + c1 + ...` in group and element order) or by storing a sum
+///   it built from `+0.0` in that order, which has the same bits. Only
+///   the rows no group lands on are zeroed.
 /// * With no schedule, or one task, the groups run inline on the calling
 ///   thread. That path builds nothing and, once `ws` has grown, allocates
 ///   nothing.
 /// * Otherwise an Owned task gets the rows from the first one not yet
 ///   claimed through its last group's row (gap rows and rows of earlier
-///   split groups included), and zeroes them before its groups run. A
-///   Split task accumulates into a private slot row that `ws` zeroes.
-///   Rows past the last Owned task are zeroed after the parallel phase;
-///   then each split group's slot rows are added to its row in slot
-///   order. Per-call allocation is the task list: O(tasks), never O(nnz).
+///   split groups included), and zeroes those its groups do not own. A
+///   Split task writes into a private slot row. Rows past the last Owned
+///   task are zeroed after the parallel phase; then each split group's
+///   slot rows are added to its row in slot order. Per-call allocation is
+///   the task list: O(tasks), never O(nnz).
 /// * With the `audit` feature, every call checks that the rows its tasks
 ///   claim are in bounds and disjoint, naming the kernel's body if not.
 ///
@@ -448,8 +458,9 @@ pub fn run_schedule<R, B>(
     }
 }
 
-/// One Owned task: zeroes `buf`, the output rows from `row0` on, then
-/// runs each of `groups` into its row.
+/// One Owned task over `buf`, the output rows from `row0` on: runs each
+/// of `groups` into its row and zeroes the rows between them and after
+/// the last.
 #[inline(always)]
 fn run_owned<R, B>(
     groups: Range<usize>,
@@ -463,11 +474,14 @@ fn run_owned<R, B>(
     R: Fn(usize) -> usize,
     B: Fn(usize, Option<Range<usize>>, &mut [f64], &mut [f64]),
 {
-    buf.fill(0.0);
+    let mut next = 0;
     for g in groups {
         let r = (row_of(g) - row0) * width;
+        buf[next..r].fill(0.0);
         body(g, None, &mut buf[r..r + width], scratch);
+        next = r + width;
     }
+    buf[next..].fill(0.0);
 }
 
 /// Re-checks the rows one [`run_schedule`] call's tasks claim: each
@@ -630,9 +644,11 @@ mod tests {
     }
 
     #[test]
-    fn runner_zeroes_every_row_and_merges_splits() {
+    fn runner_zeroes_unowned_rows_and_merges_splits() {
         // Groups own rows 1, 3, 4 and 7 of 9, so rows 0, 2, 5, 6 and 8
-        // belong to no group; group 2 is hot enough to split.
+        // belong to no group; group 2 is hot enough to split. The body
+        // stores each sum, so the NaN rows the groups own are overwritten
+        // and only the others need the runner's zeros.
         let weights = [3usize, 2, 40, 5];
         let rows = [1usize, 3, 4, 7];
         let sched = ModeSchedule::build_with_target(&weights, 4, 8);
@@ -654,9 +670,8 @@ mod tests {
                 4,
                 |g| rows[g],
                 |g, elems, row, _| {
-                    for e in elems.unwrap_or(0..weights[g]) {
-                        row.iter_mut().for_each(|v| *v += e as f64);
-                    }
+                    let sum: usize = elems.unwrap_or(0..weights[g]).sum();
+                    row.fill(sum as f64);
                 },
             );
             assert_eq!(out.as_slice(), want, "schedule {:?}", sched.map(ModeSchedule::num_tasks));

@@ -19,6 +19,10 @@
 //!   equal-cost chunks the kernels produce;
 //! * [`ThreadPool::install`] only scopes the thread *count* (a thread-local
 //!   override read by [`current_num_threads`]); it does not pin OS threads.
+//!
+//! Outside an installed pool the thread count is the global one, resolved
+//! from `RAYON_NUM_THREADS` (else the available parallelism) once per
+//! process, as rayon does when it builds its global pool.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -26,6 +30,7 @@
 use std::cell::Cell;
 use std::fmt;
 use std::ops::Range;
+use std::sync::OnceLock;
 
 thread_local! {
     /// Thread-count override installed by [`ThreadPool::install`].
@@ -33,20 +38,25 @@ thread_local! {
 }
 
 /// Number of worker threads terminal operations will use: the installed
-/// pool's size if inside [`ThreadPool::install`], else `RAYON_NUM_THREADS`
-/// if set, else the machine's available parallelism.
+/// pool's size if inside [`ThreadPool::install`], else the global count —
+/// `RAYON_NUM_THREADS` if set, else the machine's available parallelism.
+///
+/// As with rayon, which reads the variable once when it builds its global
+/// pool, the global count is resolved on the first call outside an
+/// installed pool and kept for the life of the process; later changes to
+/// the variable are not seen. Installed pools still override it.
 pub fn current_num_threads() -> usize {
+    static GLOBAL_THREADS: OnceLock<usize> = OnceLock::new();
     if let Some(n) = POOL_THREADS.with(Cell::get) {
         return n;
     }
-    if let Some(n) = std::env::var("RAYON_NUM_THREADS")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-    {
-        return n;
-    }
-    std::thread::available_parallelism().map_or(1, usize::from)
+    *GLOBAL_THREADS.get_or_init(|| {
+        std::env::var("RAYON_NUM_THREADS")
+            .ok()
+            .and_then(|s| s.parse::<usize>().ok())
+            .filter(|&n| n > 0)
+            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, usize::from))
+    })
 }
 
 /// Error type returned by [`ThreadPoolBuilder::build`] (never produced;

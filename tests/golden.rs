@@ -5,10 +5,14 @@
 //! up here. The expected bit patterns were recorded from earlier versions
 //! of the solver (one loop per method; the chained, allocating dense
 //! update) on a sequential COO backend, whose reduction order is fixed.
+//! The dimension-tree engine's trajectories (fit history and a digest of
+//! the final model) are pinned the same way at one and two threads, as
+//! recorded from its per-contribution kernels.
 
+use adatm::dtree::scatter_eligible;
 use adatm::tensor::gen::{dense_low_rank, zipf_tensor};
-use adatm::SparseTensor;
 use adatm::{ncp, CheckpointConfig, CooBackend, CpAls, CpAlsOptions, CpResult, PpConfig};
+use adatm::{DtreeBackend, SparseTensor, TreeShape};
 
 fn assert_fit_bits(what: &str, res: &CpResult, expected: &[u64]) {
     let got: Vec<u64> = res.fit_history.iter().map(|f| f.to_bits()).collect();
@@ -128,4 +132,77 @@ fn tall_rank16_als_reproduces_recorded_fit_histories_bitwise() {
             0x3f918226acdb5180,
         ],
     );
+}
+
+/// FNV-1a over the bits of the final model's weights and factors.
+fn model_digest(res: &CpResult) -> u64 {
+    let model = &res.model;
+    let words = model.lambda.iter().chain(model.factors.iter().flat_map(|f| f.as_slice()));
+    words.fold(0xcbf2_9ce4_8422_2325, |h, x| (h ^ x.to_bits()).wrapping_mul(0x0100_0000_01b3))
+}
+
+#[test]
+fn dtree_als_reproduces_recorded_trajectories_bitwise() {
+    // A skewed 6-mode tensor at rank 29 (register blocks of 16, 8, 4 and
+    // 1 columns). Across the three shapes the tree nodes cover: sequential
+    // first children over the tensor and over a value matrix, reduction
+    // sets pulled through `rperm`, |delta| from 1 to 5 over the tensor's
+    // scalars and 1 to 4 over value-matrix rows, scatter-eligible leaves
+    // (mode 5 has 30 indices), and nodes and leaves of 4096+ elements, so
+    // the two-thread runs take the scheduled kernels.
+    let t = zipf_tensor(
+        &[6000, 3000, 2500, 2000, 1500, 30],
+        20_000,
+        &[0.3, 0.5, 0.4, 0.6, 0.5, 0.8],
+        5,
+    );
+    let rank = 29;
+    let fits = [0x3e99a3f489800000, 0x3f5b73432df0d000, 0x3f5e58142e63b400, 0x3f5e58142ef7e400];
+    let cases: [(&str, [u64; 2]); 3] = [
+        ("((0 (1 (2 (3 4)))) 5)", [0x5452ec383aadc53c, 0x0497223b8242d57b]),
+        ("((0 1 2 3) (4 5))", [0xc4e7f68aa9358be8, 0x9cb56b2c0172c203]),
+        ("((0 1 2) (3 4 5))", [0x23eac6ca65eaabe8, 0x482b50ed7d4bdd28]),
+    ];
+    // (parent is the tensor, |delta|) pairs the shapes reach.
+    let mut deltas = std::collections::BTreeSet::new();
+    let (mut seq_scalar, mut seq_rows, mut big_pull, mut scatter_leaf) =
+        (false, false, false, false);
+    for (spec, digests) in cases {
+        let shape: TreeShape = spec.parse().unwrap();
+        let backend = DtreeBackend::new(&t, &shape, rank);
+        let (tree, sym) = (backend.engine().tree(), backend.engine().symbolic());
+        for id in 1..tree.len() {
+            let (node, s) = (tree.node(id), sym.node(id));
+            let parent = node.parent.unwrap();
+            let parent_len = sym.node(parent).len;
+            deltas.insert((parent == 0, node.delta.len()));
+            seq_scalar |= s.sequential && parent == 0;
+            seq_rows |= s.sequential && parent != 0;
+            big_pull |= !s.sequential && s.len >= 4096;
+            scatter_leaf |= node.is_leaf()
+                && !s.sequential
+                && parent_len >= 4096
+                && scatter_eligible(s.len, parent_len);
+        }
+        for (threads, digest) in [1, 2].into_iter().zip(digests) {
+            let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
+            let res = pool.install(|| {
+                let opts = CpAlsOptions::new(rank).max_iters(4).tol(0.0).seed(3);
+                CpAls::new(opts).run(&t, &mut DtreeBackend::new(&t, &shape, rank)).unwrap()
+            });
+            let what = format!("{spec}, {threads} thread(s)");
+            assert!(res.diagnostics.clean(), "{what}: {:?}", res.diagnostics.events);
+            assert_fit_bits(&what, &res, &fits);
+            assert_eq!(model_digest(&res), digest, "{what}: final model bits diverged");
+        }
+    }
+    for scalars in [true, false] {
+        for d in 1..=4 {
+            assert!(
+                deltas.contains(&(scalars, d)),
+                "no |delta| = {d} node (tensor parent: {scalars})"
+            );
+        }
+    }
+    assert!(seq_scalar && seq_rows && big_pull && scatter_leaf);
 }
