@@ -910,3 +910,115 @@ fn copies_take_the_zeros_a_first_update_leaves_on_empty_rows() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A sequential-COO run on `t` under `sched`: NCP when `ncp`, else ALS.
+fn faulted_run(
+    t: &adatm::SparseTensor,
+    ncp: bool,
+    opts: CpAlsOptions,
+    sched: FaultSchedule,
+) -> adatm::CpResult {
+    let mut b = FaultInjectingBackend::new(CooBackend::with_parallel(t, false), sched);
+    let solver = if ncp { CpAls::ncp(opts) } else { CpAls::new(opts) };
+    solver.run(t, &mut b).unwrap()
+}
+
+#[test]
+fn breakdowns_after_an_improving_boundary_restore_it_from_every_mode() {
+    // Iteration 3 (calls 9, 10, 11 of the sequential COO sweep 0, 1, 2)
+    // follows the improving boundary of iteration 2. A poison at its first,
+    // middle and last mode finds none, one and two of its modes updated.
+    // Recorded before the mode updates saved the rows they overwrite.
+    let t = spread_truth();
+    let opts = CpAlsOptions::new(3).max_iters(12).tol(0.0).seed(5);
+    let cases = [
+        (false, 9, 0x771aa936351428fa),
+        (false, 10, 0xeaceb261d89c62f5),
+        (false, 11, 0xcbf565cf27994f98),
+        (true, 9, 0x2b37c1f9330f2eb3),
+        (true, 10, 0x32eaee616e51dd27),
+        (true, 11, 0xd657139ad42543e3),
+    ];
+    for (ncp, call, want) in cases {
+        let sched = FaultSchedule::new().at_call(call, FaultKind::PoisonInf);
+        let res = faulted_run(&t, ncp, opts.clone(), sched);
+        assert_eq!(event_trail(&res), [(3, Some(call - 9), BreakdownKind::NonFiniteMttkrp)]);
+        let got = run_digest(&res);
+        assert_eq!(got, want, "ncp {ncp}, call {call}: digest {got:#x}");
+    }
+}
+
+#[test]
+fn breakdowns_after_a_pp_sweep_restore_the_boundary_before_it() {
+    // ALS (seed 7) and NCP (seed 5) both sweep iteration 7 by PP and
+    // iteration 8 exactly, so the last-good state during iteration 8 is two
+    // boundaries old: the end of iteration 6. Iteration 8 is calls 21, 22,
+    // 23 under ALS and 15, 16, 17 under NCP. Recorded before the mode
+    // updates saved the rows they overwrite.
+    let t = spread_truth();
+    let pp = adatm::PpConfig::new().tol(0.05).every(4);
+    let cases = [
+        (false, 21, (23, 5), 0x332b61fbb2e77029),
+        (false, 22, (19, 5), 0x3130c2084e540e65),
+        (false, 23, (22, 3), 0xa6ecfc8acdc6c410),
+        (true, 15, (22, 7), 0x5865a53222b07cc0),
+        (true, 16, (20, 8), 0xa792f4e3274cafca),
+        (true, 17, (21, 9), 0x6c018199e8cafb12),
+    ];
+    for (ncp, call, pp_counts, want) in cases {
+        let seed = if ncp { 5 } else { 7 };
+        let opts = CpAlsOptions::new(3).max_iters(40).tol(0.0).seed(seed).pp(pp.clone());
+        let first = if ncp { 15 } else { 21 };
+        let sched = FaultSchedule::new().at_call(call, FaultKind::PoisonInf);
+        let res = faulted_run(&t, ncp, opts, sched);
+        let trail = [(8, Some(call - first), BreakdownKind::NonFiniteMttkrp)];
+        assert_eq!(event_trail(&res), trail, "ncp {ncp}, call {call}");
+        let counts = (res.diagnostics.pp_sweeps, res.diagnostics.pp_refreshes);
+        assert_eq!(counts, pp_counts, "ncp {ncp}, call {call}");
+        let got = run_digest(&res);
+        assert_eq!(got, want, "ncp {ncp}, call {call}: digest {got:#x}");
+    }
+}
+
+#[test]
+fn resume_restores_a_last_good_state_older_than_its_checkpoint() {
+    // The checkpoint after iteration 7, a PP sweep, holds the end of
+    // iteration 6 as its last-good state (the cases of the test above). A
+    // poison at the first mode of iteration 8 rolls back to it: from memory
+    // in the uninterrupted run, from the checkpoint in the resumed one.
+    // Recorded before the mode updates saved the rows they overwrite.
+    let t = spread_truth();
+    for (ncp, seed, call, want) in
+        [(false, 7, 21, 0x12cc66772ad3df89), (true, 5, 15, 0x4b856c8dc42aeb38)]
+    {
+        let dir = tmp_dir(if ncp { "old-last-good-ncp" } else { "old-last-good-als" });
+        let opts = |iters: usize| {
+            CpAlsOptions::new(3)
+                .max_iters(iters)
+                .tol(0.0)
+                .seed(seed)
+                .pp(adatm::PpConfig::new().tol(0.05).every(4))
+                .checkpoint(CheckpointConfig::new(&dir).every_iters(8))
+        };
+        let poison = |call: usize| FaultSchedule::new().at_call(call, FaultKind::PoisonInf);
+        let reference = faulted_run(&t, ncp, opts(24), poison(call));
+        let _ = std::fs::remove_dir_all(&dir);
+        let killed = faulted_run(&t, ncp, opts(8), FaultSchedule::new());
+        assert!(killed.diagnostics.clean() && killed.diagnostics.pp_sweeps > 0);
+        let carried = killed.fit_history[7].to_bits() == killed.fit_history[6].to_bits();
+        assert!(carried, "ncp {ncp}: iteration 7 must be a PP sweep");
+        let ck = CheckpointStore::load_latest(&dir).unwrap().checkpoint;
+        assert_eq!(ck.next_iter, 8);
+        let (_, good) = ck.last_good.clone().expect("a last-good state");
+        assert!(good != ck.factors, "ncp {ncp}: the last-good state must predate the checkpoint");
+        let mut b = FaultInjectingBackend::new(CooBackend::with_parallel(&t, false), poison(0));
+        let solver = if ncp { CpAls::ncp(opts(24)) } else { CpAls::new(opts(24)) };
+        let resumed = solver.resume_from(&t, &mut b, ck).unwrap();
+        assert_eq!(event_trail(&reference), [(8, Some(0), BreakdownKind::NonFiniteMttkrp)]);
+        assert_eq!(event_trail(&resumed), event_trail(&reference));
+        assert_models_bitwise_equal(&reference, &resumed);
+        let got = run_digest(&resumed);
+        assert_eq!(got, want, "ncp {ncp}: digest {got:#x}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
