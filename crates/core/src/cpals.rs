@@ -30,9 +30,10 @@
 //! A run is one `Run` value holding everything the loop carries from one
 //! iteration to the next: factors with their settled flags and each
 //! mode's support (see `Run::settled`), cached Grams, `lambda`, the fit
-//! history and best fit, the last-good snapshot, the recovery counters,
-//! the checkpoint context, the pairwise-perturbation controller, the
-//! `R x R` work buffers and the drift accounting. Its phases, in order:
+//! history and best fit, the last boundary's factors (`Boundary`), the
+//! last-good state, the recovery counters, the checkpoint context, the
+//! pairwise-perturbation controller, the `R x R` work buffers and the
+//! drift accounting. Its phases, in order:
 //!
 //! * **start / resume** — `Run::new` builds fresh state for
 //!   [`CpAls::run_from`]; `Run::restore` overwrites it from a checkpoint
@@ -46,17 +47,23 @@
 //!   `U^(n)`, `W^(n)` and `lambda` in place in at most two passes over
 //!   the mode's support rows once `U^(n)` is settled — no factor-sized
 //!   allocation, bit-for-bit the result of the chained `matmul` /
-//!   `normalize_cols` / `gram` kernels over every row. A detector firing
-//!   after the write goes through `Run::breakdown`, which restores or
-//!   reseeds every factor and Gram, so the half-written state never
-//!   survives;
+//!   `normalize_cols` / `gram` kernels over every row. Their first pass
+//!   also saves each row it overwrites into the boundary's copy, so the
+//!   previous iterate survives without a copy at the iteration boundary.
+//!   A detector firing after the write goes through `Run::breakdown`,
+//!   which restores or reseeds every factor and Gram, so the half-written
+//!   state never survives;
 //! * **breakdown** — `Run::breakdown`, the one rollback path every
 //!   mode-local detector takes;
 //! * **fit** — `Run::iteration` measures the fit (one pass over the last
 //!   mode's support rows for the `R` inner products) and runs the
-//!   divergence, stall and convergence checks; a new best fit refreshes
-//!   the last-good snapshot by copying into its buffers (support rows
-//!   only, where both sides are settled);
+//!   divergence, stall and convergence checks;
+//! * **boundary** — `Run::advance_boundary`: a new exactly measured best
+//!   fit makes the live factors last-good, copying only their Grams and
+//!   `lambda`; otherwise a last-good state that was the old boundary
+//!   takes the copy the updates saved it into. No factor is copied: PP's
+//!   movement measure reads the same copy, and the live factors become
+//!   the next boundary;
 //! * **checkpoint** — `Run::write_checkpoint`, on the configured cadence:
 //!   stages the state and hands it to the store's writer thread;
 //! * **finish** — `Run::finish`: final watchdog checkpoint, the join of
@@ -341,12 +348,16 @@ pub struct PhaseTimings {
     /// durable (zero when checkpointing is disabled). The bench suite
     /// gates this phase's overhead relative to the rest of the iteration.
     pub checkpoint: Duration,
+    /// Time at each iteration boundary after the fit: the last-good
+    /// bookkeeping and PP's movement measure. PP baseline refreshes count
+    /// under `mttkrp`, checkpoint staging and joins under `checkpoint`.
+    pub boundary: Duration,
 }
 
 impl PhaseTimings {
     /// Total measured time.
     pub fn total(&self) -> Duration {
-        self.mttkrp + self.dense + self.fit + self.checkpoint
+        self.mttkrp + self.dense + self.fit + self.checkpoint + self.boundary
     }
 }
 
@@ -471,7 +482,8 @@ impl UpdateRule {
         match self {
             UpdateRule::Als => als_solve(m, h, out, iter, mode, diag).map(|()| true),
             UpdateRule::Ncp => {
-                Ok(update::ncp_rows_into(out.u, m, h, ncp::MU_EPS, out.gram, out.row, out.rows))
+                let (u, gram, save) = (&mut *out.u, &mut *out.gram, out.save.as_deref_mut());
+                Ok(update::ncp_rows_into(u, m, h, ncp::MU_EPS, gram, out.row, out.rows, save))
             }
         }
     }
@@ -527,12 +539,14 @@ impl UpdateRule {
 }
 
 /// What one mode update writes, in place: the factor `u` over `rows`
-/// (`None`: every row), its cached Gram and `lambda`. Beside them: the
-/// mode's support, an `R`-length work row (NCP's `U H` row), and the
-/// pseudoinverse with its workspace (ALS).
+/// (`None`: every row), its cached Gram and `lambda`, and into `save` the
+/// rows of `u` it overwrites. Beside them: the mode's support, an
+/// `R`-length work row (NCP's `U H` row), and the pseudoinverse with its
+/// workspace (ALS).
 struct ModeOut<'a> {
     u: &'a mut Mat,
     rows: Option<&'a RowSet>,
+    save: Option<&'a mut Mat>,
     support: &'a RowSet,
     gram: &'a mut Mat,
     lambda: &'a mut [f64],
@@ -599,7 +613,8 @@ fn als_solve(
         }
     }
     let norm = if iter == 0 { ColNorm::Two } else { ColNorm::Max };
-    update::solve_rows_into(m, out.pinv, norm, out.u, out.lambda, out.rows);
+    let save = out.save.as_deref_mut();
+    update::solve_rows_into(m, out.pinv, norm, out.u, out.lambda, out.rows, save);
     Ok(())
 }
 
@@ -612,22 +627,18 @@ struct FactorCopy {
 }
 
 impl FactorCopy {
-    /// Marks mode `d` unsettled (no-op before the first copy).
+    /// Marks mode `d` unsettled (no-op without buffers).
     fn unsettle(&mut self, d: usize) {
         if let Some(s) = self.settled.get_mut(d) {
             *s = false;
         }
     }
+}
 
-    /// Makes this the copy of `factors` (allocating on first use).
-    fn assign(&mut self, factors: &[Mat], settled: &[bool], support: &[RowSet]) {
-        if self.factors.is_empty() {
-            self.factors = factors.to_vec();
-            self.settled = settled.to_vec();
-        } else {
-            copy_factors(&mut self.factors, &mut self.settled, factors, settled, support);
-        }
-    }
+/// Copies `src` over `dst` (same shape) on `rows` (`None`: every row).
+fn copy_rows(dst: &mut Mat, src: &Mat, rows: Option<&RowSet>) {
+    let (r, a, b) = (src.ncols(), dst.as_mut_slice(), src.as_slice());
+    for_runs(rows, 0, src.nrows(), |s, e| a[s * r..e * r].copy_from_slice(&b[s * r..e * r]));
 }
 
 /// Copies the factor set `src` over `dst` (same shapes), settled flags
@@ -641,17 +652,97 @@ fn copy_factors(
     support: &[RowSet],
 ) {
     for (d, (to, from)) in dst.iter_mut().zip(src).enumerate() {
-        let rows = (dst_settled[d] && src_settled[d]).then_some(&support[d]);
-        let (r, a, b) = (from.ncols(), to.as_mut_slice(), from.as_slice());
-        for_runs(rows, 0, from.nrows(), |s, e| a[s * r..e * r].copy_from_slice(&b[s * r..e * r]));
+        copy_rows(to, from, (dst_settled[d] && src_settled[d]).then_some(&support[d]));
     }
     dst_settled.copy_from_slice(src_settled);
 }
 
-/// Last-known-good solver state for rollback recoveries.
+/// The factors of the last iteration boundary, kept without copying them
+/// there: before a mode update overwrites a factor for the first time
+/// since the boundary, it saves the rows it overwrites into `copy` (the
+/// fused kernels of [`adatm_linalg::update`] do so in their first write
+/// pass). Mode `d`'s boundary factor is thus `copy.factors[d]` once
+/// `saved[d]`, and the live factor until then. A settled flag of `copy`
+/// means that its rows outside the support hold the zeros the live factor
+/// holds there while settled (see `Run::settled`).
+///
+/// The boundary exists once an iteration has completed (or a checkpoint
+/// restored one): it is PP's movement reference, and last-good whenever
+/// the last exact iteration set the best fit.
 #[derive(Default)]
-struct Snapshot {
-    factors: FactorCopy,
+struct Boundary {
+    /// The saved rows (no buffers until first needed).
+    copy: FactorCopy,
+    /// Per mode: whether `copy` holds the boundary's factor.
+    saved: Vec<bool>,
+    /// Buffers for `copy` while last-good holds its old ones (none until
+    /// first needed).
+    spare: FactorCopy,
+}
+
+impl Boundary {
+    /// Readies mode `d` before an update overwrites the live factor on
+    /// its support (settled) or on every row. Returns whether the update
+    /// must save the rows it writes: not when the mode is saved already,
+    /// or when it had to be copied whole here — on the first save without
+    /// buffers (every mode still holds the boundary, so all are copied),
+    /// or when the update writes the support rows but the copy's other
+    /// rows do not hold the live zeros.
+    fn prepare(&mut self, d: usize, live: &[Mat], settled: &[bool]) -> bool {
+        if self.saved[d] {
+            return false;
+        }
+        if self.copy.factors.is_empty() {
+            self.copy = FactorCopy { factors: live.to_vec(), settled: settled.to_vec() };
+            self.saved.fill(true);
+            return false;
+        }
+        if settled[d] && !self.copy.settled[d] {
+            copy_rows(&mut self.copy.factors[d], &live[d], None);
+            self.copy.settled[d] = true;
+            self.saved[d] = true;
+            return false;
+        }
+        true
+    }
+
+    /// Saves every mode no update has overwritten since the boundary, so
+    /// that `copy` holds the whole boundary before the live factors change
+    /// outside an update (a rollback) or are read as last-good mid-sweep.
+    fn save_all(&mut self, live: &[Mat], settled: &[bool], support: &[RowSet]) {
+        for d in 0..live.len() {
+            if self.prepare(d, live, settled) {
+                copy_rows(&mut self.copy.factors[d], &live[d], settled[d].then_some(&support[d]));
+                self.copy.settled[d] = settled[d];
+                self.saved[d] = true;
+            }
+        }
+    }
+
+    /// Marks mode `d` unsettled in both sets of buffers.
+    fn unsettle(&mut self, d: usize) {
+        self.copy.unsettle(d);
+        self.spare.unsettle(d);
+    }
+
+    /// Hands over the whole boundary (every mode saved) in the copy's
+    /// buffers, which the spare set replaces.
+    fn take(&mut self) -> FactorCopy {
+        debug_assert!(self.saved.iter().all(|&s| s));
+        std::mem::replace(&mut self.copy, std::mem::take(&mut self.spare))
+    }
+
+    /// Makes the live factors the boundary.
+    fn advance(&mut self) {
+        self.saved.fill(false);
+    }
+}
+
+/// Last-known-good solver state for rollback recoveries: Grams and
+/// `lambda`, and factors of its own (`None`: the boundary's factors).
+#[derive(Default)]
+struct LastGood {
+    factors: Option<FactorCopy>,
     grams: Vec<Mat>,
     lambda: Vec<f64>,
 }
@@ -727,9 +818,6 @@ struct PpCtl {
     /// Built lazily at the first entry (the symbolic pair analysis and
     /// memo buffers are only worth paying for once PP actually arms).
     state: Option<PpState>,
-    /// Factors at the end of the previous completed iteration, for the
-    /// entry threshold on relative movement (empty before the first).
-    prev: FactorCopy,
     /// Whether approximate sweeps are currently enabled.
     armed: bool,
     /// `Run::solver_events()` when the baseline was captured: any growth
@@ -974,7 +1062,7 @@ struct Run<'a, B: MttkrpBackend + ?Sized> {
     /// [`adatm_linalg::update`]) — so updates may skip them. Initial,
     /// reseeded and restored factors are not settled until their next
     /// update, which visits every row and unsettles the mode in the
-    /// copies (`FactorCopy`) taken before it. All settled copies of a mode
+    /// copies (`FactorCopy`) made before it. All settled copies of a mode
     /// thus hold the same zeros there, so copies between them may skip
     /// those rows too.
     settled: Vec<bool>,
@@ -988,7 +1076,9 @@ struct Run<'a, B: MttkrpBackend + ?Sized> {
     iters: usize,
     fit_history: Vec<f64>,
     best_fit: f64,
-    last_good: Option<Snapshot>,
+    /// The factors of the last completed iteration (see `Boundary`).
+    boundary: Boundary,
+    last_good: Option<LastGood>,
     rollbacks_left: usize,
     stall_recorded: bool,
     converged: bool,
@@ -1059,6 +1149,7 @@ impl<'a, B: MttkrpBackend + ?Sized> Run<'a, B> {
             // Room for the usual run, so pushing a fit seldom allocates.
             fit_history: Vec::with_capacity(opts.max_iters.min(64)),
             best_fit: f64::NEG_INFINITY,
+            boundary: Boundary { saved: vec![false; tensor.ndim()], ..Boundary::default() },
             last_good: None,
             rollbacks_left: opts.recovery_budget,
             stall_recorded: false,
@@ -1090,9 +1181,13 @@ impl<'a, B: MttkrpBackend + ?Sized> Run<'a, B> {
         self.lambda = ck.lambda;
         self.fit_history = ck.fit_history;
         self.best_fit = ck.best_fit;
-        self.last_good = ck.last_good.map(|(lambda, factors)| Snapshot {
+        // The restored factors are the boundary: the movement reference an
+        // uninterrupted run carries here (checkpoints are only written
+        // right after PP disarms, or while it never armed, so PP starts
+        // disarmed exactly like that run).
+        self.last_good = ck.last_good.map(|(lambda, factors)| LastGood {
             grams: factors.iter().map(Mat::gram).collect(),
-            factors: FactorCopy { settled: vec![false; factors.len()], factors },
+            factors: Some(FactorCopy { settled: vec![false; factors.len()], factors }),
             lambda,
         });
         self.rollbacks_left = ck.rollbacks_left;
@@ -1102,14 +1197,6 @@ impl<'a, B: MttkrpBackend + ?Sized> Run<'a, B> {
         self.diag.recoveries = ck.recoveries;
         self.stall_recorded = ck.stall_recorded;
         self.elapsed_base_ns = ck.elapsed_ns;
-        if let Some(ctl) = self.pp.as_mut().filter(|_| ck.next_iter > 0) {
-            // Checkpoints are only written right after PP disarms (or
-            // while it never armed), so the restored factors are the
-            // movement reference an uninterrupted run would carry here —
-            // and PP starts disarmed, exactly like the uninterrupted
-            // trajectory at this boundary.
-            ctl.prev.assign(&self.factors, &self.settled, &self.support);
-        }
     }
 
     /// Iterates until a stop condition or `max_iters`, then finishes.
@@ -1145,10 +1232,13 @@ impl<'a, B: MttkrpBackend + ?Sized> Run<'a, B> {
 
     /// One outer iteration: the PP decision, every mode update, then the
     /// fit with its divergence, stall and convergence checks, the
-    /// last-good snapshot, the checkpoint, and the end-of-iteration
-    /// accounting.
+    /// boundary (last-good and PP's movement measure), the checkpoint, and
+    /// the end-of-iteration accounting.
     fn iteration(&mut self, iter: usize, order: &[usize]) -> Flow {
         let events0 = self.solver_events();
+        // Whether a boundary precedes this iteration, for PP to measure
+        // the movement from.
+        let reference = self.iters > 0;
         let (mttkrp0, dense0) = (self.timings.mttkrp, self.timings.dense);
         let pp_iter = self.pp_phase(iter);
         for &mode in order {
@@ -1171,23 +1261,24 @@ impl<'a, B: MttkrpBackend + ?Sized> Run<'a, B> {
         self.iters = iter + 1;
         self.fit_history.push(fit);
         self.stall_check(iter, pp_induced);
-        // Never snapshot on an approximate sweep: the carried fit says
-        // nothing about the post-sweep factors, and last_good is the
-        // state a divergence recovery falls back to — it must only ever
-        // hold exactly-measured iterates.
-        if !pp_iter && fit >= self.best_fit {
-            self.best_fit = fit;
-            // Refreshed in place: the copies reuse the buffers.
-            let snap = self.last_good.get_or_insert_with(Snapshot::default);
-            snap.factors.assign(&self.factors, &self.settled, &self.support);
-            snap.grams.clone_from(&self.grams);
-            snap.lambda.clone_from(&self.lambda);
-        }
+        let clean = self.solver_events() == events0;
         // Iteration-boundary checkpoint. Cadence is keyed on the absolute
         // iteration number, so a resumed run writes at the same
         // boundaries as the uninterrupted one; aborted (rolled-back)
         // iterations never reach this point in either.
         let wrote_ckpt = self.ckpt.as_ref().is_some_and(|ck| ck.due(iter));
+        let t_boundary = Instant::now();
+        // Measured before the boundary moves on, where arming reads it.
+        let rel = self.pp_movement(reference, pp_iter, clean, wrote_ckpt);
+        self.advance_boundary(pp_iter, fit);
+        let d_boundary = t_boundary.elapsed();
+        self.timings.boundary += d_boundary;
+        adatm_trace::event!(
+            "stage",
+            iter: iter as u64,
+            stage: "boundary",
+            elapsed_ns: d_boundary.as_nanos() as u64
+        );
         if wrote_ckpt {
             self.write_checkpoint(iter + 1);
         }
@@ -1195,13 +1286,12 @@ impl<'a, B: MttkrpBackend + ?Sized> Run<'a, B> {
         // recoveries re-do work the model never priced, and PP sweeps run
         // a kernel class the exact prediction does not cover — both would
         // make an honest prediction look drifted.
-        let clean = self.solver_events() == events0;
         let sweep_ns = (self.timings.mttkrp - mttkrp0).as_nanos();
         if clean && !pp_iter {
             self.clean_kernel_ns += sweep_ns + (self.timings.dense - dense0).as_nanos();
             self.clean_iters += 1;
         }
-        self.pp_bookkeeping(iter, pp_iter, clean, sweep_ns, wrote_ckpt);
+        self.pp_bookkeeping(iter, pp_iter, clean, sweep_ns, wrote_ckpt, rel);
         // Convergence is only ever declared from an exactly-measured fit:
         // on approximate sweeps `fit` is the carried previous entry and
         // the difference would be spuriously zero.
@@ -1348,8 +1438,11 @@ impl<'a, B: MttkrpBackend + ?Sized> Run<'a, B> {
 
         // The rule writes the factor, its Gram and `lambda` in place: every
         // breakdown below goes through `breakdown`, which restores all of
-        // them from the last-good snapshot or reseeds all of them.
+        // them from the last-good state or reseeds all of them. Once a
+        // boundary exists, the factor's first update since it saves the
+        // rows it overwrites.
         let t_solve = Instant::now();
+        let save = self.iters > 0 && self.boundary.prepare(mode, &self.factors, &self.settled);
         let m = match (pp_iter, &self.pp) {
             (true, Some(ctl)) => &ctl.outs[mode],
             _ => &self.m_buf,
@@ -1357,6 +1450,7 @@ impl<'a, B: MttkrpBackend + ?Sized> Run<'a, B> {
         let mut out = ModeOut {
             u: &mut self.factors[mode],
             rows,
+            save: if save { Some(&mut self.boundary.copy.factors[mode]) } else { None },
             support: &self.support[mode],
             gram: &mut self.grams[mode],
             lambda: &mut self.lambda,
@@ -1369,6 +1463,9 @@ impl<'a, B: MttkrpBackend + ?Sized> Run<'a, B> {
             Ok(finite) => finite,
             Err(kind) => return self.breakdown(kind, iter, mode, Some(t1)),
         };
+        if save {
+            self.boundary.saved[mode] = true;
+        }
         adatm_trace::event!(
             "stage",
             iter: iter as u64,
@@ -1378,18 +1475,17 @@ impl<'a, B: MttkrpBackend + ?Sized> Run<'a, B> {
         );
         let t_norm = Instant::now();
         let normalized = self.rule.normalize(&mut out, iter, mode, self.opts.seed, &mut self.diag);
+        let settled = out.settled;
         if !self.settled[mode] {
             // This update gave the rows outside the support their values
             // (NCP keeps the sign of the zeros it started from), which
-            // copies of the mode taken before may not share.
-            if let Some(snap) = self.last_good.as_mut() {
-                snap.factors.unsettle(mode);
+            // copies of the mode made before may not share.
+            if let Some(own) = self.last_good.as_mut().and_then(|g| g.factors.as_mut()) {
+                own.unsettle(mode);
             }
-            if let Some(ctl) = self.pp.as_mut() {
-                ctl.prev.unsettle(mode);
-            }
+            self.boundary.unsettle(mode);
         }
-        self.settled[mode] = out.settled;
+        self.settled[mode] = settled;
         // Detector: the updated factor or its scales went non-finite
         // despite a finite system (overflow).
         if !(solved && normalized && self.lambda.iter().all(|l| l.is_finite())) {
@@ -1481,6 +1577,12 @@ impl<'a, B: MttkrpBackend + ?Sized> Run<'a, B> {
         let rt = Instant::now();
         let (dims, rank) = (self.tensor.dims(), self.opts.rank);
         let attempt = self.diag.recoveries as u64;
+        // The boundary outlives the rollback (PP's next movement measure
+        // reads it, and it may be last-good): save the modes this sweep
+        // has not overwritten before the live factors change.
+        if self.iters > 0 {
+            self.boundary.save_all(&self.factors, &self.settled, &self.support);
+        }
         if !self.restore_last_good() {
             // No good state yet: reseed every factor from a
             // recovery-derived seed so the restart is deterministic but
@@ -1524,16 +1626,26 @@ impl<'a, B: MttkrpBackend + ?Sized> Run<'a, B> {
         flow
     }
 
-    /// Restores the FULL last-good snapshot — factors, Grams and
-    /// `lambda` together, so no consumer of this state (the PP baseline
-    /// capture included) sees a factor/Gram pair that never coexisted.
-    /// `false` when no snapshot exists yet.
+    /// Restores the FULL last-good state — factors, Grams and `lambda`
+    /// together, so no consumer of this state (the PP baseline capture
+    /// included) sees a factor/Gram pair that never coexisted. Last-good
+    /// factors that are the boundary's come from its copy, so every mode
+    /// must be saved (a complete sweep, or `Boundary::save_all`). `false`
+    /// when no last-good state exists yet.
     fn restore_last_good(&mut self) -> bool {
-        let Some(snap) = &self.last_good else { return false };
-        let (f, settled) = (&snap.factors.factors, &snap.factors.settled);
-        copy_factors(&mut self.factors, &mut self.settled, f, settled, &self.support);
-        self.grams.clone_from(&snap.grams);
-        self.lambda.clone_from(&snap.lambda);
+        let Some(good) = &self.last_good else { return false };
+        let own = good.factors.as_ref();
+        debug_assert!(own.is_some() || self.boundary.saved.iter().all(|&s| s));
+        let src = own.unwrap_or(&self.boundary.copy);
+        copy_factors(
+            &mut self.factors,
+            &mut self.settled,
+            &src.factors,
+            &src.settled,
+            &self.support,
+        );
+        self.grams.clone_from(&good.grams);
+        self.lambda.clone_from(&good.lambda);
         true
     }
 
@@ -1601,8 +1713,9 @@ impl<'a, B: MttkrpBackend + ?Sized> Run<'a, B> {
         if pp_induced {
             if let Some(ctl) = self.pp.as_mut() {
                 ctl.disarm(iter, "divergence");
-                ctl.prev.assign(&self.factors, &self.settled, &self.support);
             }
+            // PP's next movement measure starts from the restored state.
+            self.boundary.advance();
             return Flow::Retry;
         }
         self.diag.stop = StopReason::Diverged;
@@ -1632,9 +1745,44 @@ impl<'a, B: MttkrpBackend + ?Sized> Run<'a, B> {
         }
     }
 
+    /// PP's movement measure at a completed sweep: the relative factor
+    /// movement since the boundary before it, where `pp_bookkeeping` may
+    /// arm (otherwise, or with no boundary to measure from, infinite).
+    fn pp_movement(&self, reference: bool, pp_iter: bool, clean: bool, wrote_ckpt: bool) -> f64 {
+        let Some(ctl) = &self.pp else { return f64::INFINITY };
+        if !reference || ctl.armed || ctl.cfg.every == 1 || pp_iter || !clean || wrote_ckpt {
+            return f64::INFINITY;
+        }
+        // A complete sweep saved every mode: the copy is the boundary.
+        rel_factor_delta(&self.boundary.copy, &self.factors, &self.settled, &self.support)
+    }
+
+    /// Moves the boundary to the live factors at a completed iteration.
+    /// An exactly measured best fit makes them last-good, copying only the
+    /// Grams and `lambda` (never on an approximate sweep: the carried fit
+    /// says nothing about the post-sweep factors, and last-good is the
+    /// state a divergence recovery falls back to — it must only ever hold
+    /// exactly-measured iterates). Otherwise last-good must outlive the
+    /// boundary: if it was the boundary, it takes the copy's buffers,
+    /// which hold that boundary whole after the sweep.
+    fn advance_boundary(&mut self, pp_iter: bool, fit: f64) {
+        if !pp_iter && fit >= self.best_fit {
+            self.best_fit = fit;
+            let good = self.last_good.get_or_insert_with(LastGood::default);
+            if let Some(own) = good.factors.take() {
+                self.boundary.spare = own;
+            }
+            good.grams.clone_from(&self.grams);
+            good.lambda.clone_from(&self.lambda);
+        } else if let Some(good) = self.last_good.as_mut().filter(|g| g.factors.is_none()) {
+            good.factors = Some(self.boundary.take());
+        }
+        self.boundary.advance();
+    }
+
     /// Pairwise-perturbation bookkeeping at the iteration boundary:
-    /// movement tracking (measured only where the arming decision reads
-    /// it), sweep-phase timing split, and the arm/re-baseline decisions.
+    /// sweep-phase timing split, and the arm/re-baseline decisions on the
+    /// movement `rel` measured by `pp_movement`.
     fn pp_bookkeeping(
         &mut self,
         iter: usize,
@@ -1642,6 +1790,7 @@ impl<'a, B: MttkrpBackend + ?Sized> Run<'a, B> {
         clean: bool,
         sweep_ns: u128,
         wrote_ckpt: bool,
+        rel: f64,
     ) {
         let events = self.solver_events();
         let Some(ctl) = self.pp.as_mut() else { return };
@@ -1658,11 +1807,6 @@ impl<'a, B: MttkrpBackend + ?Sized> Run<'a, B> {
             ctl.disarm(iter, "checkpoint");
         } else if clean && !pp_iter {
             if !ctl.armed {
-                let rel = if ctl.cfg.every != 1 && !ctl.prev.factors.is_empty() {
-                    rel_factor_delta(&ctl.prev, &self.factors, &self.settled, &self.support)
-                } else {
-                    f64::INFINITY
-                };
                 if rel <= ctl.cfg.tol {
                     // Enter approximate mode: capture the baseline at
                     // exactly the factors this exact sweep produced.
@@ -1698,7 +1842,6 @@ impl<'a, B: MttkrpBackend + ?Sized> Run<'a, B> {
                 }
             }
         }
-        ctl.prev.assign(&self.factors, &self.settled, &self.support);
     }
 
     /// Starts one checkpoint generation from the live state (no-op
@@ -1709,8 +1852,18 @@ impl<'a, B: MttkrpBackend + ?Sized> Run<'a, B> {
     /// run records a [`BreakdownKind::CheckpointWriteFailed`] diagnostic
     /// when the failed write is joined, and keeps iterating.
     fn write_checkpoint(&mut self, next_iter: usize) {
-        let Some(ck) = self.ckpt.as_mut() else { return };
+        if self.ckpt.is_none() {
+            return;
+        }
         let t0 = Instant::now();
+        // Last-good factors that are the boundary's: the live ones at a
+        // boundary, the copy once a sweep has moved on (a watchdog stop).
+        let mid_sweep = self.boundary.saved.contains(&true);
+        if mid_sweep {
+            self.boundary.save_all(&self.factors, &self.settled, &self.support);
+        }
+        let boundary = if mid_sweep { &self.boundary.copy.factors } else { &self.factors };
+        let Some(ck) = self.ckpt.as_mut() else { return };
         let view = CheckpointView {
             rule: self.rule,
             seed: self.opts.seed,
@@ -1723,10 +1876,10 @@ impl<'a, B: MttkrpBackend + ?Sized> Run<'a, B> {
             rollbacks_left: self.rollbacks_left,
             stall_recorded: self.stall_recorded,
             elapsed_ns: self.elapsed_base_ns + self.start.elapsed().as_nanos() as u64,
-            last_good: self
-                .last_good
-                .as_ref()
-                .map(|s| (s.lambda.as_slice(), s.factors.factors.as_slice())),
+            last_good: self.last_good.as_ref().map(|g| {
+                let factors = g.factors.as_ref().map_or(boundary, |own| &own.factors);
+                (g.lambda.as_slice(), factors.as_slice())
+            }),
         };
         let previous = ck.store.start_write(&view);
         ck.last_write = Instant::now();

@@ -20,6 +20,15 @@
 //!
 //! Neither allocates on one thread.
 //!
+//! # Saved rows
+//!
+//! The `_rows_into` forms of pass A and of the NCP update take an optional
+//! copy of the factor's shape. Each row they are about to overwrite is first
+//! stored into the same row of the copy, by the pass that already holds it
+//! in cache, and the copy's other rows are left as they are. A caller that
+//! keeps the factors of an earlier iterate this way never copies a factor
+//! in a separate pass. Saving changes no bit of what the update writes.
+//!
 //! # Support rows
 //!
 //! Each kernel takes the rows it visits: `None` for every row, or the
@@ -113,11 +122,12 @@ pub enum ColNorm {
 /// # Panics
 /// Panics on a shape mismatch.
 pub fn solve_into(m: &Mat, p: &Mat, norm: ColNorm, u: &mut Mat, lambda: &mut [f64]) {
-    solve_rows_into(m, p, norm, u, lambda, None);
+    solve_rows_into(m, p, norm, u, lambda, None, None);
 }
 
 /// [`solve_into`] over `rows` only (`None`: every row); `u` is left as it
-/// is elsewhere.
+/// is elsewhere. With `save`, each row of `u` it overwrites is first copied
+/// into the same row of `save` (see the module docs).
 ///
 /// # Panics
 /// Panics on a shape mismatch.
@@ -129,6 +139,7 @@ pub fn solve_rows_into(
     u: &mut Mat,
     lambda: &mut [f64],
     rows: Option<&RowSet>,
+    save: Option<&mut Mat>,
 ) {
     let r = u.ncols();
     assert!(
@@ -137,13 +148,15 @@ pub fn solve_rows_into(
             && p.nrows() == r
             && p.ncols() == r
             && lambda.len() == r
-            && rows.is_none_or(|s| s.len() == u.nrows()),
+            && rows.is_none_or(|s| s.len() == u.nrows())
+            && save.as_ref().is_none_or(|s| (s.nrows(), s.ncols()) == (u.nrows(), r)),
         "solve_rows_into shape mismatch"
     );
     if r == 0 {
         return;
     }
-    solve_rows(m.as_slice(), p.as_slice(), norm, u.as_mut_slice(), lambda, rows);
+    let save = save.map(Mat::as_mut_slice);
+    solve_rows(m.as_slice(), p.as_slice(), norm, u.as_mut_slice(), lambda, rows, save);
     if norm == ColNorm::Two {
         lambda.iter_mut().for_each(|n| *n = n.sqrt());
     }
@@ -192,16 +205,18 @@ pub fn normalize_gram_rows(
 /// # Panics
 /// Panics on a shape mismatch.
 pub fn ncp_into(u: &mut Mat, m: &Mat, h: &Mat, eps: f64, gram: &mut Mat, uh: &mut [f64]) -> bool {
-    ncp_rows_into(u, m, h, eps, gram, uh, None)
+    ncp_rows_into(u, m, h, eps, gram, uh, None, None)
 }
 
 /// [`ncp_into`] over `rows` only (`None`: every row). `gram` becomes the
 /// Gram of all of `u`, whose rows outside `rows` must already be zero
-/// (see the module docs).
+/// (see the module docs). With `save`, each row of `u` it overwrites is
+/// first copied into the same row of `save`.
 ///
 /// # Panics
 /// Panics on a shape mismatch.
 #[adatm::hot]
+#[allow(clippy::too_many_arguments)]
 pub fn ncp_rows_into(
     u: &mut Mat,
     m: &Mat,
@@ -210,6 +225,7 @@ pub fn ncp_rows_into(
     gram: &mut Mat,
     uh: &mut [f64],
     rows: Option<&RowSet>,
+    save: Option<&mut Mat>,
 ) -> bool {
     let r = u.ncols();
     assert!(
@@ -220,19 +236,13 @@ pub fn ncp_rows_into(
             && gram.nrows() == r
             && gram.ncols() == r
             && uh.len() == r
-            && rows.is_none_or(|s| s.len() == u.nrows()),
+            && rows.is_none_or(|s| s.len() == u.nrows())
+            && save.as_ref().is_none_or(|s| (s.nrows(), s.ncols()) == (u.nrows(), r)),
         "ncp_rows_into shape mismatch"
     );
-    r == 0
-        || ncp_rows(
-            u.as_mut_slice(),
-            m.as_slice(),
-            h.as_slice(),
-            eps,
-            gram.as_mut_slice(),
-            uh,
-            rows,
-        )
+    let (u, gram) = (u.as_mut_slice(), gram.as_mut_slice());
+    let save = save.map(Mat::as_mut_slice);
+    r == 0 || ncp_rows(u, m.as_slice(), h.as_slice(), eps, gram, uh, rows, save)
 }
 
 /// Whether every entry of `m` in `rows` (`None`: every row) is finite.
@@ -274,7 +284,17 @@ fn parallel(rows: usize) -> bool {
     rows >= PAR_ROW_THRESHOLD && rayon::current_num_threads() > 1
 }
 
-/// Pass A over `rows` (rank `lambda.len()`).
+/// `save` cut into the `chunk`-long pieces `par_chunks_mut(chunk)` cuts a
+/// factor of its length into, or `n` `None`s when nothing is saved.
+fn save_chunks(save: Option<&mut [f64]>, chunk: usize, n: usize) -> Vec<Option<&mut [f64]>> {
+    match save {
+        Some(s) => s.chunks_mut(chunk).map(Some).collect(),
+        None => (0..n).map(|_| None).collect(),
+    }
+}
+
+/// Pass A over `rows` (rank `lambda.len()`), saving the rows it overwrites
+/// into `save`.
 #[adatm::hot]
 fn solve_rows(
     m: &[f64],
@@ -283,27 +303,33 @@ fn solve_rows(
     u: &mut [f64],
     lambda: &mut [f64],
     rows: Option<&RowSet>,
+    save: Option<&mut [f64]>,
 ) {
     let r = lambda.len();
     lambda.fill(0.0);
-    // Pass A over the runs of `rows` inside rows `lo..` of this block.
-    let runs = |lo: usize, uc: &mut [f64], norms: &mut [f64]| {
+    // Pass A over the runs of `rows` inside rows `lo..` of this block, whose
+    // saved rows (if any) are `sc`.
+    let runs = |lo: usize, uc: &mut [f64], mut sc: Option<&mut [f64]>, norms: &mut [f64]| {
         for_runs(rows, lo, lo + uc.len() / r, |s, e| {
-            let out = &mut uc[(s - lo) * r..(e - lo) * r];
-            solve_block(&m[s * r..e * r], p, norm, out, norms);
+            let span = (s - lo) * r..(e - lo) * r;
+            let saved = sc.as_deref_mut().map(|c| &mut c[span.clone()]);
+            solve_block(&m[s * r..e * r], p, norm, &mut uc[span], saved, norms);
         });
     };
     // Max norms are order-free, so workers may combine theirs; a 2-norm is
     // a floating-point sum and stays one row-order pass (on the first
     // iteration only).
     if norm == ColNorm::Max && parallel(u.len() / r) {
+        let chunk = PAR_ROW_THRESHOLD * r;
+        let saves = save_chunks(save, chunk, u.len().div_ceil(chunk));
         let maxes = u
-            .par_chunks_mut(PAR_ROW_THRESHOLD * r)
+            .par_chunks_mut(chunk)
+            .zip(saves.into_par_iter())
             .enumerate()
             .fold(
                 || vec![0.0; r],
-                |mut acc, (c, uc)| {
-                    runs(c * PAR_ROW_THRESHOLD, uc, &mut acc);
+                |mut acc, (c, (uc, sc))| {
+                    runs(c * PAR_ROW_THRESHOLD, uc, sc, &mut acc);
                     acc
                 },
             )
@@ -318,15 +344,27 @@ fn solve_rows(
             );
         lambda.copy_from_slice(&maxes);
     } else {
-        runs(0, u, lambda);
+        runs(0, u, save, lambda);
     }
 }
 
-/// Pass A over one block of rows, folding the column norms into `norms`.
+/// Pass A over one block of rows, folding the column norms into `norms`
+/// and first copying each row into `save` (the same block of the copy).
 #[inline(always)]
-fn solve_block(m: &[f64], p: &[f64], norm: ColNorm, u: &mut [f64], norms: &mut [f64]) {
+fn solve_block(
+    m: &[f64],
+    p: &[f64],
+    norm: ColNorm,
+    u: &mut [f64],
+    save: Option<&mut [f64]>,
+    norms: &mut [f64],
+) {
     let r = norms.len();
+    let mut save = save.map(|s| s.chunks_exact_mut(r));
     for (urow, mrow) in u.chunks_exact_mut(r).zip(m.chunks_exact(r)) {
+        if let Some(old) = save.as_mut().and_then(Iterator::next) {
+            old.copy_from_slice(urow);
+        }
         if is_zero(mrow) {
             // Every axpy skipped: the row stays +0.0, which moves neither
             // a sum of squares nor a maximum.
@@ -396,7 +434,7 @@ fn row_block<const W: usize>(row: &[f64], p: &[f64], c0: usize, out: &mut [f64])
 #[adatm::hot]
 fn normalize_rows(u: &mut [f64], lambda: &[f64], gram: &mut [f64], rows: Option<&RowSet>) -> bool {
     let r = lambda.len();
-    gram_fold(u, r, gram, &mut [], |row0, block, acc, _| {
+    gram_fold(u, r, gram, &mut [], None, |row0, block, _, acc, _| {
         let mut starts = [0; BLOCK];
         let mut visit = RowIter::new(rows, row0, row0 + block.len() / r);
         let mut finite = true;
@@ -433,8 +471,9 @@ fn scale_rows(rows: &mut [f64], lambda: &[f64], starts: &[usize]) -> bool {
 }
 
 /// The NCP update over `rows` (rank `uh.len()`), accumulating the Gram of
-/// the result.
+/// the result and saving the rows it overwrites into `save`.
 #[adatm::hot]
+#[allow(clippy::too_many_arguments)]
 fn ncp_rows(
     u: &mut [f64],
     m: &[f64],
@@ -443,9 +482,10 @@ fn ncp_rows(
     gram: &mut [f64],
     uh: &mut [f64],
     rows: Option<&RowSet>,
+    save: Option<&mut [f64]>,
 ) -> bool {
     let r = uh.len();
-    gram_fold(u, r, gram, uh, |row0, block, acc, uh| {
+    gram_fold(u, r, gram, uh, save, |row0, block, mut saved, acc, uh| {
         let mut starts = [0; BLOCK];
         let mut visit = RowIter::new(rows, row0, row0 + block.len() / r);
         let mut finite = true;
@@ -459,6 +499,9 @@ fn ncp_rows(
                 };
                 let (at, s) = (i * r, (i - row0) * r);
                 let (urow, mrow) = (&mut block[s..s + r], &m[at..at + r]);
+                if let Some(c) = saved.as_deref_mut() {
+                    c[s..s + r].copy_from_slice(urow);
+                }
                 // `u h` needs the whole old row, so it goes through `uh`.
                 row_times(urow, h, uh);
                 ncp_quotient(urow, mrow, uh, eps);
@@ -483,27 +526,37 @@ fn ncp_quotient(u: &mut [f64], m: &[f64], uh: &[f64], eps: f64) {
     }
 }
 
-/// Runs `block(first_row, rows, acc, scratch)` over the rows of `u` (row
-/// length `r`) and leaves their Gram in `gram`, with the module's
-/// reduction shape. `block` updates the rows it is given, adds the upper
-/// triangle of their Gram into `acc` and reports whether all of them are
-/// finite. One thread uses `gram` and `scratch` themselves; parallel
-/// workers each get zeroed copies.
-fn gram_fold<F>(u: &mut [f64], r: usize, gram: &mut [f64], scratch: &mut [f64], block: F) -> bool
+/// Runs `block(first_row, rows, saved, acc, scratch)` over the rows of `u`
+/// (row length `r`) and leaves their Gram in `gram`, with the module's
+/// reduction shape. `block` updates the rows it is given (saving them into
+/// `saved`, the same rows of `save`, if any), adds the upper triangle of
+/// their Gram into `acc` and reports whether all of them are finite. One
+/// thread uses `gram` and `scratch` themselves; parallel workers each get
+/// zeroed copies.
+fn gram_fold<F>(
+    u: &mut [f64],
+    r: usize,
+    gram: &mut [f64],
+    scratch: &mut [f64],
+    save: Option<&mut [f64]>,
+    block: F,
+) -> bool
 where
-    F: Fn(usize, &mut [f64], &mut [f64], &mut [f64]) -> bool + Sync,
+    F: Fn(usize, &mut [f64], Option<&mut [f64]>, &mut [f64], &mut [f64]) -> bool + Sync,
 {
     gram.fill(0.0);
     let finite = if parallel(u.len() / r) {
-        let (rr, s) = (r * r, scratch.len());
+        let (rr, s, chunk) = (r * r, scratch.len(), PAR_ROW_THRESHOLD * r);
+        let saves = save_chunks(save, chunk, u.len().div_ceil(chunk));
         let (acc, finite) = u
-            .par_chunks_mut(PAR_ROW_THRESHOLD * r)
+            .par_chunks_mut(chunk)
+            .zip(saves.into_par_iter())
             .enumerate()
             .fold(
                 || (vec![0.0; rr + s], true),
-                |(mut acc, ok), (c, rows)| {
+                |(mut acc, ok), (c, (rows, saved))| {
                     let (g, tmp) = acc.split_at_mut(rr);
-                    let finite = block(c * PAR_ROW_THRESHOLD, rows, g, tmp);
+                    let finite = block(c * PAR_ROW_THRESHOLD, rows, saved, g, tmp);
                     (acc, ok & finite)
                 },
             )
@@ -511,7 +564,7 @@ where
         gram.copy_from_slice(&acc[..rr]);
         finite
     } else {
-        block(0, u, gram, scratch)
+        block(0, u, save, gram, scratch)
     };
     mirror(gram, r);
     finite

@@ -567,7 +567,7 @@ fn support_row_updates_match_every_row_updates_bitwise() {
                         let f1 = normalize_gram(&mut u1, &l1, &mut g1);
                         let mut u2 = settled(rows, r, &support, 8);
                         let (mut l2, mut g2) = (vec![7.0; r], p.clone());
-                        solve_rows_into(&m, &p, norm, &mut u2, &mut l2, Some(&support));
+                        solve_rows_into(&m, &p, norm, &mut u2, &mut l2, Some(&support), None);
                         let f2 = normalize_gram_rows(&mut u2, &l2, &mut g2, Some(&support));
                         assert_eq!(f1, f2, "als flag, {at}, {norm:?}");
                         assert!(same_bits(&l1, &l2), "lambda, {at}, {norm:?}");
@@ -585,13 +585,71 @@ fn support_row_updates_match_every_row_updates_bitwise() {
                     let f1 = ncp_into(&mut want, &m, &h, eps, &mut g1, &mut vec![9.0; r]);
                     for rows_of in [None, Some(&support)] {
                         let (mut u, mut g2, mut uh) = (u0.clone(), h.clone(), vec![3.0; r]);
-                        let f2 = ncp_rows_into(&mut u, &m, &h, eps, &mut g2, &mut uh, rows_of);
+                        let f2 =
+                            ncp_rows_into(&mut u, &m, &h, eps, &mut g2, &mut uh, rows_of, None);
                         let at = format!("{at}, support {}", rows_of.is_some());
                         assert_eq!(f1, f2, "ncp flag, {at}");
                         assert!(same_bits(u.as_slice(), want.as_slice()), "ncp factor, {at}");
                         assert!(same_bits(g1.as_slice(), g2.as_slice()), "ncp gram, {at}");
                     }
                 }
+            }
+        }
+    });
+}
+
+/// Both updates with a copy to save into: the copy's rows the update
+/// writes hold the pre-update rows bit for bit, its other rows keep what
+/// they held, and the factor, `lambda`, Gram and flag equal those of the
+/// form without a copy. Every-row and support-row forms, at one and two
+/// threads, over two parallel chunk boundaries.
+#[test]
+fn saving_updates_store_the_rows_they_overwrite_bitwise() {
+    use adatm_linalg::update::{ncp_rows_into, solve_rows_into, ColNorm};
+    use adatm_linalg::RowSet;
+    let (eps, rows) = (1e-12, 9000);
+    at_1_and_2_threads(|threads| {
+        for r in [1, 3, 16, 17] {
+            let p = det_mat(r, r, 11 + r as u64);
+            let h = det_mat(2 * r, r, 3).gram();
+            let m = zero_row_mat(rows, r, 7);
+            let live = |i: usize| m.row(i).iter().any(|&x| x != 0.0) || i.is_multiple_of(11);
+            let support = RowSet::from_indices(rows, (0..rows).filter(|&i| live(i)));
+            // What the copy held before the update.
+            let held = Mat::random(rows, r, 23);
+            for rows_of in [None, Some(&support)] {
+                let at = format!("{threads} threads, rank {r}, support {}", rows_of.is_some());
+                let written = |i: usize| rows_of.is_none_or(|s| s.contains(i));
+                let mut u0 = Mat::random(rows, r, 19 + r as u64);
+                for i in 0..rows {
+                    u0.row_mut(i)
+                        .iter_mut()
+                        .for_each(|x| *x = if written(i) { x.abs() } else { 0.0 });
+                }
+                let saved_old_rows = |copy: &Mat, what: &str| {
+                    for i in 0..rows {
+                        let want = if written(i) { u0.row(i) } else { held.row(i) };
+                        assert!(same_bits(copy.row(i), want), "{what} copy row {i}, {at}");
+                    }
+                };
+                for norm in [ColNorm::Two, ColNorm::Max] {
+                    let (mut u1, mut l1) = (u0.clone(), vec![0.0; r]);
+                    solve_rows_into(&m, &p, norm, &mut u1, &mut l1, rows_of, None);
+                    let (mut u2, mut l2, mut copy) = (u0.clone(), vec![0.0; r], held.clone());
+                    solve_rows_into(&m, &p, norm, &mut u2, &mut l2, rows_of, Some(&mut copy));
+                    assert!(same_bits(u1.as_slice(), u2.as_slice()), "als, {at}, {norm:?}");
+                    assert!(same_bits(&l1, &l2), "lambda, {at}, {norm:?}");
+                    saved_old_rows(&copy, "als");
+                }
+                let (mut u1, mut g1, mut uh) = (u0.clone(), h.clone(), vec![0.0; r]);
+                let f1 = ncp_rows_into(&mut u1, &m, &h, eps, &mut g1, &mut uh, rows_of, None);
+                let (mut u2, mut g2, mut copy) = (u0.clone(), h.clone(), held.clone());
+                let save = Some(&mut copy);
+                let f2 = ncp_rows_into(&mut u2, &m, &h, eps, &mut g2, &mut uh, rows_of, save);
+                assert_eq!(f1, f2, "ncp flag, {at}");
+                assert!(same_bits(u1.as_slice(), u2.as_slice()), "ncp factor, {at}");
+                assert!(same_bits(g1.as_slice(), g2.as_slice()), "ncp gram, {at}");
+                saved_old_rows(&copy, "ncp");
             }
         }
     });
