@@ -24,14 +24,18 @@ use std::time::Duration;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FaultKind {
     /// Overwrite one entry with NaN (poisons the factor update and, for
-    /// memoizing backends, any cached intermediate derived from it). The
-    /// entry is the middle one of the output. It may fall on a row outside
-    /// the mode's support: the driver reads such rows only in a factor's
-    /// first update after its initialisation, a reseed or a restore, and
-    /// reports the NaN there; any other update never reads it, so it
-    /// perturbs nothing and nothing is reported (an `audit` build's check
-    /// of the whole output panics on it).
+    /// memoizing backends, any cached intermediate derived from it): the
+    /// middle entry's column, on the first row at or after the middle row
+    /// that holds a tensor nonzero (wrapping to the first such row). Every
+    /// update reads that row, so the NaN is always reported.
     PoisonNan,
+    /// Overwrite the first entry of the given row with NaN. On a row
+    /// outside the mode's support the driver reads it only in a factor's
+    /// first update after its initialisation, a reseed or a restore, and
+    /// reports it there; any other update never reads it, so it perturbs
+    /// nothing and nothing is reported (an `audit` build's check of the
+    /// whole output panics on it).
+    PoisonNanRow(usize),
     /// Overwrite one entry with +Inf (the first, on row 0).
     PoisonInf,
     /// Zero the entire output, collapsing every factor column.
@@ -158,12 +162,20 @@ impl<B: MttkrpBackend> FaultInjectingBackend<B> {
         &self.inner
     }
 
-    fn apply(kind: FaultKind, out: &mut Mat) {
+    fn apply(kind: FaultKind, tensor: &SparseTensor, mode: usize, out: &mut Mat) {
         match kind {
             FaultKind::PoisonNan => {
                 if !out.as_slice().is_empty() {
-                    let mid = out.as_slice().len() / 2;
-                    out.as_mut_slice()[mid] = f64::NAN;
+                    let (n, mid) = (out.nrows(), out.as_slice().len() / 2);
+                    let (row, col) = (mid / out.ncols(), mid % out.ncols());
+                    let support = tensor.support(mode);
+                    let live = support.next_run(row, n).or_else(|| support.next_run(0, n));
+                    out.set(live.map_or(row, |(i, _)| i), col, f64::NAN);
+                }
+            }
+            FaultKind::PoisonNanRow(row) => {
+                if row < out.nrows() && out.ncols() > 0 {
+                    out.set(row, 0, f64::NAN);
                 }
             }
             FaultKind::PoisonInf => {
@@ -201,7 +213,7 @@ impl<B: MttkrpBackend> MttkrpBackend for FaultInjectingBackend<B> {
     fn mttkrp_into(&mut self, tensor: &SparseTensor, factors: &[Mat], mode: usize, out: &mut Mat) {
         self.inner.mttkrp_into(tensor, factors, mode, out);
         if let Some(kind) = self.schedule.fault_for(self.calls) {
-            Self::apply(kind, out);
+            Self::apply(kind, tensor, mode, out);
             self.injected.push((self.calls, kind));
         }
         self.calls += 1;
@@ -398,6 +410,37 @@ mod tests {
             }
         }
         assert_eq!(b.injected(), &[(1, FaultKind::PoisonNan), (3, FaultKind::ZeroOutput)]);
+    }
+
+    #[test]
+    fn nan_poison_lands_on_the_first_live_row_from_the_middle() {
+        // Mode 0 holds entries on even rows only: the middle entry of the
+        // 10 x 3 output is (5, 0), on empty row 5, so the NaN moves to row
+        // 6; a row-targeted poison stays on its row.
+        let (inds, vals) = (vec![vec![0, 2, 4, 6, 8], vec![0, 1, 2, 0, 1]], vec![1.0; 5]);
+        let t = SparseTensor::new(vec![10, 3], inds, vals);
+        let factors = factors_for(&t, 3, 4);
+        for (kind, at) in [(FaultKind::PoisonNan, (6, 0)), (FaultKind::PoisonNanRow(5), (5, 0))] {
+            let sched = FaultSchedule::new().at_call(0, kind);
+            let mut b = FaultInjectingBackend::new(CooBackend::new(&t), sched);
+            let mut out = Mat::zeros(10, 3);
+            b.mttkrp_into(&t, &factors, 0, &mut out);
+            let nans: Vec<(usize, usize)> = (0..10)
+                .flat_map(|i| (0..3).map(move |j| (i, j)))
+                .filter(|&(i, j)| out.get(i, j).is_nan())
+                .collect();
+            assert_eq!(nans, [at], "{kind:?}");
+        }
+        // Dense rows: the middle entry itself, (4, 1) of a 9 x 3 output.
+        let t = zipf_tensor(&[9, 9], 400, &[0.0; 2], 3);
+        assert_eq!(t.support(0).next_run(0, 9), Some((0, 9)));
+        let sched = FaultSchedule::new().at_call(0, FaultKind::PoisonNan);
+        let mut b = FaultInjectingBackend::new(CooBackend::new(&t), sched);
+        let mut out = Mat::zeros(9, 3);
+        b.mttkrp_into(&t, &factors_for(&t, 3, 1), 0, &mut out);
+        assert!(
+            out.get(4, 1).is_nan() && out.as_slice().iter().filter(|x| x.is_nan()).count() == 1
+        );
     }
 
     #[test]

@@ -311,9 +311,9 @@ fn solve_rows(
     // saved rows (if any) are `sc`.
     let runs = |lo: usize, uc: &mut [f64], mut sc: Option<&mut [f64]>, norms: &mut [f64]| {
         for_runs(rows, lo, lo + uc.len() / r, |s, e| {
-            let span = (s - lo) * r..(e - lo) * r;
-            let saved = sc.as_deref_mut().map(|c| &mut c[span.clone()]);
-            solve_block(&m[s * r..e * r], p, norm, &mut uc[span], saved, norms);
+            let (a, b) = ((s - lo) * r, (e - lo) * r);
+            let saved = sc.as_deref_mut().map(|c| &mut c[a..b]);
+            solve_block(&m[s * r..e * r], p, norm, &mut uc[a..b], saved, norms);
         });
     };
     // Max norms are order-free, so workers may combine theirs; a 2-norm is

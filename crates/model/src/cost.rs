@@ -15,7 +15,9 @@
 //!   in [`GATHER_CACHE_BYTES`] (see [`gather_miss_per_elem`]);
 //! * **peak value memory** — under the invalidation protocol at most one
 //!   root-to-leaf path of value matrices is live, so the peak is the
-//!   maximum over modes of the path sum of `elems(t) * R * 8` bytes;
+//!   maximum over modes of the path sum of `elems(t) * R * 8` bytes over
+//!   the path's internal nodes (a leaf is written straight into the
+//!   caller's `M` and holds no buffer);
 //! * **index memory** — the one-time symbolic storage (`idx`, `rptr`,
 //!   `rperm` arrays exactly as the engine lays them out);
 //! * **symbolic cost** — comparison count of the one-time sorts,
@@ -135,7 +137,9 @@ pub fn predict(shape: &TreeShape, rank: usize, cache: &mut EstimatorCache<'_>) -
         let parent_elems = cache.elems(&tree.node(parent).modes);
         let own_elems = cache.elems(&node.modes);
         flops += parent_elems * (node.delta.len() as f64 + 1.0) * r;
-        *vb = own_elems * r * VAL_BYTES;
+        if !node.is_leaf() {
+            *vb = own_elems * r * VAL_BYTES;
+        }
         // Stream traffic of computing this node: read the source (the
         // tensor itself for children of the root — value plus the delta
         // modes' index columns — or the parent's R-wide value matrix),
@@ -156,7 +160,8 @@ pub fn predict(shape: &TreeShape, rank: usize, cache: &mut EstimatorCache<'_>) -
             memo_count += 1;
         }
     }
-    // Peak live value memory: max over leaf paths (protocol invariant).
+    // Peak live value memory: max over leaf paths (protocol invariant) of
+    // the internal nodes' buffers.
     let mut peak = 0.0f64;
     for m in 0..tree.ndim() {
         let path_sum: f64 =
@@ -501,6 +506,28 @@ mod tests {
         let cb = predict(&TreeShape::two_level(8), 16, &mut c);
         let bytes = cb.traffic_bytes_per_iter + cb.gather_miss_bytes_per_iter;
         assert!((cb.cost_units(2.0) - cb.flops_per_iter - 2.0 * bytes).abs() < 1e-6);
+    }
+
+    #[test]
+    fn predicted_peak_holds_no_leaf_buffer_and_covers_the_engine() {
+        use adatm_dtree::DtreeEngine;
+        use adatm_linalg::Mat;
+        let t = zipf_tensor(&[30, 8, 40, 12, 25, 18], 2_000, &[0.9, 0.2, 0.7, 0.4, 1.0, 0.5], 41);
+        let rank = 4;
+        let factors: Vec<Mat> =
+            t.dims().iter().enumerate().map(|(d, &n)| Mat::random(n, rank, 5 + d as u64)).collect();
+        let mut c = cache(&t);
+        // Leaves land in the caller's `M`: the flat tree holds no value buffer.
+        assert_eq!(predict(&TreeShape::two_level(6), rank, &mut c).peak_value_bytes, 0.0);
+        for shape in [TreeShape::two_level(6), TreeShape::three_level(6)] {
+            let mut eng = DtreeEngine::new(&t, &shape, rank);
+            for mode in 0..t.ndim() {
+                eng.invalidate_mode(mode);
+                let _ = eng.mttkrp(&t, &factors, mode);
+            }
+            let peak = predict(&shape, rank, &mut c).peak_value_bytes;
+            assert!(peak >= eng.value_buffer_bytes() as f64, "{shape}: {peak}");
+        }
     }
 
     #[test]

@@ -842,9 +842,9 @@ fn runs_stopped_before_a_mode_update_return_the_initial_factors_untouched() {
 
 #[test]
 fn nan_on_an_empty_row_is_reported_wherever_an_update_reads_it() {
-    // Mode 2 of `spread_truth()` holds entries on even rows only, and the
-    // middle entry of its 22 x 3 output, which `PoisonNan` poisons, lies
-    // on empty row 11. The sequential COO backend sweeps modes 0, 1, 2.
+    // Mode 2 of `spread_truth()` holds entries on even rows only, so row
+    // 11 of its 22 x 3 output is empty. The sequential COO backend sweeps
+    // modes 0, 1, 2.
     let t = spread_truth();
     let opts = CpAlsOptions::new(3).max_iters(12).tol(0.0).seed(5);
     let run = |sched: FaultSchedule| {
@@ -857,7 +857,7 @@ fn nan_on_an_empty_row_is_reported_wherever_an_update_reads_it() {
     #[cfg(not(feature = "audit"))]
     {
         let healthy = run(FaultSchedule::new());
-        let unread = run(FaultSchedule::new().at_call(5, FaultKind::PoisonNan));
+        let unread = run(FaultSchedule::new().at_call(5, FaultKind::PoisonNanRow(11)));
         assert!(unread.diagnostics.clean(), "{:?}", unread.diagnostics.events);
         assert_models_bitwise_equal(&healthy, &unread);
     }
@@ -865,8 +865,8 @@ fn nan_on_an_empty_row_is_reported_wherever_an_update_reads_it() {
     // next update, call 8, is the reseeded factor's first and reads every
     // row, so the NaN there is reported before it can reach the factor.
     // Recorded with the every-row solver.
-    let res =
-        run(FaultSchedule::new().at_call(5, FaultKind::PoisonInf).at_call(8, FaultKind::PoisonNan));
+    let sched = FaultSchedule::new().at_call(5, FaultKind::PoisonInf);
+    let res = run(sched.at_call(8, FaultKind::PoisonNanRow(11)));
     assert_eq!(
         event_trail(&res),
         [

@@ -107,6 +107,30 @@ fn dense_stage_attribution_matches_timings_exactly() {
 }
 
 #[test]
+fn boundary_stage_attribution_matches_timings_exactly() {
+    let _g = lock();
+    let sink = adatm::trace::install_memory();
+    let t = small_tensor();
+    let mut b = CooBackend::new(&t);
+    let opts = CpAlsOptions::new(3).max_iters(12).tol(0.0).seed(2).pp(adatm::PpConfig::new());
+    let res = CpAls::new(opts).run(&t, &mut b).unwrap();
+    adatm::trace::shutdown();
+    let boundary: Vec<u64> = sink
+        .lines()
+        .iter()
+        .filter(|l| {
+            field_str(l, "ev") == Some("stage") && field_str(l, "stage") == Some("boundary")
+        })
+        .filter_map(|l| field_u64(l, "elapsed_ns"))
+        .collect();
+    // One boundary stage per completed iteration, each the Duration added
+    // to `timings.boundary`.
+    assert_eq!(boundary.len(), res.iters);
+    let traced: u128 = boundary.iter().copied().map(u128::from).sum();
+    assert_eq!(traced, res.timings.boundary.as_nanos(), "boundary attribution must be exact");
+}
+
+#[test]
 fn shutdown_disables_tracing_and_emits_nothing() {
     let _g = lock();
     let sink = adatm::trace::install_memory();
