@@ -1181,10 +1181,11 @@ impl<'a, B: MttkrpBackend + ?Sized> Run<'a, B> {
         self.lambda = ck.lambda;
         self.fit_history = ck.fit_history;
         self.best_fit = ck.best_fit;
-        // The restored factors are the boundary: the movement reference an
-        // uninterrupted run carries here (checkpoints are only written
-        // right after PP disarms, or while it never armed, so PP starts
-        // disarmed exactly like that run).
+        // With no mode saved, the restored factors are the boundary: the
+        // movement reference an uninterrupted run carries here
+        // (checkpoints are only written right after PP disarms, or while
+        // it never armed, so PP starts disarmed exactly like that run).
+        // Last-good keeps its own factors.
         self.last_good = ck.last_good.map(|(lambda, factors)| LastGood {
             grams: factors.iter().map(Mat::gram).collect(),
             factors: Some(FactorCopy { settled: vec![false; factors.len()], factors }),
